@@ -90,9 +90,11 @@ def _parse_config(path: Path) -> dict:
             "dt": cp.getfloat("solver", "dt", fallback=1.25),
             "t_end": cp.getfloat("solver", "t_end", fallback=25.0),
             "picard_tol": cp.getfloat("solver", "picard_tol", fallback=1e-9),
+            "picard_max_iter": cp.getint("solver", "picard_max_iter", fallback=25),
             "tensor": cp.get("solver", "tensor", fallback="default"),
             "oracle_samples": cp.getint("kernels", "oracle_samples", fallback=40),
         }
+        _solver_config(cfg)
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"config validation failure: {exc}") from exc
     if cfg["suite"] not in SUITES:
@@ -104,6 +106,16 @@ def _parse_config(path: Path) -> dict:
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     cfg["config_hash"] = digest
     return cfg
+
+
+def _solver_config(cfg: dict, scale: float = 1.0) -> SolverConfig:
+    """Validated solver settings; ``scale`` shrinks both ``dt`` and ``t_end``."""
+    return SolverConfig(
+        dt=cfg["dt"] / scale,
+        t_end=cfg["t_end"] / scale,
+        picard_tol=cfg["picard_tol"],
+        picard_max_iter=cfg["picard_max_iter"],
+    )
 
 
 def _times(cfg: dict) -> np.ndarray:
@@ -290,7 +302,7 @@ def _suite_nonlinear(cfg: dict):
             VectorField(grid, eps * f1.data, "physical"),
         )
 
-    sc = SolverConfig(dt=cfg["dt"] / 5.0, t_end=cfg["t_end"] / 5.0)
+    sc = _solver_config(cfg, scale=5.0)
     # Linear consistency with the zero tensor.
     fz0, fz1 = scaled(scale)
     traj0 = evolve(fz0, fz1, lame, ContractionTensor.zero(), sc)
@@ -298,19 +310,22 @@ def _suite_nonlinear(cfg: dict):
     num = np.max(np.abs(traj0.states[-1].displacement_hat.data - lin_end.displacement_hat.data))
     den = max(np.max(np.abs(lin_end.displacement_hat.data)), 1e-300)
     lin_err = num / den
+    del traj0, lin_end
 
     # Amplitude scaling of the deviation from the homogeneous solution.
     devs = []
     for eps_fac in (1.0, 0.5):
         fe0, fe1 = scaled(scale * eps_fac)
         traj = evolve(fe0, fe1, lame, _tensor(cfg), sc)
+        fe0h, fe1h = transform(fe0), transform(fe1)
         worst = 0.0
         for t, st in zip(traj.times[1:], traj.states[1:]):
-            lin = linear_propagate(transform(fe0), transform(fe1), float(t), lame)
+            lin = linear_propagate(fe0h, fe1h, float(t), lame)
             dnum = np.linalg.norm(st.displacement_hat.data - lin.displacement_hat.data)
             dden = max(np.linalg.norm(lin.displacement_hat.data), 1e-300)
             worst = max(worst, dnum / dden)
         devs.append(worst)
+        del traj
     ratio = devs[1] / max(devs[0], 1e-300)
     series = {
         "nonlinear_deviation": [
@@ -332,7 +347,7 @@ def _suite_picard(cfg: dict):
     scale = 1e-3 / x1_data_seminorm(f0, f1)
     f0 = VectorField(grid, scale * f0.data, "physical")
     f1 = VectorField(grid, scale * f1.data, "physical")
-    sc = SolverConfig(dt=cfg["dt"], t_end=cfg["t_end"], picard_tol=cfg["picard_tol"])
+    sc = _solver_config(cfg)
     tensor = _tensor(cfg)
     traj_p, history = picard_iterate(f0, f1, lame, tensor, sc)
     traj_e = evolve(f0, f1, lame, tensor, sc)
@@ -349,6 +364,9 @@ def _suite_picard(cfg: dict):
         _assert("7", "contraction ratio from iteration 2 on", worst_ratio, 0.5, "<="),
         _assert("7", "fixed point vs marching (X1)", dist, 5.0 * sc.picard_tol, "<="),
         _assert("7", "marched X1 norm finite", x1_norm(traj_e), math.inf, "<="),
+        _assert(
+            "7", "last Picard increment below picard_tol", history[-1]["distance"], sc.picard_tol, "<"
+        ),
     ]
     return series, assertions, {}
 
@@ -519,10 +537,15 @@ def emit_report(results: dict, out_dir: Path, fmt: str = "csv") -> list[Path]:
     return written
 
 
-def run_scenario(config_path, out_dir, seed: int | None = None) -> int:
-    """Execute the configured suite; return the process exit status."""
+def run_scenario(config_path, out_dir, seed: int | None = None, suite: str | None = None) -> int:
+    """Execute the configured suite; return the process exit status.
+
+    With ``suite`` given, a config for another suite is a usage error.
+    """
     try:
         cfg = _parse_config(Path(config_path))
+        if suite is not None and suite != cfg["suite"]:
+            raise ConfigError(f"config is for suite {cfg['suite']!r}, not {suite!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -570,8 +593,7 @@ def main(argv=None) -> int:
         sp.add_argument("--out", required=True, help="output directory")
         sp.add_argument("--seed", type=int, default=None, help="override config seed")
     args = parser.parse_args(argv)
-    status = run_scenario(args.config, args.out, seed=args.seed)
-    return status
+    return run_scenario(args.config, args.out, seed=args.seed, suite=args.suite)
 
 
 if __name__ == "__main__":

@@ -27,6 +27,7 @@ __all__ = [
     "ElasticState",
     "projection",
     "matrix_kernel",
+    "Propagator",
     "linear_propagate",
     "duhamel_increment",
     "duhamel_increment_pair",
@@ -143,20 +144,76 @@ def split_longitudinal(fld: VectorField) -> tuple[np.ndarray, np.ndarray]:
     return par, data - par
 
 
-def _kernel_tables(grid: Grid3, t: float, lame: LameParams, which: str, dt_order: int):
-    """(long, trans) kernel arrays over the grid, via the unique-radius table."""
-    vals, inv = grid.unique_radii()
-    kl = kernel_hat(t, vals, lame.long_params, which, dt_order)[inv]
-    kt = kernel_hat(t, vals, lame.trans_params, which, dt_order)[inv]
-    return kl, kt
+class Propagator:
+    """Exact mode propagator ``S(tau)`` on one grid, for a fixed set of steps.
 
+    ``S(tau)`` maps a state ``(u, v)`` to ``(K0 u + K1 v, K0' u + K1' v)``.
+    Data are carried as split ``(P data, (I-P) data)`` pairs (see
+    :func:`split_longitudinal`), on which every matrix kernel is a per-element
+    multiply by its (long, trans) table.  Each table (``K0``/``K1``, time
+    orders 0 and 1) is built from the unique-radius table on first use, once
+    per step; steps not declared at construction are rejected.
+    """
 
-def _apply_matrix_kernel(
-    fld: VectorField, t: float, lame: LameParams, which: str, dt_order: int
-) -> np.ndarray:
-    kl, kt = _kernel_tables(fld.grid, t, lame, which, dt_order)
-    par, perp = split_longitudinal(fld)
-    return kl * par + kt * perp
+    def __init__(self, grid: Grid3, lame: LameParams, steps):
+        self.grid = grid
+        self.lame = lame
+        self.steps = frozenset(float(s) for s in steps)
+        self._tables: dict = {}
+
+    def split(self, data: np.ndarray) -> list[np.ndarray]:
+        """Split spectral data into a mutable ``[par, perp]`` pair."""
+        return list(split_longitudinal(VectorField(self.grid, data, "spectral")))
+
+    @staticmethod
+    def join(pair) -> np.ndarray:
+        return pair[0] + pair[1]
+
+    def kernel(self, tau: float, which: str, order: int) -> tuple[np.ndarray, np.ndarray]:
+        """(long, trans) tables of ``d^order/dt^order`` of ``which`` at ``tau``."""
+        key = (float(tau), which, order)
+        hit = self._tables.get(key)
+        if hit is None:
+            if key[0] not in self.steps:
+                raise ValueError(f"step {tau!r} is not one of this propagator's steps")
+            vals, inv = self.grid.unique_radii()
+            hit = tuple(
+                kernel_hat(key[0], vals, params, which, order)[inv]
+                for params in (self.lame.long_params, self.lame.trans_params)
+            )
+            self._tables[key] = hit
+        return hit
+
+    def propagate(self, tau: float, u, v, velocity: bool = True):
+        """``S(tau)`` on the split state ``(u, v)``; the velocity is None unless asked for."""
+
+        def combine(order):
+            k0, k1 = self.kernel(tau, "K0", order), self.kernel(tau, "K1", order)
+            return [a * x + b * y for a, b, x, y in zip(k0, k1, u, v)]
+
+        return combine(0), (combine(1) if velocity else None)
+
+    def duhamel(self, terms, velocity: bool = True):
+        """Weighted sum of ``w S(tau) (0, g)`` over ``(w, tau, g)`` terms, as split pairs.
+
+        ``S(tau) (0, g) = (K1(tau) g, K1'(tau) g)``, which is ``(0, g)`` at
+        ``tau = 0``.  Returns ``(du, dv)``; ``dv`` is None unless asked for.
+        """
+        shape = (3, *self.grid.shape)
+        du = [np.zeros(shape, dtype=np.complex128) for _ in range(2)]
+        dv = [np.zeros(shape, dtype=np.complex128) for _ in range(2)] if velocity else None
+        for w, tau, g in terms:
+            if tau == 0.0:
+                if velocity:
+                    for acc, x in zip(dv, g):
+                        acc += w * x
+                continue
+            for acc, k, x in zip(du, self.kernel(tau, "K1", 0), g):
+                acc += (w * k) * x
+            if velocity:
+                for acc, k, x in zip(dv, self.kernel(tau, "K1", 1), g):
+                    acc += (w * k) * x
+        return du, dv
 
 
 def linear_propagate(
@@ -166,15 +223,11 @@ def linear_propagate(
     if f0_hat.grid != f1_hat.grid:
         raise ShapeMismatchError("initial data live on different grids")
     grid = f0_hat.grid
-    u = _apply_matrix_kernel(f0_hat, t, lame, "K0", 0) + _apply_matrix_kernel(
-        f1_hat, t, lame, "K1", 0
-    )
-    v = _apply_matrix_kernel(f0_hat, t, lame, "K0", 1) + _apply_matrix_kernel(
-        f1_hat, t, lame, "K1", 1
-    )
+    prop = Propagator(grid, lame, (t,))
+    u, v = prop.propagate(t, prop.split(f0_hat.data), prop.split(f1_hat.data))
     return ElasticState(
-        displacement_hat=VectorField(grid, u, "spectral"),
-        velocity_hat=VectorField(grid, v, "spectral"),
+        displacement_hat=VectorField(grid, prop.join(u), "spectral"),
+        velocity_hat=VectorField(grid, prop.join(v), "spectral"),
         time=t,
     )
 
@@ -211,16 +264,14 @@ def duhamel_increment_pair(
     n = len(samples)
     w = _simpson_coeffs(n) * (delta / (n - 1))
     grid = samples[0].grid
-    du = np.zeros((3, *grid.shape), dtype=np.complex128)
-    dv = np.zeros_like(du)
-    for i, fs in enumerate(samples):
-        if fs.grid != grid:
-            raise ShapeMismatchError("forcing samples live on different grids")
-        s = delta * i / (n - 1)
-        # K1(0) = 0 kills the endpoint displacement term but not the velocity one.
-        du += w[i] * _apply_matrix_kernel(fs, delta - s, lame, "K1", 0)
-        dv += w[i] * _apply_matrix_kernel(fs, delta - s, lame, "K1", 1)
-    return du, dv
+    if any(fs.grid != grid for fs in samples):
+        raise ShapeMismatchError("forcing samples live on different grids")
+    lags = [delta - delta * i / (n - 1) for i in range(n)]
+    prop = Propagator(grid, lame, lags)
+    du, dv = prop.duhamel(
+        (w[i], lags[i], prop.split(fs.data)) for i, fs in enumerate(samples)
+    )
+    return prop.join(du), prop.join(dv)
 
 
 def duhamel_increment(samples, delta: float, lame: LameParams) -> VectorField:

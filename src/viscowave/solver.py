@@ -11,6 +11,18 @@ successive-substitution scheme on the same half-step quadrature grid, so its
 fixed point coincides with the marched solution up to the corrector's
 midpoint sampling error; the two are compared through the time-weighted
 solution norm computed by `x1_norm`.
+
+Both solvers run on a :class:`~viscowave.elastic.Propagator`, whose kernel
+tables are built once per fixed step; states and forcing samples are carried
+as split (longitudinal, transverse) pairs, so each forcing sample is split
+once.  A Picard sweep is O(M) in its M half-step nodes: the propagator is a
+semigroup, so the composite-Simpson Duhamel sum ``D_m`` at node m follows
+from the one at the last even node (step h, trapezoid at m = 1),
+
+    D_m = S(2h) D_{m-2} + panel(m-2, m)           (m even, weights h/3, 4h/3, h/3),
+    D_m = S(h) D_{m-1} + trailing(m-2, m-1, m)    (m odd, weights -h/12, 8h/12, 5h/12),
+
+streamed over the nodes with a three-sample window of split forcing.
 """
 
 from __future__ import annotations
@@ -19,15 +31,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elastic import (
-    ElasticState,
-    LameParams,
-    linear_propagate,
-    split_longitudinal,
-)
+from .elastic import ElasticState, LameParams, Propagator
 from .exceptions import DivergenceError, NoContractionError
 from .grid import Grid3, VectorField, dealias_mask, sobolev_seminorm, transform
-from .kernels import kernel_hat
+
+# Not called here; kept bound because perfbench's layer tracer self-test expects them here.
+from .elastic import linear_propagate  # noqa: F401
+from .kernels import kernel_hat  # noqa: F401
 
 __all__ = [
     "ContractionTensor",
@@ -78,8 +88,21 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not self.dt > 0:
             raise ValueError("dt must be positive")
+        if not self.t_end > 0:
+            raise ValueError("t_end must be positive")
+        steps = self.t_end / self.dt
+        if not abs(steps - round(steps)) <= 1e-9 * steps:
+            raise ValueError(
+                f"t_end = {self.t_end:g} is not a whole number of steps dt = {self.dt:g}"
+            )
         if not self.picard_tol > 0:
             raise ValueError("picard_tol must be positive")
+        if not self.picard_max_iter >= 1:
+            raise ValueError("picard_max_iter must be at least 1")
+
+    @property
+    def n_steps(self) -> int:
+        return int(round(self.t_end / self.dt))
 
 
 @dataclass
@@ -146,37 +169,7 @@ def nonlinearity(
 
 
 # ---------------------------------------------------------------------------
-# kernel application helpers
-
-
-class _KernelGrids:
-    """Gathered per-grid kernel arrays, cached by (which, order, time)."""
-
-    def __init__(self, grid: Grid3, lame: LameParams):
-        self.grid = grid
-        self.lame = lame
-        self.vals, self.inv = grid.unique_radii()
-        self._cache: dict = {}
-
-    def pair(self, t: float, which: str, order: int) -> tuple[np.ndarray, np.ndarray]:
-        key = (which, order, round(t, 12))
-        hit = self._cache.get(key)
-        if hit is None:
-            kl = kernel_hat(t, self.vals, self.lame.long_params, which, order)[self.inv]
-            kt = kernel_hat(t, self.vals, self.lame.trans_params, which, order)[self.inv]
-            hit = (kl, kt)
-            self._cache[key] = hit
-        return hit
-
-    def apply(
-        self, t: float, which: str, order: int, par: np.ndarray, perp: np.ndarray
-    ) -> np.ndarray:
-        kl, kt = self.pair(t, which, order)
-        return kl * par + kt * perp
-
-
-def _split_arrays(grid: Grid3, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return split_longitudinal(VectorField(grid, data, "spectral"))
+# shared helpers
 
 
 def _state(grid: Grid3, u: np.ndarray, v: np.ndarray, t: float) -> ElasticState:
@@ -189,22 +182,16 @@ def _as_spectral(fld: VectorField) -> VectorField:
     return fld if fld.space == "spectral" else transform(fld)
 
 
-def _simpson3(
-    kg: _KernelGrids, delta: float, f_samples: list[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Three-node Simpson forcing integral over one step (displacement, velocity)."""
+def _simpson(delta: float, g_start, g_mid, g_end) -> list:
+    """Duhamel terms of the three-node Simpson rule over one step of length ``delta``."""
     w = delta / 6.0
-    grid = kg.grid
-    du = np.zeros((3, *grid.shape), dtype=np.complex128)
-    dv = np.zeros_like(du)
-    for idx, fs in enumerate(f_samples):
-        s = 0.5 * delta * idx
-        coeff = w * (1.0 if idx in (0, 2) else 4.0)
-        par, perp = _split_arrays(grid, fs)
-        # K1(0) = 0: the idx == 2 displacement term vanishes but costs nothing.
-        du += coeff * kg.apply(delta - s, "K1", 0, par, perp)
-        dv += coeff * kg.apply(delta - s, "K1", 1, par, perp)
-    return du, dv
+    return [(w, delta, g_start), (4.0 * w, 0.5 * delta, g_mid), (w, 0.0, g_end)]
+
+
+def _add(acc, inc) -> None:
+    """Add the arrays of ``inc`` to those of ``acc`` in place."""
+    for a, x in zip(acc, inc):
+        a += x
 
 
 # ---------------------------------------------------------------------------
@@ -224,14 +211,14 @@ def evolve(
     forcing integral with samples at the step ends and midpoint; midpoint and
     endpoint forcing values come from a linear predictor followed by one
     corrector pass.  Aborts with DivergenceError if the state norm exceeds
-    1e6 times its initial value.
+    1e6 times its initial value or is not finite.
     """
     f0h, f1h = _as_spectral(f0), _as_spectral(f1)
     grid = f0h.grid
     mask = None if config.dealias_rule in ("none", None) else dealias_mask(grid, config.dealias_rule)
-    kg = _KernelGrids(grid, lame)
     dt = config.dt
-    n_steps = int(round(config.t_end / dt))
+    half = 0.5 * dt
+    prop = Propagator(grid, lame, (0.5 * half, half, dt))
     dxi3 = (2.0 * np.pi / grid.box_length) ** 3
 
     def state_norm(u, v):
@@ -240,44 +227,52 @@ def evolve(
     def nl(u_arr):
         return _nonlinearity_hat(grid, u_arr, tensor, mask)
 
-    u = f0h.data.astype(np.complex128, copy=True)
-    v = f1h.data.astype(np.complex128, copy=True)
-    guard = 1e6 * max(state_norm(u, v), 1e-300)
+    u_arr = f0h.data.astype(np.complex128, copy=True)
+    v_arr = f1h.data.astype(np.complex128, copy=True)
+    guard = 1e6 * max(state_norm(u_arr, v_arr), 1e-300)
+    u, v = prop.split(u_arr), prop.split(v_arr)
 
     times = [0.0]
-    states = [_state(grid, u, v, 0.0)]
-    f_now = nl(u)
+    states = [_state(grid, u_arr, v_arr, 0.0)]
+    f_now = nl(u_arr)
     cache = [VectorField(grid, f_now, "spectral")]
+    g_now = prop.split(f_now)
 
     linear_only = not tensor.entries
-    for k in range(n_steps):
-        t = k * dt
+    for k in range(config.n_steps):
+        t_next = k * dt + dt
         if linear_only:
-            nxt = linear_propagate(states[-1].displacement_hat, states[-1].velocity_hat, dt, lame)
-            u, v = nxt.displacement_hat.data, nxt.velocity_hat.data
-            f_next = f_now
+            u, v = prop.propagate(dt, u, v)
         else:
-            half = linear_propagate(states[-1].displacement_hat, states[-1].velocity_hat, 0.5 * dt, lame)
-            full = linear_propagate(states[-1].displacement_hat, states[-1].velocity_hat, dt, lame)
-            f_mid = nl(half.displacement_hat.data)
-            f_end = nl(full.displacement_hat.data)
-            # Corrector: rebuild the sample states with the forcing integral included.
-            f_quarter = (3.0 * f_now + 6.0 * f_mid - f_end) / 8.0
-            du_h, dv_h = _simpson3(kg, 0.5 * dt, [f_now, f_quarter, f_mid])
-            du_f, dv_f = _simpson3(kg, dt, [f_now, f_mid, f_end])
-            f_mid = nl(half.displacement_hat.data + du_h)
-            f_end = nl(full.displacement_hat.data + du_f)
-            du_f, dv_f = _simpson3(kg, dt, [f_now, f_mid, f_end])
-            u = full.displacement_hat.data + du_f
-            v = full.velocity_hat.data + dv_f
-            f_next = f_end
-        t_next = t + dt
-        if state_norm(u, v) > guard:
-            raise DivergenceError(f"state norm exceeded blow-up guard at t={t_next:g}", t_next)
+            u_half, _ = prop.propagate(half, u, v, velocity=False)
+            u, v = prop.propagate(dt, u, v)
+            g_mid = prop.split(nl(prop.join(u_half)))
+            g_end = prop.split(nl(prop.join(u)))
+            # Corrector: rebuild the sample displacements with the forcing integral included.
+            g_quarter = [(3.0 * a + 6.0 * b - c) / 8.0 for a, b, c in zip(g_now, g_mid, g_end)]
+            du_h, _ = prop.duhamel(_simpson(half, g_now, g_quarter, g_mid), velocity=False)
+            du_f, _ = prop.duhamel(_simpson(dt, g_now, g_mid, g_end), velocity=False)
+            _add(u_half, du_h)
+            _add(du_f, u)
+            del g_quarter, g_mid, g_end, du_h
+            g_mid = prop.split(nl(prop.join(u_half)))
+            f_now = nl(prop.join(du_f))
+            g_end = prop.split(f_now)
+            del u_half, du_f
+            du_f, dv_f = prop.duhamel(_simpson(dt, g_now, g_mid, g_end))
+            _add(u, du_f)
+            _add(v, dv_f)
+            g_now = g_end
+        u_arr, v_arr = prop.join(u), prop.join(v)
+        norm = state_norm(u_arr, v_arr)
+        if not norm <= guard:
+            raise DivergenceError(
+                f"state norm {norm:g} is not finite or exceeded the blow-up guard at t={t_next:g}",
+                t_next,
+            )
         times.append(t_next)
-        states.append(_state(grid, u, v, t_next))
-        cache.append(VectorField(grid, f_next, "spectral"))
-        f_now = f_next
+        states.append(_state(grid, u_arr, v_arr, t_next))
+        cache.append(VectorField(grid, f_now, "spectral"))
 
     return Trajectory(times=np.asarray(times), states=states, nonlinearity_cache=cache)
 
@@ -325,25 +320,35 @@ def x1_data_seminorm(f0: VectorField, f1: VectorField) -> float:
 # global fixed-point iteration
 
 
-def _quadrature_weights(m: int, h: float) -> np.ndarray:
-    """Weights integrating 0..m*h over nodes 0..m (Simpson; trapezoid at m=1)."""
-    w = np.zeros(m + 1)
-    if m == 0:
-        return w
-    if m == 1:
-        w[:] = h / 2.0
-        return w
-    if m % 2 == 0:
-        w[0] = w[m] = h / 3.0
-        w[1:m:2] = 4.0 * h / 3.0
-        w[2:m:2] = 2.0 * h / 3.0
-        return w
-    w[: m] = _quadrature_weights(m - 1, h)[: m]
-    # Quadratic through the last three nodes for the trailing interval.
-    w[m - 2] += -h / 12.0
-    w[m - 1] += 8.0 * h / 12.0
-    w[m] += 5.0 * h / 12.0
-    return w
+def _duhamel_stream(prop: Propagator, h: float, samples):
+    """Yield ``D_m = (du, dv)`` at nodes m = 1, 2, ... of step ``h`` (module docstring).
+
+    ``samples`` yields split forcing at nodes 0, 1, ... and is read no further
+    than node m before ``D_m`` is yielded.
+    """
+    trapezoid = (h / 2.0, h / 2.0)
+    panel = (h / 3.0, 4.0 * h / 3.0, h / 3.0)
+    trailing = (-h / 12.0, 8.0 * h / 12.0, 5.0 * h / 12.0)
+    window: list = []
+    even = None  # split (du, dv) at the last even node; None stands for D_0 = 0
+    for m, g in enumerate(samples):
+        window = window[-2:] + [g]
+        if m == 0:
+            continue
+        if m == 1:
+            du, dv = prop.duhamel(zip(trapezoid, (h, 0.0), window))
+        else:
+            weights, lag = (panel, 2.0 * h) if m % 2 == 0 else (trailing, h)
+            du, dv = prop.duhamel(zip(weights, (2.0 * h, h, 0.0), window))
+            if even is not None:
+                pu, pv = prop.propagate(lag, *even)
+                _add(du, pu)
+                _add(dv, pv)
+                del pu, pv
+        if m % 2 == 0:
+            even = (du, dv)
+        yield prop.join(du), prop.join(dv)
+        del du, dv
 
 
 def picard_iterate(
@@ -357,73 +362,66 @@ def picard_iterate(
 
     The iterate lives on the half-step grid ``m * dt / 2`` so the global
     quadrature coincides with the per-step Simpson rule of :func:`evolve`.
-    Convergence is measured in the X1 norm of successive increments; the
-    returned history holds one dict per iteration with the increment size
-    and the contraction ratio against the previous increment.  Raises
+    Each sweep streams over the nodes and adds to each the Duhamel integral
+    of the change in forcing since the previous sweep.  Convergence is
+    measured in the X1 norm of these increments; the returned history holds
+    one dict per sweep with the increment size, the contraction ratio against
+    the previous increment, and whether the increment fell below
+    ``picard_tol``.  Raises DivergenceError on a non-finite increment and
     NoContractionError after three consecutive ratios >= 1.
     """
     f0h, f1h = _as_spectral(f0), _as_spectral(f1)
     grid = f0h.grid
     mask = None if config.dealias_rule in ("none", None) else dealias_mask(grid, config.dealias_rule)
-    kg = _KernelGrids(grid, lame)
     h = 0.5 * config.dt
-    m_count = int(round(config.t_end / h))
+    prop = Propagator(grid, lame, (h, 2.0 * h))
+    m_count = 2 * config.n_steps
     taus = h * np.arange(m_count + 1)
-    weights = [_quadrature_weights(m, h) for m in range(m_count + 1)]
 
-    def nl(u_arr):
-        return _nonlinearity_hat(grid, u_arr, tensor, mask)
-
-    # Iterate 0: the homogeneous solution.
-    states_u: list[np.ndarray] = []
-    states_v: list[np.ndarray] = []
-    for tau in taus:
-        st = linear_propagate(f0h, f1h, float(tau), lame)
-        states_u.append(st.displacement_hat.data)
-        states_v.append(st.velocity_hat.data)
+    # Iterate 0: the homogeneous solution, by the S(h) recursion.
+    states_u = [f0h.data.astype(np.complex128, copy=True)]
+    states_v = [f1h.data.astype(np.complex128, copy=True)]
+    u, v = prop.split(states_u[0]), prop.split(states_v[0])
+    for _ in range(m_count):
+        u, v = prop.propagate(h, u, v)
+        states_u.append(prop.join(u))
+        states_v.append(prop.join(v))
+    del u, v
 
     f_prev: list[np.ndarray | None] = [None] * (m_count + 1)
-    history: list[dict] = []
-    bad_streak = 0
 
-    for it in range(1, config.picard_max_iter + 1):
-        # Longitudinal/transverse split of this sweep's forcing increment;
-        # f_prev keeps the new samples for the next sweep's difference.
-        split_cache = []
+    def forcing_increments():
+        # Read at node m before the sweep updates it; f_prev keeps the new
+        # sample for the next sweep's difference.
         for m in range(m_count + 1):
-            f_new = nl(states_u[m])
+            f_new = _nonlinearity_hat(grid, states_u[m], tensor, mask)
             df = f_new if f_prev[m] is None else f_new - f_prev[m]
             f_prev[m] = f_new
-            split_cache.append(_split_arrays(grid, df))
+            yield prop.split(df)
 
+    history: list[dict] = []
+    bad_streak = 0
+    for it in range(1, config.picard_max_iter + 1):
         distance = 0.0
-        for m in range(1, m_count + 1):
-            w = weights[m]
-            du = np.zeros((3, *grid.shape), dtype=np.complex128)
-            dv = np.zeros_like(du)
-            for j in range(m + 1):
-                if w[j] == 0.0:
-                    continue
-                par, perp = split_cache[j]
-                dt_mj = float(taus[m] - taus[j])
-                du += w[j] * kg.apply(dt_mj, "K1", 0, par, perp)
-                dv += w[j] * kg.apply(dt_mj, "K1", 1, par, perp)
-            states_u[m] = states_u[m] + du
-            states_v[m] = states_v[m] + dv
-            distance = max(
-                distance,
-                _x1_integrand(
-                    float(taus[m]),
-                    VectorField(grid, du, "spectral"),
-                    VectorField(grid, dv, "spectral"),
-                ),
+        for m, (du, dv) in enumerate(_duhamel_stream(prop, h, forcing_increments()), start=1):
+            states_u[m] += du
+            states_v[m] += dv
+            inc = _x1_integrand(
+                float(taus[m]), VectorField(grid, du, "spectral"), VectorField(grid, dv, "spectral")
             )
-        del split_cache
+            if not np.isfinite(inc):
+                raise DivergenceError(
+                    f"Picard sweep {it} increment is not finite at t={taus[m]:g}", float(taus[m])
+                )
+            distance = max(distance, inc)
 
         ratio = None if not history else (
             distance / history[-1]["distance"] if history[-1]["distance"] > 0 else 0.0
         )
-        history.append({"iteration": it, "distance": distance, "ratio": ratio})
+        converged = distance < config.picard_tol
+        history.append(
+            {"iteration": it, "distance": distance, "ratio": ratio, "converged": converged}
+        )
         if ratio is not None and ratio >= 1.0:
             bad_streak += 1
             if bad_streak >= 3:
@@ -432,16 +430,11 @@ def picard_iterate(
                 )
         else:
             bad_streak = 0
-        if distance < config.picard_tol:
+        if converged:
             break
 
     # Return the full-step subset, matching evolve's sampling.
-    stride = 2
-    idx = range(0, m_count + 1, stride)
-    times = taus[::stride]
+    idx = range(0, m_count + 1, 2)
     states = [_state(grid, states_u[m], states_v[m], float(taus[m])) for m in idx]
-    cache = [
-        VectorField(grid, f_prev[m], "spectral") if f_prev[m] is not None else None
-        for m in idx
-    ]
-    return Trajectory(times=times, states=states, nonlinearity_cache=cache), history
+    cache = [VectorField(grid, f_prev[m], "spectral") for m in idx]
+    return Trajectory(times=taus[::2], states=states, nonlinearity_cache=cache), history

@@ -23,6 +23,24 @@ oracle_samples = 6
 """
 
 
+FAST_PICARD = """
+[scenario]
+name = picard-fast
+suite = picard
+seed = 7
+
+[grid]
+n = 16
+box_length = 16.0
+
+[solver]
+dt = 1.0
+t_end = 2.0
+picard_tol = {tol}
+picard_max_iter = {max_iter}
+"""
+
+
 def write_cfg(tmp_path, text, name="scenario.ini"):
     p = tmp_path / name
     p.write_text(text)
@@ -57,6 +75,34 @@ class TestRunScenario:
         out = tmp_path / "out"
         assert run_scenario(cfg, out) == 2
         assert not out.exists()  # no partial outputs
+
+    @pytest.mark.parametrize(
+        "solver",
+        [
+            "dt = 0.7\nt_end = 1.0",
+            "dt = 1.0\nt_end = 0.0",
+            "dt = 1.0\nt_end = 2.0\npicard_max_iter = 0",
+        ],
+    )
+    def test_unusable_solver_settings_are_usage_errors(self, tmp_path, solver):
+        cfg = write_cfg(tmp_path, FAST_KERNELS + "\n[solver]\n" + solver + "\n")
+        out = tmp_path / "out"
+        assert run_scenario(cfg, out) == 2
+        assert not out.exists()
+
+    def test_subcommand_must_match_config_suite(self, tmp_path):
+        repo_cfg = Path(__file__).resolve().parents[1] / "configs" / "kernels.ini"
+        out = tmp_path / "out"
+        assert main(["picard", "--config", str(repo_cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_unconverged_picard_fails(self, tmp_path):
+        cfg = write_cfg(tmp_path, FAST_PICARD.format(tol=1e-30, max_iter=1))
+        out = tmp_path / "out"
+        assert run_scenario(cfg, out) == 1
+        summary = json.loads((out / "summary.json").read_text())
+        (last,) = [a for a in summary["assertions"] if a["name"].startswith("last Picard")]
+        assert last["passed"] is False and last["bound"] == 1e-30
 
     def test_missing_config(self, tmp_path):
         assert run_scenario(tmp_path / "nope.ini", tmp_path / "out") == 2

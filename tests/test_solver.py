@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import centered_gaussian
-from viscowave.elastic import LameParams, linear_propagate
+from conftest import band_limited_random, centered_gaussian
+from viscowave.elastic import LameParams, Propagator, linear_propagate
 from viscowave.exceptions import DivergenceError, NoContractionError
 from viscowave.grid import (
     VectorField,
@@ -16,6 +16,7 @@ from viscowave.grid import (
 from viscowave.solver import (
     ContractionTensor,
     SolverConfig,
+    _duhamel_stream,
     evolve,
     nonlinearity,
     picard_iterate,
@@ -35,6 +36,35 @@ def small_data(grid, target=1e-3, sigma=0.8):
         VectorField(grid, scale * f0.data, "physical"),
         VectorField(grid, scale * f1.data, "physical"),
     )
+
+
+def with_one_nan(fld):
+    data = fld.data.copy()
+    data[0, 3, 4, 5] = np.nan
+    return VectorField(fld.grid, data, fld.space)
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"dt": 0.5, "t_end": 0.0},
+            {"dt": 0.5, "t_end": -2.0},
+            {"dt": 0.7, "t_end": 1.0},
+            {"dt": 1.0, "t_end": 0.4},
+            {"dt": 0.5, "t_end": 2.0, "picard_max_iter": 0},
+            {"dt": 0.0, "t_end": 2.0},
+            {"dt": 0.5, "t_end": 2.0, "picard_tol": 0.0},
+        ],
+    )
+    def test_rejects_unusable_settings(self, kwargs):
+        with pytest.raises(ValueError):
+            SolverConfig(**kwargs)
+
+    def test_whole_step_count_up_to_rounding(self):
+        assert SolverConfig(dt=0.1, t_end=4.0).n_steps == 40
+        assert SolverConfig(dt=0.4, t_end=4.0).n_steps == 10
+        assert SolverConfig(dt=1.25, t_end=25.0, picard_max_iter=1).n_steps == 20
 
 
 class TestNonlinearity:
@@ -151,6 +181,12 @@ class TestEvolve:
         with pytest.raises(DivergenceError):
             evolve(big, big, LAME, ContractionTensor.default(), cfg)
 
+    def test_nan_data_raises(self, grid16):
+        f0, f1 = small_data(grid16)
+        cfg = SolverConfig(dt=0.5, t_end=2.0)
+        with pytest.raises(DivergenceError):
+            evolve(with_one_nan(f0), f1, LAME, ContractionTensor.default(), cfg)
+
     def test_bounded_small_data_long_run(self):
         # running weighted norm stays below twice its early-segment value
         g = make_grid(16, 16.0)
@@ -231,6 +267,22 @@ class TestPicard:
         assert history[0]["iteration"] == 1
         assert history[0]["distance"] > 0
 
+    def test_history_flags_convergence(self):
+        g = make_grid(16, 16.0)
+        f0, f1 = small_data(g, target=1e-3)
+        cfg = SolverConfig(dt=1.0, t_end=4.0, picard_tol=1e-30, picard_max_iter=2)
+        _, history = picard_iterate(f0, f1, LAME, ContractionTensor.default(), cfg)
+        assert [h["converged"] for h in history] == [False, False]
+        cfg = SolverConfig(dt=1.0, t_end=4.0, picard_tol=1e-9, picard_max_iter=10)
+        _, history = picard_iterate(f0, f1, LAME, ContractionTensor.default(), cfg)
+        assert history[-1]["converged"] and not any(h["converged"] for h in history[:-1])
+
+    def test_nan_data_raises(self, grid16):
+        f0, f1 = small_data(grid16)
+        cfg = SolverConfig(dt=1.0, t_end=2.0, picard_max_iter=5)
+        with pytest.raises(DivergenceError):
+            picard_iterate(with_one_nan(f0), f1, LAME, ContractionTensor.default(), cfg)
+
     def test_no_contraction_for_large_data(self):
         g = make_grid(16, 16.0)
         f0, f1 = small_data(g, target=2e3)
@@ -250,3 +302,52 @@ class TestPicard:
         sub = type(t2)(times=t2.times[:k], states=t2.states[:k],
                        nonlinearity_cache=t2.nonlinearity_cache[:k])
         assert x1_distance(t1, sub) <= 1e-12
+
+
+def direct_weights(m, h):
+    """Weights over nodes 0..m: composite Simpson, plus a quadratic over the
+    last three nodes for odd m, and the trapezoid at m = 1."""
+    w = np.zeros(m + 1)
+    if m == 1:
+        w[:] = h / 2.0
+        return w
+    even = m - m % 2
+    w[0] = w[even] = h / 3.0
+    w[1:even:2] = 4.0 * h / 3.0
+    w[2:even:2] = 2.0 * h / 3.0
+    if m % 2:
+        w[m - 2 : m + 1] += np.array([-1.0, 8.0, 5.0]) * h / 12.0
+    return w
+
+
+class TestDuhamelStream:
+    def test_direct_weights_integrate_quadratics(self):
+        h = 0.3
+        for m in range(1, 8):
+            nodes = h * np.arange(m + 1)
+            w = direct_weights(m, h)
+            degree = 1 if m == 1 else 2
+            for p in range(degree + 1):
+                assert w @ nodes**p == pytest.approx((m * h) ** (p + 1) / (p + 1), rel=1e-13)
+
+    def test_recursion_matches_direct_sum(self, grid16):
+        # O(M) semigroup recursion against the O(M^2) sum of the same
+        # composite-Simpson quadrature, at every node of an odd node count.
+        h, m_count = 0.5, 9
+        prop = Propagator(grid16, LAME, (h, 2.0 * h))
+        samples = [
+            VectorField(grid16, transform(band_limited_random(grid16, seed=j)).data, "spectral")
+            for j in range(m_count + 1)
+        ]
+        zero = VectorField(grid16, np.zeros_like(samples[0].data), "spectral")
+        streamed = list(_duhamel_stream(prop, h, (prop.split(g.data) for g in samples)))
+        assert len(streamed) == m_count
+        for m, (du, dv) in enumerate(streamed, start=1):
+            ref_u = np.zeros_like(du)
+            ref_v = np.zeros_like(dv)
+            for j, w in enumerate(direct_weights(m, h)):
+                st = linear_propagate(zero, samples[j], (m - j) * h, LAME)
+                ref_u += w * st.displacement_hat.data
+                ref_v += w * st.velocity_hat.data
+            assert np.max(np.abs(du - ref_u)) <= 1e-12 * np.max(np.abs(ref_u))
+            assert np.max(np.abs(dv - ref_v)) <= 1e-12 * np.max(np.abs(ref_v))
