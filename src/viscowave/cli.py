@@ -6,6 +6,10 @@ acceptance-criterion numbers they implement, and exits 0 only if every
 assertion passed.  All randomness is seeded from the config (or --seed), and
 outputs are byte-stable across reruns: fixed float formatting, sorted keys,
 no timestamps.
+
+Exit status: 0 every check passed, 1 a check failed, 2 the config is unusable
+(nothing is written), 3 the suite stopped on a toolkit error (summary.json
+records it under ``error``).
 """
 
 from __future__ import annotations
@@ -31,8 +35,8 @@ from .asymptotics import (
     profile_error_series,
 )
 from .audit import decay_fit, dilation_ratios, heat_multiplier_l1, symbol_bound_scan, SYMBOL_BOUNDS
-from .elastic import LameParams, default_cutoffs, linear_propagate
-from .exceptions import ConfigError
+from .elastic import LameParams, Propagator, default_cutoffs, linear_propagate, split_longitudinal
+from .exceptions import ConfigError, ViscowaveError
 from .grid import VectorField, make_grid, transform
 from .kernels import DampingParams, kernel_eval, kernel_hat, lowfreq_residual, mode_oracle
 from .solver import (
@@ -95,6 +99,9 @@ def _parse_config(path: Path) -> dict:
             "oracle_samples": cp.getint("kernels", "oracle_samples", fallback=40),
         }
         _solver_config(cfg)
+        for key in ("sigma", "amplitude"):
+            if not (math.isfinite(cfg[key]) and cfg[key] > 0.0):
+                raise ValueError(f"[data] {key} must be finite and positive, got {cfg[key]}")
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"config validation failure: {exc}") from exc
     if cfg["suite"] not in SUITES:
@@ -317,15 +324,17 @@ def _suite_nonlinear(cfg: dict):
     for eps_fac in (1.0, 0.5):
         fe0, fe1 = scaled(scale * eps_fac)
         traj = evolve(fe0, fe1, lame, _tensor(cfg), sc)
-        fe0h, fe1h = transform(fe0), transform(fe1)
+        # Split the data once; a Propagator per time keeps no time's tables alive.
+        u0, v0 = split_longitudinal(transform(fe0)), split_longitudinal(transform(fe1))
         worst = 0.0
         for t, st in zip(traj.times[1:], traj.states[1:]):
-            lin = linear_propagate(fe0h, fe1h, float(t), lame)
-            dnum = np.linalg.norm(st.displacement_hat.data - lin.displacement_hat.data)
-            dden = max(np.linalg.norm(lin.displacement_hat.data), 1e-300)
+            prop = Propagator(grid, lame, (float(t),))
+            lin = prop.join(prop.propagate(float(t), u0, v0, velocity=False)[0])
+            dnum = np.linalg.norm(st.displacement_hat.data - lin)
+            dden = max(np.linalg.norm(lin), 1e-300)
             worst = max(worst, dnum / dden)
         devs.append(worst)
-        del traj
+        del traj, u0, v0
     ratio = devs[1] / max(devs[0], 1e-300)
     series = {
         "nonlinear_deviation": [
@@ -538,9 +547,11 @@ def emit_report(results: dict, out_dir: Path, fmt: str = "csv") -> list[Path]:
 
 
 def run_scenario(config_path, out_dir, seed: int | None = None, suite: str | None = None) -> int:
-    """Execute the configured suite; return the process exit status.
+    """Execute the configured suite; return the process exit status (see the module doc).
 
-    With ``suite`` given, a config for another suite is a usage error.
+    With ``suite`` given, a config for another suite is a usage error.  A
+    toolkit error raised by the suite writes a failed summary.json that records
+    it, prints one line to stderr and returns 3.
     """
     try:
         cfg = _parse_config(Path(config_path))
@@ -552,20 +563,26 @@ def run_scenario(config_path, out_dir, seed: int | None = None, suite: str | Non
     if seed is not None:
         cfg["seed"] = seed
     out = Path(out_dir)
+    summary = {"scenario": cfg["name"], "suite": cfg["suite"]}
 
-    series, assertions, sidecars = _SUITE_FN[cfg["suite"]](cfg)
+    try:
+        series, assertions, sidecars = _SUITE_FN[cfg["suite"]](cfg)
+    except ViscowaveError as exc:
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        if getattr(exc, "achieved", None) is not None:
+            error["achieved"] = float(exc.achieved)
+        summary.update(passed=False, assertions=[], error=error)
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=1))
+        print(f"suite error: {error['type']}: {error['message']}", file=sys.stderr)
+        return 3
 
     out.mkdir(parents=True, exist_ok=True)
     emit_report(series, out, "csv")
     for name, payload in sorted(sidecars.items()):
         (out / f"{name}.json").write_text(json.dumps(payload, sort_keys=True, indent=1))
     passed = all(a["passed"] for a in assertions)
-    summary = {
-        "scenario": cfg["name"],
-        "suite": cfg["suite"],
-        "passed": passed,
-        "assertions": assertions,
-    }
+    summary.update(passed=passed, assertions=assertions)
     (out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=1))
     manifest = {
         "config_hash": cfg["config_hash"],
@@ -585,6 +602,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="viscowave",
         description="Spectral verification suites for damped elastic waves",
+        epilog="exit status: 0 every check passed, 1 a check failed, 2 the config is "
+        "unusable (nothing is written), 3 the suite stopped on a toolkit error "
+        "(summary.json records it under 'error')",
     )
     sub = parser.add_subparsers(dest="suite", required=True)
     for name in SUITES:

@@ -47,6 +47,8 @@ class LameParams:
     nu: float
 
     def __post_init__(self) -> None:
+        if not np.all(np.isfinite((self.lam, self.mu, self.nu))):
+            raise ValueError(f"Lame parameters must be finite, got {(self.lam, self.mu, self.nu)}")
         if not self.mu > 0:
             raise ValueError(f"mu must be positive, got {self.mu}")
         if not self.lam + 2.0 * self.mu > 0:

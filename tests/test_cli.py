@@ -5,7 +5,11 @@ from pathlib import Path
 
 import pytest
 
+from viscowave import cli
 from viscowave.cli import emit_report, main, run_scenario
+from viscowave.exceptions import FitError, QuadratureAccuracyError
+
+REPO_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 FAST_KERNELS = """
 [scenario]
@@ -39,6 +43,17 @@ t_end = 2.0
 picard_tol = {tol}
 picard_max_iter = {max_iter}
 """
+
+
+def picard16(**overrides) -> str:
+    """The checked-in picard config at n = 16, with ``key = value`` lines replaced."""
+    text = (REPO_CONFIGS / "picard.ini").read_text().replace("n = 64", "n = 16")
+    for key, value in overrides.items():
+        lines = text.splitlines()
+        (i,) = [j for j, line in enumerate(lines) if line.split("=")[0].strip() == key]
+        lines[i] = f"{key} = {value}"
+        text = "\n".join(lines) + "\n"
+    return text
 
 
 def write_cfg(tmp_path, text, name="scenario.ini"):
@@ -89,6 +104,54 @@ class TestRunScenario:
         out = tmp_path / "out"
         assert run_scenario(cfg, out) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"amplitude": "nan"},
+            {"amplitude": "0.0"},
+            {"amplitude": "inf"},
+            {"sigma": "-0.5"},
+            {"sigma": "nan"},
+            {"lambda": "inf"},
+            {"mu": "nan"},
+            {"nu": "inf"},
+        ],
+    )
+    def test_non_finite_or_non_positive_data_is_usage_error(self, tmp_path, override, capsys):
+        cfg = write_cfg(tmp_path, picard16(**override))
+        out = tmp_path / "out"
+        assert main(["picard", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_picard16_copy_runs(self, tmp_path):
+        # the fixture the usage-error cases perturb is itself a passing run
+        cfg = write_cfg(tmp_path, picard16(t_end="2.5"))
+        assert run_scenario(cfg, tmp_path / "out", suite="picard") == 0
+
+    @pytest.mark.parametrize(
+        "exc, achieved",
+        [
+            (FitError("banded kernel norm is not monotonically decaying"), None),
+            (QuadratureAccuracyError("radial quadrature reached relative error 3.00e-06", 3e-6), 3e-6),
+        ],
+    )
+    def test_suite_error_is_status_3_with_summary(self, tmp_path, monkeypatch, capsys, exc, achieved):
+        def failing_suite(cfg):
+            raise exc
+
+        monkeypatch.setitem(cli._SUITE_FN, "kernels", failing_suite)
+        cfg = write_cfg(tmp_path, FAST_KERNELS)
+        out = tmp_path / "out"
+        assert main(["kernels", "--config", str(cfg), "--out", str(out)]) == 3
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["passed"] is False and summary["suite"] == "kernels"
+        assert summary["error"]["type"] == type(exc).__name__
+        assert summary["error"]["message"] == str(exc)
+        assert summary["error"].get("achieved") == achieved
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
     def test_subcommand_must_match_config_suite(self, tmp_path):
         repo_cfg = Path(__file__).resolve().parents[1] / "configs" / "kernels.ini"

@@ -6,6 +6,7 @@ import pytest
 from conftest import band_limited_random, centered_gaussian
 from viscowave.elastic import (
     LameParams,
+    Propagator,
     diagonalize_check,
     duhamel_increment,
     duhamel_increment_pair,
@@ -14,12 +15,22 @@ from viscowave.elastic import (
     matrix_kernel,
     projection,
     propagate_state,
+    split_longitudinal,
 )
 from viscowave.exceptions import InsufficientSamplesError
 from viscowave.grid import VectorField, transform, zero_field
 from viscowave.kernels import forced_kernel_quadrature, kernel_hat, mode_oracle
 
 LAME = LameParams(0.0, 1.0, 1.0)
+
+
+class TestLameParams:
+    @pytest.mark.parametrize(
+        "args", [(np.inf, 1.0, 1.0), (np.nan, 1.0, 1.0), (0.0, np.inf, 1.0), (0.0, 1.0, np.inf)]
+    )
+    def test_non_finite_rejected(self, args):
+        with pytest.raises(ValueError, match="finite"):
+            LameParams(*args)
 
 
 class TestProjection:
@@ -130,6 +141,19 @@ class TestLinearPropagate:
                     wi, _ = mode_oracle(t, r, dp, a0[comp].imag, a1[comp].imag)
                     want = wr + 1j * wi
                     assert abs(got[comp] - want) <= 1e-8 * max(abs(want), 1e-6)
+
+    def test_split_once_displacement_is_byte_identical(self, grid16):
+        # data split once and propagated per time, displacement only, as the
+        # nonlinear suite's reference does
+        f0 = transform(centered_gaussian(grid16))
+        f1 = transform(band_limited_random(grid16, seed=3))
+        u0, v0 = split_longitudinal(f0), split_longitudinal(f1)
+        for t in (0.5, 1.25, 3.0):
+            prop = Propagator(grid16, LAME, (t,))
+            u, v = prop.propagate(t, u0, v0, velocity=False)
+            assert v is None
+            want = linear_propagate(f0, f1, t, LAME).displacement_hat.data
+            assert np.array_equal(prop.join(u), want)
 
     def test_semigroup(self, grid16):
         f0 = transform(centered_gaussian(grid16))

@@ -5,17 +5,37 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import centered_gaussian
+from viscowave.asymptotics import LinearSource, _solution_mults
+from viscowave.elastic import LameParams, default_cutoffs
+from viscowave.exceptions import QuadratureAccuracyError
 from viscowave.grid import lp_norm, make_grid
+from viscowave.kernels import kernel_hat
 from viscowave.radial import (
     SPHERE_LONG,
     SPHERE_TRANS,
     AngularTerm,
+    _cs_tables,
     axisym_evaluate,
     axisym_lp_norm,
     axisym_magnitude,
     gauss_theta_rule,
     radial_l2_norm,
 )
+
+LAME = LameParams(0.0, 1.0, 1.0)
+
+
+def quad_reference(multiplier, h, alpha, angular_weights, t, upper):
+    """The squared-norm integral by adaptive scipy quad at a tight tolerance."""
+    cang = angular_weights[0] * SPHERE_LONG + angular_weights[1] * SPHERE_TRANS
+
+    def integrand(r):
+        r = np.array([r])
+        return (r ** (2 * alpha + 2) * np.abs(multiplier(t, r)) ** 2 * np.abs(h(r)) ** 2)[0]
+
+    val, err = quad(integrand, 0.0, upper, epsabs=0.0, epsrel=1e-13, limit=20000)
+    assert err < 1e-11 * val
+    return np.sqrt(cang * val)
 
 
 class TestRadialL2:
@@ -58,6 +78,63 @@ class TestRadialL2:
         )
         assert val == pytest.approx(grid_val, rel=1e-5)
 
+    def test_smoothing_integrand_matches_tight_quad(self):
+        # the smoothing suite's ell = 2 L^2 norm at its last time, t = 1e4
+        ml, mt = _solution_mults(LAME, LinearSource.gaussian(sigma=0.5), 2)
+        one = lambda r: np.ones_like(r)
+        for mult, weights in ((ml, (1.0, 0.0)), (mt, (0.0, 1.0))):
+            calls = []
+
+            def counted(t, r, mult=mult):
+                calls.append(r.size)
+                return mult(t, r)
+
+            val = radial_l2_norm(counted, one, 0, weights, t=1e4)
+            assert val == pytest.approx(quad_reference(mult, one, 0, weights, 1e4, 0.2), rel=1e-9)
+            assert len(calls) <= 20  # support probe plus a few vectorised levels
+
+    def test_banded_integrand_matches_tight_quad(self):
+        # the audit suite's high-band K1 norm
+        cutoff = default_cutoffs(LAME)
+        ghat = lambda r: np.exp(-((r - 2.2 * cutoff.c1) ** 2))
+        mult = lambda t, r: kernel_hat(t, r, LAME.long_params, "K1") * cutoff.chi("H", r) * ghat(r)
+        one = lambda r: np.ones_like(r)
+        val = radial_l2_norm(mult, one, 0, (1.0, 0.0), t=3.0)
+        ref = quad_reference(mult, one, 0, (1.0, 0.0), 3.0, 2.2 * cutoff.c1 + 8.0)
+        assert val == pytest.approx(ref, rel=1e-9)
+
+    def test_unresolvable_integrand_reports_achieved_error(self):
+        square_wave = lambda t, r: 1.0 + np.sign(np.sin(1e4 * r))
+        with pytest.raises(QuadratureAccuracyError) as info:
+            radial_l2_norm(square_wave, lambda r: np.exp(-r * r), 0, (1.0, 0.0))
+        assert 1e-8 < info.value.achieved < 1.0
+
+
+class TestMomentTables:
+    def test_against_mu_quadrature(self):
+        # J_n = int_0^1 mu^n cos(q mu) dmu (n even), int_0^1 mu^n sin(q mu) dmu (n odd),
+        # on both sides of the series / recursion switch at q = 1
+        qs = np.array([0.0, 1e-8, 0.5, 0.999, 1.0, 1.001, 5.0, 3e4])
+        J = _cs_tables(qs, np.array([1.0]), np.empty((9, qs.size, 1)))[:, :, 0]
+        x, w = np.polynomial.legendre.leggauss(64)
+        panels = 4096
+        mu = ((np.arange(panels) + 0.5)[:, None] + 0.5 * x) / panels
+        wt = np.broadcast_to(0.5 * w / panels, mu.shape).ravel()
+        mu = mu.ravel()
+        for n in range(9):
+            f = np.cos if n % 2 == 0 else np.sin
+            ref = (wt * mu**n * f(qs[:, None] * mu)).sum(axis=1)
+            np.testing.assert_allclose(J[n], ref, rtol=1e-10, atol=1e-15)
+
+    def test_angle_addition_matches_direct_outer_product(self):
+        # s (x) r through the sin/cos split equals the same q values fed one by one
+        s = np.array([0.0, 0.3, 7.0, 2.0e3])
+        r = np.linspace(0.0, 2.0, 201)
+        split = _cs_tables(s, r, np.empty((5, s.size, r.size)))
+        q = (s[:, None] * r).ravel()
+        direct = _cs_tables(q, np.array([1.0]), np.empty((5, q.size, 1)))
+        np.testing.assert_allclose(split.reshape(5, -1), direct.reshape(5, -1), rtol=0, atol=1e-12)
+
 
 class TestAxisymEvaluator:
     def test_gaussian_identity_structure(self):
@@ -99,6 +176,28 @@ class TestAxisymEvaluator:
         x3 = s[:, None] * np.cos(thetas)[None, :]
         exact = (1.0 - x3**2) * np.exp(-0.5 * s * s)[:, None]
         assert np.max(np.abs(out[0] - exact)) < 1e-12
+
+    def test_blocks_are_independent(self):
+        # 1601 radii give 40-row s-blocks; the cut at 37 falls inside one
+        r = np.linspace(0, 12, 1601)
+        psi = [r * np.exp(-0.5 * r * r), np.exp(-0.5 * r * r)]
+        terms = [
+            AngularTerm(0, 0, lambda wx, wy, wz, f: 1j * (wx * f.gz[0] + wz * f.gz[2])),
+            AngularTerm(1, 1, lambda wx, wy, wz, f: np.ones_like(wx)),
+        ]
+        s = np.linspace(0, 6, 101)
+        thetas = np.array([0.2, 1.3])
+        whole = axisym_evaluate(r, psi, terms, 2, s, thetas)
+        parts = [axisym_evaluate(r, psi, terms, 2, piece, thetas) for piece in (s[:37], s[37:])]
+        np.testing.assert_allclose(
+            np.concatenate(parts, axis=1), whole, rtol=0, atol=1e-14 * np.max(np.abs(whole))
+        )
+
+    def test_degree_overflow_is_rejected(self):
+        r = np.linspace(0, 12, 401)
+        terms = [AngularTerm(0, 0, lambda wx, wy, wz, f: (wx * f.gz[0] + wz * f.gz[2]) ** 3)]
+        with pytest.raises(ValueError, match="polynomial degree"):
+            axisym_evaluate(r, [np.exp(-0.5 * r * r)], terms, 1, r[:11], np.array([0.4]), nmax=2)
 
     def test_lp_norms_match_analytic_gaussian(self):
         r = np.linspace(0, 12, 2401)
