@@ -1,24 +1,19 @@
-"""Moments, diffusion-wave profiles, and decay-rate measurement.
+"""Diffusion-wave profiles, the forcing moment, and decay-rate measurement.
 
 The long-time shape of the linear solution is governed by the diffusion-wave
 factors evaluated at the zero-frequency moments of the data:
 
-    m0[k] = int grad f0_k dx   (3x3),    m1 = int f1 dx,
-    M     = int_0^inf int F(u) dx dt     (forcing moment),
+    m1 = int f1 dx,    M = int_0^inf int F(u) dx dt     (forcing moment),
 
-with the displacement profile built from ``G1``-factors on ``m1 + M`` and a
-``1/|xi|``-regularized term on ``m0``; the velocity and acceleration
-profiles swap in ``G0``-factors and ``beta^2 |xi|^2``-weighted combinations.
-The measurement side fits log-log slopes of norm series computed on the
-continuum radial path (no periodic images), and compares solution decay
-against profile-error decay.
+with the displacement profile built from ``G1``-factors on ``m1 + M``; the
+velocity and acceleration profiles swap in ``G0``-factors and
+``beta^2 |xi|^2``-weighted combinations.  The measurement side fits log-log
+slopes of norm series computed on the continuum radial path (no periodic
+images), and compares solution decay against profile-error decay.
 
 Conventions: profiles are stated in the same unitary transform used by the
 grid layer, so a profile coefficient approximates the solution coefficient
-as ``xi -> 0``; the inverse-gradient factor on the ``m0`` term is realized
-as ``-i (xi . m0_k) / |xi|^2``, the zero-frequency representation of the
-``f0`` coefficient itself, and is only meaningful under at least one
-spatial derivative.
+as ``xi -> 0``.
 """
 
 from __future__ import annotations
@@ -32,12 +27,8 @@ from scipy import stats
 from scipy.integrate import simpson
 
 from .elastic import LameParams
-from .exceptions import (
-    UnsupportedCombinationError,
-    UnsupportedNormError,
-    WindowError,
-)
-from .grid import VectorField, sobolev_seminorm, transform
+from .exceptions import UnsupportedNormError, WindowError
+from .grid import VectorField, sobolev_seminorm
 from .kernels import diffusion_hat, kernel_hat
 from .radial import (
     AngularTerm,
@@ -45,83 +36,27 @@ from .radial import (
     axisym_lp_norm,
     axisym_magnitude,
     gauss_theta_rule,
+    radial_grid,
     radial_l2_norm,
 )
 from .solver import Trajectory
 
+# Not called here; kept bound because perfbench's layer tracer self-test expects it here.
+from .grid import transform  # noqa: F401
+
 __all__ = [
-    "Moments",
     "DecayReport",
     "NormSpec",
     "LinearSource",
-    "moments",
     "nonlinear_moment",
-    "profile_hat",
     "decay_slope",
     "linear_norm",
-    "linear_norm_series",
     "profile_error_series",
     "expected_solution_slope",
     "SUPPORTED_NORMS",
 ]
 
 _TWO_PI_32 = (2.0 * np.pi) ** 1.5
-
-
-@dataclass(frozen=True)
-class Moments:
-    """Zero-frequency data moments driving the asymptotic profiles."""
-
-    m0: np.ndarray  # (3, 3); row k holds int grad f0_k
-    m1: np.ndarray  # (3,)
-    m_nl: np.ndarray  # (3,); space-time integral of the forcing
-    m_tail_bound: float = 0.0
-    warnings: tuple[str, ...] = ()
-
-    @staticmethod
-    def of(m0=None, m1=None, m_nl=None, tail: float = 0.0, warnings=()) -> "Moments":
-        z3 = np.zeros(3)
-        return Moments(
-            m0=np.zeros((3, 3)) if m0 is None else np.asarray(m0, float),
-            m1=z3 if m1 is None else np.asarray(m1, float),
-            m_nl=z3 if m_nl is None else np.asarray(m_nl, float),
-            m_tail_bound=tail,
-            warnings=tuple(warnings),
-        )
-
-
-def moments(f0: VectorField, f1: VectorField, support_rtol: float = 1e-8) -> Moments:
-    """Quadrature moments ``m0, m1`` of physical-space data.
-
-    ``m0`` integrates the spectrally differentiated field, which vanishes to
-    round-off for any lattice function (the divergence-theorem statement is
-    exact in frequency space).  Data with more than ``support_rtol`` of its
-    mass on the outermost lattice shell picks up a ``support`` warning.
-    """
-    h3 = f0.grid.spacing**3
-    m1 = np.array([float(np.sum(f1.data[k])) * h3 for k in range(3)])
-    f0h = transform(f0)
-    m0 = np.zeros((3, 3))
-    for a in range(3):
-        grad_a = transform(
-            VectorField(f0.grid, 1j * f0.grid.xi_component_safe(a) * f0h.data, "spectral")
-        )
-        m0[:, a] = np.sum(grad_a.data, axis=(1, 2, 3)) * h3
-    warns = []
-    for name, fld in (("f0", f0), ("f1", f1)):
-        if boundary_mass_fraction(fld) > support_rtol:
-            warns.append(f"support:{name}")
-    return Moments.of(m0=m0, m1=m1, warnings=warns)
-
-
-def boundary_mass_fraction(fld: VectorField) -> float:
-    """Fraction of total |field| mass on the outermost lattice shell."""
-    a = np.abs(fld.data)
-    total = float(a.sum())
-    if total == 0.0:
-        return 0.0
-    inner = float(a[:, 1:-1, 1:-1, 1:-1].sum())
-    return (total - inner) / total
 
 
 def nonlinear_moment(traj: Trajectory, t_trunc: float) -> tuple[np.ndarray, float]:
@@ -161,67 +96,24 @@ def nonlinear_moment(traj: Trajectory, t_trunc: float) -> tuple[np.ndarray, floa
 # profiles
 
 
-def _gg(t: float, r, lame: LameParams, j: int, branch: str):
-    dp = lame.long_params if branch == "L" else lame.trans_params
-    return diffusion_hat(t, r, dp, f"G{j}")
+def _profile_coeff(t, r, lame: LameParams, family: str, which: str):
+    """Radial coefficient of profile ``which`` for one wave family, per unit moment.
 
-
-def profile_hat(
-    t: float,
-    xi,
-    lame: LameParams,
-    mom: Moments,
-    which: str,
-    derivative: tuple[int, int, int] = (0, 0, 0),
-) -> np.ndarray:
-    """Spectral coefficient of the requested derivative of a profile at one xi.
-
-    ``which`` is ``"G"`` (displacement), ``"H"`` (velocity), or ``"Gtilde"``
-    (acceleration).  The ``m0`` term needs total derivative order >= 1; with
-    ``m0 == 0`` any order (including none) is allowed.
+    ``family`` is ``"long"`` or ``"trans"``.  ``G`` (displacement) is the
+    ``G1`` factor, ``H`` (velocity) the ``G0`` factor and ``Gtilde``
+    (acceleration) ``-beta^2 r^2 G1``.
     """
-    xi = np.asarray(xi, dtype=float)
-    r = float(np.linalg.norm(xi))
-    order = int(sum(derivative))
-    has_m0 = bool(np.any(mom.m0 != 0.0))
-    if has_m0 and order < 1:
-        raise UnsupportedCombinationError(
-            "the inverse-gradient moment term requires at least one derivative"
-        )
-
-    c = (2.0 * np.pi) ** (-1.5)
-    mvec = c * (mom.m1 + mom.m_nl)
-    if r == 0.0:
-        q = np.zeros(3, dtype=complex)
-        p = np.zeros((3, 3))
+    if family == "long":
+        dp, b2 = lame.long_params, lame.lam + 2.0 * lame.mu
     else:
-        q = c * (-1j) * (mom.m0 @ xi) / r**2  # q_k = -i (xi . m0_k) / |xi|^2
-        p = np.outer(xi, xi) / r**2
-    eye = np.eye(3)
-
-    g0l, g0t = _gg(t, r, lame, 0, "L"), _gg(t, r, lame, 0, "T")
-    g1l, g1t = _gg(t, r, lame, 1, "L"), _gg(t, r, lame, 1, "T")
-    b2l, b2t = lame.lam + 2.0 * lame.mu, lame.mu
-
+        dp, b2 = lame.trans_params, lame.mu
     if which == "G":
-        mat_m0 = (g0l - g0t) * p + g0t * eye
-        mat_m1 = (g1l - g1t) * p + g1t * eye
-    elif which == "H":
-        mat_m0 = -(r**2) * ((b2l * g1l - b2t * g1t) * p + b2t * g1t * eye)
-        mat_m1 = (g0l - g0t) * p + g0t * eye
-    elif which == "Gtilde":
-        mat_m0 = -(r**2) * ((b2l * g0l - b2t * g0t) * p + b2t * g0t * eye)
-        mat_m1 = -(r**2) * ((b2l * g1l - b2t * g1t) * p + b2t * g1t * eye)
-    else:
-        raise ValueError(f"unknown profile {which!r}")
-
-    out = mat_m0 @ q + mat_m1 @ mvec.astype(complex)
-    for axis, o in enumerate(derivative):
-        if o:
-            out = out * (1j * xi[axis]) ** o
-    if r == 0.0 and has_m0 and order >= 1:
-        out = np.zeros(3, dtype=complex)
-    return out
+        return diffusion_hat(t, r, dp, "G1")
+    if which == "H":
+        return diffusion_hat(t, r, dp, "G0")
+    if which == "Gtilde":
+        return -b2 * r * r * diffusion_hat(t, r, dp, "G1")
+    raise ValueError(f"unknown profile {which!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -349,24 +241,11 @@ def _solution_mults(lame: LameParams, src: LinearSource, ell: int):
 def _profile_mults(lame: LameParams, src: LinearSource, which: str):
     """(long, trans) radial coefficient functions of the matching profile."""
     g0 = src.ghat0()
-    b2l, b2t = lame.lam + 2.0 * lame.mu, lame.mu
 
-    if which == "G":
-        return (
-            lambda t, r: diffusion_hat(t, r, lame.long_params, "G1") * g0,
-            lambda t, r: diffusion_hat(t, r, lame.trans_params, "G1") * g0,
-        )
-    if which == "H":
-        return (
-            lambda t, r: diffusion_hat(t, r, lame.long_params, "G0") * g0,
-            lambda t, r: diffusion_hat(t, r, lame.trans_params, "G0") * g0,
-        )
-    if which == "Gtilde":
-        return (
-            lambda t, r: -b2l * r * r * diffusion_hat(t, r, lame.long_params, "G1") * g0,
-            lambda t, r: -b2t * r * r * diffusion_hat(t, r, lame.trans_params, "G1") * g0,
-        )
-    raise ValueError(f"unknown profile {which!r}")
+    def mult(family):
+        return lambda t, r: _profile_coeff(t, r, lame, family, which) * g0
+
+    return mult("long"), mult("trans")
 
 
 def _l2_norm_from_mults(ml, mt, t: float, alpha: int, amp: float) -> float:
@@ -389,9 +268,6 @@ def _support_radius(lame: LameParams, src: LinearSource, t: float) -> float:
     return float(probe[keep[-1]] * 1.25)
 
 
-_PTS_PER_CYCLE = 16.0
-
-
 def _xspace_grids(lame: LameParams, src: LinearSource, t: float):
     r_max = _support_radius(lame, src, t)
     width = max(math.sqrt(lame.nu * t), 1e-3)
@@ -399,12 +275,7 @@ def _xspace_grids(lame: LameParams, src: LinearSource, t: float):
     ds = math.pi / (8.0 * r_max)
     n_s = int(s_max / ds) + 2
     s = np.linspace(0.0, s_max, n_s)
-    n_r = int(r_max * s_max * _PTS_PER_CYCLE / (2.0 * math.pi)) + 1
-    n_r = max(n_r, 801)
-    if n_r % 2 == 0:
-        n_r += 1
-    r = np.linspace(0.0, r_max, n_r)
-    return r, s
+    return radial_grid(r_max, s_max), s
 
 
 def _derivative_slots(alpha: int):
@@ -496,15 +367,6 @@ def linear_norm(
     return _xspace_norms([(ml, mt)], t, spec, src.amp, lame, src)[0]
 
 
-def linear_norm_series(
-    lame: LameParams, src: LinearSource, spec: NormSpec, times
-) -> DecayReport:
-    vals = np.array([linear_norm(lame, src, spec, float(t)) for t in times])
-    return decay_slope(
-        times, vals, expected=expected_solution_slope(spec), norm_id=spec.label()
-    )
-
-
 def _validate_norm(which: str, spec: NormSpec) -> None:
     table = SUPPORTED_NORMS.get((which, spec.ell))
     if table is None or spec.p not in table or spec.alpha not in table[spec.p]:
@@ -552,26 +414,12 @@ def profile_error_series(
     return sol, err
 
 
-def _profile_field(
-    grid, t: float, lame: LameParams, mom: Moments, which: str
-) -> VectorField:
-    """Profile coefficients sampled on a grid's frequency lattice (m0 = 0 path)."""
-    if np.any(mom.m0 != 0.0):
-        raise UnsupportedCombinationError("grid profiles support mean-free f0 only")
+def _profile_field(grid, t: float, lame: LameParams, moment, which: str) -> VectorField:
+    """Profile coefficients on a grid's frequency lattice for the moment vector ``m1 + M``."""
     c = (2.0 * np.pi) ** (-1.5)
-    mvec = c * (mom.m1 + mom.m_nl)
+    mvec = c * np.asarray(moment, float)
     vals, inv = grid.unique_radii()
-    b2l, b2t = lame.lam + 2.0 * lame.mu, lame.mu
-    if which == "G":
-        al = diffusion_hat(t, vals, lame.long_params, "G1")
-        at = diffusion_hat(t, vals, lame.trans_params, "G1")
-    elif which == "H":
-        al = diffusion_hat(t, vals, lame.long_params, "G0")
-        at = diffusion_hat(t, vals, lame.trans_params, "G0")
-    else:
-        al = -b2l * vals * vals * diffusion_hat(t, vals, lame.long_params, "G1")
-        at = -b2t * vals * vals * diffusion_hat(t, vals, lame.trans_params, "G1")
-    gl, gt = al[inv], at[inv]
+    gl, gt = (_profile_coeff(t, vals, lame, family, which)[inv] for family in ("long", "trans"))
     xi = [grid.xi_component_safe(a) for a in range(3)]
     r2 = xi[0] ** 2 + xi[1] ** 2 + xi[2] ** 2
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -597,11 +445,10 @@ def _trajectory_profile_series(
         raise WindowError(
             f"box-validity cap t <= {t_cap:g} leaves fewer than 8 sample times"
         )
-    m_nl, tail = nonlinear_moment(traj, float(traj.times[-1]))
+    m_nl, _ = nonlinear_moment(traj, float(traj.times[-1]))
     # m1 from the stored initial velocity coefficients.
     v0 = traj.states[0].velocity_hat
-    m1 = _TWO_PI_32 * v0.data[:, 0, 0, 0].real
-    mom = Moments.of(m1=m1, m_nl=m_nl, tail=tail)
+    moment = _TWO_PI_32 * v0.data[:, 0, 0, 0].real + m_nl
 
     if spec.p != 2.0:
         raise UnsupportedNormError("trajectory path measures p = 2 only")
@@ -614,7 +461,7 @@ def _trajectory_profile_series(
     for i in idx:
         st = traj.states[i]
         fld = st.displacement_hat if spec.ell == 0 else st.velocity_hat
-        prof = _profile_field(grid, float(ts[i]), lame, mom, which)
+        prof = _profile_field(grid, float(ts[i]), lame, moment, which)
         diff = VectorField(grid, fld.data - prof.data, "spectral")
         used.append(float(ts[i]))
         sol_vals.append(sobolev_seminorm(fld, spec.alpha))

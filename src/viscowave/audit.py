@@ -26,12 +26,7 @@ from .elastic import LameParams
 from .exceptions import DegenerateInputError, FitError, UnsupportedSymbolError
 from .grid import CutoffSpec, VectorField, lp_norm, sobolev_seminorm, transform
 from .kernels import DampingParams, kernel_hat
-from .radial import (
-    AngularTerm,
-    axisym_evaluate,
-    gauss_theta_rule,
-    radial_l2_norm,
-)
+from .radial import AngularTerm, axisym_evaluate, gauss_theta_rule, radial_grid, radial_l2_norm
 
 __all__ = [
     "BoundScanReport",
@@ -87,21 +82,12 @@ def _second_derivs(fld: VectorField):
     return out
 
 
-def inequality_check(ineq_id: str, fld: VectorField | None = None, p: float = 2.0, **kwargs) -> float:
+def inequality_check(ineq_id: str, fld: VectorField, p: float = 2.0) -> float:
     """Constant-free ratio (left side / right side) of one inequality.
 
-    The field carries the scalar test function in component 0 (unused by
-    ``HEAT_L1``, which instead takes ``t, nu, cutoff, alpha, ell`` keywords).
-    Raises DegenerateInputError when the right side vanishes.
+    The field carries the scalar test function in component 0.  Raises
+    DegenerateInputError when the right side vanishes.
     """
-    if ineq_id == "HEAT_L1":
-        return heat_l1_ratio(
-            kwargs["t"],
-            kwargs["nu"],
-            kwargs["cutoff"],
-            kwargs.get("alpha", 0),
-            kwargs.get("ell", 0),
-        )
     grid = fld.grid
     fh = transform(fld)
 
@@ -149,17 +135,6 @@ def inequality_check(ineq_id: str, fld: VectorField | None = None, p: float = 2.
     raise UnsupportedSymbolError(f"unknown inequality {ineq_id!r}")
 
 
-def heat_l1_ratio(
-    t: float, nu: float, cutoff: CutoffSpec, alpha: int = 0, ell: int = 0
-) -> float:
-    """Constant-free ratio of the low-pass heat-kernel L^1 norm to its majorant.
-
-    The claimed decay is ``(1 + t)^{-alpha/2 - ell}``; a finite, scan-stable
-    ratio across times verifies it without knowing the constant.
-    """
-    return heat_multiplier_l1(t, nu, cutoff, alpha, ell) * (1.0 + t) ** (0.5 * alpha + ell)
-
-
 def dilation_ratios(ineq_id: str, generator, grid, lams=(0.5, 1.0, 2.0), p: float = 2.0):
     """Ratios of one inequality across the dilation family ``g(lam x)``.
 
@@ -200,9 +175,8 @@ def decay_fit(
     lame: LameParams,
     window: tuple[float, float] = (0.1, 30.0),
     cutoff: CutoffSpec | None = None,
-    n_times: int = 25,
 ) -> DecayFit:
-    """Exponential fit of the banded kernel norm ``||K_{part}(t) g||_2``.
+    """Exponential fit of the banded kernel norm ``||K_{part}(t) g||_2`` at 25 times.
 
     ``ghat`` is the radial coefficient profile of vector data along a fixed
     direction; the norm combines both wave families.  The fit is linear in
@@ -214,7 +188,7 @@ def decay_fit(
     if part not in ("M", "H"):
         raise ValueError("part must be 'M' or 'H'")
     spec = cutoff if cutoff is not None else default_cutoffs(lame)
-    times = np.linspace(window[0], window[1], n_times)
+    times = np.linspace(window[0], window[1], 25)
 
     def banded(dp: DampingParams):
         return lambda t, r: kernel_hat(t, r, dp, which) * spec.chi(part, r) * ghat(r)
@@ -400,7 +374,6 @@ def heat_multiplier_l1(
     cutoff: CutoffSpec,
     alpha: int = 0,
     ell: int = 0,
-    pts_per_cycle: float = 16.0,
 ) -> float:
     """L^1 norm of the double-Riesz low-pass heat kernel with derivatives.
 
@@ -411,10 +384,7 @@ def heat_multiplier_l1(
     c0 = cutoff.c0
     r_max = c0
     s_max = 12.0 * math.sqrt(max(nu * t, 1e-6)) + 80.0 / c0
-    n_r = max(801, int(r_max * s_max * pts_per_cycle / (2.0 * math.pi)) + 1)
-    if n_r % 2 == 0:
-        n_r += 1
-    r = np.linspace(0.0, r_max, n_r)
+    r = radial_grid(r_max, s_max)
     psi = (
         (1j * r) ** alpha
         * (-0.5 * nu * r * r) ** ell

@@ -37,7 +37,7 @@ from .asymptotics import (
 from .audit import decay_fit, dilation_ratios, heat_multiplier_l1, symbol_bound_scan, SYMBOL_BOUNDS
 from .elastic import LameParams, Propagator, default_cutoffs, linear_propagate, split_longitudinal
 from .exceptions import ConfigError, ViscowaveError
-from .grid import VectorField, make_grid, transform
+from .grid import Grid3, VectorField, make_grid, transform
 from .kernels import DampingParams, kernel_eval, kernel_hat, lowfreq_residual, mode_oracle
 from .solver import (
     ContractionTensor,
@@ -99,9 +99,15 @@ def _parse_config(path: Path) -> dict:
             "oracle_samples": cp.getint("kernels", "oracle_samples", fallback=40),
         }
         _solver_config(cfg)
+        Grid3.check(cfg["n"], cfg["box_length"])
         for key in ("sigma", "amplitude"):
             if not (math.isfinite(cfg[key]) and cfg[key] > 0.0):
                 raise ValueError(f"[data] {key} must be finite and positive, got {cfg[key]}")
+        if not 0.0 < cfg["t_start"] < cfg["t_stop"] < math.inf:
+            raise ValueError(
+                f"[times] needs finite 0 < start < stop, got start={cfg['t_start']}, "
+                f"stop={cfg['t_stop']}"
+            )
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"config validation failure: {exc}") from exc
     if cfg["suite"] not in SUITES:
@@ -522,26 +528,20 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def emit_report(results: dict, out_dir: Path, fmt: str = "csv") -> list[Path]:
-    """Write series tables with bit-stable formatting; returns written paths."""
+def emit_report(results: dict, out_dir: Path) -> list[Path]:
+    """Write series tables as CSV with bit-stable formatting; returns written paths."""
     if not results:
         raise ValueError("emit_report requires nonempty results")
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for name, rows in sorted(results.items()):
-        if fmt == "csv":
-            path = out_dir / f"{name}.csv"
-            keys = sorted(rows[0].keys()) if rows else []
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(keys)
-                for row in rows:
-                    writer.writerow([_fmt(row[k]) for k in keys])
-        elif fmt == "json":
-            path = out_dir / f"{name}.json"
-            path.write_text(json.dumps(rows, sort_keys=True, indent=1))
-        else:
-            raise ValueError(f"unknown report format {fmt!r}")
+        path = out_dir / f"{name}.csv"
+        keys = sorted(rows[0].keys()) if rows else []
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(keys)
+            for row in rows:
+                writer.writerow([_fmt(row[k]) for k in keys])
         written.append(path)
     return written
 
@@ -578,7 +578,7 @@ def run_scenario(config_path, out_dir, seed: int | None = None, suite: str | Non
         return 3
 
     out.mkdir(parents=True, exist_ok=True)
-    emit_report(series, out, "csv")
+    emit_report(series, out)
     for name, payload in sorted(sidecars.items()):
         (out / f"{name}.json").write_text(json.dumps(payload, sort_keys=True, indent=1))
     passed = all(a["passed"] for a in assertions)

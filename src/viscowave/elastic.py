@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InsufficientSamplesError, ShapeMismatchError
+from .exceptions import ShapeMismatchError
 from .grid import CutoffSpec, Grid3, VectorField
 from .kernels import DampingParams, kernel_hat
 
@@ -29,8 +29,6 @@ __all__ = [
     "matrix_kernel",
     "Propagator",
     "linear_propagate",
-    "duhamel_increment",
-    "duhamel_increment_pair",
     "diagonalize_check",
     "default_cutoffs",
     "split_longitudinal",
@@ -238,48 +236,6 @@ def propagate_state(state: ElasticState, dt: float, lame: LameParams) -> Elastic
     """Advance a state by ``dt`` homogeneously (restart-exact)."""
     out = linear_propagate(state.displacement_hat, state.velocity_hat, dt, lame)
     return ElasticState(out.displacement_hat, out.velocity_hat, state.time + dt)
-
-
-def _simpson_coeffs(n_samples: int) -> np.ndarray:
-    if n_samples < 3 or n_samples % 2 == 0:
-        raise InsufficientSamplesError(
-            f"Duhamel quadrature needs an odd sample count >= 3, got {n_samples}"
-        )
-    w = np.ones(n_samples)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w / 3.0
-
-
-def duhamel_increment_pair(
-    samples, delta: float, lame: LameParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Simpson approximation of the forcing integral over one step.
-
-    ``samples`` are spectral forcing fields at uniformly spaced times
-    ``t, t + delta/2, ..., t + delta`` (odd count).  Returns the raw
-    (displacement, velocity) increment arrays
-
-        int_0^delta K1(delta - s) Fh(t + s) ds,
-        int_0^delta dK1(delta - s) Fh(t + s) ds.
-    """
-    n = len(samples)
-    w = _simpson_coeffs(n) * (delta / (n - 1))
-    grid = samples[0].grid
-    if any(fs.grid != grid for fs in samples):
-        raise ShapeMismatchError("forcing samples live on different grids")
-    lags = [delta - delta * i / (n - 1) for i in range(n)]
-    prop = Propagator(grid, lame, lags)
-    du, dv = prop.duhamel(
-        (w[i], lags[i], prop.split(fs.data)) for i, fs in enumerate(samples)
-    )
-    return prop.join(du), prop.join(dv)
-
-
-def duhamel_increment(samples, delta: float, lame: LameParams) -> VectorField:
-    """Displacement part of :func:`duhamel_increment_pair`."""
-    du, _ = duhamel_increment_pair(samples, delta, lame)
-    return VectorField(samples[0].grid, du, "spectral")
 
 
 def diagonalize_check(

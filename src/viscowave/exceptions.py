@@ -14,7 +14,7 @@ class ShapeMismatchError(ViscowaveError, ValueError):
 
 
 class UnsupportedSymbolError(ViscowaveError, ValueError):
-    """Unknown Fourier-multiplier identifier."""
+    """Unknown inequality or symbol-bound identifier."""
 
 
 class InvalidExponentError(ViscowaveError, ValueError):
@@ -41,10 +41,6 @@ class StiffnessError(ViscowaveError, ArithmeticError):
     """The per-mode ODE integrator underflowed its step size."""
 
 
-class InsufficientSamplesError(ViscowaveError, ValueError):
-    """Too few forcing samples for the stated quadrature rule."""
-
-
 class DivergenceError(ViscowaveError, ArithmeticError):
     """Blow-up guard tripped during time marching."""
 
@@ -59,10 +55,6 @@ class NoContractionError(ViscowaveError, ArithmeticError):
 
 class UnsupportedNormError(ViscowaveError, ValueError):
     """Requested (derivative order, time order, exponent) outside the measured set."""
-
-
-class UnsupportedCombinationError(ViscowaveError, ValueError):
-    """Profile requested with zero derivative order but a nonzero gradient moment."""
 
 
 class DegenerateInputError(ViscowaveError, ValueError):

@@ -1,4 +1,4 @@
-"""Periodic 3-D grid, FFT layer, Fourier multipliers, cutoffs, and norms.
+"""Periodic 3-D grid, FFT layer, cutoffs, and norms.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -15,29 +15,23 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import fft as sfft
 
-from .exceptions import (
-    InvalidExponentError,
-    InvalidGridError,
-    ShapeMismatchError,
-    UnsupportedSymbolError,
-)
-from .kernels import DampingParams, diffusion_hat, kernel_hat, wave_hat
+from .exceptions import InvalidExponentError, InvalidGridError, ShapeMismatchError
+
+# Not called here; kept bound because perfbench's layer tracer self-test expects it here.
+from .kernels import kernel_hat  # noqa: F401
 
 __all__ = [
     "Grid3",
     "VectorField",
     "CutoffSpec",
     "make_grid",
-    "make_field",
     "zero_field",
-    "field_from_function",
     "transform",
-    "apply_symbol",
     "lp_norm",
     "coefficient_l2_norm",
     "sobolev_seminorm",
@@ -53,7 +47,7 @@ class Grid3:
     """Periodic cubic lattice and its frequency lattice.
 
     ``xi1`` is the 1-D frequency array in FFT order; ``radius`` the full
-    ``|xi|`` array, precomputed because every multiplier needs it.
+    ``|xi|`` array, precomputed because every radial table needs it.
     """
 
     n: int
@@ -63,10 +57,7 @@ class Grid3:
     radius: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.n < 8 or self.n % 2 != 0:
-            raise InvalidGridError(f"n must be even and >= 8, got {self.n}")
-        if not self.box_length > 0:
-            raise InvalidGridError(f"box_length must be positive, got {self.box_length}")
+        self.check(self.n, self.box_length)
         spacing = self.box_length / self.n
         xi1 = 2.0 * np.pi * np.fft.fftfreq(self.n, d=spacing)
         rad = np.sqrt(
@@ -75,6 +66,14 @@ class Grid3:
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "xi1", xi1)
         object.__setattr__(self, "radius", rad)
+
+    @staticmethod
+    def check(n: int, box_length: float) -> None:
+        """Raise InvalidGridError unless ``n`` is even and >= 8 and ``box_length > 0``."""
+        if n < 8 or n % 2 != 0:
+            raise InvalidGridError(f"n must be even and >= 8, got {n}")
+        if not box_length > 0:
+            raise InvalidGridError(f"box_length must be positive, got {box_length}")
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -129,14 +128,12 @@ class VectorField:
     """Three-component field over a grid, in physical or spectral space.
 
     Physical data is real float64, spectral data complex128 with Hermitian
-    symmetry.  Treated as immutable; operations return new fields.  ``meta``
-    accumulates warning flags (e.g. ``"mean-not-zero"``).
+    symmetry.  Treated as immutable; operations return new fields.
     """
 
     grid: Grid3
     data: np.ndarray
     space: str  # "physical" | "spectral"
-    meta: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.space not in ("physical", "spectral"):
@@ -146,28 +143,10 @@ class VectorField:
                 f"field shape {self.data.shape} does not match grid {self.grid.shape}"
             )
 
-    def with_data(self, data: np.ndarray, meta: tuple[str, ...] | None = None) -> "VectorField":
-        return replace(self, data=data, meta=self.meta if meta is None else meta)
-
-
-def make_field(grid: Grid3, data: np.ndarray, space: str = "physical") -> VectorField:
-    dtype = np.complex128 if space == "spectral" else np.float64
-    return VectorField(grid=grid, data=np.asarray(data, dtype=dtype), space=space)
-
 
 def zero_field(grid: Grid3, space: str = "physical") -> VectorField:
     dtype = np.complex128 if space == "spectral" else np.float64
     return VectorField(grid=grid, data=np.zeros((3, *grid.shape), dtype=dtype), space=space)
-
-
-def field_from_function(grid: Grid3, fn) -> VectorField:
-    """Sample ``fn(x, y, z) -> (3, ...) array`` on the lattice."""
-    x = grid.x_component(0)
-    y = grid.x_component(1)
-    z = grid.x_component(2)
-    data = np.asarray(fn(x, y, z), dtype=np.float64)
-    data = np.broadcast_to(data, (3, *grid.shape)).copy()
-    return VectorField(grid=grid, data=data, space="physical")
 
 
 def _forward_scale(grid: Grid3) -> float:
@@ -179,9 +158,9 @@ def transform(fld: VectorField) -> VectorField:
     scale = _forward_scale(fld.grid)
     if fld.space == "physical":
         data = sfft.fftn(fld.data, axes=(1, 2, 3), workers=_WORKERS) * scale
-        return VectorField(fld.grid, data, "spectral", fld.meta)
+        return VectorField(fld.grid, data, "spectral")
     data = sfft.ifftn(fld.data, axes=(1, 2, 3), workers=_WORKERS) / scale
-    return VectorField(fld.grid, np.ascontiguousarray(data.real), "physical", fld.meta)
+    return VectorField(fld.grid, np.ascontiguousarray(data.real), "physical")
 
 
 def hermitian_defect(fld: VectorField) -> float:
@@ -226,7 +205,6 @@ class CutoffSpec:
 
     c0: float
     c1: float
-    transition: str = "exp-smoothstep"
 
     def __post_init__(self) -> None:
         if not (0.0 < self.c0 < self.c1):
@@ -245,78 +223,6 @@ class CutoffSpec:
 
     def chi(self, part: str, r) -> np.ndarray:
         return {"L": self.chi_l, "M": self.chi_m, "H": self.chi_h}[part](r)
-
-
-# ---------------------------------------------------------------------------
-# Fourier multipliers
-
-
-def _multiplier(grid: Grid3, symbol_id: str, params: dict) -> np.ndarray:
-    r = grid.radius
-    if symbol_id == "one":
-        return np.ones_like(r)
-    if symbol_id == "derivative":
-        alpha = params["alpha"]
-        if len(alpha) != 3:
-            raise ValueError("derivative multi-index must have 3 entries")
-        mult = np.ones(grid.shape, dtype=np.complex128)
-        for axis, order in enumerate(alpha):
-            if order:
-                mult = mult * (1j * grid.xi_component_safe(axis)) ** order
-        return mult
-    if symbol_id == "riesz":
-        axis = params["axis"]
-        rs2 = sum(grid.xi_component_safe(a) ** 2 for a in range(3))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            mult = np.where(
-                rs2 > 0,
-                grid.xi_component_safe(axis) / np.sqrt(np.where(rs2 > 0, rs2, 1.0)),
-                0.0,
-            )
-        return mult
-    if symbol_id == "inv_grad":
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(r > 0, 1.0 / np.where(r > 0, r, 1.0), 0.0)
-    if symbol_id == "cutoff":
-        spec: CutoffSpec = params["spec"]
-        return spec.chi(params["part"], r)
-    if symbol_id == "heat":
-        return np.exp(-0.5 * params["nu"] * params["t"] * r * r)
-    if symbol_id in ("k0", "k1"):
-        dp = DampingParams(params["beta"], params["nu"])
-        vals, inv = grid.unique_radii()
-        table = kernel_hat(params["t"], vals, dp, symbol_id.upper(), params.get("dt_order", 0))
-        return table[inv]
-    if symbol_id in ("g0", "g1", "k00"):
-        dp = DampingParams(params["beta"], params["nu"])
-        vals, inv = grid.unique_radii()
-        table = diffusion_hat(params["t"], vals, dp, symbol_id.upper())
-        return table[inv]
-    if symbol_id in ("w0", "w1"):
-        dp = DampingParams(params["beta"], params["nu"])
-        vals, inv = grid.unique_radii()
-        table = wave_hat(params["t"], vals, dp, symbol_id.upper())
-        return table[inv]
-    raise UnsupportedSymbolError(f"unknown symbol {symbol_id!r}")
-
-
-def apply_symbol(fld: VectorField, symbol_id: str, **params) -> VectorField:
-    """Multiply spectral coefficients by a named radial/tensorial symbol.
-
-    Symbols with a 0/0 form at ``xi = 0`` (``riesz``, ``inv_grad``) take the
-    value 0 there; ``inv_grad`` flags a nonzero-mean input in the result
-    metadata instead of raising.
-    """
-    if fld.space != "spectral":
-        raise ValueError("apply_symbol expects a spectral field")
-    mult = _multiplier(fld.grid, symbol_id, params)
-    meta = fld.meta
-    if symbol_id == "inv_grad":
-        mean_coeff = np.max(np.abs(fld.data[:, 0, 0, 0]))
-        scale = max(np.max(np.abs(fld.data)), 1e-300)
-        if mean_coeff > 1e-13 * scale:
-            meta = meta + ("mean-not-zero",)
-    return VectorField(fld.grid, fld.data * mult, "spectral", meta)
 
 
 def dealias_mask(grid: Grid3, rule: str = "2/3") -> np.ndarray:

@@ -5,8 +5,8 @@ scalar ODE ``w'' + nu r^2 w' + beta^2 r^2 w = f`` with ``r = |xi|``.  This
 module evaluates the two fundamental solutions of that ODE (``K0`` for unit
 initial value, ``K1`` for unit initial velocity) and their time derivatives
 up to second order, together with the diffusion-wave factors ``G0, G1``, the
-low-frequency cosine kernel ``K00``, the undamped wave kernels ``W0, W1``,
-and an independent adaptive-ODE oracle used to verify all of them.
+low-frequency cosine kernel ``K00``, and an independent adaptive-ODE oracle
+used to verify all of them.
 
 The characteristic roots are
 
@@ -36,7 +36,6 @@ __all__ = [
     "char_roots",
     "kernel_hat",
     "diffusion_hat",
-    "wave_hat",
     "kernel_eval",
     "mode_oracle",
     "lowfreq_residual",
@@ -195,23 +194,15 @@ def _phi(params: DampingParams, r):
 
 
 def diffusion_hat(t, r, params: DampingParams, which: str):
-    """Diffusion-wave factors ``G0, G1``, the cosine kernel ``K00``, or ``PHI``.
+    """Diffusion-wave factors ``G0, G1`` or the cosine kernel ``K00``.
 
     ``G0 = e^{-nu r^2 t/2} cos(beta r t)`` and
     ``G1 = e^{-nu r^2 t/2} sin(beta r t)/(beta r)`` (limit ``t`` at ``r = 0``).
     ``K00 = e^{-nu r^2 t/2} cos(beta r t phi)`` continues as the hyperbolic
-    envelope past the overdamped threshold.  ``PHI`` is only defined strictly
-    below the threshold ``2 beta/nu``.
+    envelope past the overdamped threshold.
     """
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
-    if which == "PHI":
-        if np.any(r >= params.root_threshold):
-            raise OutOfDomainError(
-                f"phi requires r < 2*beta/nu = {params.root_threshold:g}"
-            )
-        out = _phi(params, r)
-        return out if out.ndim else float(out)
     env = np.exp(-0.5 * params.nu * r * r * t)
     if which == "G0":
         out = env * np.cos(params.beta * r * t)
@@ -222,20 +213,6 @@ def diffusion_hat(t, r, params: DampingParams, which: str):
         out = ec
     else:
         raise ValueError(f"unknown diffusion kernel {which!r}")
-    out = np.asarray(out)
-    return out if out.ndim else float(out)
-
-
-def wave_hat(t, r, params: DampingParams, which: str):
-    """Undamped wave kernels ``W0 = cos(t beta r)``, ``W1 = sin(t beta r)/(beta r)``."""
-    t = np.asarray(t, dtype=float)
-    r = np.asarray(r, dtype=float)
-    if which == "W0":
-        out = np.cos(params.beta * r * t)
-    elif which == "W1":
-        out = t * np.sinc(params.beta * r * t / np.pi)
-    else:
-        raise ValueError(f"unknown wave kernel {which!r}")
     out = np.asarray(out)
     return out if out.ndim else float(out)
 

@@ -31,7 +31,7 @@ from .exceptions import QuadratureAccuracyError
 
 __all__ = [
     "SPHERE_LONG", "SPHERE_TRANS", "radial_l2_norm", "AngularTerm", "Frame", "axisym_evaluate",
-    "axisym_magnitude", "axisym_lp_norm", "gauss_theta_rule", "simpson_weights",
+    "axisym_magnitude", "axisym_lp_norm", "gauss_theta_rule", "radial_grid", "simpson_weights",
 ]
 
 # Angular integrals over the unit sphere of |P e|^2 and |(I - P) e|^2 for a
@@ -40,13 +40,19 @@ __all__ = [
 SPHERE_LONG = 4.0 * np.pi / 3.0
 SPHERE_TRANS = 8.0 * np.pi / 3.0
 
-# radial_l2_norm: 16 Gauss-Legendre nodes per panel, 16 panels doubled up to the cap.
+# radial_l2_norm: support probe up to _PROBE_RMAX, 16 Gauss-Legendre nodes per
+# panel, 16 panels doubled up to the cap, relative tolerance of the result.
+_PROBE_RMAX = 100.0
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _GL_PANELS_MAX = 2**14
-# axisym_evaluate: q-table elements per s-block (one block's tables stay in
-# cache) and radii per group of the angle-addition split of sin and cos.
+_EPSREL = 1e-8
+# axisym_evaluate: azimuthal trapezoid points, q-table elements per s-block
+# (one block's tables stay in cache), radii per group of the angle-addition
+# split of sin and cos, and r points per 2 pi of r * s in radial_grid.
+_N_PHI = 16
 _BLOCK_ELEMENTS = 1 << 16
 _ANGLE_SPLIT = 64
+_PTS_PER_CYCLE = 16.0
 
 
 def _gauss_legendre(integrand: Callable, upper: float, panels: int) -> float:
@@ -62,16 +68,15 @@ def radial_l2_norm(
     alpha: int,
     angular_weights: tuple[float, float],
     t: float = 0.0,
-    rmax: float | None = None,
-    epsrel: float = 1e-8,
 ) -> float:
     """L^2 norm of a field with radial coefficient ``multiplier(t, r) * h(r)``.
 
     Computes ``sqrt( int_0^inf r^{2 alpha} |multiplier|^2 h^2
     (w_long * 4pi/3 + w_trans * 8pi/3) r^2 dr )`` by composite 16-point
     Gauss-Legendre quadrature on the probed support, doubling the panels until
-    two levels agree to ``0.1 * epsrel``; raises QuadratureAccuracyError with
-    the achieved tolerance if the last level still misses ``epsrel``.
+    two levels agree to ``1e-9`` relative; raises QuadratureAccuracyError with
+    the achieved tolerance if the last level still misses ``1e-8``, and with
+    ``achieved = inf`` if the integrand or the result is not finite.
 
     Both callables must accept numpy arrays of radii.
     """
@@ -81,23 +86,25 @@ def radial_l2_norm(
         return r ** (2 * alpha + 2) * np.abs(multiplier(t, r)) ** 2 * np.abs(h(r)) ** 2 * cang
 
     # Probe for the effective support so the rule works on a finite interval.
-    r_big = rmax if rmax is not None else 100.0
-    probe = np.logspace(-6, np.log10(r_big), 4096)
+    probe = np.logspace(-6, np.log10(_PROBE_RMAX), 4096)
     vals = integrand(probe)
+    if not np.all(np.isfinite(vals)):
+        raise QuadratureAccuracyError("radial integrand is not finite", achieved=math.inf)
     peak = vals.max()
     if peak == 0.0:
         return 0.0
     above = np.nonzero(vals > peak * 1e-26)[0]
-    upper = min(r_big, probe[above[-1]] * 1.3)
+    upper = min(_PROBE_RMAX, probe[above[-1]] * 1.3)
 
     panels, err = 16, math.inf
     val = _gauss_legendre(integrand, upper, panels)
-    while err > 0.1 * epsrel * val and panels < _GL_PANELS_MAX:
+    while err > 0.1 * _EPSREL * val and panels < _GL_PANELS_MAX:
         panels *= 2
         prev, val = val, _gauss_legendre(integrand, upper, panels)
         err = abs(val - prev)
-    if err > epsrel * val:
-        achieved = err / val if val > 0.0 else math.inf
+    # Written so that a NaN or infinite level also fails.
+    if not (err <= _EPSREL * val and math.isfinite(val)):
+        achieved = err / val if 0.0 < val < math.inf else math.inf
         raise QuadratureAccuracyError(
             f"radial quadrature reached relative error {achieved:.2e}", achieved=achieved
         )
@@ -184,6 +191,17 @@ class AngularTerm:
     angular: Callable
 
 
+def radial_grid(r_max: float, s_max: float) -> np.ndarray:
+    """Uniform r grid on ``[0, r_max]`` for :func:`axisym_evaluate` up to radius ``s_max``.
+
+    Resolves ``e^{i r s}`` with 16 points per cycle, at least 801 points, odd count.
+    """
+    n_r = max(int(r_max * s_max * _PTS_PER_CYCLE / (2.0 * math.pi)) + 1, 801)
+    if n_r % 2 == 0:
+        n_r += 1
+    return np.linspace(0.0, r_max, n_r)
+
+
 def simpson_weights(n: int, h: float) -> np.ndarray:
     """Composite Simpson weights for n (odd) uniformly spaced points."""
     if n < 3 or n % 2 == 0:
@@ -195,16 +213,21 @@ def simpson_weights(n: int, h: float) -> np.ndarray:
 
 
 def _angular_coeffs(
-    terms: Sequence[AngularTerm], thetas: np.ndarray, nmax: int, n_phi: int
-) -> np.ndarray:
+    terms: Sequence[AngularTerm], thetas: np.ndarray, nmax: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Monomial coefficients in mu of each term's azimuthally integrated factor.
 
-    Shape ``(len(thetas), len(terms), nmax + 2)``.  The phi trapezoid is exact
-    for trig degree < n_phi, and the fit on ``nmax + 2`` Gauss nodes is exact
-    interpolation whose top coefficient measures any excess degree.
+    Returns the coefficients, shape ``(len(thetas), len(terms), nmax + 2)``,
+    and the fit's residual at the pole ``mu = 1``.  The phi trapezoid is exact
+    for trig degree < _N_PHI.  The fit on ``nmax + 2`` Gauss nodes is exact
+    interpolation: excess degree of the other parity than ``nmax`` shows in
+    its top coefficient, and excess of the same parity, which the nodes alias
+    into lower coefficients, in the pole residual (the node polynomial is 1
+    there).
     """
-    mu, _ = np.polynomial.legendre.leggauss(nmax + 2)
-    phi = (np.arange(n_phi) + 0.5) * (2.0 * np.pi / n_phi)
+    nodes, _ = np.polynomial.legendre.leggauss(nmax + 2)
+    mu = np.append(nodes, 1.0)
+    phi = (np.arange(_N_PHI) + 0.5) * (2.0 * np.pi / _N_PHI)
     sg = np.sqrt(1.0 - mu * mu)[:, None]
     wx, wy, wz = sg * np.cos(phi), sg * np.sin(phi), mu[:, None] * np.ones_like(phi)
     integ = np.empty((len(thetas), len(terms), mu.size), dtype=np.complex128)
@@ -212,9 +235,11 @@ def _angular_coeffs(
         frame = Frame.at(float(th))
         for jt, term in enumerate(terms):
             vals = np.broadcast_to(term.angular(wx, wy, wz, frame), wx.shape)
-            integ[it, jt] = vals.sum(axis=1) * (2.0 * np.pi / n_phi)
-    V = np.vander(mu, mu.size, increasing=True)
-    return np.linalg.solve(V, integ.reshape(-1, mu.size).T).T.reshape(integ.shape)
+            integ[it, jt] = vals.sum(axis=1) * (2.0 * np.pi / _N_PHI)
+    V = np.vander(nodes, nodes.size, increasing=True)
+    fit = integ[..., :-1].reshape(-1, nodes.size).T
+    coeff = np.linalg.solve(V, fit).T.reshape(*integ.shape[:2], nodes.size)
+    return coeff, integ[..., -1] - coeff.sum(axis=-1)
 
 
 def axisym_evaluate(
@@ -225,7 +250,6 @@ def axisym_evaluate(
     s: np.ndarray,
     thetas: np.ndarray,
     nmax: int = 6,
-    n_phi: int = 16,
 ) -> np.ndarray:
     """Evaluate ``F^{-1}[sum_j psi_j(|xi|) A_j(xi/|xi|)]`` on a polar grid.
 
@@ -243,9 +267,9 @@ def axisym_evaluate(
     bank_ri = np.ascontiguousarray(np.concatenate([bank.real, bank.imag]).T)
     n_psi = bank.shape[0]
 
-    coeff = _angular_coeffs(terms, thetas, nmax, n_phi)
+    coeff, pole = _angular_coeffs(terms, thetas, nmax)
     scale = max(float(np.max(np.abs(coeff[..., :-1]))), 1e-300)
-    if float(np.max(np.abs(coeff[..., -1]))) > 1e-9 * scale:
+    if max(float(np.max(np.abs(coeff[..., -1]))), float(np.max(np.abs(pole)))) > 1e-9 * scale:
         raise ValueError("angular factor exceeds the configured polynomial degree")
     coeff = coeff[..., :-1] * (np.max(np.abs(coeff[..., :-1]), axis=(0, 1)) > 1e-14 * scale)
     n_top = int(max(np.flatnonzero(np.any(coeff, axis=(0, 1))), default=0))

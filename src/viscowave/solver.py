@@ -34,6 +34,7 @@ import numpy as np
 from .elastic import ElasticState, LameParams, Propagator
 from .exceptions import DivergenceError, NoContractionError
 from .grid import Grid3, VectorField, dealias_mask, sobolev_seminorm, transform
+from .radial import simpson_weights
 
 # Not called here; kept bound because perfbench's layer tracer self-test expects them here.
 from .elastic import linear_propagate  # noqa: F401
@@ -81,7 +82,6 @@ class ContractionTensor:
 class SolverConfig:
     dt: float
     t_end: float
-    dealias_rule: str = "2/3"
     picard_tol: float = 1e-9
     picard_max_iter: int = 25
 
@@ -184,8 +184,8 @@ def _as_spectral(fld: VectorField) -> VectorField:
 
 def _simpson(delta: float, g_start, g_mid, g_end) -> list:
     """Duhamel terms of the three-node Simpson rule over one step of length ``delta``."""
-    w = delta / 6.0
-    return [(w, delta, g_start), (4.0 * w, 0.5 * delta, g_mid), (w, 0.0, g_end)]
+    w = simpson_weights(3, 0.5 * delta)
+    return [(w[0], delta, g_start), (w[1], 0.5 * delta, g_mid), (w[2], 0.0, g_end)]
 
 
 def _add(acc, inc) -> None:
@@ -215,7 +215,7 @@ def evolve(
     """
     f0h, f1h = _as_spectral(f0), _as_spectral(f1)
     grid = f0h.grid
-    mask = None if config.dealias_rule in ("none", None) else dealias_mask(grid, config.dealias_rule)
+    mask = dealias_mask(grid)
     dt = config.dt
     half = 0.5 * dt
     prop = Propagator(grid, lame, (0.5 * half, half, dt))
@@ -372,7 +372,7 @@ def picard_iterate(
     """
     f0h, f1h = _as_spectral(f0), _as_spectral(f1)
     grid = f0h.grid
-    mask = None if config.dealias_rule in ("none", None) else dealias_mask(grid, config.dealias_rule)
+    mask = dealias_mask(grid)
     h = 0.5 * config.dt
     prop = Propagator(grid, lame, (h, 2.0 * h))
     m_count = 2 * config.n_steps

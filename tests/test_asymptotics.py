@@ -1,4 +1,4 @@
-"""Moment, profile, and decay-measurement tests."""
+"""Forcing-moment, profile, and decay-measurement tests."""
 
 import math
 
@@ -8,56 +8,22 @@ import pytest
 from conftest import centered_gaussian
 from viscowave.asymptotics import (
     LinearSource,
-    Moments,
     NormSpec,
     _l2_norm_from_mults,
+    _profile_field,
     _profile_mults,
     decay_slope,
     expected_solution_slope,
-    moments,
     nonlinear_moment,
     profile_error_series,
-    profile_hat,
 )
 from viscowave.elastic import LameParams
-from viscowave.exceptions import (
-    UnsupportedCombinationError,
-    UnsupportedNormError,
-    WindowError,
-)
+from viscowave.exceptions import UnsupportedNormError, WindowError
+from viscowave.kernels import diffusion_hat
 from viscowave.grid import VectorField, make_grid, transform, zero_field
 from viscowave.solver import ContractionTensor, SolverConfig, Trajectory, evolve
 
 LAME = LameParams(0.0, 1.0, 1.0)
-
-
-class TestMoments:
-    def test_unit_mass_gaussian(self):
-        g = make_grid(48, 16.0)
-        f1 = centered_gaussian(g, sigma=0.8)
-        mom = moments(zero_field(g), f1)
-        assert np.allclose(mom.m1, [1.0, 1.0, 1.0], atol=1e-8)
-        assert mom.warnings == ()
-
-    def test_gradient_moment_vanishes(self):
-        g = make_grid(32, 16.0)
-        f0 = centered_gaussian(g, sigma=0.9)
-        mom = moments(f0, zero_field(g))
-        assert np.max(np.abs(mom.m0)) <= 1e-10
-
-    def test_odd_data_cancels(self):
-        g = make_grid(32, 16.0)
-        x = g.x_component(0) - g.box_length / 2.0
-        r2 = sum((g.x_component(a) - g.box_length / 2.0) ** 2 for a in range(3))
-        data = np.stack([x * np.exp(-r2)] * 3)
-        mom = moments(zero_field(g), VectorField(g, data, "physical"))
-        assert np.max(np.abs(mom.m1)) <= 1e-14
-
-    def test_support_warning(self):
-        g = make_grid(16, 4.0)
-        f1 = centered_gaussian(g, sigma=1.5)  # spills over the box edge
-        mom = moments(zero_field(g), f1)
-        assert any(w.startswith("support") for w in mom.warnings)
 
 
 class TestNonlinearMoment:
@@ -113,28 +79,32 @@ class TestNonlinearMoment:
 
 
 class TestProfileHat:
-    def test_zero_moments(self):
-        out = profile_hat(3.0, np.array([0.4, -0.2, 0.1]), LAME, Moments.of(), "G")
-        assert np.all(out == 0.0)
+    """Spectral profile coefficients on the lattice and the continuum path."""
 
-    def test_equal_speed_collapse(self):
+    def test_zero_moments(self, grid16):
+        out = _profile_field(grid16, 3.0, LAME, np.zeros(3), "G")
+        assert np.all(out.data == 0.0)
+
+    def test_equal_speed_collapse(self, grid16):
         # lambda + mu = 0: the projector terms cancel and G is scalar
         lame = LameParams(-1.0, 1.0, 1.0)
-        mom = Moments.of(m1=[0.3, -0.7, 1.1])
-        xi = np.array([0.2, 0.1, -0.3])
-        out = profile_hat(2.0, xi, lame, mom, "G")
-        from viscowave.kernels import diffusion_hat
+        m1 = np.array([0.3, -0.7, 1.1])
+        out = _profile_field(grid16, 2.0, lame, m1, "G")
+        vals, inv = grid16.unique_radii()
+        g1 = diffusion_hat(2.0, vals, lame.trans_params, "G1")[inv]
+        want = np.stack([g1 * ((2.0 * np.pi) ** -1.5 * m1)[a] for a in range(3)])
+        assert np.max(np.abs(out.data - want)) < 1e-15
 
-        g1 = diffusion_hat(2.0, float(np.linalg.norm(xi)), lame.trans_params, "G1")
-        want = g1 * (2.0 * np.pi) ** -1.5 * np.asarray(mom.m1)
-        assert np.max(np.abs(out - want)) < 1e-15
-
-    def test_inverse_gradient_requires_derivative(self):
-        mom = Moments.of(m0=np.eye(3))
-        with pytest.raises(UnsupportedCombinationError):
-            profile_hat(1.0, np.array([0.1, 0.0, 0.0]), LAME, mom, "G", derivative=(0, 0, 0))
-        out = profile_hat(1.0, np.array([0.1, 0.0, 0.0]), LAME, mom, "G", derivative=(1, 0, 0))
-        assert np.all(np.isfinite(out))
+    @pytest.mark.parametrize("which", ["G", "H", "Gtilde"])
+    def test_lattice_and_continuum_paths_agree(self, grid16, which):
+        # Along xi parallel (perpendicular) to the moment, the lattice profile is
+        # the longitudinal (transverse) radial coefficient of the continuum path.
+        out = _profile_field(grid16, 2.0, LAME, [(2.0 * np.pi) ** 1.5, 0.0, 0.0], which)
+        pl, pt = _profile_mults(LAME, LinearSource(ghat=np.ones_like), which)
+        vals, inv = grid16.unique_radii()
+        r = vals[inv[1:4, 0, 0]]  # the lattice radii |xi| of the modes compared
+        np.testing.assert_allclose(out.data[0, 1:4, 0, 0], pl(2.0, r), rtol=1e-14)
+        np.testing.assert_allclose(out.data[0, 0, 1:4, 0], pt(2.0, r), rtol=1e-14)
 
     def test_gradient_l2_slope(self):
         # || grad G(t) ||_2 decays like t^{-3/4} for data with mass

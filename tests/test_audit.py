@@ -165,12 +165,3 @@ class TestHeatL1:
         cut = CutoffSpec(1.0, 4.0)
         v = heat_multiplier_l1(5.0, 1.0, cut, 1, 0)
         assert np.isfinite(v) and v > 0.0
-
-    def test_inequality_check_id(self):
-        cut = CutoffSpec(1.0, 4.0)
-        ratios = [
-            inequality_check("HEAT_L1", t=t, nu=1.0, cutoff=cut, alpha=1, ell=0)
-            for t in (5.0, 20.0, 80.0)
-        ]
-        assert all(np.isfinite(r) and r > 0 for r in ratios)
-        assert max(ratios) / min(ratios) < 3.0

@@ -45,15 +45,20 @@ picard_max_iter = {max_iter}
 """
 
 
-def picard16(**overrides) -> str:
-    """The checked-in picard config at n = 16, with ``key = value`` lines replaced."""
-    text = (REPO_CONFIGS / "picard.ini").read_text().replace("n = 64", "n = 16")
+def checked_in(name: str, **overrides) -> str:
+    """A checked-in config's text with its ``key = value`` lines replaced."""
+    text = (REPO_CONFIGS / f"{name}.ini").read_text()
     for key, value in overrides.items():
         lines = text.splitlines()
         (i,) = [j for j, line in enumerate(lines) if line.split("=")[0].strip() == key]
         lines[i] = f"{key} = {value}"
         text = "\n".join(lines) + "\n"
     return text
+
+
+def picard16(**overrides) -> str:
+    """The checked-in picard config at n = 16, with ``key = value`` lines replaced."""
+    return checked_in("picard", **{"n": 16, **overrides})
 
 
 def write_cfg(tmp_path, text, name="scenario.ini"):
@@ -124,6 +129,30 @@ class TestRunScenario:
         assert main(["picard", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "suite, override",
+        [
+            ("picard", {"n": "7"}),
+            ("picard", {"n": "4"}),
+            ("picard", {"box_length": "0.0"}),
+            ("picard", {"box_length": "nan"}),
+            ("linear-decay", {"start": "0.0"}),
+            ("linear-decay", {"start": "-1.0"}),
+            ("linear-decay", {"start": "nan"}),
+            ("linear-decay", {"start": "inf"}),
+            ("linear-decay", {"stop": "100.0"}),
+            ("linear-decay", {"stop": "10.0"}),
+            ("linear-decay", {"stop": "inf"}),
+        ],
+    )
+    def test_unusable_grid_or_times_is_usage_error(self, tmp_path, suite, override, capsys):
+        cfg = write_cfg(tmp_path, checked_in(suite, **override))
+        out = tmp_path / "out"
+        assert main([suite, "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
 
     def test_picard16_copy_runs(self, tmp_path):
         # the fixture the usage-error cases perturb is itself a passing run
@@ -201,9 +230,3 @@ class TestEmitReport:
         p2 = emit_report(rows, tmp_path / "b")[0]
         assert p1.read_bytes() == p2.read_bytes()
         assert "0.33333333333333331" in p1.read_text()
-
-    def test_json_round_trip(self, tmp_path):
-        rows = {"series": [{"t": 0.1, "value": 0.7071067811865476}]}
-        path = emit_report(rows, tmp_path, fmt="json")[0]
-        parsed = json.loads(path.read_text())
-        assert parsed == rows["series"]

@@ -8,8 +8,6 @@ from viscowave.elastic import (
     LameParams,
     Propagator,
     diagonalize_check,
-    duhamel_increment,
-    duhamel_increment_pair,
     energy,
     linear_propagate,
     matrix_kernel,
@@ -17,9 +15,9 @@ from viscowave.elastic import (
     propagate_state,
     split_longitudinal,
 )
-from viscowave.exceptions import InsufficientSamplesError
 from viscowave.grid import VectorField, transform, zero_field
 from viscowave.kernels import forced_kernel_quadrature, kernel_hat, mode_oracle
+from viscowave.radial import simpson_weights
 
 LAME = LameParams(0.0, 1.0, 1.0)
 
@@ -211,16 +209,30 @@ class TestLinearPropagate:
         assert np.max(np.abs(u.data[2])) <= 1e-15 * np.max(np.abs(u.data[0]))
 
 
+def simpson_duhamel(samples, delta):
+    """Composite-Simpson forcing integral over one step through ``Propagator.duhamel``.
+
+    ``samples`` are spectral forcing fields at uniformly spaced times across the
+    step (odd count); returns the (displacement, velocity) increment arrays.
+    """
+    n = len(samples)
+    w = simpson_weights(n, delta / (n - 1))
+    lags = [delta - delta * i / (n - 1) for i in range(n)]
+    prop = Propagator(samples[0].grid, LAME, lags)
+    du, dv = prop.duhamel((w[i], lags[i], prop.split(fs.data)) for i, fs in enumerate(samples))
+    return prop.join(du), prop.join(dv)
+
+
 class TestDuhamel:
     def test_zero_forcing(self, grid16):
         samples = [transform(zero_field(grid16))] * 3
-        out = duhamel_increment(samples, 0.5, LAME)
-        assert np.all(out.data == 0.0)
+        du, dv = simpson_duhamel(samples, 0.5)
+        assert np.all(du == 0.0) and np.all(dv == 0.0)
 
     def test_insufficient_samples(self, grid16):
         samples = [transform(zero_field(grid16))] * 2
-        with pytest.raises(InsufficientSamplesError):
-            duhamel_increment(samples, 0.5, LAME)
+        with pytest.raises(ValueError, match="odd number"):
+            simpson_duhamel(samples, 0.5)
 
     def test_constant_single_mode_forcing(self, grid8):
         # constant-in-time forcing on one longitudinal mode vs the scalar oracle
@@ -230,15 +242,15 @@ class TestDuhamel:
         fs = VectorField(grid8, data, "spectral")
         delta = 0.4
         # finer Simpson grid for accuracy of the step rule itself
-        out = duhamel_increment([fs] * 9, delta, LAME)
+        du, _ = simpson_duhamel([fs] * 9, delta)
         ref = forced_kernel_quadrature(delta, 1.0, LAME.long_params, lambda tau: 1.0)
-        assert out.data[0, i1, 0, 0] == pytest.approx(ref, abs=1e-7)
+        assert du[0, i1, 0, 0] == pytest.approx(ref, abs=1e-7)
 
     def test_small_step_scaling(self, grid16):
         # K1(0) = 0 and dK1(0) = 1 make the increment O(delta^2)
         fs = transform(centered_gaussian(grid16))
         ratios = []
         for delta in (0.2, 0.1, 0.05):
-            du, _ = duhamel_increment_pair([fs] * 3, delta, LAME)
+            du, _ = simpson_duhamel([fs] * 3, delta)
             ratios.append(np.max(np.abs(du)) / delta**2)
         assert max(ratios) / min(ratios) < 1.5

@@ -1,18 +1,13 @@
-"""Grid, transform, multiplier, cutoff, and norm tests."""
+"""Grid, transform, cutoff, and norm tests."""
 
 import numpy as np
 import pytest
 
 from conftest import band_limited_random, centered_gaussian
-from viscowave.exceptions import (
-    InvalidExponentError,
-    InvalidGridError,
-    UnsupportedSymbolError,
-)
+from viscowave.exceptions import InvalidExponentError, InvalidGridError
 from viscowave.grid import (
     CutoffSpec,
     VectorField,
-    apply_symbol,
     coefficient_l2_norm,
     dealias_mask,
     hermitian_defect,
@@ -86,66 +81,6 @@ class TestTransform:
         assert hermitian_defect(fh) < 1e-12
 
 
-class TestApplySymbol:
-    def test_identity(self, grid16):
-        fh = transform(band_limited_random(grid16, seed=4))
-        out = apply_symbol(fh, "one")
-        assert np.array_equal(out.data, fh.data)
-
-    def test_riesz_resolution_of_identity(self, grid16):
-        fh = transform(band_limited_random(grid16, seed=5))
-        acc = np.zeros_like(fh.data)
-        for a in range(3):
-            acc += apply_symbol(apply_symbol(fh, "riesz", axis=a), "riesz", axis=a).data
-        expected = fh.data.copy()
-        expected[:, 0, 0, 0] = 0.0  # the mean is annihilated
-        assert np.max(np.abs(acc - expected)) < 1e-13 * np.max(np.abs(fh.data))
-
-    def test_derivative_single_mode(self, grid8):
-        x = grid8.x_component(0)
-        data = np.zeros((3, *grid8.shape))
-        data[0] = np.cos(x) * np.ones(grid8.shape)
-        fh = transform(VectorField(grid8, data, "physical"))
-        out = apply_symbol(fh, "derivative", alpha=(1, 0, 0))
-        # coefficient at xi = (1,0,0) picks up a factor i * 1
-        i1 = int(np.argwhere(grid8.xi1 == 1.0)[0][0])
-        assert out.data[0, i1, 0, 0] == pytest.approx(1j * fh.data[0, i1, 0, 0], rel=1e-14)
-
-    def test_unknown_symbol(self, grid16):
-        fh = transform(zero_field(grid16))
-        with pytest.raises(UnsupportedSymbolError):
-            apply_symbol(fh, "banana")
-
-    def test_inv_grad_mean_flag(self, grid16):
-        fld = centered_gaussian(grid16)
-        fh = transform(fld)
-        out = apply_symbol(fh, "inv_grad")
-        assert "mean-not-zero" in out.meta
-        # mean-free input stays clean
-        clean = fh.data.copy()
-        clean[:, 0, 0, 0] = 0.0
-        out2 = apply_symbol(VectorField(grid16, clean, "spectral"), "inv_grad")
-        assert "mean-not-zero" not in out2.meta
-
-    def test_composition(self, grid16):
-        fh = transform(band_limited_random(grid16, seed=6))
-        lame_nu, t = 0.7, 1.3
-        one_then_two = apply_symbol(
-            apply_symbol(fh, "heat", t=t, nu=lame_nu), "riesz", axis=1
-        )
-        r = grid16.radius
-        with np.errstate(invalid="ignore", divide="ignore"):
-            riesz = np.where(r > 0, grid16.xi_component(1) / np.where(r > 0, r, 1.0), 0.0)
-        combined = fh.data * (np.exp(-0.5 * lame_nu * t * r * r) * riesz)
-        scale = np.max(np.abs(fh.data))
-        assert np.max(np.abs(one_then_two.data - combined)) <= 1e-14 * scale
-
-    def test_kernel_symbol(self, grid16):
-        fh = transform(band_limited_random(grid16, seed=7))
-        out = apply_symbol(fh, "k1", beta=1.0, nu=1.0, t=0.0)
-        assert np.max(np.abs(out.data)) == 0.0  # K1(0) = 0
-
-
 class TestCutoffs:
     def test_partition_and_range(self):
         spec = CutoffSpec(c0=1.0, c1=4.0)
@@ -193,7 +128,11 @@ class TestLpNorm:
 
     def test_riesz_l2_contraction(self, grid16):
         fh = transform(band_limited_random(grid16, seed=9))
-        out = apply_symbol(fh, "riesz", axis=0)
+        xi = [grid16.xi_component_safe(a) for a in range(3)]
+        r = np.sqrt(xi[0] ** 2 + xi[1] ** 2 + xi[2] ** 2)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            riesz = np.where(r > 0, xi[0] / np.where(r > 0, r, 1.0), 0.0)
+        out = VectorField(grid16, fh.data * riesz, "spectral")
         assert sobolev_seminorm(out, 0) <= sobolev_seminorm(fh, 0) * (1 + 1e-15)
 
 

@@ -13,7 +13,6 @@ from viscowave.kernels import (
     kernel_hat,
     lowfreq_residual,
     mode_oracle,
-    wave_hat,
 )
 
 
@@ -173,32 +172,12 @@ class TestDiffusionHat:
             assert abs(diffusion_hat(t, r, dp, "G1")) <= bound * (1.0 + 1e-12)
 
     def test_phi_domain(self):
+        # phi is defined strictly below the root threshold 2 beta / nu = 2
         dp = DampingParams(1.0, 1.0)
-        assert diffusion_hat(0.0, 1.0, dp, "PHI") == pytest.approx(np.sqrt(0.75))
+        assert kernel_eval(0.0, 1.0, dp).phi == pytest.approx(np.sqrt(0.75))
+        assert np.isnan(kernel_eval(0.0, 2.5, dp).phi)
         with pytest.raises(OutOfDomainError):
-            diffusion_hat(0.0, 2.5, dp, "PHI")
-
-
-class TestWaveHat:
-    def test_initial(self):
-        dp = DampingParams(2.0, 1.0)
-        assert wave_hat(0.0, 3.0, dp, "W0") == pytest.approx(1.0)
-        assert wave_hat(0.0, 3.0, dp, "W1") == pytest.approx(0.0)
-
-    def test_pythagorean(self):
-        dp = DampingParams(1.7, 1.0)
-        rng = np.random.default_rng(4)
-        t = rng.uniform(0, 10, 100)
-        r = rng.uniform(1e-3, 8, 100)
-        w0 = wave_hat(t, r, dp, "W0")
-        w1 = wave_hat(t, r, dp, "W1")
-        assert np.allclose((dp.beta * r * w1) ** 2 + w0**2, 1.0, atol=1e-12)
-
-    def test_w1_bound(self):
-        dp = DampingParams(0.9, 1.0)
-        t = np.linspace(0, 20, 50)
-        r = np.linspace(0, 5, 50)[:, None]
-        assert np.all(np.abs(wave_hat(t, r, dp, "W1")) <= t + 1e-14)
+            lowfreq_residual(0.0, 2.5, dp)
 
 
 class TestModeOracle:

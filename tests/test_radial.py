@@ -109,6 +109,26 @@ class TestRadialL2:
             radial_l2_norm(square_wave, lambda r: np.exp(-r * r), 0, (1.0, 0.0))
         assert 1e-8 < info.value.achieved < 1.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_integrand_at_the_probe(self, bad):
+        # The support probe itself meets a non-finite value.
+        mult = lambda t, r: np.where(r > 1.0, bad, 1.0)
+        with pytest.raises(QuadratureAccuracyError) as info:
+            radial_l2_norm(mult, lambda r: np.exp(-r), 0, (1.0, 0.0))
+        assert info.value.achieved == np.inf
+
+    def test_non_finite_integrand_at_the_nodes_only(self):
+        # Finite on the support probe (the first call), NaN at every quadrature node.
+        calls = []
+
+        def mult(t, r):
+            calls.append(r.size)
+            return np.ones_like(r) if len(calls) == 1 else np.full_like(r, np.nan)
+
+        with pytest.raises(QuadratureAccuracyError) as info:
+            radial_l2_norm(mult, lambda r: np.exp(-r * r), 0, (1.0, 0.0))
+        assert info.value.achieved == np.inf and len(calls) >= 2
+
 
 class TestMomentTables:
     def test_against_mu_quadrature(self):
@@ -193,11 +213,25 @@ class TestAxisymEvaluator:
             np.concatenate(parts, axis=1), whole, rtol=0, atol=1e-14 * np.max(np.abs(whole))
         )
 
-    def test_degree_overflow_is_rejected(self):
+    @pytest.mark.parametrize("degree", [3, 4, 5, 6])
+    def test_degree_overflow_is_rejected(self, degree):
+        # Degree 4 and 6 have the parity of nmax = 2: the Gauss-node fit aliases
+        # them into lower coefficients, and only the pole residual shows them.
         r = np.linspace(0, 12, 401)
-        terms = [AngularTerm(0, 0, lambda wx, wy, wz, f: (wx * f.gz[0] + wz * f.gz[2]) ** 3)]
+        ang = lambda wx, wy, wz, f: (wx * f.gz[0] + wz * f.gz[2]) ** degree
         with pytest.raises(ValueError, match="polynomial degree"):
-            axisym_evaluate(r, [np.exp(-0.5 * r * r)], terms, 1, r[:11], np.array([0.4]), nmax=2)
+            axisym_evaluate(
+                r, [np.exp(-0.5 * r * r)], [AngularTerm(0, 0, ang)], 1, r[:11], np.array([0.4]), nmax=2
+            )
+
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_degree_within_the_fit_is_accepted(self, degree):
+        r = np.linspace(0, 12, 401)
+        ang = lambda wx, wy, wz, f: (wx * f.gz[0] + wz * f.gz[2]) ** degree
+        out = axisym_evaluate(
+            r, [np.exp(-0.5 * r * r)], [AngularTerm(0, 0, ang)], 1, r[:11], np.array([0.4, 1.9]), nmax=2
+        )
+        assert np.all(np.isfinite(out))
 
     def test_lp_norms_match_analytic_gaussian(self):
         r = np.linspace(0, 12, 2401)
