@@ -213,8 +213,14 @@ class TestAxisymEvaluator:
             np.concatenate(parts, axis=1), whole, rtol=0, atol=1e-14 * np.max(np.abs(whole))
         )
 
-    @pytest.mark.parametrize("degree", [3, 4, 5, 6])
-    def test_degree_overflow_is_rejected(self, degree):
+    def test_degree_overflow_is_rejected(self):
+        r = np.linspace(0, 12, 401)
+        terms = [AngularTerm(0, 0, lambda wx, wy, wz, f: (wx * f.gz[0] + wz * f.gz[2]) ** 3)]
+        with pytest.raises(ValueError, match="polynomial degree"):
+            axisym_evaluate(r, [np.exp(-0.5 * r * r)], terms, 1, r[:11], np.array([0.4]), nmax=2)
+
+    @pytest.mark.parametrize("degree", [4, 5, 6])
+    def test_higher_degree_overflow_is_rejected(self, degree):
         # Degree 4 and 6 have the parity of nmax = 2: the Gauss-node fit aliases
         # them into lower coefficients, and only the pole residual shows them.
         r = np.linspace(0, 12, 401)
