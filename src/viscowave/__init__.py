@@ -8,7 +8,6 @@ from .asymptotics import (
     NormSpec,
     decay_slope,
     linear_norm,
-    nonlinear_moment,
     profile_error_series,
 )
 from .audit import (
@@ -53,7 +52,6 @@ from .solver import (
     SolverConfig,
     Trajectory,
     evolve,
-    nonlinearity,
     picard_iterate,
     x1_norm,
 )
@@ -85,14 +83,12 @@ __all__ = [
     "ContractionTensor",
     "SolverConfig",
     "Trajectory",
-    "nonlinearity",
     "evolve",
     "picard_iterate",
     "x1_norm",
     "DecayReport",
     "NormSpec",
     "LinearSource",
-    "nonlinear_moment",
     "decay_slope",
     "linear_norm",
     "profile_error_series",

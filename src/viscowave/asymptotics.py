@@ -1,11 +1,8 @@
-"""Diffusion-wave profiles, the forcing moment, and decay-rate measurement.
+"""Diffusion-wave profiles and decay-rate measurement.
 
 The long-time shape of the linear solution is governed by the diffusion-wave
-factors evaluated at the zero-frequency moments of the data:
-
-    m1 = int f1 dx,    M = int_0^inf int F(u) dx dt     (forcing moment),
-
-with the displacement profile built from ``G1``-factors on ``m1 + M``; the
+factors evaluated at the zero-frequency moment ``m1 = int f1 dx`` of the
+velocity data: the displacement profile is built from ``G1``-factors; the
 velocity and acceleration profiles swap in ``G0``-factors and
 ``beta^2 |xi|^2``-weighted combinations.  The measurement side fits log-log
 slopes of norm series computed on the continuum radial path (no periodic
@@ -24,11 +21,9 @@ from typing import Callable
 
 import numpy as np
 from scipy import stats
-from scipy.integrate import simpson
 
 from .elastic import LameParams
 from .exceptions import UnsupportedNormError, WindowError
-from .grid import VectorField, sobolev_seminorm
 from .kernels import diffusion_hat, kernel_hat
 from .radial import (
     AngularTerm,
@@ -39,7 +34,6 @@ from .radial import (
     radial_grid,
     radial_l2_norm,
 )
-from .solver import Trajectory
 
 # Not called here; kept bound because perfbench's layer tracer self-test expects it here.
 from .grid import transform  # noqa: F401
@@ -48,49 +42,12 @@ __all__ = [
     "DecayReport",
     "NormSpec",
     "LinearSource",
-    "nonlinear_moment",
     "decay_slope",
     "linear_norm",
     "profile_error_series",
     "expected_solution_slope",
     "SUPPORTED_NORMS",
 ]
-
-_TWO_PI_32 = (2.0 * np.pi) ** 1.5
-
-
-def nonlinear_moment(traj: Trajectory, t_trunc: float) -> tuple[np.ndarray, float]:
-    """Space-time integral of the cached forcing up to ``t_trunc``.
-
-    The spatial integral of each snapshot is ``(2 pi)^{3/2}`` times its zero
-    coefficient; the time integral is composite Simpson on the stored times.
-    The tail bound extrapolates the observed ``(1+t)^{-2}`` decay of the
-    spatial integral: ``C_fit (1 + t_trunc)^{-1}`` with ``C_fit`` regressed
-    over the last decade.
-    """
-    times = np.asarray(traj.times, float)
-    if times[-1] < t_trunc - 1e-12:
-        raise WindowError(
-            f"trajectory ends at t={times[-1]:g}, before t_trunc={t_trunc:g}"
-        )
-    keep = times <= t_trunc + 1e-12
-    ts = times[keep]
-    vals = []
-    for flag, cache in zip(keep, traj.nonlinearity_cache):
-        if not flag:
-            continue
-        if cache is None:
-            raise ValueError("trajectory carries no cached forcing snapshots")
-        vals.append(_TWO_PI_32 * cache.data[:, 0, 0, 0].real)
-    vals = np.asarray(vals)  # (n_t, 3)
-    m_nl = np.array([float(simpson(vals[:, k], x=ts)) for k in range(3)])
-
-    mags = np.linalg.norm(vals, axis=1)
-    last = ts >= max(ts[-1] / 10.0, ts[0])
-    c_fit = float(np.max(mags[last] * (1.0 + ts[last]) ** 2)) if np.any(last) else 0.0
-    tail = c_fit / (1.0 + t_trunc)
-    return m_nl, tail
-
 
 # ---------------------------------------------------------------------------
 # profiles
@@ -376,21 +333,10 @@ def _validate_norm(which: str, spec: NormSpec) -> None:
 
 
 def profile_error_series(
-    source,
-    which: str,
-    spec: NormSpec,
-    times,
-    lame: LameParams | None = None,
+    src: LinearSource, which: str, spec: NormSpec, times, lame: LameParams
 ) -> tuple[DecayReport, DecayReport]:
-    """(solution decay, profile-error decay) for one norm and profile.
-
-    ``source`` is a :class:`LinearSource` (continuum path) or a
-    :class:`Trajectory` (grid path, capped at the box-validity time).
-    """
+    """(solution decay, profile-error decay) for one norm and profile on the continuum path."""
     _validate_norm(which, spec)
-    if isinstance(source, Trajectory):
-        return _trajectory_profile_series(source, which, spec, times, lame)
-    src: LinearSource = source
     ml, mt = _solution_mults(lame, src, spec.ell)
     pl, pt = _profile_mults(lame, src, which)
     el = lambda t, r: ml(t, r) - pl(t, r)
@@ -411,61 +357,4 @@ def profile_error_series(
     err = decay_slope(
         times, np.asarray(err_vals), expected=exp_sol - 0.5, norm_id=spec.label() + ",err"
     )
-    return sol, err
-
-
-def _profile_field(grid, t: float, lame: LameParams, moment, which: str) -> VectorField:
-    """Profile coefficients on a grid's frequency lattice for the moment vector ``m1 + M``."""
-    c = (2.0 * np.pi) ** (-1.5)
-    mvec = c * np.asarray(moment, float)
-    vals, inv = grid.unique_radii()
-    gl, gt = (_profile_coeff(t, vals, lame, family, which)[inv] for family in ("long", "trans"))
-    xi = [grid.xi_component_safe(a) for a in range(3)]
-    r2 = xi[0] ** 2 + xi[1] ** 2 + xi[2] ** 2
-    with np.errstate(invalid="ignore", divide="ignore"):
-        inv_r2 = np.where(r2 > 0, 1.0 / np.where(r2 > 0, r2, 1.0), 0.0)
-    dot = sum(xi[a] * mvec[a] for a in range(3)) * inv_r2
-    data = np.stack([gt * mvec[a] + (gl - gt) * dot * xi[a] for a in range(3)])
-    data = data.astype(np.complex128)
-    # The zero mode carries the pure r -> 0 limit (projector-free).
-    lim = {"G": t, "H": 1.0, "Gtilde": 0.0}[which]
-    for a in range(3):
-        data[a, 0, 0, 0] = lim * mvec[a]
-    return VectorField(grid, data, "spectral")
-
-
-def _trajectory_profile_series(
-    traj: Trajectory, which: str, spec: NormSpec, times, lame: LameParams
-) -> tuple[DecayReport, DecayReport]:
-    """Grid-path comparison, valid only before wave fronts wrap the box."""
-    grid = traj.grid
-    t_cap = grid.box_length / (4.0 * lame.beta_long)
-    times = np.asarray([t for t in times if t <= t_cap], float)
-    if times.size < 8:
-        raise WindowError(
-            f"box-validity cap t <= {t_cap:g} leaves fewer than 8 sample times"
-        )
-    m_nl, _ = nonlinear_moment(traj, float(traj.times[-1]))
-    # m1 from the stored initial velocity coefficients.
-    v0 = traj.states[0].velocity_hat
-    moment = _TWO_PI_32 * v0.data[:, 0, 0, 0].real + m_nl
-
-    if spec.p != 2.0:
-        raise UnsupportedNormError("trajectory path measures p = 2 only")
-    if spec.ell not in (0, 1):
-        raise UnsupportedNormError("trajectory path measures ell <= 1 only")
-    ts = np.asarray(traj.times)
-    # Snap requested times to stored ones; the fit must use the snapped grid.
-    idx = sorted({int(np.argmin(np.abs(ts - t))) for t in times})
-    used, sol_vals, err_vals = [], [], []
-    for i in idx:
-        st = traj.states[i]
-        fld = st.displacement_hat if spec.ell == 0 else st.velocity_hat
-        prof = _profile_field(grid, float(ts[i]), lame, moment, which)
-        diff = VectorField(grid, fld.data - prof.data, "spectral")
-        used.append(float(ts[i]))
-        sol_vals.append(sobolev_seminorm(fld, spec.alpha))
-        err_vals.append(sobolev_seminorm(diff, spec.alpha))
-    sol = decay_slope(used, np.asarray(sol_vals), norm_id=spec.label())
-    err = decay_slope(used, np.asarray(err_vals), norm_id=spec.label() + ",err")
     return sol, err

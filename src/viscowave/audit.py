@@ -24,7 +24,7 @@ import numpy as np
 
 from .elastic import LameParams
 from .exceptions import DegenerateInputError, FitError, UnsupportedSymbolError
-from .grid import CutoffSpec, VectorField, lp_norm, sobolev_seminorm, transform
+from .grid import CutoffSpec, VectorField, inverse_scalar, lp_norm, sobolev_seminorm, transform
 from .kernels import DampingParams, kernel_hat
 from .radial import AngularTerm, axisym_evaluate, gauss_theta_rule, radial_grid, radial_l2_norm
 
@@ -52,13 +52,6 @@ def _scalar_grad_fields(fld: VectorField) -> VectorField:
     return transform(VectorField(grid, data, "spectral"))
 
 
-def _ifft_scalar(grid, arr: np.ndarray) -> np.ndarray:
-    from scipy import fft as sfft
-
-    scale = grid.spacing**3 * (2.0 * np.pi) ** (-1.5)
-    return sfft.ifftn(arr, workers=-1).real / scale
-
-
 def _tensor_lp(fld: VectorField, arrays, p: float) -> float:
     """L^p norm over a list of physical arrays (component-sum convention)."""
     h3 = fld.grid.spacing**3
@@ -75,7 +68,7 @@ def _second_derivs(fld: VectorField):
     for a in range(3):
         for b in range(3):
             out.append(
-                _ifft_scalar(
+                inverse_scalar(
                     grid, -grid.xi_component_safe(a) * grid.xi_component_safe(b) * fh.data[0]
                 )
             )

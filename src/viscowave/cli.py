@@ -77,7 +77,7 @@ def _parse_config(path: Path) -> dict:
         cfg = {
             "name": scen.get("name", path.stem),
             "suite": scen["suite"],
-            "seed": scen.getint("seed", 1234),
+            "seed": _seed(scen.getint("seed", 1234)),
             "lame": LameParams(
                 cp.getfloat("lame", "lambda", fallback=0.0),
                 cp.getfloat("lame", "mu", fallback=1.0),
@@ -108,6 +108,10 @@ def _parse_config(path: Path) -> dict:
                 f"[times] needs finite 0 < start < stop, got start={cfg['t_start']}, "
                 f"stop={cfg['t_stop']}"
             )
+        counts = (("t_count", "[times] count"), ("oracle_samples", "[kernels] oracle_samples"))
+        for key, name in counts:
+            if cfg[key] < 1:
+                raise ValueError(f"{name} must be at least 1, got {cfg[key]}")
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"config validation failure: {exc}") from exc
     if cfg["suite"] not in SUITES:
@@ -119,6 +123,13 @@ def _parse_config(path: Path) -> dict:
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     cfg["config_hash"] = digest
     return cfg
+
+
+def _seed(seed: int) -> int:
+    """``seed`` if numpy's generator accepts it; a negative seed is a config error."""
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+    return seed
 
 
 def _solver_config(cfg: dict, scale: float = 1.0) -> SolverConfig:
@@ -557,11 +568,11 @@ def run_scenario(config_path, out_dir, seed: int | None = None, suite: str | Non
         cfg = _parse_config(Path(config_path))
         if suite is not None and suite != cfg["suite"]:
             raise ConfigError(f"config is for suite {cfg['suite']!r}, not {suite!r}")
+        if seed is not None:
+            cfg["seed"] = _seed(seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if seed is not None:
-        cfg["seed"] = seed
     out = Path(out_dir)
     summary = {"scenario": cfg["name"], "suite": cfg["suite"]}
 

@@ -32,8 +32,8 @@ __all__ = [
     "make_grid",
     "zero_field",
     "transform",
+    "inverse_scalar",
     "lp_norm",
-    "coefficient_l2_norm",
     "sobolev_seminorm",
     "hermitian_defect",
     "dealias_mask",
@@ -163,6 +163,11 @@ def transform(fld: VectorField) -> VectorField:
     return VectorField(fld.grid, np.ascontiguousarray(data.real), "physical")
 
 
+def inverse_scalar(grid: Grid3, arr: np.ndarray) -> np.ndarray:
+    """Physical values of one spectral scalar: the inverse ``transform`` of one component."""
+    return sfft.ifftn(arr, workers=_WORKERS).real / _forward_scale(grid)
+
+
 def hermitian_defect(fld: VectorField) -> float:
     """Relative deviation of spectral coefficients from gh(-xi) = conj(gh(xi))."""
     if fld.space != "spectral":
@@ -225,12 +230,8 @@ class CutoffSpec:
         return {"L": self.chi_l, "M": self.chi_m, "H": self.chi_h}[part](r)
 
 
-def dealias_mask(grid: Grid3, rule: str = "2/3") -> np.ndarray:
+def dealias_mask(grid: Grid3) -> np.ndarray:
     """Boolean retain-mask for quadratic products (two-thirds rule)."""
-    if rule in ("none", None):
-        return np.ones(grid.shape, dtype=bool)
-    if rule != "2/3":
-        raise ValueError(f"unknown dealias rule {rule!r}")
     kmax = grid.n // 3
     k1 = np.rint(grid.xi1 / (2.0 * np.pi / grid.box_length)).astype(int)
     keep1 = np.abs(k1) <= kmax
@@ -252,14 +253,6 @@ def lp_norm(fld: VectorField, p: float) -> float:
         return float(a.max())
     h3 = fld.grid.spacing**3
     return float((np.sum(a**p) * h3) ** (1.0 / p))
-
-
-def coefficient_l2_norm(fld: VectorField) -> float:
-    """Weighted l2 norm of spectral coefficients; equals lp_norm(.., 2) by Plancherel."""
-    if fld.space != "spectral":
-        raise ValueError("coefficient_l2_norm expects a spectral field")
-    dxi3 = (2.0 * np.pi / fld.grid.box_length) ** 3
-    return float(np.sqrt(np.sum(np.abs(fld.data) ** 2) * dxi3))
 
 
 def sobolev_seminorm(fld: VectorField, order: int) -> float:

@@ -27,13 +27,14 @@ streamed over the nodes with a three-sample window of split forcing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .elastic import ElasticState, LameParams, Propagator
 from .exceptions import DivergenceError, NoContractionError
-from .grid import Grid3, VectorField, dealias_mask, sobolev_seminorm, transform
+from .grid import Grid3, VectorField, dealias_mask, inverse_scalar, sobolev_seminorm, transform
 from .radial import simpson_weights
 
 # Not called here; kept bound because perfbench's layer tracer self-test expects them here.
@@ -44,7 +45,6 @@ __all__ = [
     "ContractionTensor",
     "SolverConfig",
     "Trajectory",
-    "nonlinearity",
     "evolve",
     "picard_iterate",
     "x1_norm",
@@ -86,17 +86,17 @@ class SolverConfig:
     picard_max_iter: int = 25
 
     def __post_init__(self) -> None:
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if not self.t_end > 0:
-            raise ValueError("t_end must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
+        if not 0 < self.t_end < math.inf:
+            raise ValueError(f"t_end must be finite and positive, got {self.t_end}")
         steps = self.t_end / self.dt
         if not abs(steps - round(steps)) <= 1e-9 * steps:
             raise ValueError(
                 f"t_end = {self.t_end:g} is not a whole number of steps dt = {self.dt:g}"
             )
-        if not self.picard_tol > 0:
-            raise ValueError("picard_tol must be positive")
+        if not 0 < self.picard_tol < math.inf:
+            raise ValueError(f"picard_tol must be finite and positive, got {self.picard_tol}")
         if not self.picard_max_iter >= 1:
             raise ValueError("picard_max_iter must be at least 1")
 
@@ -107,15 +107,10 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
-    """Time-stamped solution snapshots plus cached spectral forcing."""
+    """Time-stamped solution snapshots."""
 
     times: np.ndarray
     states: list[ElasticState]
-    nonlinearity_cache: list[VectorField | None] = field(default_factory=list)
-
-    @property
-    def grid(self) -> Grid3:
-        return self.states[0].grid
 
 
 # ---------------------------------------------------------------------------
@@ -123,16 +118,12 @@ class Trajectory:
 
 
 def _nonlinearity_hat(
-    grid: Grid3, u_hat: np.ndarray, tensor: ContractionTensor, mask: np.ndarray | None
+    grid: Grid3, u_hat: np.ndarray, tensor: ContractionTensor, mask: np.ndarray
 ) -> np.ndarray:
     """Dealiased spectral forcing from spectral displacement data."""
-    from scipy import fft as sfft
-
-    out = np.zeros((3, *grid.shape), dtype=np.complex128)
     if not tensor.entries:
-        return out
+        return np.zeros((3, *grid.shape), dtype=np.complex128)
 
-    scale = grid.spacing**3 * (2.0 * np.pi) ** (-1.5)
     xi = [grid.xi_component_safe(a) for a in range(3)]
 
     first_pairs = sorted({(i, j) for (_, i, j, _, _) in tensor.entries})
@@ -140,32 +131,18 @@ def _nonlinearity_hat(
 
     d1 = {}
     for i, j in first_pairs:
-        d1[(i, j)] = sfft.ifftn(1j * xi[i] * u_hat[j], workers=-1).real / scale
+        d1[(i, j)] = inverse_scalar(grid, 1j * xi[i] * u_hat[j])
     d2 = {}
     for i, j, m in second_triples:
-        d2[(i, j, m)] = sfft.ifftn(-(xi[i] * xi[j]) * u_hat[m], workers=-1).real / scale
+        d2[(i, j, m)] = inverse_scalar(grid, -(xi[i] * xi[j]) * u_hat[m])
 
     f_phys = np.zeros((3, *grid.shape))
     for k, i, j, m, w in tensor.entries:
         f_phys[k] += w * d1[(i, j)] * d2[(min(i, j), max(i, j), m)]
 
-    f_hat = sfft.fftn(f_phys, axes=(1, 2, 3), workers=-1) * scale
-    if mask is not None:
-        f_hat *= mask
+    f_hat = transform(VectorField(grid, f_phys, "physical")).data
+    f_hat *= mask
     return f_hat
-
-
-def nonlinearity(
-    u: VectorField, tensor: ContractionTensor, dealias_rule: str = "2/3"
-) -> VectorField:
-    """Physical-space forcing ``F(u)`` with the dealias mask applied spectrally."""
-    if u.space != "physical":
-        raise ValueError("nonlinearity expects a physical-space field")
-    grid = u.grid
-    mask = None if dealias_rule in ("none", None) else dealias_mask(grid, dealias_rule)
-    u_hat = transform(u)
-    f_hat = _nonlinearity_hat(grid, u_hat.data, tensor, mask)
-    return transform(VectorField(grid, f_hat, "spectral"))
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +211,7 @@ def evolve(
 
     times = [0.0]
     states = [_state(grid, u_arr, v_arr, 0.0)]
-    f_now = nl(u_arr)
-    cache = [VectorField(grid, f_now, "spectral")]
-    g_now = prop.split(f_now)
+    g_now = prop.split(nl(u_arr))
 
     linear_only = not tensor.entries
     for k in range(config.n_steps):
@@ -256,8 +231,7 @@ def evolve(
             _add(du_f, u)
             del g_quarter, g_mid, g_end, du_h
             g_mid = prop.split(nl(prop.join(u_half)))
-            f_now = nl(prop.join(du_f))
-            g_end = prop.split(f_now)
+            g_end = prop.split(nl(prop.join(du_f)))
             del u_half, du_f
             du_f, dv_f = prop.duhamel(_simpson(dt, g_now, g_mid, g_end))
             _add(u, du_f)
@@ -272,9 +246,8 @@ def evolve(
             )
         times.append(t_next)
         states.append(_state(grid, u_arr, v_arr, t_next))
-        cache.append(VectorField(grid, f_now, "spectral"))
 
-    return Trajectory(times=np.asarray(times), states=states, nonlinearity_cache=cache)
+    return Trajectory(times=np.asarray(times), states=states)
 
 
 # ---------------------------------------------------------------------------
@@ -436,5 +409,4 @@ def picard_iterate(
     # Return the full-step subset, matching evolve's sampling.
     idx = range(0, m_count + 1, 2)
     states = [_state(grid, states_u[m], states_v[m], float(taus[m])) for m in idx]
-    cache = [VectorField(grid, f_prev[m], "spectral") for m in idx]
-    return Trajectory(times=taus[::2], states=states, nonlinearity_cache=cache), history
+    return Trajectory(times=taus[::2], states=states), history

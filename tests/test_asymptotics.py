@@ -1,110 +1,44 @@
-"""Forcing-moment, profile, and decay-measurement tests."""
+"""Profile and decay-measurement tests."""
 
 import math
 
 import numpy as np
 import pytest
 
-from conftest import centered_gaussian
 from viscowave.asymptotics import (
     LinearSource,
     NormSpec,
     _l2_norm_from_mults,
-    _profile_field,
     _profile_mults,
     decay_slope,
     expected_solution_slope,
-    nonlinear_moment,
     profile_error_series,
 )
 from viscowave.elastic import LameParams
 from viscowave.exceptions import UnsupportedNormError, WindowError
 from viscowave.kernels import diffusion_hat
-from viscowave.grid import VectorField, make_grid, transform, zero_field
-from viscowave.solver import ContractionTensor, SolverConfig, Trajectory, evolve
 
 LAME = LameParams(0.0, 1.0, 1.0)
 
 
-class TestNonlinearMoment:
-    @staticmethod
-    def synthetic_trajectory(g, times, ghat0=2.0):
-        # cached forcing: F(tau) = e^{-tau} * g with hat-g(0) fixed
-        states = []
-        cache = []
-        from viscowave.elastic import ElasticState
-
-        for t in times:
-            z = transform(zero_field(g))
-            states.append(ElasticState(z, z, float(t)))
-            data = np.zeros((3, *g.shape), dtype=np.complex128)
-            data[:, 0, 0, 0] = np.exp(-t) * ghat0 / (2.0 * np.pi) ** 1.5
-            cache.append(VectorField(g, data, "spectral"))
-        return Trajectory(times=np.asarray(times, float), states=states, nonlinearity_cache=cache)
-
-    def test_zero_trajectory(self, grid16):
-        times = np.linspace(0.0, 4.0, 9)
-        traj = self.synthetic_trajectory(grid16, times, ghat0=0.0)
-        m, tail = nonlinear_moment(traj, 4.0)
-        assert np.all(m == 0.0) and tail == 0.0
-
-    def test_closed_form_time_integral(self, grid16):
-        times = np.linspace(0.0, 6.0, 241)
-        traj = self.synthetic_trajectory(grid16, times, ghat0=3.0)
-        m, _ = nonlinear_moment(traj, 6.0)
-        assert m[0] == pytest.approx(3.0 * (1.0 - np.exp(-6.0)), rel=1e-8)
-
-    def test_truncation_within_tail_bound(self):
-        # trajectory with a genuine (1+t)^{-2} forcing integral
-        g = make_grid(16, 16.0)
-        times = np.linspace(0.0, 40.0, 401)
-        states, cache = [], []
-        from viscowave.elastic import ElasticState
-
-        for t in times:
-            z = transform(zero_field(g))
-            states.append(ElasticState(z, z, float(t)))
-            data = np.zeros((3, *g.shape), dtype=np.complex128)
-            data[:, 0, 0, 0] = (1.0 + t) ** -2 / (2.0 * np.pi) ** 1.5
-            cache.append(VectorField(g, data, "spectral"))
-        traj = Trajectory(times=times, states=states, nonlinearity_cache=cache)
-        m_half, tail_half = nonlinear_moment(traj, 20.0)
-        m_full, _ = nonlinear_moment(traj, 40.0)
-        assert np.linalg.norm(m_full - m_half) <= tail_half * np.sqrt(3.0)
-
-    def test_range_error(self, grid16):
-        traj = self.synthetic_trajectory(grid16, np.linspace(0, 2, 5))
-        with pytest.raises(WindowError):
-            nonlinear_moment(traj, 10.0)
-
-
 class TestProfileHat:
-    """Spectral profile coefficients on the lattice and the continuum path."""
+    """Profile coefficients on the continuum path."""
 
-    def test_zero_moments(self, grid16):
-        out = _profile_field(grid16, 3.0, LAME, np.zeros(3), "G")
-        assert np.all(out.data == 0.0)
+    def test_zero_moments(self):
+        r = np.linspace(0.0, 5.0, 11)
+        for which in ("G", "H", "Gtilde"):
+            pl, pt = _profile_mults(LAME, LinearSource(ghat=np.zeros_like), which)
+            assert np.all(pl(3.0, r) == 0.0) and np.all(pt(3.0, r) == 0.0)
 
-    def test_equal_speed_collapse(self, grid16):
-        # lambda + mu = 0: the projector terms cancel and G is scalar
+    def test_equal_speed_collapse(self):
+        # lambda + mu = 0: both families share one speed, so G is scalar
         lame = LameParams(-1.0, 1.0, 1.0)
-        m1 = np.array([0.3, -0.7, 1.1])
-        out = _profile_field(grid16, 2.0, lame, m1, "G")
-        vals, inv = grid16.unique_radii()
-        g1 = diffusion_hat(2.0, vals, lame.trans_params, "G1")[inv]
-        want = np.stack([g1 * ((2.0 * np.pi) ** -1.5 * m1)[a] for a in range(3)])
-        assert np.max(np.abs(out.data - want)) < 1e-15
-
-    @pytest.mark.parametrize("which", ["G", "H", "Gtilde"])
-    def test_lattice_and_continuum_paths_agree(self, grid16, which):
-        # Along xi parallel (perpendicular) to the moment, the lattice profile is
-        # the longitudinal (transverse) radial coefficient of the continuum path.
-        out = _profile_field(grid16, 2.0, LAME, [(2.0 * np.pi) ** 1.5, 0.0, 0.0], which)
-        pl, pt = _profile_mults(LAME, LinearSource(ghat=np.ones_like), which)
-        vals, inv = grid16.unique_radii()
-        r = vals[inv[1:4, 0, 0]]  # the lattice radii |xi| of the modes compared
-        np.testing.assert_allclose(out.data[0, 1:4, 0, 0], pl(2.0, r), rtol=1e-14)
-        np.testing.assert_allclose(out.data[0, 0, 1:4, 0], pt(2.0, r), rtol=1e-14)
+        src = LinearSource(ghat=lambda r: 0.7 * np.ones_like(r))
+        r = np.linspace(0.0, 5.0, 101)
+        pl, pt = _profile_mults(lame, src, "G")
+        want = diffusion_hat(2.0, r, lame.trans_params, "G1") * 0.7
+        assert np.max(np.abs(pl(2.0, r) - want)) < 1e-15
+        assert np.max(np.abs(pt(2.0, r) - want)) < 1e-15
 
     def test_gradient_l2_slope(self):
         # || grad G(t) ||_2 decays like t^{-3/4} for data with mass
@@ -165,16 +99,6 @@ class TestProfileErrorSeries:
         sol, err = profile_error_series(src, "G", NormSpec(2, 0, 2.0), times, lame=LAME)
         assert sol.slope == pytest.approx(expected_solution_slope(NormSpec(2, 0, 2.0)), abs=0.05)
         assert sol.slope - err.slope >= 0.35
-
-    def test_trajectory_path_window_guard(self):
-        g = make_grid(16, 16.0)
-        f1 = centered_gaussian(g, sigma=0.8)
-        cfg = SolverConfig(dt=0.5, t_end=3.0)
-        traj = evolve(zero_field(g), f1, LAME, ContractionTensor.zero(), cfg)
-        with pytest.raises(WindowError):
-            # box-validity cap t <= L/(4 beta_long) ~ 2.8 leaves too few times
-            profile_error_series(traj, "G", NormSpec(1, 0, 2.0),
-                                 np.logspace(-1, 1, 9), lame=LAME)
 
 
 def test_expected_slope_table():

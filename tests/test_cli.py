@@ -102,6 +102,10 @@ class TestRunScenario:
             "dt = 0.7\nt_end = 1.0",
             "dt = 1.0\nt_end = 0.0",
             "dt = 1.0\nt_end = 2.0\npicard_max_iter = 0",
+            "dt = inf\nt_end = 2.0",
+            "dt = 1.0\nt_end = inf",
+            "dt = nan\nt_end = 2.0",
+            "dt = 1.0\nt_end = 2.0\npicard_tol = inf",
         ],
     )
     def test_unusable_solver_settings_are_usage_errors(self, tmp_path, solver):
@@ -144,6 +148,8 @@ class TestRunScenario:
             ("linear-decay", {"stop": "100.0"}),
             ("linear-decay", {"stop": "10.0"}),
             ("linear-decay", {"stop": "inf"}),
+            ("linear-decay", {"count": "0"}),
+            ("linear-decay", {"count": "-3"}),
         ],
     )
     def test_unusable_grid_or_times_is_usage_error(self, tmp_path, suite, override, capsys):
@@ -153,6 +159,32 @@ class TestRunScenario:
         assert not out.exists()
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "replace, extra",
+        [
+            (("oracle_samples = 6", "oracle_samples = 0"), []),
+            (("oracle_samples = 6", "oracle_samples = -2"), []),
+            (("seed = 7", "seed = -1"), []),
+            (("", ""), ["--seed", "-1"]),
+        ],
+        ids=["oracle_samples=0", "oracle_samples=-2", "seed=-1", "--seed=-1"],
+    )
+    def test_empty_oracle_or_negative_seed_is_usage_error(self, tmp_path, replace, extra, capsys):
+        cfg = write_cfg(tmp_path, FAST_KERNELS.replace(*replace))
+        out = tmp_path / "out"
+        assert main(["kernels", "--config", str(cfg), "--out", str(out), *extra]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+
+    def test_nonlinear16_copy_runs(self, tmp_path):
+        cfg = write_cfg(tmp_path, checked_in("nonlinear", n=16))
+        out = tmp_path / "out"
+        assert run_scenario(cfg, out, suite="nonlinear") == 0
+        summary = json.loads((out / "summary.json").read_text())
+        crit8 = [a for a in summary["assertions"] if a["criterion"] == "8"]
+        assert len(crit8) == 2 and all(a["passed"] for a in crit8)
 
     def test_picard16_copy_runs(self, tmp_path):
         # the fixture the usage-error cases perturb is itself a passing run

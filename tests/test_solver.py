@@ -8,6 +8,7 @@ from viscowave.elastic import LameParams, Propagator, linear_propagate
 from viscowave.exceptions import DivergenceError, NoContractionError
 from viscowave.grid import (
     VectorField,
+    dealias_mask,
     hermitian_defect,
     make_grid,
     transform,
@@ -17,8 +18,8 @@ from viscowave.solver import (
     ContractionTensor,
     SolverConfig,
     _duhamel_stream,
+    _nonlinearity_hat,
     evolve,
-    nonlinearity,
     picard_iterate,
     x1_data_seminorm,
     x1_distance,
@@ -55,6 +56,11 @@ class TestSolverConfig:
             {"dt": 0.5, "t_end": 2.0, "picard_max_iter": 0},
             {"dt": 0.0, "t_end": 2.0},
             {"dt": 0.5, "t_end": 2.0, "picard_tol": 0.0},
+            {"dt": float("inf"), "t_end": 2.0},
+            {"dt": float("nan"), "t_end": 2.0},
+            {"dt": 0.5, "t_end": float("inf")},
+            {"dt": float("inf"), "t_end": float("inf")},
+            {"dt": 0.5, "t_end": 2.0, "picard_tol": float("inf")},
         ],
     )
     def test_rejects_unusable_settings(self, kwargs):
@@ -67,28 +73,35 @@ class TestSolverConfig:
         assert SolverConfig(dt=1.25, t_end=25.0, picard_max_iter=1).n_steps == 20
 
 
+def forcing(u, tensor):
+    """Physical-space forcing ``F(u)`` of a physical field, dealiased by the two-thirds mask."""
+    f_hat = _nonlinearity_hat(u.grid, transform(u).data, tensor, dealias_mask(u.grid))
+    return transform(VectorField(u.grid, f_hat, "spectral"))
+
+
 class TestNonlinearity:
     def test_zero(self, grid16):
-        out = nonlinearity(zero_field(grid16), ContractionTensor.default())
+        out = forcing(zero_field(grid16), ContractionTensor.default())
         assert np.all(out.data == 0.0)
 
     def test_quadratic_homogeneity(self, grid16):
         u = centered_gaussian(grid16, sigma=1.2)
-        f1 = nonlinearity(u, ContractionTensor.default())
+        f1 = forcing(u, ContractionTensor.default())
         u2 = VectorField(grid16, 2.0 * u.data, "physical")
-        f2 = nonlinearity(u2, ContractionTensor.default())
+        f2 = forcing(u2, ContractionTensor.default())
         scale = np.max(np.abs(f2.data))
         assert np.max(np.abs(f2.data - 4.0 * f1.data)) <= 1e-13 * scale
 
     def test_single_mode_trig_expansion(self):
-        # u = eps sin(x1) e1: F_k = (d1 u1)(d1 d1 u_k) = -eps^2 sin cos = -eps^2 sin(2 x1)/2
+        # u = eps sin(x1) e1: F_k = (d1 u1)(d1 d1 u_k) = -eps^2 sin cos = -eps^2 sin(2 x1)/2;
+        # the k = 2 product lies inside the two-thirds band (|k| <= 5) of 16 points
         g = make_grid(16, 2.0 * np.pi)
         eps = 0.3
         x = g.x_component(0)
         data = np.zeros((3, *g.shape))
         data[0] = eps * np.sin(x) * np.ones(g.shape)
         u = VectorField(g, data, "physical")
-        out = nonlinearity(u, ContractionTensor.default(), dealias_rule="none")
+        out = forcing(u, ContractionTensor.default())
         expected = -0.5 * eps * eps * np.sin(2.0 * x) * np.ones(g.shape)
         assert np.max(np.abs(out.data[0] - expected)) <= 1e-12
         assert np.max(np.abs(out.data[1])) <= 1e-13
@@ -105,7 +118,7 @@ class TestNonlinearity:
         data = np.zeros((3, *g.shape))
         data[0] = profile * np.ones(g.shape)
         u = VectorField(g, data, "physical")
-        out = transform(nonlinearity(u, ContractionTensor.default(), dealias_rule="2/3"))
+        out = transform(forcing(u, ContractionTensor.default()))
 
         k1 = np.rint(g.xi1).astype(int)
 
@@ -131,7 +144,7 @@ class TestNonlinearity:
 
     def test_diagonal_tensor_variant(self, grid16):
         u = centered_gaussian(grid16)
-        out = nonlinearity(u, ContractionTensor.diagonal())
+        out = forcing(u, ContractionTensor.diagonal())
         assert np.isfinite(out.data).all()
 
 
@@ -299,8 +312,7 @@ class TestPicard:
         t2, _ = picard_iterate(f0, f1, LAME, ContractionTensor.default(), cfg2)
         # common window states agree: horizon-local fixed point is stable
         k = len(t1.times)
-        sub = type(t2)(times=t2.times[:k], states=t2.states[:k],
-                       nonlinearity_cache=t2.nonlinearity_cache[:k])
+        sub = type(t2)(times=t2.times[:k], states=t2.states[:k])
         assert x1_distance(t1, sub) <= 1e-12
 
 
