@@ -9,7 +9,10 @@ Conventions fixed here and relied on everywhere else:
   transform and discrete Plancherel holds exactly:
   ``sum |f|^2 h^3 = sum |fhat|^2 (2 pi / L)^3``;
 * vector fields are stored as arrays of shape ``(3, n, n, n)`` with axis
-  order (component, x, y, z).
+  order (component, x, y, z);
+* a real scalar's spectrum is stored on the half lattice ``k_z = 0 .. n/2``
+  (``rfftn`` layout, shape ``(n, n, n/2 + 1)``); the ``k_z`` planes strictly
+  between 0 and n/2 stand for themselves and their conjugate mirror images.
 """
 
 from __future__ import annotations
@@ -32,9 +35,11 @@ __all__ = [
     "make_grid",
     "zero_field",
     "transform",
+    "forward_scalar",
     "inverse_scalar",
     "lp_norm",
     "sobolev_seminorm",
+    "half_seminorm",
     "hermitian_defect",
     "dealias_mask",
 ]
@@ -97,6 +102,10 @@ class Grid3:
         safe = self.xi1.copy()
         safe[self.n // 2] = 0.0
         return safe.reshape(shape)
+
+    def xi_half(self, axis: int) -> np.ndarray:
+        """``xi_component_safe`` on the half lattice of :func:`forward_scalar`."""
+        return self.xi_component_safe(axis)[..., : self.n // 2 + 1]
 
     def x_component(self, axis: int) -> np.ndarray:
         """Physical coordinate along one axis, broadcastable like xi_component."""
@@ -163,9 +172,14 @@ def transform(fld: VectorField) -> VectorField:
     return VectorField(fld.grid, np.ascontiguousarray(data.real), "physical")
 
 
-def inverse_scalar(grid: Grid3, arr: np.ndarray) -> np.ndarray:
-    """Physical values of one spectral scalar: the inverse ``transform`` of one component."""
-    return sfft.ifftn(arr, workers=_WORKERS).real / _forward_scale(grid)
+def forward_scalar(grid: Grid3, f: np.ndarray) -> np.ndarray:
+    """Half-lattice spectrum of one real scalar, scaled like ``transform``."""
+    return sfft.rfftn(f, workers=_WORKERS) * _forward_scale(grid)
+
+
+def inverse_scalar(grid: Grid3, fh: np.ndarray) -> np.ndarray:
+    """Physical values of one half-lattice spectrum: the inverse of ``forward_scalar``."""
+    return sfft.irfftn(fh, s=grid.shape, workers=_WORKERS) / _forward_scale(grid)
 
 
 def hermitian_defect(fld: VectorField) -> float:
@@ -242,17 +256,26 @@ def dealias_mask(grid: Grid3) -> np.ndarray:
 # norms
 
 
-def lp_norm(fld: VectorField, p: float) -> float:
-    """Riemann-sum L^p norm over all components and lattice points."""
-    if fld.space != "physical":
-        raise ValueError("lp_norm expects a physical-space field")
+def lp_norm(grid: Grid3, f, p: float) -> float:
+    """Riemann-sum L^p norm of real physical data, summed over all of it.
+
+    ``f`` is one array (a scalar, or a vector field's ``data``) or an iterable
+    of arrays, read one at a time, whose sums add: the component-sum
+    convention, matching the max over all entries at p = inf.
+    """
     if p < 1:
         raise InvalidExponentError(f"p must satisfy 1 <= p <= inf, got {p}")
-    a = np.abs(fld.data)
+
+    def magnitudes():
+        for a in (f,) if isinstance(f, np.ndarray) else f:
+            if np.iscomplexobj(a):
+                raise ValueError("lp_norm expects real physical data, got a complex array")
+            yield np.abs(a)
+
     if math.isinf(p):
-        return float(a.max())
-    h3 = fld.grid.spacing**3
-    return float((np.sum(a**p) * h3) ** (1.0 / p))
+        return float(max(np.max(a) for a in magnitudes()))
+    total = sum(float(np.sum(a**p)) for a in magnitudes())
+    return float((total * grid.spacing**3) ** (1.0 / p))
 
 
 def sobolev_seminorm(fld: VectorField, order: int) -> float:
@@ -262,3 +285,17 @@ def sobolev_seminorm(fld: VectorField, order: int) -> float:
     dxi3 = (2.0 * np.pi / fld.grid.box_length) ** 3
     w = fld.grid.radius ** (2 * order) if order else 1.0
     return float(np.sqrt(np.sum(w * np.abs(fld.data) ** 2) * dxi3))
+
+
+def half_seminorm(grid: Grid3, fh: np.ndarray, order: int) -> float:
+    """``sobolev_seminorm`` of a real scalar from its half-lattice spectrum.
+
+    The ``k_z`` planes 1 .. n/2 - 1 count twice, for their mirror images;
+    the planes ``k_z = 0`` and ``k_z = n/2`` are their own mirrors and count once.
+    """
+    dxi3 = (2.0 * np.pi / grid.box_length) ** 3
+    a = np.abs(fh) ** 2
+    if order:
+        a *= grid.radius[..., : grid.n // 2 + 1] ** (2 * order)
+    total = 2.0 * np.sum(a[..., 1:-1]) + np.sum(a[..., 0]) + np.sum(a[..., -1])
+    return float(np.sqrt(total * dxi3))

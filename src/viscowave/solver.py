@@ -120,21 +120,26 @@ class Trajectory:
 def _nonlinearity_hat(
     grid: Grid3, u_hat: np.ndarray, tensor: ContractionTensor, mask: np.ndarray
 ) -> np.ndarray:
-    """Dealiased spectral forcing from spectral displacement data."""
+    """Dealiased spectral forcing from spectral displacement data.
+
+    The displacement is real, so its derivatives come from the half lattice
+    of its spectrum through ``inverse_scalar``.
+    """
     if not tensor.entries:
         return np.zeros((3, *grid.shape), dtype=np.complex128)
 
-    xi = [grid.xi_component_safe(a) for a in range(3)]
+    xi = [grid.xi_half(a) for a in range(3)]
+    u_half = u_hat[..., : grid.n // 2 + 1]
 
     first_pairs = sorted({(i, j) for (_, i, j, _, _) in tensor.entries})
     second_triples = sorted({(min(i, j), max(i, j), m) for (_, i, j, m, _) in tensor.entries})
 
     d1 = {}
     for i, j in first_pairs:
-        d1[(i, j)] = inverse_scalar(grid, 1j * xi[i] * u_hat[j])
+        d1[(i, j)] = inverse_scalar(grid, 1j * xi[i] * u_half[j])
     d2 = {}
     for i, j, m in second_triples:
-        d2[(i, j, m)] = inverse_scalar(grid, -(xi[i] * xi[j]) * u_hat[m])
+        d2[(i, j, m)] = inverse_scalar(grid, -(xi[i] * xi[j]) * u_half[m])
 
     f_phys = np.zeros((3, *grid.shape))
     for k, i, j, m, w in tensor.entries:

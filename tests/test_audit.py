@@ -1,5 +1,7 @@
 """Inequality ratios, banded decay fits, and symbol bound scans."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,18 +16,16 @@ from viscowave.audit import (
 )
 from viscowave.asymptotics import decay_slope
 from viscowave.elastic import LameParams, default_cutoffs
-from viscowave.exceptions import DegenerateInputError
-from viscowave.grid import CutoffSpec, VectorField, make_grid, zero_field
+from viscowave.exceptions import DegenerateInputError, ShapeMismatchError
+from viscowave.grid import CutoffSpec, make_grid
 from viscowave.kernels import DampingParams
 
 LAME = LameParams(0.0, 1.0, 1.0)
 GAUSS = lambda x, y, z: np.exp(-0.5 * (x * x + y * y + z * z))
 
 
-def scalar_field(grid, values):
-    data = np.zeros((3, *grid.shape))
-    data[0] = values
-    return VectorField(grid, data, "physical")
+def centered(grid, shift=(0.0, 0.0, 0.0)):
+    return [grid.x_component(a) - grid.box_length / 2.0 - shift[a] for a in range(3)]
 
 
 class TestInequalities:
@@ -42,16 +42,22 @@ class TestInequalities:
         grid = make_grid(16, 16.0)
         rng = np.random.default_rng(1)
         for seed in range(5):
-            fld = scalar_field(grid, rng.standard_normal(grid.shape))
-            assert inequality_check("RIESZ", fld) <= 1.0 + 1e-14
+            assert inequality_check("RIESZ", grid, rng.standard_normal(grid.shape)) <= 1.0 + 1e-14
+
+    def test_riesz_lp_of_plane_wave(self):
+        # R_1 cos(x_1) = sin(x_1), which has the L^p norm of cos(x_1) for every p
+        grid = make_grid(8, 2.0 * np.pi)
+        f = np.cos(grid.x_component(0)) * np.ones(grid.shape)
+        for p in (2.0, 3.0, 4.0):
+            assert inequality_check("RIESZ", grid, f, p) == pytest.approx(1.0, rel=1e-12)
 
     def test_sobolev_refinement_oracle(self):
         vals = []
         for n in (96, 128):
             grid = make_grid(n, 24.0)
-            xc = [grid.x_component(a) - 12.0 for a in range(3)]
-            fld = scalar_field(grid, GAUSS(*xc) + 0.3 * GAUSS(2 * xc[0], xc[1], 2 * xc[2]))
-            vals.append(inequality_check("SOB_6", fld))
+            xc = centered(grid)
+            f = GAUSS(*xc) + 0.3 * GAUSS(2 * xc[0], xc[1], 2 * xc[2])
+            vals.append(inequality_check("SOB_6", grid, f))
         assert abs(vals[0] - vals[1]) <= 1e-4 * vals[1]
 
     def test_low_high_split_stable_family(self):
@@ -61,16 +67,83 @@ class TestInequalities:
         for seed in range(20):
             sig = rng.uniform(0.6, 2.0)
             off = rng.uniform(-2.0, 2.0, 3)
-            xc = [grid.x_component(a) - 12.0 - off[a] for a in range(3)]
-            fld = scalar_field(grid, np.exp(-0.5 * sum(x * x for x in xc) / sig**2))
-            ratios.append(inequality_check("LOW_HIGH_SPLIT", fld))
+            xc = centered(grid, off)
+            f = np.exp(-0.5 * sum(x * x for x in xc) / sig**2)
+            ratios.append(inequality_check("LOW_HIGH_SPLIT", grid, f))
         assert np.isfinite(ratios).all()
         assert max(ratios) / min(ratios) < 10.0
 
     def test_degenerate_input(self):
         grid = make_grid(16, 16.0)
         with pytest.raises(DegenerateInputError):
-            inequality_check("SOB_6", zero_field(grid))
+            inequality_check("SOB_6", grid, np.zeros(grid.shape))
+
+    def test_shape_mismatch(self):
+        grid = make_grid(16, 16.0)
+        with pytest.raises(ShapeMismatchError):
+            inequality_check("SOB_6", grid, np.ones((3, *grid.shape)))
+
+
+def full_lattice_ratio(ineq_id, grid, f, p=2.0):
+    """Reference: full complex FFT of the scalar, all nine second derivatives."""
+    scale = grid.spacing**3 * (2.0 * np.pi) ** -1.5
+    dxi3 = (2.0 * np.pi / grid.box_length) ** 3
+    fh = np.fft.fftn(f) * scale
+    xi = [grid.xi_component_safe(a) for a in range(3)]
+
+    def inv(gh):
+        return np.fft.ifftn(gh).real / scale
+
+    def lp(arrays, q):
+        if math.isinf(q):
+            return max(np.max(np.abs(a)) for a in arrays)
+        return (sum(np.sum(np.abs(a) ** q) for a in arrays) * grid.spacing**3) ** (1.0 / q)
+
+    def sem(gh, order):
+        return np.sqrt(np.sum(grid.radius ** (2 * order) * np.abs(gh) ** 2) * dxi3)
+
+    grads = [inv(1j * xi[a] * fh) for a in range(3)]
+    if ineq_id == "GN_INF":
+        return lp([f], math.inf) / (lp([f], 2) ** 0.25 * sem(fh, 2) ** 0.75)
+    if ineq_id == "GRAD_2P":
+        hess = [inv(-xi[a] * xi[b] * fh) for a in range(3) for b in range(3)]
+        return lp(grads, 2.0 * p) / (lp([f], math.inf) ** 0.5 * lp(hess, p) ** 0.5)
+    if ineq_id == "SOB_6":
+        return lp([f], 6) / sem(fh, 1)
+    if ineq_id == "LOW_HIGH_SPLIT":
+        return sem(fh, 1) / (lp(grads, 1) + sem(fh, 3))
+    assert ineq_id == "RIESZ"
+    rs2 = sum(x**2 for x in xi)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        riesz = -1j * fh * np.where(rs2 > 0, xi[0] / np.sqrt(np.where(rs2 > 0, rs2, 1.0)), 0.0)
+    if p == 2.0:
+        return sem(riesz, 0) / sem(fh, 0)
+    return lp([inv(riesz)], p) / lp([f], p)
+
+
+class TestHalfLatticeMatchesFullLattice:
+    @pytest.mark.parametrize(
+        "ineq_id, p",
+        [
+            ("GN_INF", 2.0),
+            ("GRAD_2P", 2.0),
+            ("GRAD_2P", 3.0),
+            ("SOB_6", 2.0),
+            ("LOW_HIGH_SPLIT", 2.0),
+            ("RIESZ", 2.0),
+            ("RIESZ", 4.0),
+        ],
+    )
+    @pytest.mark.parametrize("field", ["random16", "gaussian32"])
+    def test_ratio_matches_reference(self, ineq_id, p, field):
+        if field == "random16":  # Nyquist content on every axis
+            grid = make_grid(16, 16.0)
+            f = np.random.default_rng(4).standard_normal(grid.shape)
+        else:
+            grid = make_grid(32, 24.0)
+            f = GAUSS(*centered(grid, (0.7, -1.1, 0.4)))
+        ref = full_lattice_ratio(ineq_id, grid, f, p)
+        assert inequality_check(ineq_id, grid, f, p) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 class TestDecayFit:

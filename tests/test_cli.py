@@ -1,6 +1,10 @@
 """Harness behavior: config handling, determinism, reports, exit codes."""
 
+import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +14,7 @@ from viscowave.cli import emit_report, main, run_scenario
 from viscowave.exceptions import FitError, QuadratureAccuracyError
 
 REPO_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+REPO_SRC = Path(__file__).resolve().parents[1] / "src"
 
 FAST_KERNELS = """
 [scenario]
@@ -186,6 +191,21 @@ class TestRunScenario:
         crit8 = [a for a in summary["assertions"] if a["criterion"] == "8"]
         assert len(crit8) == 2 and all(a["passed"] for a in crit8)
 
+    @pytest.mark.skipif(
+        (os.cpu_count() or 1) < 2,
+        reason="needs 2 CPUs: OpenBLAS runs at most one thread per CPU, so both runs would match",
+    )
+    def test_nonlinear16_bytes_independent_of_blas_threads(self, tmp_path):
+        cfg = write_cfg(tmp_path, checked_in("nonlinear", n=16))
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"out{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(REPO_SRC)}
+            cmd = [sys.executable, "-m", "viscowave.cli", "nonlinear", "--config", str(cfg)]
+            subprocess.run([*cmd, "--out", str(out)], env=env, check=True, capture_output=True)
+            outs.append(read_all_bytes(out))
+        assert outs[0] == outs[1]
+
     def test_picard16_copy_runs(self, tmp_path):
         # the fixture the usage-error cases perturb is itself a passing run
         cfg = write_cfg(tmp_path, picard16(t_end="2.5"))
@@ -227,6 +247,18 @@ class TestRunScenario:
         summary = json.loads((out / "summary.json").read_text())
         (last,) = [a for a in summary["assertions"] if a["name"].startswith("last Picard")]
         assert last["passed"] is False and last["bound"] == 1e-30
+
+    def test_single_sweep_without_ratio_fails_criterion_7(self, tmp_path):
+        # one sweep meets this tolerance, so no contraction ratio is ever measured
+        cfg = write_cfg(tmp_path, picard16(t_end="2.5", picard_tol="1e300"))
+        out = tmp_path / "out"
+        assert run_scenario(cfg, out, suite="picard") == 1
+        summary = json.loads((out / "summary.json").read_text())
+        failed = [a["name"] for a in summary["assertions"] if not a["passed"]]
+        assert failed == ["contraction ratio from iteration 2 on"]
+        with open(out / "picard_history.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 1 and rows[0]["ratio"] == ""
 
     def test_missing_config(self, tmp_path):
         assert run_scenario(tmp_path / "nope.ini", tmp_path / "out") == 2

@@ -9,7 +9,10 @@ from viscowave.grid import (
     CutoffSpec,
     VectorField,
     dealias_mask,
+    forward_scalar,
+    half_seminorm,
     hermitian_defect,
+    inverse_scalar,
     lp_norm,
     make_grid,
     sobolev_seminorm,
@@ -71,13 +74,51 @@ class TestTransform:
     def test_plancherel(self, grid16):
         fld = band_limited_random(grid16, seed=2)
         fh = transform(fld)
-        a = lp_norm(fld, 2)
+        a = lp_norm(grid16, fld.data, 2)
         b = sobolev_seminorm(fh, 0)
         assert abs(a - b) <= 1e-12 * a
 
     def test_hermitian_symmetry(self, grid16):
         fh = transform(band_limited_random(grid16, seed=3))
         assert hermitian_defect(fh) < 1e-12
+
+
+def random_scalar(grid, seed):
+    """Real white noise: content up to the Nyquist planes on every axis."""
+    return np.random.default_rng(seed).standard_normal(grid.shape)
+
+
+def full_spectrum(grid, f):
+    """``transform`` of the vector field carrying the scalar ``f`` in component 0."""
+    data = np.zeros((3, *grid.shape))
+    data[0] = f
+    return transform(VectorField(grid, data, "physical"))
+
+
+class TestScalarTransform:
+    def test_half_lattice_of_transform(self, grid16):
+        f = random_scalar(grid16, 4)
+        full = full_spectrum(grid16, f).data[0]
+        half = forward_scalar(grid16, f)
+        assert half.shape == (16, 16, 9)
+        assert np.max(np.abs(half - full[..., :9])) < 1e-12 * np.max(np.abs(full))
+
+    def test_round_trip(self, grid16):
+        f = random_scalar(grid16, 5)
+        back = inverse_scalar(grid16, forward_scalar(grid16, f))
+        assert np.max(np.abs(back - f)) < 1e-12 * np.max(np.abs(f))
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_half_seminorm_matches_full_lattice(self, grid16, order):
+        f = random_scalar(grid16, 6)
+        full = sobolev_seminorm(full_spectrum(grid16, f), order)
+        half = half_seminorm(grid16, forward_scalar(grid16, f), order)
+        assert abs(half - full) <= 1e-12 * full
+
+    def test_half_wave_vectors_keep_nyquist_zeroing(self, grid16):
+        xz = grid16.xi_half(2)
+        assert xz.shape == (1, 1, 9) and xz[0, 0, -1] == 0.0
+        assert np.array_equal(grid16.xi_half(0), grid16.xi_component_safe(0))
 
 
 class TestCutoffs:
@@ -106,12 +147,12 @@ class TestLpNorm:
         g = make_grid(8, 3.0)
         data = np.zeros((3, *g.shape))
         data[1] = 2.5
-        v = lp_norm(VectorField(g, data, "physical"), 2)
+        v = lp_norm(g, data, 2)
         assert v == pytest.approx(2.5 * 3.0**1.5, rel=1e-14)
 
     def test_sup(self, grid16):
         fld = band_limited_random(grid16, seed=8)
-        assert lp_norm(fld, np.inf) == pytest.approx(np.max(np.abs(fld.data)))
+        assert lp_norm(grid16, fld.data, np.inf) == pytest.approx(np.max(np.abs(fld.data)))
 
     def test_gaussian_l2_analytic(self):
         g = make_grid(64, 16.0)
@@ -119,11 +160,23 @@ class TestLpNorm:
         fld = centered_gaussian(g, sigma=sigma, components=(1.0, 0.0, 0.0))
         # || (2 pi s^2)^{-3/2} e^{-|x|^2/(2 s^2)} ||_2 = (4 pi s^2)^{-3/4}
         exact = (4.0 * np.pi * sigma**2) ** -0.75
-        assert lp_norm(fld, 2) == pytest.approx(exact, rel=1e-6)
+        assert lp_norm(g, fld.data, 2) == pytest.approx(exact, rel=1e-6)
+
+    def test_iterable_sums_like_components(self, grid16):
+        data = band_limited_random(grid16, seed=10).data
+        for p in (1.0, 3.0, np.inf):
+            assert lp_norm(grid16, iter(data), p) == pytest.approx(lp_norm(grid16, data, p), rel=1e-14)
+
+    def test_spectral_data_rejected(self, grid16):
+        fh = transform(band_limited_random(grid16, seed=11))
+        with pytest.raises(ValueError):
+            lp_norm(grid16, fh.data, 2)
+        with pytest.raises(ValueError):
+            lp_norm(grid16, iter(fh.data), np.inf)
 
     def test_invalid_exponent(self, grid16):
         with pytest.raises(InvalidExponentError):
-            lp_norm(zero_field(grid16), 0.5)
+            lp_norm(grid16, zero_field(grid16).data, 0.5)
 
     def test_riesz_l2_contraction(self, grid16):
         fh = transform(band_limited_random(grid16, seed=9))

@@ -67,7 +67,7 @@ class TestRadialL2:
         g = make_grid(48, 24.0)
         sigma = 1.0
         fld = centered_gaussian(g, sigma=sigma, components=(1.0, 0.0, 0.0))
-        grid_val = lp_norm(fld, 2)
+        grid_val = lp_norm(g, fld.data, 2)
         c = (2.0 * np.pi) ** (-1.5)
         ghat = lambda r: c * np.exp(-0.5 * (sigma * r) ** 2)
         # one component along e1: |P e|^2 + |(I-P) e|^2 = 1 on the sphere
