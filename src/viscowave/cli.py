@@ -123,7 +123,7 @@ def _parse_config(path: Path) -> dict:
         raise ConfigError(f"config validation failure: {exc}") from exc
     if cfg["suite"] not in SUITES:
         raise ConfigError(f"unknown suite {cfg['suite']!r}")
-    if cfg["family"] not in ("gaussian", "dgaussian", "band_random"):
+    if cfg["family"] != "gaussian":
         raise ConfigError(f"unknown data family {cfg['family']!r}")
     if cfg["tensor"] not in ("default", "diagonal", "zero"):
         raise ConfigError(f"unknown contraction tensor {cfg['tensor']!r}")
@@ -161,23 +161,14 @@ def _tensor(cfg: dict) -> ContractionTensor:
     }[cfg["tensor"]]()
 
 
-def _grid_data(cfg: dict, rng: np.random.Generator):
-    """(f0, f1) physical fields for the configured data family."""
+def _grid_data(cfg: dict):
+    """(f0, f1) physical fields: zero displacement, a centred Gaussian velocity per component."""
     grid = make_grid(cfg["n"], cfg["box_length"])
     L = grid.box_length
     x = [grid.x_component(a) - L / 2.0 for a in range(3)]
     r2 = x[0] ** 2 + x[1] ** 2 + x[2] ** 2
     sig = cfg["sigma"]
-    if cfg["family"] == "gaussian":
-        prof = np.exp(-r2 / (2.0 * sig**2)) / (sig**3 * (2.0 * np.pi) ** 1.5)
-    elif cfg["family"] == "dgaussian":
-        base = np.exp(-r2 / (2.0 * sig**2)) / (sig**3 * (2.0 * np.pi) ** 1.5)
-        prof = -x[0] / sig**2 * base
-    else:  # band_random
-        prof = rng.standard_normal(grid.shape)
-        ph = transform(VectorField(grid, np.stack([prof] * 3), "physical"))
-        mask = grid.radius <= 0.5 * np.max(np.abs(grid.xi1))
-        prof = transform(VectorField(grid, ph.data * mask, "spectral")).data[0]
+    prof = np.exp(-r2 / (2.0 * sig**2)) / (sig**3 * (2.0 * np.pi) ** 1.5)
     amp = cfg["amplitude"]
     data = amp * np.stack([prof, prof, prof])
     f0 = VectorField(grid, np.zeros_like(data), "physical")
@@ -328,7 +319,7 @@ def _l2(x: np.ndarray) -> float:
 
 def _suite_nonlinear(cfg: dict):
     lame = cfg["lame"]
-    f0, f1 = _grid_data(cfg, np.random.default_rng(cfg["seed"]))
+    f0, f1 = _grid_data(cfg)
     grid = f0.grid
     scale = 1e-3 / x1_data_seminorm(f0, f1)
 
@@ -380,7 +371,7 @@ def _suite_nonlinear(cfg: dict):
 
 def _suite_picard(cfg: dict):
     lame = cfg["lame"]
-    f0, f1 = _grid_data(cfg, np.random.default_rng(cfg["seed"]))
+    f0, f1 = _grid_data(cfg)
     grid = f0.grid
     scale = 1e-3 / x1_data_seminorm(f0, f1)
     f0 = VectorField(grid, scale * f0.data, "physical")

@@ -193,26 +193,24 @@ class Propagator:
 
         return combine(0), (combine(1) if velocity else None)
 
-    def duhamel(self, terms, velocity: bool = True):
+    def duhamel(self, terms):
         """Weighted sum of ``w S(tau) (0, g)`` over ``(w, tau, g)`` terms, as split pairs.
 
         ``S(tau) (0, g) = (K1(tau) g, K1'(tau) g)``, which is ``(0, g)`` at
-        ``tau = 0``.  Returns ``(du, dv)``; ``dv`` is None unless asked for.
+        ``tau = 0``.  Returns ``(du, dv)``.
         """
         shape = (3, *self.grid.shape)
         du = [np.zeros(shape, dtype=np.complex128) for _ in range(2)]
-        dv = [np.zeros(shape, dtype=np.complex128) for _ in range(2)] if velocity else None
+        dv = [np.zeros(shape, dtype=np.complex128) for _ in range(2)]
         for w, tau, g in terms:
             if tau == 0.0:
-                if velocity:
-                    for acc, x in zip(dv, g):
-                        acc += w * x
+                for acc, x in zip(dv, g):
+                    acc += w * x
                 continue
             for acc, k, x in zip(du, self.kernel(tau, "K1", 0), g):
                 acc += (w * k) * x
-            if velocity:
-                for acc, k, x in zip(dv, self.kernel(tau, "K1", 1), g):
-                    acc += (w * k) * x
+            for acc, k, x in zip(dv, self.kernel(tau, "K1", 1), g):
+                acc += (w * k) * x
         return du, dv
 
 
@@ -230,12 +228,6 @@ def linear_propagate(
         velocity_hat=VectorField(grid, prop.join(v), "spectral"),
         time=t,
     )
-
-
-def propagate_state(state: ElasticState, dt: float, lame: LameParams) -> ElasticState:
-    """Advance a state by ``dt`` homogeneously (restart-exact)."""
-    out = linear_propagate(state.displacement_hat, state.velocity_hat, dt, lame)
-    return ElasticState(out.displacement_hat, out.velocity_hat, state.time + dt)
 
 
 def diagonalize_check(

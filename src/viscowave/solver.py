@@ -4,25 +4,34 @@ The nonlinearity is the quadratic gradient contraction
 
     F_k(u) = sum c[k,i,j,m] (d_i u_j)(d_i d_j u_m),
 
-evaluated pseudospectrally with a two-thirds dealias mask.  `evolve` marches
-with the exact mode propagator plus a per-step Simpson forcing integral
-(linear predictor, one corrector pass).  `picard_iterate` runs the global
-successive-substitution scheme on the same half-step quadrature grid, so its
-fixed point coincides with the marched solution up to the corrector's
-midpoint sampling error; the two are compared through the time-weighted
-solution norm computed by `x1_norm`.
+evaluated pseudospectrally with a two-thirds dealias mask.
 
-Both solvers run on a :class:`~viscowave.elastic.Propagator`, whose kernel
-tables are built once per fixed step; states and forcing samples are carried
-as split (longitudinal, transverse) pairs, so each forcing sample is split
-once.  A Picard sweep is O(M) in its M half-step nodes: the propagator is a
-semigroup, so the composite-Simpson Duhamel sum ``D_m`` at node m follows
-from the one at the last even node (step h, trapezoid at m = 1),
+Both solvers solve the same node equations: the Duhamel formula
+``U(t) = S(t) U_0 + int_0^t S(t - s) (0, g(s)) ds`` for the state
+``U = (u, v)``, with forcing samples ``g_j`` at the half-step nodes
+``t_m = m h`` (``h = dt / 2``) and the composite-Simpson rule in time.  The
+exact mode propagator ``S`` (:class:`~viscowave.elastic.Propagator`, kernel
+tables built once per step, states and forcing carried as split
+(longitudinal, transverse) pairs) is a semigroup, so the state at node m
+follows from the one at the last even node (trapezoid at m = 1):
 
-    D_m = S(2h) D_{m-2} + panel(m-2, m)           (m even, weights h/3, 4h/3, h/3),
-    D_m = S(h) D_{m-1} + trailing(m-2, m-1, m)    (m odd, weights -h/12, 8h/12, 5h/12),
+    U_m = S(2h) U_{m-2} + panel(m-2, m)           (m even, weights h/3, 4h/3, h/3),
+    U_m = S(h) U_{m-1} + trailing(m-2, m-1, m)    (m odd, weights -h/12, 8h/12, 5h/12),
 
-streamed over the nodes with a three-sample window of split forcing.
+where each window term is ``w S(lag) (0, g_j)`` at lags 2h, h and 0.  Since
+``K1(0) = 0``, the lag-0 term is ``(0, w g_m)``: the displacement ``u_m``
+takes no forcing from its own node.  So the node equations are explicit.
+:func:`_march` builds ``u_m`` from the lag-2h and lag-h terms, samples
+``g_m`` from it, and only then completes ``v_m`` (an exponential multistep
+scheme; Hochbruck & Ostermann, Acta Numerica 19, 2010).  It streams over the
+nodes with a two-sample window and costs O(M) for M nodes.
+
+`evolve` runs one march, sampling ``F`` of the displacement it has just
+built; there is no predictor or corrector.  `picard_iterate` runs one march
+per sweep, sampling ``F`` of the previous iterate.  Its fixed point therefore
+solves the same node equations as `evolve`, and the two agree up to the
+sweeps' convergence error and rounding.  They are compared through the
+time-weighted solution norm computed by `x1_norm`.
 """
 
 from __future__ import annotations
@@ -35,7 +44,6 @@ import numpy as np
 from .elastic import ElasticState, LameParams, Propagator
 from .exceptions import DivergenceError, NoContractionError
 from .grid import Grid3, VectorField, dealias_mask, inverse_scalar, sobolev_seminorm, transform
-from .radial import simpson_weights
 
 # Not called here; kept bound because perfbench's layer tracer self-test expects them here.
 from .elastic import linear_propagate  # noqa: F401
@@ -164,12 +172,6 @@ def _as_spectral(fld: VectorField) -> VectorField:
     return fld if fld.space == "spectral" else transform(fld)
 
 
-def _simpson(delta: float, g_start, g_mid, g_end) -> list:
-    """Duhamel terms of the three-node Simpson rule over one step of length ``delta``."""
-    w = simpson_weights(3, 0.5 * delta)
-    return [(w[0], delta, g_start), (w[1], 0.5 * delta, g_mid), (w[2], 0.0, g_end)]
-
-
 def _add(acc, inc) -> None:
     """Add the arrays of ``inc`` to those of ``acc`` in place."""
     for a, x in zip(acc, inc):
@@ -178,6 +180,37 @@ def _add(acc, inc) -> None:
 
 # ---------------------------------------------------------------------------
 # time marching
+
+
+def _march(prop: Propagator, h: float, m_count: int, u0, v0, sample):
+    """Yield the split state ``(m, u, v)`` at nodes m = 1, ..., ``m_count`` (module docstring).
+
+    ``(u0, v0)`` is the split state at node 0; it is not written to.
+    ``sample(m, u)`` returns the split forcing at node m given the displacement
+    ``u`` just built there; it is called once per node, in order, from m = 0.
+    """
+    trapezoid = (h / 2.0, h / 2.0)
+    panel = (h / 3.0, 4.0 * h / 3.0, h / 3.0)
+    trailing = (-h / 12.0, 8.0 * h / 12.0, 5.0 * h / 12.0)
+    window = [sample(0, u0)]  # forcing at the last two nodes
+    even = (u0, v0)  # split state at the last even node
+    for m in range(1, m_count + 1):
+        if m == 1:
+            weights, lags = trapezoid, (h,)
+        else:
+            weights, lags = (trailing if m % 2 else panel), (2.0 * h, h)
+        u, v = prop.propagate(h if m % 2 else 2.0 * h, *even)
+        du, dv = prop.duhamel(zip(weights, lags, window))
+        _add(u, du)
+        _add(v, dv)
+        del du, dv
+        g = sample(m, u)
+        for acc, x in zip(v, g):
+            acc += weights[-1] * x
+        window = window[-1:] + [g]
+        if m % 2 == 0:
+            even = (u, v)
+        yield m, u, v
 
 
 def evolve(
@@ -189,68 +222,43 @@ def evolve(
 ) -> Trajectory:
     """March the quasi-linear system on ``[0, t_end]`` with step ``dt``.
 
-    Each step propagates exactly with the mode kernels and adds the Simpson
-    forcing integral with samples at the step ends and midpoint; midpoint and
-    endpoint forcing values come from a linear predictor followed by one
-    corrector pass.  Aborts with DivergenceError if the state norm exceeds
-    1e6 times its initial value or is not finite.
+    One :func:`_march` over the half-step nodes, with forcing sampled from the
+    displacement just built at each node; the full-step nodes are returned.
+    Aborts with DivergenceError if the state norm at a full step exceeds 1e6
+    times its initial value or is not finite.
     """
     f0h, f1h = _as_spectral(f0), _as_spectral(f1)
     grid = f0h.grid
     mask = dealias_mask(grid)
-    dt = config.dt
-    half = 0.5 * dt
-    prop = Propagator(grid, lame, (0.5 * half, half, dt))
+    h = 0.5 * config.dt
+    prop = Propagator(grid, lame, (h, 2.0 * h))
     dxi3 = (2.0 * np.pi / grid.box_length) ** 3
 
     def state_norm(u, v):
         return float(np.sqrt((np.sum(np.abs(u) ** 2) + np.sum(np.abs(v) ** 2)) * dxi3))
 
-    def nl(u_arr):
-        return _nonlinearity_hat(grid, u_arr, tensor, mask)
+    def sample(m, u):
+        return prop.split(_nonlinearity_hat(grid, prop.join(u), tensor, mask))
 
     u_arr = f0h.data.astype(np.complex128, copy=True)
     v_arr = f1h.data.astype(np.complex128, copy=True)
     guard = 1e6 * max(state_norm(u_arr, v_arr), 1e-300)
-    u, v = prop.split(u_arr), prop.split(v_arr)
-
     times = [0.0]
     states = [_state(grid, u_arr, v_arr, 0.0)]
-    g_now = prop.split(nl(u_arr))
-
-    linear_only = not tensor.entries
-    for k in range(config.n_steps):
-        t_next = k * dt + dt
-        if linear_only:
-            u, v = prop.propagate(dt, u, v)
-        else:
-            u_half, _ = prop.propagate(half, u, v, velocity=False)
-            u, v = prop.propagate(dt, u, v)
-            g_mid = prop.split(nl(prop.join(u_half)))
-            g_end = prop.split(nl(prop.join(u)))
-            # Corrector: rebuild the sample displacements with the forcing integral included.
-            g_quarter = [(3.0 * a + 6.0 * b - c) / 8.0 for a, b, c in zip(g_now, g_mid, g_end)]
-            du_h, _ = prop.duhamel(_simpson(half, g_now, g_quarter, g_mid), velocity=False)
-            du_f, _ = prop.duhamel(_simpson(dt, g_now, g_mid, g_end), velocity=False)
-            _add(u_half, du_h)
-            _add(du_f, u)
-            del g_quarter, g_mid, g_end, du_h
-            g_mid = prop.split(nl(prop.join(u_half)))
-            g_end = prop.split(nl(prop.join(du_f)))
-            del u_half, du_f
-            du_f, dv_f = prop.duhamel(_simpson(dt, g_now, g_mid, g_end))
-            _add(u, du_f)
-            _add(v, dv_f)
-            g_now = g_end
+    nodes = _march(prop, h, 2 * config.n_steps, prop.split(u_arr), prop.split(v_arr), sample)
+    for m, u, v in nodes:
+        if m % 2:
+            del u, v  # free the odd node before the march builds the next one
+            continue
+        t = m * h
         u_arr, v_arr = prop.join(u), prop.join(v)
         norm = state_norm(u_arr, v_arr)
         if not norm <= guard:
             raise DivergenceError(
-                f"state norm {norm:g} is not finite or exceeded the blow-up guard at t={t_next:g}",
-                t_next,
+                f"state norm {norm:g} is not finite or exceeded the blow-up guard at t={t:g}", t
             )
-        times.append(t_next)
-        states.append(_state(grid, u_arr, v_arr, t_next))
+        times.append(t)
+        states.append(_state(grid, u_arr, v_arr, t))
 
     return Trajectory(times=np.asarray(times), states=states)
 
@@ -298,37 +306,6 @@ def x1_data_seminorm(f0: VectorField, f1: VectorField) -> float:
 # global fixed-point iteration
 
 
-def _duhamel_stream(prop: Propagator, h: float, samples):
-    """Yield ``D_m = (du, dv)`` at nodes m = 1, 2, ... of step ``h`` (module docstring).
-
-    ``samples`` yields split forcing at nodes 0, 1, ... and is read no further
-    than node m before ``D_m`` is yielded.
-    """
-    trapezoid = (h / 2.0, h / 2.0)
-    panel = (h / 3.0, 4.0 * h / 3.0, h / 3.0)
-    trailing = (-h / 12.0, 8.0 * h / 12.0, 5.0 * h / 12.0)
-    window: list = []
-    even = None  # split (du, dv) at the last even node; None stands for D_0 = 0
-    for m, g in enumerate(samples):
-        window = window[-2:] + [g]
-        if m == 0:
-            continue
-        if m == 1:
-            du, dv = prop.duhamel(zip(trapezoid, (h, 0.0), window))
-        else:
-            weights, lag = (panel, 2.0 * h) if m % 2 == 0 else (trailing, h)
-            du, dv = prop.duhamel(zip(weights, (2.0 * h, h, 0.0), window))
-            if even is not None:
-                pu, pv = prop.propagate(lag, *even)
-                _add(du, pu)
-                _add(dv, pv)
-                del pu, pv
-        if m % 2 == 0:
-            even = (du, dv)
-        yield prop.join(du), prop.join(dv)
-        del du, dv
-
-
 def picard_iterate(
     f0: VectorField,
     f1: VectorField,
@@ -338,15 +315,16 @@ def picard_iterate(
 ) -> tuple[Trajectory, list[dict]]:
     """Successive substitution ``u <- u_lin + forcing integral of u`` on [0, t_end].
 
-    The iterate lives on the half-step grid ``m * dt / 2`` so the global
-    quadrature coincides with the per-step Simpson rule of :func:`evolve`.
-    Each sweep streams over the nodes and adds to each the Duhamel integral
-    of the change in forcing since the previous sweep.  Convergence is
-    measured in the X1 norm of these increments; the returned history holds
-    one dict per sweep with the increment size, the contraction ratio against
-    the previous increment, and whether the increment fell below
-    ``picard_tol``.  Raises DivergenceError on a non-finite increment and
-    NoContractionError after three consecutive ratios >= 1.
+    The iterate lives on the half-step nodes ``m * dt / 2`` of :func:`evolve`.
+    Iterate 0 is the homogeneous solution; each sweep recomputes every node by
+    one :func:`_march` with forcing sampled from the previous iterate, so the
+    fixed point solves :func:`evolve`'s node equations.  Convergence is
+    measured in the X1 norm of the increments (new minus old iterate at each
+    node); the returned history holds one dict per sweep with the increment
+    size, the contraction ratio against the previous increment, and whether
+    the increment fell below ``picard_tol``.  Raises DivergenceError on a
+    non-finite increment and NoContractionError after three consecutive
+    ratios >= 1.
     """
     f0h, f1h = _as_spectral(f0), _as_spectral(f1)
     grid = f0h.grid
@@ -356,42 +334,39 @@ def picard_iterate(
     m_count = 2 * config.n_steps
     taus = h * np.arange(m_count + 1)
 
-    # Iterate 0: the homogeneous solution, by the S(h) recursion.
     states_u = [f0h.data.astype(np.complex128, copy=True)]
     states_v = [f1h.data.astype(np.complex128, copy=True)]
-    u, v = prop.split(states_u[0]), prop.split(states_v[0])
-    for _ in range(m_count):
-        u, v = prop.propagate(h, u, v)
+    u0, v0 = prop.split(states_u[0]), prop.split(states_v[0])
+
+    # Iterate 0: the homogeneous solution, the march with zero forcing.
+    zero = prop.split(np.zeros_like(states_u[0]))
+    for _, u, v in _march(prop, h, m_count, u0, v0, lambda m, u: zero):
         states_u.append(prop.join(u))
         states_v.append(prop.join(v))
     del u, v
 
-    f_prev: list[np.ndarray | None] = [None] * (m_count + 1)
-
-    def forcing_increments():
-        # Read at node m before the sweep updates it; f_prev keeps the new
-        # sample for the next sweep's difference.
-        for m in range(m_count + 1):
-            f_new = _nonlinearity_hat(grid, states_u[m], tensor, mask)
-            df = f_new if f_prev[m] is None else f_new - f_prev[m]
-            f_prev[m] = f_new
-            yield prop.split(df)
+    def sample(m, u):
+        # The previous iterate at node m, read before the sweep overwrites it.
+        return prop.split(_nonlinearity_hat(grid, states_u[m], tensor, mask))
 
     history: list[dict] = []
     bad_streak = 0
     for it in range(1, config.picard_max_iter + 1):
         distance = 0.0
-        for m, (du, dv) in enumerate(_duhamel_stream(prop, h, forcing_increments()), start=1):
-            states_u[m] += du
-            states_v[m] += dv
+        for m, u, v in _march(prop, h, m_count, u0, v0, sample):
+            u_new, v_new = prop.join(u), prop.join(v)
+            del u, v
             inc = _x1_integrand(
-                float(taus[m]), VectorField(grid, du, "spectral"), VectorField(grid, dv, "spectral")
+                float(taus[m]),
+                VectorField(grid, u_new - states_u[m], "spectral"),
+                VectorField(grid, v_new - states_v[m], "spectral"),
             )
             if not np.isfinite(inc):
                 raise DivergenceError(
                     f"Picard sweep {it} increment is not finite at t={taus[m]:g}", float(taus[m])
                 )
             distance = max(distance, inc)
+            states_u[m], states_v[m] = u_new, v_new
 
         ratio = None if not history else (
             distance / history[-1]["distance"] if history[-1]["distance"] > 0 else 0.0

@@ -165,6 +165,15 @@ class TestRunScenario:
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("family", ["band_random", "dgaussian"])
+    def test_unknown_data_family_is_usage_error(self, tmp_path, family, capsys):
+        cfg = write_cfg(tmp_path, FAST_KERNELS + f"\n[data]\nfamily = {family}\n")
+        out = tmp_path / "out"
+        assert main(["kernels", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "replace, extra",
         [

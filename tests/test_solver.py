@@ -17,7 +17,7 @@ from viscowave.grid import (
 from viscowave.solver import (
     ContractionTensor,
     SolverConfig,
-    _duhamel_stream,
+    _march,
     _nonlinearity_hat,
     evolve,
     picard_iterate,
@@ -259,6 +259,17 @@ class TestPicard:
         traj_e = evolve(f0, f1, LAME, ContractionTensor.default(), cfg)
         assert x1_distance(traj_e, traj_p) <= 5.0 * 1e-12  # far below even a tight tol
 
+    def test_evolve_solves_picard_node_equations(self):
+        # Both solvers solve the same node equations, evolve explicitly and
+        # Picard by iteration, so they agree to rounding once Picard has converged.
+        g = make_grid(16, 16.0)
+        f0, f1 = small_data(g, target=1e-3)
+        cfg = SolverConfig(dt=1.0, t_end=8.0, picard_tol=1e-16, picard_max_iter=10)
+        traj_p, history = picard_iterate(f0, f1, LAME, ContractionTensor.default(), cfg)
+        assert history[-1]["converged"]
+        traj_e = evolve(f0, f1, LAME, ContractionTensor.default(), cfg)
+        assert x1_distance(traj_e, traj_p) <= 1e-14 * x1_norm(traj_e)
+
     def test_starting_iterate_is_homogeneous_solution(self):
         # With a vanishing contraction tensor every sweep is a no-op, so the
         # starting iterate (the homogeneous solution) is also the fixed point.
@@ -343,8 +354,9 @@ class TestDuhamelStream:
                 assert w @ nodes**p == pytest.approx((m * h) ** (p + 1) / (p + 1), rel=1e-13)
 
     def test_recursion_matches_direct_sum(self, grid16):
-        # O(M) semigroup recursion against the O(M^2) sum of the same
-        # composite-Simpson quadrature, at every node of an odd node count.
+        # O(M) node march from a zero state with fixed samples against the
+        # O(M^2) sum of the same composite-Simpson quadrature, at every node
+        # of an odd node count.
         h, m_count = 0.5, 9
         prop = Propagator(grid16, LAME, (h, 2.0 * h))
         samples = [
@@ -352,9 +364,14 @@ class TestDuhamelStream:
             for j in range(m_count + 1)
         ]
         zero = VectorField(grid16, np.zeros_like(samples[0].data), "spectral")
-        streamed = list(_duhamel_stream(prop, h, (prop.split(g.data) for g in samples)))
-        assert len(streamed) == m_count
-        for m, (du, dv) in enumerate(streamed, start=1):
+        z = prop.split(zero.data)
+        streamed = [
+            (m, prop.join(u), prop.join(v))
+            for m, u, v in _march(prop, h, m_count, z, z, lambda m, u: prop.split(samples[m].data))
+        ]
+        assert [m for m, _, _ in streamed] == list(range(1, m_count + 1))
+        assert all(np.all(x == 0.0) for x in z)  # the march leaves node 0 alone
+        for m, du, dv in streamed:
             ref_u = np.zeros_like(du)
             ref_v = np.zeros_like(dv)
             for j, w in enumerate(direct_weights(m, h)):
