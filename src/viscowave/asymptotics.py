@@ -20,10 +20,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import stats
 
 from .elastic import LameParams
-from .exceptions import UnsupportedNormError, WindowError
+from .exceptions import FitError, UnsupportedNormError, WindowError
 from .kernels import diffusion_hat, kernel_hat
 from .radial import (
     AngularTerm,
@@ -109,10 +108,15 @@ def decay_slope(
 
     Requires at least 8 points spanning 1.5 decades.  ``power_law_ok`` is
     false when decade-windowed slopes drift by more than 0.02, which flags
-    logarithmic corrections masquerading as power laws.
+    logarithmic corrections masquerading as power laws.  A non-finite time
+    or value raises FitError.
     """
+    from scipy import stats
+
     times = np.asarray(times, float)
     values = np.asarray(values, float)
+    if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
+        raise FitError("decay_slope requires finite times and values")
     if np.any(values <= 0.0) or np.any(times <= 0.0):
         raise ValueError("decay_slope requires positive times and values")
     if times.size < 8 or np.log10(times[-1] / times[0]) < 1.5:

@@ -33,14 +33,12 @@ __all__ = [
     "VectorField",
     "CutoffSpec",
     "make_grid",
-    "zero_field",
     "transform",
     "forward_scalar",
     "inverse_scalar",
     "lp_norm",
     "sobolev_seminorm",
     "half_seminorm",
-    "hermitian_defect",
     "dealias_mask",
 ]
 
@@ -84,18 +82,13 @@ class Grid3:
     def shape(self) -> tuple[int, int, int]:
         return (self.n, self.n, self.n)
 
-    def xi_component(self, axis: int) -> np.ndarray:
-        """Wave-vector component as a broadcastable (n,1,1)/(1,n,1)/(1,1,n) array."""
-        shape = [1, 1, 1]
-        shape[axis] = self.n
-        return self.xi1.reshape(shape)
-
     def xi_component_safe(self, axis: int) -> np.ndarray:
         """Wave-vector component with the unpaired Nyquist entry zeroed.
 
-        Odd symbols (derivatives, Riesz factors, projector contractions) must
-        annihilate the self-conjugate ``k = -n/2`` plane or they break the
-        lattice Hermitian symmetry of real fields.
+        Broadcastable as an (n,1,1)/(1,n,1)/(1,1,n) array.  Odd symbols
+        (derivatives, Riesz factors, projector contractions) must annihilate
+        the self-conjugate ``k = -n/2`` plane or they break the lattice
+        Hermitian symmetry of real fields.
         """
         shape = [1, 1, 1]
         shape[axis] = self.n
@@ -108,7 +101,7 @@ class Grid3:
         return self.xi_component_safe(axis)[..., : self.n // 2 + 1]
 
     def x_component(self, axis: int) -> np.ndarray:
-        """Physical coordinate along one axis, broadcastable like xi_component."""
+        """Physical coordinate along one axis, broadcastable like xi_component_safe."""
         shape = [1, 1, 1]
         shape[axis] = self.n
         return (self.spacing * np.arange(self.n)).reshape(shape)
@@ -153,11 +146,6 @@ class VectorField:
             )
 
 
-def zero_field(grid: Grid3, space: str = "physical") -> VectorField:
-    dtype = np.complex128 if space == "spectral" else np.float64
-    return VectorField(grid=grid, data=np.zeros((3, *grid.shape), dtype=dtype), space=space)
-
-
 def _forward_scale(grid: Grid3) -> float:
     return grid.spacing**3 * (2.0 * np.pi) ** (-1.5)
 
@@ -180,18 +168,6 @@ def forward_scalar(grid: Grid3, f: np.ndarray) -> np.ndarray:
 def inverse_scalar(grid: Grid3, fh: np.ndarray) -> np.ndarray:
     """Physical values of one half-lattice spectrum: the inverse of ``forward_scalar``."""
     return sfft.irfftn(fh, s=grid.shape, workers=_WORKERS) / _forward_scale(grid)
-
-
-def hermitian_defect(fld: VectorField) -> float:
-    """Relative deviation of spectral coefficients from gh(-xi) = conj(gh(xi))."""
-    if fld.space != "spectral":
-        raise ValueError("hermitian_defect expects a spectral field")
-    flipped = fld.data[:, :, :, :]
-    for ax in (1, 2, 3):
-        flipped = np.roll(np.flip(flipped, axis=ax), 1, axis=ax)
-    num = np.max(np.abs(fld.data - np.conj(flipped)))
-    den = max(np.max(np.abs(fld.data)), 1e-300)
-    return float(num / den)
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
-from scipy.interpolate import CubicSpline
 
 from .exceptions import OutOfDomainError, StiffnessError, UnsupportedOrderError
 
@@ -248,6 +246,9 @@ def mode_oracle(
     formulas.  ``forcing`` may be None, a callable ``f(t)``, or a pair of
     arrays ``(times, values)`` interpolated with a cubic spline.
     """
+    from scipy.integrate import solve_ivp
+    from scipy.interpolate import CubicSpline
+
     if forcing is None:
         f: Callable[[float], float] = lambda tau: 0.0
     elif callable(forcing):
@@ -278,24 +279,6 @@ def mode_oracle(
     if not sol.success:
         raise StiffnessError(f"mode integration failed at r={r}: {sol.message}")
     return float(sol.y[0, -1]), float(sol.y[1, -1])
-
-
-def forced_kernel_quadrature(
-    t: float, r: float, params: DampingParams, forcing: Callable[[float], float]
-) -> float:
-    """High-resolution quadrature of ``int_0^t K1(t - tau, r) f(tau) dtau``.
-
-    Oracle companion for Duhamel checks; independent of the stepping code.
-    """
-    val, _ = quad(
-        lambda tau: kernel_hat(t - tau, r, params, "K1") * forcing(tau),
-        0.0,
-        t,
-        epsabs=1e-14,
-        epsrel=1e-12,
-        limit=400,
-    )
-    return val
 
 
 def lowfreq_residual(t, r, params: DampingParams) -> tuple[float, float]:

@@ -1,9 +1,26 @@
-"""Shared builders for the test suite."""
+"""Shared builders and test-only oracles for the test suite."""
+
+from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import pytest
 
-from viscowave.grid import VectorField, make_grid
+from viscowave.grid import Grid3, VectorField, make_grid
+from viscowave.kernels import DampingParams, kernel_hat
+
+REPO_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def checked_in(name: str, **overrides) -> str:
+    """A checked-in config's text with its ``key = value`` lines replaced."""
+    text = (REPO_CONFIGS / f"{name}.ini").read_text()
+    for key, value in overrides.items():
+        lines = text.splitlines()
+        (i,) = [j for j, line in enumerate(lines) if line.split("=")[0].strip() == key]
+        lines[i] = f"{key} = {value}"
+        text = "\n".join(lines) + "\n"
+    return text
 
 
 def centered_gaussian(grid, sigma=0.8, mass=1.0, components=(1.0, 1.0, 1.0)):
@@ -14,6 +31,11 @@ def centered_gaussian(grid, sigma=0.8, mass=1.0, components=(1.0, 1.0, 1.0)):
     prof = mass * np.exp(-r2 / (2.0 * sigma**2)) / (sigma**3 * (2.0 * np.pi) ** 1.5)
     data = np.stack([c * prof for c in components])
     return VectorField(grid, data, "physical")
+
+
+def zero_field(grid: Grid3, space: str = "physical") -> VectorField:
+    dtype = np.complex128 if space == "spectral" else np.float64
+    return VectorField(grid=grid, data=np.zeros((3, *grid.shape), dtype=dtype), space=space)
 
 
 def band_limited_random(grid, seed=0, keep_fraction=0.4, components=3):
@@ -27,6 +49,38 @@ def band_limited_random(grid, seed=0, keep_fraction=0.4, components=3):
     fld = transform(VectorField(grid, data, "physical"))
     mask = grid.radius <= keep_fraction * np.max(np.abs(grid.xi1))
     return transform(VectorField(grid, fld.data * mask, "spectral"))
+
+
+def hermitian_defect(fld: VectorField) -> float:
+    """Relative deviation of spectral coefficients from gh(-xi) = conj(gh(xi))."""
+    if fld.space != "spectral":
+        raise ValueError("hermitian_defect expects a spectral field")
+    flipped = fld.data[:, :, :, :]
+    for ax in (1, 2, 3):
+        flipped = np.roll(np.flip(flipped, axis=ax), 1, axis=ax)
+    num = np.max(np.abs(fld.data - np.conj(flipped)))
+    den = max(np.max(np.abs(fld.data)), 1e-300)
+    return float(num / den)
+
+
+def forced_kernel_quadrature(
+    t: float, r: float, params: DampingParams, forcing: Callable[[float], float]
+) -> float:
+    """High-resolution quadrature of ``int_0^t K1(t - tau, r) f(tau) dtau``.
+
+    Oracle companion for Duhamel checks; independent of the stepping code.
+    """
+    from scipy.integrate import quad
+
+    val, _ = quad(
+        lambda tau: kernel_hat(t - tau, r, params, "K1") * forcing(tau),
+        0.0,
+        t,
+        epsabs=1e-14,
+        epsrel=1e-12,
+        limit=400,
+    )
+    return val
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ from viscowave.asymptotics import (
     profile_error_series,
 )
 from viscowave.elastic import LameParams
-from viscowave.exceptions import UnsupportedNormError, WindowError
+from viscowave.exceptions import FitError, UnsupportedNormError, WindowError
 from viscowave.kernels import diffusion_hat
 
 LAME = LameParams(0.0, 1.0, 1.0)
@@ -78,6 +78,16 @@ class TestDecaySlope:
             decay_slope(np.logspace(0, 2, 5), np.logspace(0, 2, 5) ** -1.0)
         with pytest.raises(ValueError):
             decay_slope(np.logspace(0, 2, 10), np.zeros(10))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_value_is_fit_error(self, bad):
+        t = np.logspace(2, 4, 9)
+        vals = t**-0.75
+        vals[4] = bad
+        with pytest.raises(FitError):
+            decay_slope(t, vals)
+        with pytest.raises(FitError):
+            decay_slope(np.where(t == t[4], bad, t), t**-0.75)
 
 
 class TestProfileErrorSeries:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,11 +10,11 @@ from pathlib import Path
 
 import pytest
 
+from conftest import REPO_CONFIGS, checked_in
 from viscowave import cli
 from viscowave.cli import emit_report, main, run_scenario
 from viscowave.exceptions import FitError, QuadratureAccuracyError
 
-REPO_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 REPO_SRC = Path(__file__).resolve().parents[1] / "src"
 
 FAST_KERNELS = """
@@ -48,17 +49,6 @@ t_end = 2.0
 picard_tol = {tol}
 picard_max_iter = {max_iter}
 """
-
-
-def checked_in(name: str, **overrides) -> str:
-    """A checked-in config's text with its ``key = value`` lines replaced."""
-    text = (REPO_CONFIGS / f"{name}.ini").read_text()
-    for key, value in overrides.items():
-        lines = text.splitlines()
-        (i,) = [j for j, line in enumerate(lines) if line.split("=")[0].strip() == key]
-        lines[i] = f"{key} = {value}"
-        text = "\n".join(lines) + "\n"
-    return text
 
 
 def picard16(**overrides) -> str:
@@ -242,6 +232,29 @@ class TestRunScenario:
         assert summary["error"].get("achieved") == achieved
         err = capsys.readouterr().err
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+    def test_non_finite_norm_is_status_3(self, tmp_path, monkeypatch):
+        # one NaN norm must stop the fit, not pass through as a NaN slope
+        real = cli.linear_norm
+        fake = lambda lame, src, spec, t: math.nan if abs(t - 1e3) < 1.0 else real(lame, src, spec, t)
+        monkeypatch.setattr(cli, "linear_norm", fake)
+        out = tmp_path / "out"
+        assert run_scenario(REPO_CONFIGS / "linear-decay.ini", out) == 3
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["error"]["type"] == "FitError"
+
+    def test_import_loads_no_unused_scipy(self):
+        # the suites import scipy's stats, integrate and interpolate only where they call them
+        probe = (
+            "import sys, viscowave.cli; "
+            "print([m for m in ('scipy.stats', 'scipy.integrate', 'scipy.interpolate') "
+            "if m in sys.modules])"
+        )
+        env = {**os.environ, "PYTHONPATH": str(REPO_SRC)}
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, check=True, capture_output=True, text=True
+        )
+        assert done.stdout.strip() == "[]"
 
     def test_subcommand_must_match_config_suite(self, tmp_path):
         repo_cfg = Path(__file__).resolve().parents[1] / "configs" / "kernels.ini"

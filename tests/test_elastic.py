@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import band_limited_random, centered_gaussian
+from conftest import band_limited_random, centered_gaussian, forced_kernel_quadrature, zero_field
 from viscowave.elastic import (
     LameParams,
     Propagator,
@@ -14,8 +14,8 @@ from viscowave.elastic import (
     projection,
     split_longitudinal,
 )
-from viscowave.grid import VectorField, transform, zero_field
-from viscowave.kernels import forced_kernel_quadrature, kernel_hat, mode_oracle
+from viscowave.grid import VectorField, transform
+from viscowave.kernels import kernel_hat, mode_oracle
 from viscowave.radial import simpson_weights
 
 LAME = LameParams(0.0, 1.0, 1.0)

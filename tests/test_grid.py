@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import band_limited_random, centered_gaussian
+from conftest import band_limited_random, centered_gaussian, hermitian_defect, zero_field
 from viscowave.exceptions import InvalidExponentError, InvalidGridError
 from viscowave.grid import (
     CutoffSpec,
@@ -11,13 +11,11 @@ from viscowave.grid import (
     dealias_mask,
     forward_scalar,
     half_seminorm,
-    hermitian_defect,
     inverse_scalar,
     lp_norm,
     make_grid,
     sobolev_seminorm,
     transform,
-    zero_field,
 )
 
 

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from conftest import forced_kernel_quadrature
 from viscowave.exceptions import OutOfDomainError, UnsupportedOrderError
 from viscowave.kernels import (
     DampingParams,
     char_roots,
     diffusion_hat,
-    forced_kernel_quadrature,
     kernel_eval,
     kernel_hat,
     lowfreq_residual,

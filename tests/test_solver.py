@@ -3,16 +3,14 @@
 import numpy as np
 import pytest
 
-from conftest import band_limited_random, centered_gaussian
+from conftest import band_limited_random, centered_gaussian, hermitian_defect, zero_field
 from viscowave.elastic import LameParams, Propagator, linear_propagate
 from viscowave.exceptions import DivergenceError, NoContractionError
 from viscowave.grid import (
     VectorField,
     dealias_mask,
-    hermitian_defect,
     make_grid,
     transform,
-    zero_field,
 )
 from viscowave.solver import (
     ContractionTensor,
