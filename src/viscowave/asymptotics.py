@@ -15,17 +15,21 @@ as ``xi -> 0``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
+from scipy.special import stdtrit
 
 from .elastic import LameParams
 from .exceptions import FitError, UnsupportedNormError, WindowError
 from .kernels import diffusion_hat, kernel_hat
 from .radial import (
+    AngularFit,
     AngularTerm,
+    angular_fit,
     axisym_evaluate,
     axisym_lp_norm,
     axisym_magnitude,
@@ -42,7 +46,9 @@ __all__ = [
     "NormSpec",
     "LinearSource",
     "decay_slope",
+    "line_fit",
     "linear_norm",
+    "slope_ci95",
     "profile_error_series",
     "expected_solution_slope",
     "SUPPORTED_NORMS",
@@ -101,6 +107,30 @@ class DecayReport:
     drift: float = 0.0
 
 
+def line_fit(x, y) -> tuple[float, float, float]:
+    """Least-squares line through ``(x, y)``: slope, intercept and the slope's standard error.
+
+    The formulas are those of ``scipy.stats.linregress`` (moments from
+    ``np.cov(x, y, bias=1)``, the correlation clipped to [-1, 1]), so the
+    values agree with it; needs at least 3 points.
+    """
+    x, y = np.asarray(x, float), np.asarray(y, float)
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = math.nan if ssxym == 0.0 else 0.0
+    else:
+        r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
+    slope = ssxym / ssxm
+    intercept = np.mean(y) - slope * np.mean(x)
+    stderr = np.sqrt((1 - r**2) * ssym / ssxm / (x.size - 2))
+    return float(slope), float(intercept), float(stderr)
+
+
+def slope_ci95(stderr: float, n: int) -> float:
+    """95% half-width of a fitted slope with standard error ``stderr`` from ``n`` points."""
+    return float(stdtrit(n - 2, 0.975) * stderr)
+
+
 def decay_slope(
     times, values, expected: float | None = None, norm_id: str = ""
 ) -> DecayReport:
@@ -111,8 +141,6 @@ def decay_slope(
     logarithmic corrections masquerading as power laws.  A non-finite time
     or value raises FitError.
     """
-    from scipy import stats
-
     times = np.asarray(times, float)
     values = np.asarray(values, float)
     if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
@@ -122,8 +150,7 @@ def decay_slope(
     if times.size < 8 or np.log10(times[-1] / times[0]) < 1.5:
         raise WindowError("need >= 8 points spanning >= 1.5 decades")
     lt, lv = np.log(times), np.log(values)
-    fit = stats.linregress(lt, lv)
-    ci = float(stats.t.ppf(0.975, times.size - 2) * fit.stderr)
+    slope, _, stderr = line_fit(lt, lv)
 
     # Decade-windowed drift check.
     slopes = []
@@ -131,14 +158,14 @@ def decay_slope(
     while lo * 10.0 <= times[-1] * (1.0 + 1e-9):
         sel = (times >= lo) & (times <= lo * 10.0)
         if np.count_nonzero(sel) >= 3:
-            slopes.append(stats.linregress(lt[sel], lv[sel]).slope)
+            slopes.append(line_fit(lt[sel], lv[sel])[0])
         lo *= math.sqrt(10.0)
     drift = float(np.max(slopes) - np.min(slopes)) if len(slopes) >= 2 else 0.0
     return DecayReport(
         times=times,
         values=values,
-        slope=float(fit.slope),
-        ci95=ci,
+        slope=slope,
+        ci95=slope_ci95(stderr, times.size),
         expected=expected,
         norm_id=norm_id,
         power_law_ok=drift <= 0.02,
@@ -258,74 +285,92 @@ def _derivative_slots(alpha: int):
     return slots
 
 
-def _xspace_norms(
-    mult_pairs, t: float, spec: NormSpec, amp: float, lame: LameParams, src: LinearSource
-) -> list[float]:
-    """Sup- or L^p-norms of several fields sharing one evaluation grid.
+# Polar angles of the sup/L^p path: 24 Gauss nodes in cos(theta) carry the
+# L^p integrals, and 13 uniform angles join them in the sup search.
+_THETA_GAUSS, _THETA_W = gauss_theta_rule(24)
+_THETAS = np.concatenate([_THETA_GAUSS, np.linspace(0.0, np.pi, 13)])
 
-    ``mult_pairs`` is a list of (long, trans) radial coefficient callables;
-    fusing them lets the moment tables be computed once per time point.
+
+@functools.cache
+def _derivative_fit(alpha: int) -> AngularFit:
+    """Angular fit of ``grad^alpha`` of a field with profiles (long - trans, trans) on _THETAS.
+
+    The field is ``psi_0(r) (omega . e) omega + psi_1(r) e`` for the data
+    direction ``e`` (global z).  The fit depends on the derivative order
+    only, so it is made once per process.
+    """
+    ii = 1j**alpha
+    slots = _derivative_slots(alpha)
+    terms = []
+    for islot, (dirs, j, _w) in enumerate(slots):
+        def ang_par(wx, wy, wz, f, dirs=dirs, j=j):
+            e = f.gz
+            we = wx * e[0] + wy * e[1] + wz * e[2]
+            comp = (wx, wy, wz)
+            val = ii * we * comp[j]
+            for d in dirs:
+                val = val * comp[d]
+            return val
+
+        def ang_perp(wx, wy, wz, f, dirs=dirs, j=j):
+            e = f.gz
+            val = ii * e[j] * np.ones_like(wx)
+            for d in dirs:
+                val = val * (wx, wy, wz)[d]
+            return val
+
+        terms.append(AngularTerm(slot=islot, psi=0, angular=ang_par))
+        terms.append(AngularTerm(slot=islot, psi=1, angular=ang_perp))
+    return angular_fit(terms, len(slots), _THETAS, nmax=alpha + 2)
+
+
+def _xspace_norms(fields, t: float, amp: float, lame: LameParams, src: LinearSource) -> list[float]:
+    """Sup- or L^p-norms at time t of several fields from one radial moment pass.
+
+    ``fields`` is a list of ``(spec, (long, trans))`` pairs of a norm and the
+    field's radial coefficient callables.  The ``(r, s)`` grid depends on t
+    only, so one :func:`axisym_evaluate` call sweeps the moment tables for
+    every field; each field is then contracted and reduced to its norm before
+    the next one is built.
     """
     r, s = _xspace_grids(lame, src, t)
-    ra = r**spec.alpha
-    slots = _derivative_slots(spec.alpha)
-    ii = 1j**spec.alpha
-
-    psi_bank = []
-    terms = []
-    for ip, (ml, mt) in enumerate(mult_pairs):
+    psi_bank, fits = [], []
+    for spec, (ml, mt) in fields:
+        ra = r**spec.alpha
         vl = np.asarray(ml(t, r), dtype=np.complex128)
         vt = np.asarray(mt(t, r), dtype=np.complex128)
         psi_bank.extend([ra * (vl - vt), ra * vt])
-        for islot, (dirs, j, _w) in enumerate(slots):
-            def ang_par(wx, wy, wz, f, dirs=dirs, j=j):
-                e = f.gz
-                we = wx * e[0] + wy * e[1] + wz * e[2]
-                comp = (wx, wy, wz)
-                val = ii * we * comp[j]
-                for d in dirs:
-                    val = val * comp[d]
-                return val
+        fits.append(_derivative_fit(spec.alpha))
 
-            def ang_perp(wx, wy, wz, f, dirs=dirs, j=j):
-                e = f.gz
-                val = ii * e[j] * np.ones_like(wx)
-                for d in dirs:
-                    val = val * (wx, wy, wz)[d]
-                return val
+    def norm(k, slot_fields):
+        spec = fields[k][0]
+        weights = np.array([w for (_, _, w) in _derivative_slots(spec.alpha)])
+        if not math.isinf(spec.p):
+            slot_fields = slot_fields[:, :, : _THETA_GAUSS.size]
+        return amp * axisym_lp_norm(axisym_magnitude(slot_fields, weights), s, _THETA_W, spec.p)
 
-            slot = ip * len(slots) + islot
-            terms.append(AngularTerm(slot=slot, psi=2 * ip, angular=ang_par))
-            terms.append(AngularTerm(slot=slot, psi=2 * ip + 1, angular=ang_perp))
+    return axisym_evaluate(r, psi_bank, fits, s, reduce=norm)
 
-    theta_gauss, theta_w = gauss_theta_rule(24)
-    theta_extra = np.linspace(0.0, np.pi, 13)
-    thetas = np.concatenate([theta_gauss, theta_extra])
-    fields = axisym_evaluate(
-        r, psi_bank, terms, len(mult_pairs) * len(slots), s, thetas, nmax=spec.alpha + 2
-    )
 
-    weights = np.array([w for (_, _, w) in slots])
-    out = []
-    for ip in range(len(mult_pairs)):
-        block = fields[ip * len(slots) : (ip + 1) * len(slots)]
-        if math.isinf(spec.p):
-            mag = axisym_magnitude(block, weights)
-            out.append(amp * axisym_lp_norm(mag, s, theta_w, spec.p))
-        else:
-            mag = axisym_magnitude(block[:, :, : theta_gauss.size], weights)
-            out.append(amp * axisym_lp_norm(mag, s, theta_w, spec.p))
-    return out
+def _norms(fields, t: float, amp: float, lame: LameParams, src: LinearSource) -> list[float]:
+    """The norm of each ``(spec, (long, trans))`` field at time t.
+
+    L^2 norms are radial quadratures; the sup/L^p norms share one moment pass.
+    """
+    shared = [field for field in fields if field[0].p != 2.0]
+    values = iter(_xspace_norms(shared, t, amp, lame, src) if shared else ())
+    return [
+        _l2_norm_from_mults(ml, mt, t, spec.alpha, amp) if spec.p == 2.0 else next(values)
+        for spec, (ml, mt) in fields
+    ]
 
 
 def linear_norm(
-    lame: LameParams, src: LinearSource, spec: NormSpec, t: float
-) -> float:
-    """One norm value ``||grad^a dt^l u(t)||_p`` of the homogeneous solution."""
-    ml, mt = _solution_mults(lame, src, spec.ell)
-    if spec.p == 2.0:
-        return _l2_norm_from_mults(ml, mt, t, spec.alpha, src.amp)
-    return _xspace_norms([(ml, mt)], t, spec, src.amp, lame, src)[0]
+    lame: LameParams, src: LinearSource, specs: Sequence[NormSpec], t: float
+) -> list[float]:
+    """The norms ``||grad^a dt^l u(t)||_p`` of the homogeneous solution, one per spec."""
+    fields = [(spec, _solution_mults(lame, src, spec.ell)) for spec in specs]
+    return _norms(fields, t, src.amp, lame, src)
 
 
 def _validate_norm(which: str, spec: NormSpec) -> None:
@@ -336,29 +381,36 @@ def _validate_norm(which: str, spec: NormSpec) -> None:
         )
 
 
-def profile_error_series(
-    src: LinearSource, which: str, spec: NormSpec, times, lame: LameParams
-) -> tuple[DecayReport, DecayReport]:
-    """(solution decay, profile-error decay) for one norm and profile on the continuum path."""
-    _validate_norm(which, spec)
-    ml, mt = _solution_mults(lame, src, spec.ell)
-    pl, pt = _profile_mults(lame, src, which)
-    el = lambda t, r: ml(t, r) - pl(t, r)
-    et = lambda t, r: mt(t, r) - pt(t, r)
+def _profile_fields(src: LinearSource, norms: Sequence[tuple[str, NormSpec]], lame: LameParams):
+    """The solution field and its error against the profile, per (profile, norm), in that order."""
+    fields = []
+    for which, spec in norms:
+        ml, mt = _solution_mults(lame, src, spec.ell)
+        pl, pt = _profile_mults(lame, src, which)
+        el = lambda t, r, ml=ml, pl=pl: ml(t, r) - pl(t, r)
+        et = lambda t, r, mt=mt, pt=pt: mt(t, r) - pt(t, r)
+        fields += [(spec, (ml, mt)), (spec, (el, et))]
+    return fields
 
-    sol_vals, err_vals = [], []
-    for t in times:
-        t = float(t)
-        if spec.p == 2.0:
-            sol_vals.append(_l2_norm_from_mults(ml, mt, t, spec.alpha, src.amp))
-            err_vals.append(_l2_norm_from_mults(el, et, t, spec.alpha, src.amp))
-        else:
-            sv, ev = _xspace_norms([(ml, mt), (el, et)], t, spec, src.amp, lame, src)
-            sol_vals.append(sv)
-            err_vals.append(ev)
-    exp_sol = expected_solution_slope(spec)
-    sol = decay_slope(times, np.asarray(sol_vals), expected=exp_sol, norm_id=spec.label())
-    err = decay_slope(
-        times, np.asarray(err_vals), expected=exp_sol - 0.5, norm_id=spec.label() + ",err"
-    )
-    return sol, err
+
+def profile_error_series(
+    src: LinearSource, norms: Sequence[tuple[str, NormSpec]], times, lame: LameParams
+) -> list[tuple[DecayReport, DecayReport]]:
+    """(solution decay, profile-error decay) on the continuum path, one pair per (profile, norm).
+
+    Time-outer: at each time every norm of the solution and of its error
+    against the profile is measured, the sup/L^p ones from one moment pass.
+    """
+    for which, spec in norms:
+        _validate_norm(which, spec)
+    fields = _profile_fields(src, norms, lame)
+    table = np.array([_norms(fields, float(t), src.amp, lame, src) for t in times])
+    reports = []
+    for k, (_, spec) in enumerate(norms):
+        exp_sol = expected_solution_slope(spec)
+        sol = decay_slope(times, table[:, 2 * k], expected=exp_sol, norm_id=spec.label())
+        err = decay_slope(
+            times, table[:, 2 * k + 1], expected=exp_sol - 0.5, norm_id=spec.label() + ",err"
+        )
+        reports.append((sol, err))
+    return reports

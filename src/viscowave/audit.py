@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .asymptotics import line_fit, slope_ci95
 from .elastic import LameParams
 from .exceptions import (
     DegenerateInputError,
@@ -31,7 +32,14 @@ from .exceptions import (
 )
 from .grid import CutoffSpec, Grid3, forward_scalar, half_seminorm, inverse_scalar, lp_norm
 from .kernels import DampingParams, kernel_hat
-from .radial import AngularTerm, axisym_evaluate, gauss_theta_rule, radial_grid, radial_l2_norm
+from .radial import (
+    AngularTerm,
+    angular_fit,
+    axisym_evaluate,
+    gauss_theta_rule,
+    radial_grid,
+    radial_l2_norm,
+)
 
 # Not called here; kept bound because perfbench's layer tracer self-test expects it here.
 from .grid import transform  # noqa: F401
@@ -195,11 +203,7 @@ def decay_fit(
     rises = np.diff(logs)
     if np.any(rises > 0.05 * max(np.ptp(logs), 1e-12)):
         raise FitError("banded kernel norm is not monotonically decaying")
-    from scipy import stats
-
-    fit = stats.linregress(times, logs)
-    slope, intercept = fit.slope, fit.intercept
-    ci95 = float(stats.t.ppf(0.975, times.size - 2) * fit.stderr)
+    slope, intercept, stderr = line_fit(times, logs)
     resid = float(np.max(np.abs(logs - (slope * times + intercept))))
     log_range = float(np.ptp(logs))
     grad = radial_l2_norm(lambda t, r: np.ones_like(r), ghat, 1, (1.0, 1.0), t=0.0)
@@ -212,7 +216,7 @@ def decay_fit(
         times=times,
         values=vals,
         grad_norm=grad,
-        rate_ci95=ci95,
+        rate_ci95=slope_ci95(stderr, times.size),
     )
 
 
@@ -383,7 +387,8 @@ def heat_multiplier_l1(
     thetas, tw = gauss_theta_rule(48)
     ds = math.pi / (10.0 * r_max)
     s = np.arange(0.0, s_max, ds)
-    vals = axisym_evaluate(r, [np.asarray(psi, np.complex128)], [AngularTerm(0, 0, ang)], 1, s, thetas)
+    fit = angular_fit([AngularTerm(0, 0, ang)], 1, thetas)
+    (vals,) = axisym_evaluate(r, [np.asarray(psi, np.complex128)], [fit], s)
     mag = np.abs(vals[0])
     ang_int = mag @ tw
     total = 2.0 * np.pi * np.trapezoid(ang_int * s * s, s)

@@ -246,48 +246,52 @@ def _decay_sidecar(rep, cfg: dict) -> dict:
     }
 
 
-def _suite_linear_decay(cfg: dict):
+def _decay_checks(cfg: dict, criterion: str, checks, key):
+    """Decay slopes of the homogeneous solution's norms, each held to ``|slope - target| <= tol``.
+
+    ``checks`` holds ``(spec, target, tol)`` and ``key(spec)`` names a series.
+    Time-outer: the sup/L^p norms at each time share one radial moment pass.
+    """
     lame = cfg["lame"]
     src = LinearSource.gaussian(sigma=cfg["sigma"])
     times = _times(cfg)
+    specs = [spec for spec, _, _ in checks]
+    table = [linear_norm(lame, src, specs, float(t)) for t in times]
     series, assertions, sidecars = {}, [], {}
-    for spec, target in (
-        (NormSpec(1, 0, 2.0), -0.75),
-        (NormSpec(2, 0, 2.0), -1.25),
-        (NormSpec(3, 0, 2.0), -1.75),
-        (NormSpec(0, 1, 2.0), -0.75),
-        (NormSpec(1, 1, 2.0), -1.25),
-    ):
-        vals = [linear_norm(lame, src, spec, float(t)) for t in times]
+    for k, (spec, target, tol) in enumerate(checks):
+        vals = [row[k] for row in table]
         rep = decay_slope(times, vals, expected=target, norm_id=spec.label())
-        key = f"decay_{spec.alpha}_{spec.ell}"
-        series[key] = _decay_rows(times, vals)
-        sidecars[key] = _decay_sidecar(rep, cfg)
+        series[key(spec)] = _decay_rows(times, vals)
+        sidecars[key(spec)] = _decay_sidecar(rep, cfg)
         assertions.append(
-            _assert("3", f"slope {spec.label()}", abs(rep.slope - target), 0.05, "<=")
+            _assert(criterion, f"slope {spec.label()}", abs(rep.slope - target), tol, "<=")
         )
     return series, assertions, sidecars
+
+
+def _p_tag(spec: NormSpec) -> str:
+    return "inf" if math.isinf(spec.p) else str(int(spec.p))
+
+
+def _suite_linear_decay(cfg: dict):
+    checks = (
+        (NormSpec(1, 0, 2.0), -0.75, 0.05),
+        (NormSpec(2, 0, 2.0), -1.25, 0.05),
+        (NormSpec(3, 0, 2.0), -1.75, 0.05),
+        (NormSpec(0, 1, 2.0), -0.75, 0.05),
+        (NormSpec(1, 1, 2.0), -1.25, 0.05),
+    )
+    return _decay_checks(cfg, "3", checks, lambda spec: f"decay_{spec.alpha}_{spec.ell}")
 
 
 def _suite_smoothing(cfg: dict):
-    lame = cfg["lame"]
-    src = LinearSource.gaussian(sigma=cfg["sigma"])
-    times = _times(cfg)
-    series, assertions, sidecars = {}, [], {}
-    for spec, target, tol in (
+    checks = (
         (NormSpec(0, 0, math.inf), -1.5, 0.1),
         (NormSpec(1, 0, math.inf), -2.0, 0.1),
         (NormSpec(0, 2, 2.0), -1.25, 0.1),
-    ):
-        vals = [linear_norm(lame, src, spec, float(t)) for t in times]
-        rep = decay_slope(times, vals, expected=target, norm_id=spec.label())
-        key = f"smoothing_{spec.alpha}_{spec.ell}_{'inf' if math.isinf(spec.p) else int(spec.p)}"
-        series[key] = _decay_rows(times, vals)
-        sidecars[key] = _decay_sidecar(rep, cfg)
-        assertions.append(
-            _assert("4", f"slope {spec.label()}", abs(rep.slope - target), tol, "<=")
-        )
-    return series, assertions, sidecars
+    )
+    key = lambda spec: f"smoothing_{spec.alpha}_{spec.ell}_{_p_tag(spec)}"
+    return _decay_checks(cfg, "4", checks, key)
 
 
 _PROFILE_SET = tuple(
@@ -299,13 +303,12 @@ _PROFILE_SET = tuple(
 
 
 def _suite_profile_error(cfg: dict):
-    lame = cfg["lame"]
-    src = LinearSource.gaussian(sigma=cfg["sigma"])
     times = _times(cfg)
+    src = LinearSource.gaussian(sigma=cfg["sigma"])
+    reports = profile_error_series(src, _PROFILE_SET, times, lame=cfg["lame"])
     series, assertions, sidecars = {}, [], {}
-    for which, spec in _PROFILE_SET:
-        sol, err = profile_error_series(src, which, spec, times, lame=lame)
-        tag = f"profile_{which}_{spec.alpha}_{spec.ell}_{'inf' if math.isinf(spec.p) else int(spec.p)}"
+    for (which, spec), (sol, err) in zip(_PROFILE_SET, reports):
+        tag = f"profile_{which}_{spec.alpha}_{spec.ell}_{_p_tag(spec)}"
         series[tag + "_sol"] = _decay_rows(times, sol.values)
         series[tag + "_err"] = _decay_rows(times, err.values)
         sidecars[tag + "_sol"] = _decay_sidecar(sol, cfg)

@@ -17,6 +17,14 @@ fit in ``mu = cos(gamma)`` (exact interpolation, one batched solve), and
 moment integrals ``I_n(q) = int_{-1}^{1} mu^n e^{i q mu} dmu`` with closed
 forms for large ``q`` and series for small ``q``, built in place as real
 tables one cache-sized block of ``s`` at a time.
+
+The angular fit depends on the angular terms and the theta set only, so
+:func:`angular_fit` runs once per field shape, outside any time loop.  The
+moment tables depend on the ``(r, s)`` grid only, so one
+:func:`axisym_evaluate` call sweeps them once for a whole bank of radial
+profiles: every field on that grid shares the sweep and its moment matmul,
+and then each field in turn is contracted with its own fit and handed to a
+reduction (a magnitude and a norm, say) before the next one is built.
 """
 
 from __future__ import annotations
@@ -30,8 +38,9 @@ import numpy as np
 from .exceptions import QuadratureAccuracyError
 
 __all__ = [
-    "SPHERE_LONG", "SPHERE_TRANS", "radial_l2_norm", "AngularTerm", "Frame", "axisym_evaluate",
-    "axisym_magnitude", "axisym_lp_norm", "gauss_theta_rule", "radial_grid", "simpson_weights",
+    "SPHERE_LONG", "SPHERE_TRANS", "radial_l2_norm", "AngularTerm", "AngularFit", "Frame",
+    "angular_fit", "axisym_evaluate", "axisym_magnitude", "axisym_lp_norm", "gauss_theta_rule",
+    "radial_grid", "simpson_weights",
 ]
 
 # Angular integrals over the unit sphere of |P e|^2 and |(I - P) e|^2 for a
@@ -48,10 +57,15 @@ _GL_PANELS_MAX = 2**14
 _EPSREL = 1e-8
 # axisym_evaluate: azimuthal trapezoid points, q-table elements per s-block
 # (one block's tables stay in cache), radii per group of the angle-addition
-# split of sin and cos, and r points per 2 pi of r * s in radial_grid.
+# split of sin and cos, profile columns per moment matmul, and r points per
+# 2 pi of r * s in radial_grid.  OpenBLAS's threaded dgemm gives the same bits
+# at any thread count for products up to 12 columns wide, not from 16 on, so
+# the bank meets the tables 8 columns at a time and the reports do not depend
+# on the BLAS thread count.
 _N_PHI = 16
 _BLOCK_ELEMENTS = 1 << 16
 _ANGLE_SPLIT = 64
+_MATMUL_COLUMNS = 8
 _PTS_PER_CYCLE = 16.0
 
 
@@ -242,22 +256,73 @@ def _angular_coeffs(
     return coeff, integ[..., -1] - coeff.sum(axis=-1)
 
 
+@dataclass(frozen=True)
+class AngularFit:
+    """The angular terms of one field, fitted on a theta set by :func:`angular_fit`.
+
+    ``weights[n, part, psi, slot, theta]`` is what slot ``slot`` at ``theta``
+    takes from the real (part 0) or imaginary (part 1) moment ``n`` of the
+    field's profile ``psi``, with ``I_n = 2 C_n`` (n even) or ``2i S_n``
+    (n odd) and the transform's ``(2 pi)^{-3/2}`` folded in.
+    """
+
+    weights: np.ndarray
+
+    @property
+    def n_top(self) -> int:
+        """Highest moment order the field takes."""
+        return self.weights.shape[0] - 1
+
+    @property
+    def n_psi(self) -> int:
+        """Radial profiles the field reads from the bank."""
+        return self.weights.shape[2]
+
+
+def angular_fit(
+    terms: Sequence[AngularTerm], n_slots: int, thetas: np.ndarray, nmax: int = 6
+) -> AngularFit:
+    """Fit the angular terms of a field with ``n_slots`` slots at polar angles ``thetas``.
+
+    Raises ValueError if an angular factor exceeds degree ``nmax``.  The
+    field's profiles are ``psi = 0, ..., max(term.psi)``.
+    """
+    coeff, pole = _angular_coeffs(terms, thetas, nmax)
+    scale = max(float(np.max(np.abs(coeff[..., :-1]))), 1e-300)
+    if max(float(np.max(np.abs(coeff[..., -1]))), float(np.max(np.abs(pole)))) > 1e-9 * scale:
+        raise ValueError("angular factor exceeds the configured polynomial degree")
+    coeff = coeff[..., :-1] * (np.max(np.abs(coeff[..., :-1]), axis=(0, 1)) > 1e-14 * scale)
+    n_top = int(max(np.flatnonzero(np.any(coeff, axis=(0, 1))), default=0))
+
+    factor = np.where(np.arange(n_top + 1) % 2, 2.0j, 2.0) * (2.0 * np.pi) ** (-1.5)
+    n_psi = max(term.psi for term in terms) + 1
+    G = np.zeros((n_top + 1, 2, n_psi, n_slots, len(thetas)), dtype=np.complex128)
+    for jt, term in enumerate(terms):
+        G[:, 0, term.psi, term.slot] += factor[:, None] * coeff[:, jt, : n_top + 1].T
+    G[:, 1] = 1j * G[:, 0]
+    G.flags.writeable = False  # a fit may be cached and shared by many evaluations
+    return AngularFit(G)
+
+
 def axisym_evaluate(
     r: np.ndarray,
     psi_bank: Sequence[np.ndarray],
-    terms: Sequence[AngularTerm],
-    n_slots: int,
+    fits: Sequence[AngularFit],
     s: np.ndarray,
-    thetas: np.ndarray,
-    nmax: int = 6,
-) -> np.ndarray:
-    """Evaluate ``F^{-1}[sum_j psi_j(|xi|) A_j(xi/|xi|)]`` on a polar grid.
+    reduce: Callable[[int, np.ndarray], object] | None = None,
+) -> list:
+    """Evaluate fields ``F^{-1}[sum_j psi_j(|xi|) A_j(xi/|xi|)]`` on a polar grid.
 
-    ``r`` must be uniform with an odd point count (Simpson quadrature).
-    Returns a complex array of shape ``(n_slots, len(s), len(thetas))`` whose
-    entries are the slot fields at radius ``s`` and polar angle ``theta``
-    (components expressed in the evaluation frame; rotation-invariant
-    reductions should be taken per point).
+    Field k has the angular fit ``fits[k]`` and reads the next
+    ``fits[k].n_psi`` profiles of ``psi_bank``, in field order; one fit may
+    serve several fields.  ``r`` must be uniform with an odd point count
+    (Simpson quadrature).  The moment tables are swept once for the whole
+    bank.  Then each field in turn becomes a complex array of shape
+    ``(n_slots, len(s), len(thetas))``: the slot fields at radius ``s`` and
+    the fit's polar angles (components in the evaluation frame, so
+    rotation-invariant reductions should be taken per point).  Returns the
+    list of ``reduce(k, fields)``, or of the fields themselves without
+    ``reduce``.
     """
     r, s = np.asarray(r, dtype=float), np.asarray(s, dtype=float)
     ws = simpson_weights(r.size, r[1] - r[0]) * r * r
@@ -265,14 +330,10 @@ def axisym_evaluate(
     # moment tables are real, so each moment is one real matmul.
     bank = np.stack([np.asarray(p, dtype=np.complex128) * ws for p in psi_bank])
     bank_ri = np.ascontiguousarray(np.concatenate([bank.real, bank.imag]).T)
-    n_psi = bank.shape[0]
-
-    coeff, pole = _angular_coeffs(terms, thetas, nmax)
-    scale = max(float(np.max(np.abs(coeff[..., :-1]))), 1e-300)
-    if max(float(np.max(np.abs(coeff[..., -1]))), float(np.max(np.abs(pole)))) > 1e-9 * scale:
-        raise ValueError("angular factor exceeds the configured polynomial degree")
-    coeff = coeff[..., :-1] * (np.max(np.abs(coeff[..., :-1]), axis=(0, 1)) > 1e-14 * scale)
-    n_top = int(max(np.flatnonzero(np.any(coeff, axis=(0, 1))), default=0))
+    n_psi, n_read = bank.shape[0], sum(fit.n_psi for fit in fits)
+    if n_read != n_psi:
+        raise ValueError(f"the fits read {n_read} radial profiles, the bank holds {n_psi}")
+    n_top = max(fit.n_top for fit in fits)
 
     # moments[n, b] = int [Re | Im] psi(r) r^2 J_n(s_b r) dr, s-block by s-block.
     moments = np.empty((n_top + 1, s.size, 2 * n_psi))
@@ -281,20 +342,26 @@ def axisym_evaluate(
     for start in range(0, s.size, rows):
         sb = s[start : start + rows]
         J = work[: (n_top + 1) * sb.size * r.size].reshape(n_top + 1, sb.size, r.size)
-        np.matmul(_cs_tables(sb, r, J), bank_ri, out=moments[:, start : start + sb.size])
+        _cs_tables(sb, r, J)
+        for c in range(0, 2 * n_psi, _MATMUL_COLUMNS):
+            cols = slice(c, c + _MATMUL_COLUMNS)
+            np.matmul(J, bank_ri[:, cols], out=moments[:, start : start + sb.size, cols])
+    del work
 
-    # G[n, (Re | Im), psi, slot, theta]: what the slot takes from each moment
-    # column, with I_n = 2 C_n (n even) or 2i S_n (n odd) and (2 pi)^{-3/2}.
-    factor = np.where(np.arange(n_top + 1) % 2, 2.0j, 2.0) * (2.0 * np.pi) ** (-1.5)
-    G = np.zeros((n_top + 1, 2, n_psi, n_slots, len(thetas)), dtype=np.complex128)
-    for jt, term in enumerate(terms):
-        G[:, 0, term.psi, term.slot] += factor[:, None] * coeff[:, jt, : n_top + 1].T
-    G[:, 1] = 1j * G[:, 0]
-    M = moments.transpose(1, 0, 2).reshape(s.size, -1)
-    out = np.empty((n_slots, s.size, len(thetas)), dtype=np.complex128)
-    for slot in range(n_slots):
-        np.matmul(M, G[..., slot, :].reshape(-1, len(thetas)), out=out[slot])
-    return out
+    results, first = [], 0
+    for k, fit in enumerate(fits):
+        cols = np.arange(first, first + fit.n_psi)
+        first += fit.n_psi
+        # This field's moments as rows over s, columns over (n, Re | Im, psi).
+        M = moments[: fit.n_top + 1][:, :, np.concatenate([cols, n_psi + cols])]
+        M = M.transpose(1, 0, 2).reshape(s.size, -1)
+        _, _, _, n_slots, n_theta = fit.weights.shape
+        out = np.empty((n_slots, s.size, n_theta), dtype=np.complex128)
+        for slot in range(n_slots):
+            np.matmul(M, fit.weights[..., slot, :].reshape(-1, n_theta), out=out[slot])
+        results.append(out if reduce is None else reduce(k, out))
+        del M, out
+    return results
 
 
 def axisym_magnitude(fields: np.ndarray, slot_weights: np.ndarray | None = None) -> np.ndarray:

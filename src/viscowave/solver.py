@@ -31,7 +31,10 @@ built; there is no predictor or corrector.  `picard_iterate` runs one march
 per sweep, sampling ``F`` of the previous iterate.  Its fixed point therefore
 solves the same node equations as `evolve`, and the two agree up to the
 sweeps' convergence error and rounding.  They are compared through the
-time-weighted solution norm computed by `x1_norm`.
+time-weighted solution norm computed by `x1_norm`.  Where the forcing is
+known to vanish (Picard's homogeneous iterate 0, and either solver with the
+zero contraction tensor), the march is the bare ``S(h)`` / ``S(2h)``
+recursion, with no Duhamel terms.
 """
 
 from __future__ import annotations
@@ -182,17 +185,20 @@ def _add(acc, inc) -> None:
 # time marching
 
 
-def _march(prop: Propagator, h: float, m_count: int, u0, v0, sample):
+def _march(prop: Propagator, h: float, m_count: int, u0, v0, sample=None):
     """Yield the split state ``(m, u, v)`` at nodes m = 1, ..., ``m_count`` (module docstring).
 
     ``(u0, v0)`` is the split state at node 0; it is not written to.
     ``sample(m, u)`` returns the split forcing at node m given the displacement
     ``u`` just built there; it is called once per node, in order, from m = 0.
+    ``sample=None`` means the forcing is zero at every node: the march is then
+    the homogeneous recursion, with no Duhamel window (adding its exact zeros
+    would change nothing).
     """
     trapezoid = (h / 2.0, h / 2.0)
     panel = (h / 3.0, 4.0 * h / 3.0, h / 3.0)
     trailing = (-h / 12.0, 8.0 * h / 12.0, 5.0 * h / 12.0)
-    window = [sample(0, u0)]  # forcing at the last two nodes
+    window = [] if sample is None else [sample(0, u0)]  # forcing at the last two nodes
     even = (u0, v0)  # split state at the last even node
     for m in range(1, m_count + 1):
         if m == 1:
@@ -200,14 +206,15 @@ def _march(prop: Propagator, h: float, m_count: int, u0, v0, sample):
         else:
             weights, lags = (trailing if m % 2 else panel), (2.0 * h, h)
         u, v = prop.propagate(h if m % 2 else 2.0 * h, *even)
-        du, dv = prop.duhamel(zip(weights, lags, window))
-        _add(u, du)
-        _add(v, dv)
-        del du, dv
-        g = sample(m, u)
-        for acc, x in zip(v, g):
-            acc += weights[-1] * x
-        window = window[-1:] + [g]
+        if sample is not None:
+            du, dv = prop.duhamel(zip(weights, lags, window))
+            _add(u, du)
+            _add(v, dv)
+            del du, dv
+            g = sample(m, u)
+            for acc, x in zip(v, g):
+                acc += weights[-1] * x
+            window = window[-1:] + [g]
         if m % 2 == 0:
             even = (u, v)
         yield m, u, v
@@ -239,6 +246,9 @@ def evolve(
 
     def sample(m, u):
         return prop.split(_nonlinearity_hat(grid, prop.join(u), tensor, mask))
+
+    if not tensor.entries:
+        sample = None  # the zero tensor forces nothing
 
     u_arr = f0h.data.astype(np.complex128, copy=True)
     v_arr = f1h.data.astype(np.complex128, copy=True)
@@ -338,9 +348,8 @@ def picard_iterate(
     states_v = [f1h.data.astype(np.complex128, copy=True)]
     u0, v0 = prop.split(states_u[0]), prop.split(states_v[0])
 
-    # Iterate 0: the homogeneous solution, the march with zero forcing.
-    zero = prop.split(np.zeros_like(states_u[0]))
-    for _, u, v in _march(prop, h, m_count, u0, v0, lambda m, u: zero):
+    # Iterate 0: the homogeneous solution, the march without forcing.
+    for _, u, v in _march(prop, h, m_count, u0, v0):
         states_u.append(prop.join(u))
         states_v.append(prop.join(v))
     del u, v
@@ -348,6 +357,9 @@ def picard_iterate(
     def sample(m, u):
         # The previous iterate at node m, read before the sweep overwrites it.
         return prop.split(_nonlinearity_hat(grid, states_u[m], tensor, mask))
+
+    if not tensor.entries:
+        sample = None  # the zero tensor forces nothing
 
     history: list[dict] = []
     bad_streak = 0

@@ -9,11 +9,17 @@ from viscowave.asymptotics import (
     LinearSource,
     NormSpec,
     _l2_norm_from_mults,
+    _norms,
+    _profile_fields,
     _profile_mults,
+    _solution_mults,
     decay_slope,
     expected_solution_slope,
+    line_fit,
     profile_error_series,
+    slope_ci95,
 )
+from viscowave.cli import _PROFILE_SET
 from viscowave.elastic import LameParams
 from viscowave.exceptions import FitError, UnsupportedNormError, WindowError
 from viscowave.kernels import diffusion_hat
@@ -90,6 +96,40 @@ class TestDecaySlope:
             decay_slope(np.where(t == t[4], bad, t), t**-0.75)
 
 
+class TestLineFit:
+    @pytest.mark.parametrize("n", [3, 5, 9, 25])
+    def test_matches_linregress_and_t_quantile(self, n):
+        # scipy.stats is the test-only oracle; the library fits with numpy alone
+        from scipy import stats
+
+        rng = np.random.default_rng(n)
+        x = np.sort(rng.uniform(0.0, 10.0, n))
+        y = -1.3 * x + 0.4 + 0.05 * rng.standard_normal(n)
+        slope, intercept, stderr = line_fit(x, y)
+        ref = stats.linregress(x, y)
+        assert (slope, intercept, stderr) == (ref.slope, ref.intercept, ref.stderr)
+        assert slope_ci95(stderr, n) == stats.t.ppf(0.975, n - 2) * ref.stderr
+
+
+def _sup_lp_fields(src):
+    """Every sup/L^p field the smoothing and profile-error suites measure."""
+    norms = [(which, spec) for which, spec in _PROFILE_SET if spec.p != 2.0]
+    return [
+        (NormSpec(alpha, 0, math.inf), _solution_mults(LAME, src, 0)) for alpha in (0, 1)
+    ] + _profile_fields(src, norms, LAME)
+
+
+class TestSharedMomentPass:
+    @pytest.mark.parametrize("t", [100.0, 1e4])
+    def test_each_norm_matches_its_own_pass(self, t):
+        src = LinearSource.gaussian(sigma=0.5)
+        fields = _sup_lp_fields(src)
+        assert {spec.p for spec, _ in fields} == {4.0, math.inf} and len(fields) == 14
+        shared = _norms(fields, t, src.amp, LAME, src)
+        alone = [_norms([field], t, src.amp, LAME, src)[0] for field in fields]
+        np.testing.assert_allclose(shared, alone, rtol=1e-13, atol=0.0)
+
+
 class TestProfileErrorSeries:
     def test_profile_against_itself_is_zero(self):
         src = LinearSource.gaussian(sigma=0.5)
@@ -101,12 +141,12 @@ class TestProfileErrorSeries:
     def test_unsupported_norm(self):
         src = LinearSource.gaussian()
         with pytest.raises(UnsupportedNormError):
-            profile_error_series(src, "G", NormSpec(0, 0, 2.0), np.logspace(2, 4, 9), lame=LAME)
+            profile_error_series(src, [("G", NormSpec(0, 0, 2.0))], np.logspace(2, 4, 9), lame=LAME)
 
     def test_l2_gain(self):
         src = LinearSource.gaussian(sigma=0.5)
         times = np.logspace(2, 4, 9)
-        sol, err = profile_error_series(src, "G", NormSpec(2, 0, 2.0), times, lame=LAME)
+        ((sol, err),) = profile_error_series(src, [("G", NormSpec(2, 0, 2.0))], times, lame=LAME)
         assert sol.slope == pytest.approx(expected_solution_slope(NormSpec(2, 0, 2.0)), abs=0.05)
         assert sol.slope - err.slope >= 0.35
 

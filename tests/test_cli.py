@@ -12,6 +12,7 @@ import pytest
 
 from conftest import REPO_CONFIGS, checked_in
 from viscowave import cli
+from viscowave.asymptotics import LinearSource
 from viscowave.cli import emit_report, main, run_scenario
 from viscowave.exceptions import FitError, QuadratureAccuracyError
 
@@ -205,6 +206,56 @@ class TestRunScenario:
             outs.append(read_all_bytes(out))
         assert outs[0] == outs[1]
 
+    @pytest.mark.skipif(
+        (os.cpu_count() or 1) < 2,
+        reason="needs 2 CPUs: OpenBLAS runs at most one thread per CPU, so both runs would match",
+    )
+    def test_shared_moment_pass_bytes_independent_of_blas_threads(self):
+        # the widest shared pass: every sup/L^p field of profile-error at one time
+        probe = "\n".join([
+            "import numpy as np",
+            "from viscowave import asymptotics as a, cli",
+            "from viscowave.elastic import LameParams",
+            "src, lame = a.LinearSource.gaussian(0.5), LameParams(0.0, 1.0, 1.0)",
+            "norms = [(which, spec) for which, spec in cli._PROFILE_SET if spec.p != 2.0]",
+            "fields = a._profile_fields(src, norms, lame)",
+            "print(np.array(a._norms(fields, 100.0, 1.0, lame, src)).tobytes().hex())",
+        ])
+        outs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(REPO_SRC)}
+            done = subprocess.run(
+                [sys.executable, "-c", probe], env=env, check=True, capture_output=True, text=True
+            )
+            outs.append(done.stdout)
+        assert outs[0] == outs[1] and len(outs[0]) > 100
+
+    def test_smoothing_sweeps_the_moment_tables_once_per_time(self, tmp_path, monkeypatch):
+        from viscowave import asymptotics, radial
+
+        blocks, calls = [], []
+        real_tables, real_evaluate = radial._cs_tables, asymptotics.axisym_evaluate
+
+        def tables(s, r, out):
+            blocks.append((s[0], s.size))
+            return real_tables(s, r, out)
+
+        def evaluate(*args, **kwargs):
+            calls.append(1)
+            return real_evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(radial, "_cs_tables", tables)
+        monkeypatch.setattr(asymptotics, "axisym_evaluate", evaluate)
+        assert run_scenario(REPO_CONFIGS / "smoothing.ini", tmp_path / "out") == 0
+        cfg = cli._parse_config(REPO_CONFIGS / "smoothing.ini")
+        times = cli._times(cfg)
+        src = LinearSource.gaussian(cfg["sigma"])
+        n_s = [asymptotics._xspace_grids(cfg["lame"], src, t)[1].size for t in times]
+        # one evaluation per time, whose blocks cover that time's s grid once
+        assert len(calls) == len(times)
+        assert sum(1 for first, _ in blocks if first == 0.0) == len(times)
+        assert sum(size for _, size in blocks) == sum(n_s)
+
     def test_picard16_copy_runs(self, tmp_path):
         # the fixture the usage-error cases perturb is itself a passing run
         cfg = write_cfg(tmp_path, picard16(t_end="2.5"))
@@ -236,7 +287,10 @@ class TestRunScenario:
     def test_non_finite_norm_is_status_3(self, tmp_path, monkeypatch):
         # one NaN norm must stop the fit, not pass through as a NaN slope
         real = cli.linear_norm
-        fake = lambda lame, src, spec, t: math.nan if abs(t - 1e3) < 1.0 else real(lame, src, spec, t)
+
+        def fake(lame, src, specs, t):
+            values = real(lame, src, specs, t)
+            return [math.nan] + values[1:] if abs(t - 1e3) < 1.0 else values
         monkeypatch.setattr(cli, "linear_norm", fake)
         out = tmp_path / "out"
         assert run_scenario(REPO_CONFIGS / "linear-decay.ini", out) == 3
@@ -244,9 +298,11 @@ class TestRunScenario:
         assert summary["error"]["type"] == "FitError"
 
     def test_import_loads_no_unused_scipy(self):
-        # the suites import scipy's stats, integrate and interpolate only where they call them
+        # the suites import scipy's integrate and interpolate only where they call
+        # them, and fit slopes with numpy alone, so a fit loads no scipy.stats
         probe = (
-            "import sys, viscowave.cli; "
+            "import sys, numpy, viscowave.cli; "
+            "t = numpy.logspace(2, 4, 9); viscowave.cli.decay_slope(t, t ** -1.5); "
             "print([m for m in ('scipy.stats', 'scipy.integrate', 'scipy.interpolate') "
             "if m in sys.modules])"
         )

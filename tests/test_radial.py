@@ -15,6 +15,7 @@ from viscowave.radial import (
     SPHERE_TRANS,
     AngularTerm,
     _cs_tables,
+    angular_fit,
     axisym_evaluate,
     axisym_lp_norm,
     axisym_magnitude,
@@ -162,7 +163,7 @@ class TestAxisymEvaluator:
         psi = [np.exp(-0.5 * r * r)]
         terms = [AngularTerm(0, 0, lambda wx, wy, wz, f: np.ones_like(wx))]
         s = np.linspace(0, 6, 61)
-        out = axisym_evaluate(r, psi, terms, 1, s, np.array([0.0, 0.9]))
+        (out,) = axisym_evaluate(r, psi, [angular_fit(terms, 1, np.array([0.0, 0.9]))], s)
         exact = np.exp(-0.5 * s * s)
         assert np.max(np.abs(out[0] - exact[:, None])) < 1e-12
 
@@ -177,7 +178,7 @@ class TestAxisymEvaluator:
         ]
         s = np.linspace(0, 6, 61)
         thetas = np.array([0.0, 1.1, 2.3])
-        out = axisym_evaluate(r, psi, terms, 1, s, thetas)
+        (out,) = axisym_evaluate(r, psi, [angular_fit(terms, 1, thetas)], s)
         x3 = s[:, None] * np.cos(thetas)[None, :]
         assert np.max(np.abs(out[0] + x3 * np.exp(-0.5 * s * s)[:, None])) < 1e-12
 
@@ -192,7 +193,7 @@ class TestAxisymEvaluator:
         ]
         s = np.linspace(0, 6, 61)
         thetas = np.array([0.3, 1.4])
-        out = axisym_evaluate(r, psi, terms, 1, s, thetas)
+        (out,) = axisym_evaluate(r, psi, [angular_fit(terms, 1, thetas)], s)
         x3 = s[:, None] * np.cos(thetas)[None, :]
         exact = (1.0 - x3**2) * np.exp(-0.5 * s * s)[:, None]
         assert np.max(np.abs(out[0] - exact)) < 1e-12
@@ -207,36 +208,32 @@ class TestAxisymEvaluator:
         ]
         s = np.linspace(0, 6, 101)
         thetas = np.array([0.2, 1.3])
-        whole = axisym_evaluate(r, psi, terms, 2, s, thetas)
-        parts = [axisym_evaluate(r, psi, terms, 2, piece, thetas) for piece in (s[:37], s[37:])]
+        fit = angular_fit(terms, 2, thetas)
+        (whole,) = axisym_evaluate(r, psi, [fit], s)
+        parts = [axisym_evaluate(r, psi, [fit], piece)[0] for piece in (s[:37], s[37:])]
         np.testing.assert_allclose(
             np.concatenate(parts, axis=1), whole, rtol=0, atol=1e-14 * np.max(np.abs(whole))
         )
 
     def test_degree_overflow_is_rejected(self):
-        r = np.linspace(0, 12, 401)
         terms = [AngularTerm(0, 0, lambda wx, wy, wz, f: (wx * f.gz[0] + wz * f.gz[2]) ** 3)]
         with pytest.raises(ValueError, match="polynomial degree"):
-            axisym_evaluate(r, [np.exp(-0.5 * r * r)], terms, 1, r[:11], np.array([0.4]), nmax=2)
+            angular_fit(terms, 1, np.array([0.4]), nmax=2)
 
     @pytest.mark.parametrize("degree", [4, 5, 6])
     def test_higher_degree_overflow_is_rejected(self, degree):
         # Degree 4 and 6 have the parity of nmax = 2: the Gauss-node fit aliases
         # them into lower coefficients, and only the pole residual shows them.
-        r = np.linspace(0, 12, 401)
         ang = lambda wx, wy, wz, f: (wx * f.gz[0] + wz * f.gz[2]) ** degree
         with pytest.raises(ValueError, match="polynomial degree"):
-            axisym_evaluate(
-                r, [np.exp(-0.5 * r * r)], [AngularTerm(0, 0, ang)], 1, r[:11], np.array([0.4]), nmax=2
-            )
+            angular_fit([AngularTerm(0, 0, ang)], 1, np.array([0.4]), nmax=2)
 
     @pytest.mark.parametrize("degree", [0, 1, 2])
     def test_degree_within_the_fit_is_accepted(self, degree):
         r = np.linspace(0, 12, 401)
         ang = lambda wx, wy, wz, f: (wx * f.gz[0] + wz * f.gz[2]) ** degree
-        out = axisym_evaluate(
-            r, [np.exp(-0.5 * r * r)], [AngularTerm(0, 0, ang)], 1, r[:11], np.array([0.4, 1.9]), nmax=2
-        )
+        fit = angular_fit([AngularTerm(0, 0, ang)], 1, np.array([0.4, 1.9]), nmax=2)
+        (out,) = axisym_evaluate(r, [np.exp(-0.5 * r * r)], [fit], r[:11])
         assert np.all(np.isfinite(out))
 
     def test_lp_norms_match_analytic_gaussian(self):
@@ -245,7 +242,7 @@ class TestAxisymEvaluator:
         terms = [AngularTerm(0, 0, lambda wx, wy, wz, f: np.ones_like(wx))]
         thetas, tw = gauss_theta_rule(16)
         s = np.linspace(0, 10, 1201)
-        out = axisym_evaluate(r, psi, terms, 1, s, thetas)
+        (out,) = axisym_evaluate(r, psi, [angular_fit(terms, 1, thetas)], s)
         mag = axisym_magnitude(out)
         assert axisym_lp_norm(mag, s, tw, 2.0) == pytest.approx(np.pi**0.75, rel=1e-8)
         assert axisym_lp_norm(mag, s, tw, np.inf) == pytest.approx(1.0, rel=1e-10)

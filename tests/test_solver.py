@@ -281,6 +281,23 @@ class TestPicard:
         diff = np.max(np.abs(traj_p.states[-1].displacement_hat.data - ref.displacement_hat.data))
         assert diff <= 1e-12 * scale
 
+    def test_zero_forcing_skips_the_duhamel_window(self, monkeypatch):
+        # Iterate 0 and every zero-tensor march have no forcing to integrate.
+        calls = []
+        real = Propagator.duhamel
+        monkeypatch.setattr(
+            Propagator, "duhamel", lambda self, terms: calls.append(1) or real(self, terms)
+        )
+        g = make_grid(16, 16.0)
+        f0, f1 = small_data(g, target=1e-3)
+        cfg = SolverConfig(dt=1.0, t_end=4.0, picard_tol=1e-30, picard_max_iter=1)
+        evolve(f0, f1, LAME, ContractionTensor.zero(), cfg)
+        _, history = picard_iterate(f0, f1, LAME, ContractionTensor.zero(), cfg)
+        assert calls == [] and [h["distance"] for h in history] == [0.0]
+        # With forcing, only the sweep integrates it: one window per half-step node.
+        picard_iterate(f0, f1, LAME, ContractionTensor.default(), cfg)
+        assert len(calls) == 2 * cfg.n_steps
+
     def test_first_sweep_measures_forcing_increment(self):
         g = make_grid(16, 16.0)
         f0, f1 = small_data(g, target=1e-3)
