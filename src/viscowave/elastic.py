@@ -10,6 +10,10 @@ and the homogeneous solution is ``uh(t) = K_0 f0h + K_1 f1h`` with the
 velocity tracked through the time-differentiated kernels so that restarting
 is exact.  The zero mode evolves as ``f0h + t f1h``, the common ``r -> 0``
 limit of both branches.
+
+The split and the :class:`Propagator` work on the half lattice of real
+fields' spectra (see :mod:`viscowave.grid`); :func:`linear_propagate` takes
+and returns full-lattice :class:`~viscowave.grid.VectorField` spectra.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ShapeMismatchError
-from .grid import CutoffSpec, Grid3, VectorField
+from .grid import CutoffSpec, Grid3, VectorField, inverse_scalar, transform
 from .kernels import DampingParams, kernel_hat
 
 __all__ = [
@@ -126,16 +130,15 @@ def matrix_kernel(
     return kl * p + kt * (np.eye(3) - p)
 
 
-def split_longitudinal(fld: VectorField) -> tuple[np.ndarray, np.ndarray]:
-    """Split spectral data into (P data, (I-P) data); the zero mode goes transverse.
+def split_longitudinal(grid: Grid3, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split half-lattice data into (P data, (I-P) data); the zero mode goes transverse.
 
-    Returned arrays have the field's shape and sum to the input data.  The
-    projector is built from Nyquist-safe wave-vector components so that real
-    fields stay real; unpaired Nyquist content counts as transverse.
+    ``data`` has shape ``(3, n, n, n/2 + 1)``; the returned arrays have its
+    shape and sum to it.  The projector is built from Nyquist-safe wave-vector
+    components so that real fields stay real; unpaired Nyquist content (such
+    as the z component on the ``k_z = n/2`` plane) counts as transverse.
     """
-    grid = fld.grid
-    data = fld.data
-    xi = [grid.xi_component_safe(a) for a in range(3)]
+    xi = [grid.xi_half(a) for a in range(3)]
     dot = sum(xi[a] * data[a] for a in range(3))
     r2 = xi[0] ** 2 + xi[1] ** 2 + xi[2] ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -148,11 +151,13 @@ class Propagator:
     """Exact mode propagator ``S(tau)`` on one grid, for a fixed set of steps.
 
     ``S(tau)`` maps a state ``(u, v)`` to ``(K0 u + K1 v, K0' u + K1' v)``.
-    Data are carried as split ``(P data, (I-P) data)`` pairs (see
+    States are half-lattice spectra of real fields, shape ``(3, n, n, n/2 + 1)``,
+    carried as split ``(P data, (I-P) data)`` pairs (see
     :func:`split_longitudinal`), on which every matrix kernel is a per-element
-    multiply by its (long, trans) table.  Each table (``K0``/``K1``, time
-    orders 0 and 1) is built from the unique-radius table on first use, once
-    per step; steps not declared at construction are rejected.
+    multiply by its (long, trans) table of shape ``(n, n, n/2 + 1)``.  Each
+    table (``K0``/``K1``, time orders 0 and 1) is built from the unique-radius
+    table on first use, once per step; steps not declared at construction
+    are rejected.
     """
 
     def __init__(self, grid: Grid3, lame: LameParams, steps):
@@ -162,8 +167,8 @@ class Propagator:
         self._tables: dict = {}
 
     def split(self, data: np.ndarray) -> list[np.ndarray]:
-        """Split spectral data into a mutable ``[par, perp]`` pair."""
-        return list(split_longitudinal(VectorField(self.grid, data, "spectral")))
+        """Split half-lattice data into a mutable ``[par, perp]`` pair."""
+        return list(split_longitudinal(self.grid, data))
 
     @staticmethod
     def join(pair) -> np.ndarray:
@@ -199,7 +204,7 @@ class Propagator:
         ``S(tau) (0, g) = (K1(tau) g, K1'(tau) g)``, which is ``(0, g)`` at
         ``tau = 0``.  Returns ``(du, dv)``.
         """
-        shape = (3, *self.grid.shape)
+        shape = (3, *self.grid.half_shape)
         du = [np.zeros(shape, dtype=np.complex128) for _ in range(2)]
         dv = [np.zeros(shape, dtype=np.complex128) for _ in range(2)]
         for w, tau, g in terms:
@@ -217,17 +222,23 @@ class Propagator:
 def linear_propagate(
     f0_hat: VectorField, f1_hat: VectorField, t: float, lame: LameParams
 ) -> ElasticState:
-    """Homogeneous evolution of spectral data ``(f0h, f1h)`` to time ``t``."""
+    """Homogeneous evolution of real fields' spectra ``(f0h, f1h)`` to time ``t``.
+
+    Propagates the half lattice, then rebuilds each full spectrum from the
+    physical field.
+    """
     if f0_hat.grid != f1_hat.grid:
         raise ShapeMismatchError("initial data live on different grids")
     grid = f0_hat.grid
     prop = Propagator(grid, lame, (t,))
-    u, v = prop.propagate(t, prop.split(f0_hat.data), prop.split(f1_hat.data))
-    return ElasticState(
-        displacement_hat=VectorField(grid, prop.join(u), "spectral"),
-        velocity_hat=VectorField(grid, prop.join(v), "spectral"),
-        time=t,
+    u, v = prop.propagate(
+        t, prop.split(grid.half_lattice(f0_hat.data)), prop.split(grid.half_lattice(f1_hat.data))
     )
+
+    def full(pair):
+        return transform(VectorField(grid, inverse_scalar(grid, prop.join(pair)), "physical"))
+
+    return ElasticState(displacement_hat=full(u), velocity_hat=full(v), time=t)
 
 
 def diagonalize_check(

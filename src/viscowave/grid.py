@@ -10,9 +10,14 @@ Conventions fixed here and relied on everywhere else:
   ``sum |f|^2 h^3 = sum |fhat|^2 (2 pi / L)^3``;
 * vector fields are stored as arrays of shape ``(3, n, n, n)`` with axis
   order (component, x, y, z);
-* a real scalar's spectrum is stored on the half lattice ``k_z = 0 .. n/2``
-  (``rfftn`` layout, shape ``(n, n, n/2 + 1)``); the ``k_z`` planes strictly
-  between 0 and n/2 stand for themselves and their conjugate mirror images.
+* the spectrum of a real field is stored on the half lattice ``k_z = 0 .. n/2``
+  (``rfftn`` layout): shape ``(n, n, n/2 + 1)`` for a scalar and
+  ``(3, n, n, n/2 + 1)`` for a vector field.  The ``k_z`` planes strictly
+  between 0 and n/2 stand for themselves and their conjugate mirror images,
+  so sums over them count twice (:func:`half_seminorm`).  The grid solvers
+  carry every spectral array in this layout; :func:`transform` and
+  :func:`sobolev_seminorm` are the full-lattice layer that
+  :class:`VectorField` spectra and the linear propagator's output use.
 """
 
 from __future__ import annotations
@@ -82,6 +87,11 @@ class Grid3:
     def shape(self) -> tuple[int, int, int]:
         return (self.n, self.n, self.n)
 
+    @property
+    def half_shape(self) -> tuple[int, int, int]:
+        """Shape of a real scalar's half-lattice spectrum."""
+        return (self.n, self.n, self.n // 2 + 1)
+
     def xi_component_safe(self, axis: int) -> np.ndarray:
         """Wave-vector component with the unpaired Nyquist entry zeroed.
 
@@ -96,9 +106,13 @@ class Grid3:
         safe[self.n // 2] = 0.0
         return safe.reshape(shape)
 
+    def half_lattice(self, a: np.ndarray) -> np.ndarray:
+        """The ``k_z = 0 .. n/2`` planes of a full-lattice array (a view)."""
+        return a[..., : self.n // 2 + 1]
+
     def xi_half(self, axis: int) -> np.ndarray:
         """``xi_component_safe`` on the half lattice of :func:`forward_scalar`."""
-        return self.xi_component_safe(axis)[..., : self.n // 2 + 1]
+        return self.half_lattice(self.xi_component_safe(axis))
 
     def x_component(self, axis: int) -> np.ndarray:
         """Physical coordinate along one axis, broadcastable like xi_component_safe."""
@@ -107,15 +121,19 @@ class Grid3:
         return (self.spacing * np.arange(self.n)).reshape(shape)
 
     def unique_radii(self) -> tuple[np.ndarray, np.ndarray]:
-        """(sorted unique |xi| values, inverse index array of shape (n,n,n)).
+        """(sorted unique |xi| values, inverse index array on the half lattice).
 
         Lets radial kernels be evaluated on a few thousand scalars instead of
-        n^3 lattice points; cached after the first call.
+        one per lattice point; ``vals[inv]`` has shape ``(n, n, n/2 + 1)``.
+        Every radius of the full lattice has a mirror image on the half
+        lattice, so ``vals`` is the full lattice's set.  Cached after the
+        first call.
         """
         cached = self.__dict__.get("_unique_radii")
         if cached is None:
-            vals, inv = np.unique(self.radius.round(12), return_inverse=True)
-            cached = (vals, inv.reshape(self.shape).astype(np.int32))
+            half = self.half_lattice(self.radius)
+            vals, inv = np.unique(half.round(12), return_inverse=True)
+            cached = (vals, inv.reshape(half.shape).astype(np.int32))
             object.__setattr__(self, "_unique_radii", cached)
         return cached
 
@@ -160,14 +178,23 @@ def transform(fld: VectorField) -> VectorField:
     return VectorField(fld.grid, np.ascontiguousarray(data.real), "physical")
 
 
+_SPACE_AXES = (-3, -2, -1)
+
+
 def forward_scalar(grid: Grid3, f: np.ndarray) -> np.ndarray:
-    """Half-lattice spectrum of one real scalar, scaled like ``transform``."""
-    return sfft.rfftn(f, workers=_WORKERS) * _forward_scale(grid)
+    """Half-lattice spectrum of real data, scaled like ``transform``.
+
+    Transforms the last three axes, so one call takes a scalar ``(n, n, n)``
+    or a vector field's ``(3, n, n, n)`` data.
+    """
+    return sfft.rfftn(f, axes=_SPACE_AXES, workers=_WORKERS) * _forward_scale(grid)
 
 
 def inverse_scalar(grid: Grid3, fh: np.ndarray) -> np.ndarray:
-    """Physical values of one half-lattice spectrum: the inverse of ``forward_scalar``."""
-    return sfft.irfftn(fh, s=grid.shape, workers=_WORKERS) / _forward_scale(grid)
+    """Physical values of a half-lattice spectrum: the inverse of ``forward_scalar``."""
+    scale = _forward_scale(grid)
+    # One expression, so numpy divides the irfftn temporary in place.
+    return sfft.irfftn(fh, s=grid.shape, axes=_SPACE_AXES, workers=_WORKERS) / scale
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +248,11 @@ class CutoffSpec:
 
 
 def dealias_mask(grid: Grid3) -> np.ndarray:
-    """Boolean retain-mask for quadratic products (two-thirds rule)."""
+    """Boolean retain-mask on the half lattice for quadratic products (two-thirds rule)."""
     kmax = grid.n // 3
     k1 = np.rint(grid.xi1 / (2.0 * np.pi / grid.box_length)).astype(int)
     keep1 = np.abs(k1) <= kmax
-    return keep1[:, None, None] & keep1[None, :, None] & keep1[None, None, :]
+    return keep1[:, None, None] & keep1[None, :, None] & grid.half_lattice(keep1)[None, None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -264,14 +291,15 @@ def sobolev_seminorm(fld: VectorField, order: int) -> float:
 
 
 def half_seminorm(grid: Grid3, fh: np.ndarray, order: int) -> float:
-    """``sobolev_seminorm`` of a real scalar from its half-lattice spectrum.
+    """``sobolev_seminorm`` of a real scalar or vector field from its half-lattice spectrum.
 
     The ``k_z`` planes 1 .. n/2 - 1 count twice, for their mirror images;
-    the planes ``k_z = 0`` and ``k_z = n/2`` are their own mirrors and count once.
+    the planes ``k_z = 0`` and ``k_z = n/2`` are their own mirrors and count
+    once.  The components of a vector field add, as in ``sobolev_seminorm``.
     """
     dxi3 = (2.0 * np.pi / grid.box_length) ** 3
     a = np.abs(fh) ** 2
     if order:
-        a *= grid.radius[..., : grid.n // 2 + 1] ** (2 * order)
+        a *= grid.half_lattice(grid.radius) ** (2 * order)
     total = 2.0 * np.sum(a[..., 1:-1]) + np.sum(a[..., 0]) + np.sum(a[..., -1])
     return float(np.sqrt(total * dxi3))

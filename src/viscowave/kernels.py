@@ -22,7 +22,6 @@ explicit degenerate window switches to the confluent limit formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -236,33 +235,21 @@ def mode_oracle(
     params: DampingParams,
     w0: float,
     w1: float,
-    forcing=None,
     rtol: float = 1e-10,
 ) -> tuple[float, float]:
-    """Integrate one mode ODE ``w'' + nu r^2 w' + beta^2 r^2 w = f`` to time ``t``.
+    """Integrate one mode ODE ``w'' + nu r^2 w' + beta^2 r^2 w = 0`` to time ``t``.
 
     Independent verification oracle for the closed-form kernels: it uses an
     adaptive 4/5-order Runge-Kutta pair and never touches the kernel
-    formulas.  ``forcing`` may be None, a callable ``f(t)``, or a pair of
-    arrays ``(times, values)`` interpolated with a cubic spline.
+    formulas.  Returns ``(w(t), w'(t))`` for ``w(0) = w0``, ``w'(0) = w1``.
     """
     from scipy.integrate import solve_ivp
-    from scipy.interpolate import CubicSpline
-
-    if forcing is None:
-        f: Callable[[float], float] = lambda tau: 0.0
-    elif callable(forcing):
-        f = forcing
-    else:
-        times, values = forcing
-        spline = CubicSpline(np.asarray(times, float), np.asarray(values, float))
-        f = lambda tau: float(spline(tau))
 
     nr2 = params.nu * r * r
     b2r2 = (params.beta * r) ** 2
 
     def rhs(tau, y):
-        return [y[1], f(tau) - nr2 * y[1] - b2r2 * y[0]]
+        return [y[1], -nr2 * y[1] - b2r2 * y[0]]
 
     if t == 0.0:
         return float(w0), float(w1)

@@ -4,7 +4,15 @@ The nonlinearity is the quadratic gradient contraction
 
     F_k(u) = sum c[k,i,j,m] (d_i u_j)(d_i d_j u_m),
 
-evaluated pseudospectrally with a two-thirds dealias mask.
+evaluated pseudospectrally with a two-thirds dealias mask (Orszag 1971).
+
+Every spectral array here lives on the half lattice ``k_z = 0 .. n/2``
+(``rfftn`` layout, :mod:`viscowave.grid`): states and forcing as
+``(3, n, n, n/2 + 1)`` spectra of real fields, kernel tables and the dealias
+mask as ``(n, n, n/2 + 1)`` arrays.  The data enter through one full-lattice
+``transform`` per field and are cropped; the forcing's forward transform is
+``rfftn``; the X1 norms and the blow-up guard sum the half lattice with the
+mirror weights of :func:`~viscowave.grid.half_seminorm`.
 
 Both solvers solve the same node equations: the Duhamel formula
 ``U(t) = S(t) U_0 + int_0^t S(t - s) (0, g(s)) ds`` for the state
@@ -44,9 +52,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elastic import ElasticState, LameParams, Propagator
+from .elastic import LameParams, Propagator
 from .exceptions import DivergenceError, NoContractionError
-from .grid import Grid3, VectorField, dealias_mask, inverse_scalar, sobolev_seminorm, transform
+from .grid import (
+    Grid3,
+    VectorField,
+    dealias_mask,
+    forward_scalar,
+    half_seminorm,
+    inverse_scalar,
+    transform,
+)
 
 # Not called here; kept bound because perfbench's layer tracer self-test expects them here.
 from .elastic import linear_propagate  # noqa: F401
@@ -118,10 +134,15 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
-    """Time-stamped solution snapshots."""
+    """Solution snapshots: half-lattice spectra of the displacement ``u[k]`` and velocity ``v[k]``.
 
+    Snapshot k is taken at ``times[k]``.
+    """
+
+    grid: Grid3
     times: np.ndarray
-    states: list[ElasticState]
+    u: list[np.ndarray]
+    v: list[np.ndarray]
 
 
 # ---------------------------------------------------------------------------
@@ -131,32 +152,27 @@ class Trajectory:
 def _nonlinearity_hat(
     grid: Grid3, u_hat: np.ndarray, tensor: ContractionTensor, mask: np.ndarray
 ) -> np.ndarray:
-    """Dealiased spectral forcing from spectral displacement data.
-
-    The displacement is real, so its derivatives come from the half lattice
-    of its spectrum through ``inverse_scalar``.
-    """
+    """Dealiased half-lattice forcing from the half-lattice displacement spectrum."""
     if not tensor.entries:
-        return np.zeros((3, *grid.shape), dtype=np.complex128)
+        return np.zeros((3, *grid.half_shape), dtype=np.complex128)
 
     xi = [grid.xi_half(a) for a in range(3)]
-    u_half = u_hat[..., : grid.n // 2 + 1]
 
     first_pairs = sorted({(i, j) for (_, i, j, _, _) in tensor.entries})
     second_triples = sorted({(min(i, j), max(i, j), m) for (_, i, j, m, _) in tensor.entries})
 
     d1 = {}
     for i, j in first_pairs:
-        d1[(i, j)] = inverse_scalar(grid, 1j * xi[i] * u_half[j])
+        d1[(i, j)] = inverse_scalar(grid, 1j * xi[i] * u_hat[j])
     d2 = {}
     for i, j, m in second_triples:
-        d2[(i, j, m)] = inverse_scalar(grid, -(xi[i] * xi[j]) * u_half[m])
+        d2[(i, j, m)] = inverse_scalar(grid, -(xi[i] * xi[j]) * u_hat[m])
 
     f_phys = np.zeros((3, *grid.shape))
     for k, i, j, m, w in tensor.entries:
         f_phys[k] += w * d1[(i, j)] * d2[(min(i, j), max(i, j), m)]
 
-    f_hat = transform(VectorField(grid, f_phys, "physical")).data
+    f_hat = forward_scalar(grid, f_phys)
     f_hat *= mask
     return f_hat
 
@@ -165,14 +181,10 @@ def _nonlinearity_hat(
 # shared helpers
 
 
-def _state(grid: Grid3, u: np.ndarray, v: np.ndarray, t: float) -> ElasticState:
-    return ElasticState(
-        VectorField(grid, u, "spectral"), VectorField(grid, v, "spectral"), t
-    )
-
-
-def _as_spectral(fld: VectorField) -> VectorField:
-    return fld if fld.space == "spectral" else transform(fld)
+def _as_spectral(fld: VectorField) -> np.ndarray:
+    """A real field's half-lattice spectrum, as a new complex array."""
+    full = fld if fld.space == "spectral" else transform(fld)
+    return np.array(fld.grid.half_lattice(full.data), dtype=np.complex128)
 
 
 def _add(acc, inc) -> None:
@@ -234,15 +246,13 @@ def evolve(
     Aborts with DivergenceError if the state norm at a full step exceeds 1e6
     times its initial value or is not finite.
     """
-    f0h, f1h = _as_spectral(f0), _as_spectral(f1)
-    grid = f0h.grid
+    grid = f0.grid
     mask = dealias_mask(grid)
     h = 0.5 * config.dt
     prop = Propagator(grid, lame, (h, 2.0 * h))
-    dxi3 = (2.0 * np.pi / grid.box_length) ** 3
 
     def state_norm(u, v):
-        return float(np.sqrt((np.sum(np.abs(u) ** 2) + np.sum(np.abs(v) ** 2)) * dxi3))
+        return math.hypot(half_seminorm(grid, u, 0), half_seminorm(grid, v, 0))
 
     def sample(m, u):
         return prop.split(_nonlinearity_hat(grid, prop.join(u), tensor, mask))
@@ -250,12 +260,9 @@ def evolve(
     if not tensor.entries:
         sample = None  # the zero tensor forces nothing
 
-    u_arr = f0h.data.astype(np.complex128, copy=True)
-    v_arr = f1h.data.astype(np.complex128, copy=True)
-    guard = 1e6 * max(state_norm(u_arr, v_arr), 1e-300)
-    times = [0.0]
-    states = [_state(grid, u_arr, v_arr, 0.0)]
-    nodes = _march(prop, h, 2 * config.n_steps, prop.split(u_arr), prop.split(v_arr), sample)
+    times, us, vs = [0.0], [_as_spectral(f0)], [_as_spectral(f1)]
+    guard = 1e6 * max(state_norm(us[0], vs[0]), 1e-300)
+    nodes = _march(prop, h, 2 * config.n_steps, prop.split(us[0]), prop.split(vs[0]), sample)
     for m, u, v in nodes:
         if m % 2:
             del u, v  # free the odd node before the march builds the next one
@@ -268,29 +275,29 @@ def evolve(
                 f"state norm {norm:g} is not finite or exceeded the blow-up guard at t={t:g}", t
             )
         times.append(t)
-        states.append(_state(grid, u_arr, v_arr, t))
+        us.append(u_arr)
+        vs.append(v_arr)
 
-    return Trajectory(times=np.asarray(times), states=states)
+    return Trajectory(grid, np.asarray(times), us, vs)
 
 
 # ---------------------------------------------------------------------------
 # weighted solution norm
 
 
-def _x1_integrand(t: float, u_hat: VectorField, v_hat: VectorField) -> float:
+def _x1_integrand(grid: Grid3, t: float, u_hat: np.ndarray, v_hat: np.ndarray) -> float:
     w = 1.0 + t
     return (
-        w**1.75 * sobolev_seminorm(u_hat, 3)
-        + w**0.75 * (sobolev_seminorm(u_hat, 1) + sobolev_seminorm(v_hat, 0))
-        + w**1.25 * sobolev_seminorm(v_hat, 1)
+        w**1.75 * half_seminorm(grid, u_hat, 3)
+        + w**0.75 * (half_seminorm(grid, u_hat, 1) + half_seminorm(grid, v_hat, 0))
+        + w**1.25 * half_seminorm(grid, v_hat, 1)
     )
 
 
 def x1_norm(traj: Trajectory) -> float:
     """Sup over stored times of the time-weighted derivative norms."""
     return max(
-        _x1_integrand(float(t), st.displacement_hat, st.velocity_hat)
-        for t, st in zip(traj.times, traj.states)
+        _x1_integrand(traj.grid, float(t), u, v) for t, u, v in zip(traj.times, traj.u, traj.v)
     )
 
 
@@ -298,18 +305,15 @@ def x1_distance(a: Trajectory, b: Trajectory) -> float:
     """X1 norm of the difference of two trajectories on their common times."""
     if len(a.times) != len(b.times) or np.max(np.abs(a.times - b.times)) > 1e-12:
         raise ValueError("trajectories must share the same time grid")
-    best = 0.0
-    for t, sa, sb in zip(a.times, a.states, b.states):
-        du = VectorField(sa.grid, sa.displacement_hat.data - sb.displacement_hat.data, "spectral")
-        dv = VectorField(sa.grid, sa.velocity_hat.data - sb.velocity_hat.data, "spectral")
-        best = max(best, _x1_integrand(float(t), du, dv))
-    return best
+    return max(
+        _x1_integrand(a.grid, float(t), ua - ub, va - vb)
+        for t, ua, ub, va, vb in zip(a.times, a.u, b.u, a.v, b.v)
+    )
 
 
 def x1_data_seminorm(f0: VectorField, f1: VectorField) -> float:
     """Value of the X1 integrand at t = 0 for data ``(f0, f1)``; used for scaling."""
-    f0h, f1h = _as_spectral(f0), _as_spectral(f1)
-    return _x1_integrand(0.0, f0h, f1h)
+    return _x1_integrand(f0.grid, 0.0, _as_spectral(f0), _as_spectral(f1))
 
 
 # ---------------------------------------------------------------------------
@@ -336,16 +340,15 @@ def picard_iterate(
     non-finite increment and NoContractionError after three consecutive
     ratios >= 1.
     """
-    f0h, f1h = _as_spectral(f0), _as_spectral(f1)
-    grid = f0h.grid
+    grid = f0.grid
     mask = dealias_mask(grid)
     h = 0.5 * config.dt
     prop = Propagator(grid, lame, (h, 2.0 * h))
     m_count = 2 * config.n_steps
     taus = h * np.arange(m_count + 1)
 
-    states_u = [f0h.data.astype(np.complex128, copy=True)]
-    states_v = [f1h.data.astype(np.complex128, copy=True)]
+    states_u = [_as_spectral(f0)]
+    states_v = [_as_spectral(f1)]
     u0, v0 = prop.split(states_u[0]), prop.split(states_v[0])
 
     # Iterate 0: the homogeneous solution, the march without forcing.
@@ -368,11 +371,7 @@ def picard_iterate(
         for m, u, v in _march(prop, h, m_count, u0, v0, sample):
             u_new, v_new = prop.join(u), prop.join(v)
             del u, v
-            inc = _x1_integrand(
-                float(taus[m]),
-                VectorField(grid, u_new - states_u[m], "spectral"),
-                VectorField(grid, v_new - states_v[m], "spectral"),
-            )
+            inc = _x1_integrand(grid, float(taus[m]), u_new - states_u[m], v_new - states_v[m])
             if not np.isfinite(inc):
                 raise DivergenceError(
                     f"Picard sweep {it} increment is not finite at t={taus[m]:g}", float(taus[m])
@@ -399,6 +398,4 @@ def picard_iterate(
             break
 
     # Return the full-step subset, matching evolve's sampling.
-    idx = range(0, m_count + 1, 2)
-    states = [_state(grid, states_u[m], states_v[m], float(taus[m])) for m in idx]
-    return Trajectory(times=taus[::2], states=states), history
+    return Trajectory(grid, taus[::2], states_u[::2], states_v[::2]), history

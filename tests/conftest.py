@@ -83,6 +83,39 @@ def forced_kernel_quadrature(
     return val
 
 
+def forced_mode_oracle(t: float, r: float, params: DampingParams, w0: float, w1: float, forcing):
+    """``kernels.mode_oracle`` with a forcing term: ``w'' + nu r^2 w' + beta^2 r^2 w = f``.
+
+    ``forcing`` is a callable ``f(t)`` or a pair of arrays ``(times, values)``
+    interpolated with a cubic spline.  Same adaptive Runge-Kutta pair and
+    tolerances as the library oracle; returns ``(w(t), w'(t))``.
+    """
+    from scipy.integrate import solve_ivp
+    from scipy.interpolate import CubicSpline
+
+    if callable(forcing):
+        f = forcing
+    else:
+        times, values = forcing
+        spline = CubicSpline(np.asarray(times, float), np.asarray(values, float))
+        f = lambda tau: float(spline(tau))
+
+    nr2 = params.nu * r * r
+    b2r2 = (params.beta * r) ** 2
+    scale = max(abs(w0), abs(w1), 1e-30)
+    sol = solve_ivp(
+        lambda tau, y: [y[1], f(tau) - nr2 * y[1] - b2r2 * y[0]],
+        (0.0, t),
+        [float(w0), float(w1)],
+        method="RK45",
+        rtol=1e-10,
+        atol=1e-14 * scale,
+        t_eval=[t],
+    )
+    assert sol.success, sol.message
+    return float(sol.y[0, -1]), float(sol.y[1, -1])
+
+
 @pytest.fixture
 def grid16():
     return make_grid(16, 16.0)

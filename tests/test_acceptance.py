@@ -94,7 +94,7 @@ def test_criterion_07_fixed_point_construction(nonlinear_grid_data):
     f0, f1 = nonlinear_grid_data
     sc = SolverConfig(dt=1.25, t_end=25.0, picard_tol=1e-10)
     _, assertions = picard_check(f0, f1, LAME, ContractionTensor.default(), sc)
-    holds(7, assertions, [("<=", 0.5), ("<=", 5.0 * 1e-10), ("<=", math.inf), ("<", 1e-10)])
+    holds(7, assertions, [("<=", 0.5), ("<=", 5.0 * 1e-10), ("<", math.inf), ("<", 1e-10)])
 
 
 def test_criterion_08_nonlinear_consistency(nonlinear_grid_data):

@@ -338,6 +338,17 @@ class TestRunScenario:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1 and rows[0]["ratio"] == ""
 
+    def test_infinite_marched_x1_norm_fails_criterion_7(self, tmp_path, monkeypatch):
+        check = cli._assert("7", "marched X1 norm finite", math.inf, math.inf, "<")
+        assert check["passed"] is False
+        monkeypatch.setattr(cli, "x1_norm", lambda traj: math.inf)
+        cfg = write_cfg(tmp_path, picard16(t_end="2.5"))
+        out = tmp_path / "out"
+        assert run_scenario(cfg, out, suite="picard") == 1
+        summary = json.loads((out / "summary.json").read_text())
+        failed = [a["name"] for a in summary["assertions"] if not a["passed"]]
+        assert failed == ["marched X1 norm finite"]
+
     def test_missing_config(self, tmp_path):
         assert run_scenario(tmp_path / "nope.ini", tmp_path / "out") == 2
 

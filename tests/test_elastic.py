@@ -14,7 +14,7 @@ from viscowave.elastic import (
     projection,
     split_longitudinal,
 )
-from viscowave.grid import VectorField, transform
+from viscowave.grid import VectorField, half_seminorm, inverse_scalar, sobolev_seminorm, transform
 from viscowave.kernels import kernel_hat, mode_oracle
 from viscowave.radial import simpson_weights
 
@@ -141,16 +141,19 @@ class TestLinearPropagate:
 
     def test_split_once_displacement_is_byte_identical(self, grid16):
         # data split once and propagated per time, displacement only, as the
-        # nonlinear suite's reference does
+        # nonlinear suite's reference does; linear_propagate then rebuilds the
+        # full spectrum from the same half lattice
         f0 = transform(centered_gaussian(grid16))
         f1 = transform(band_limited_random(grid16, seed=3))
-        u0, v0 = split_longitudinal(f0), split_longitudinal(f1)
+        u0 = split_longitudinal(grid16, grid16.half_lattice(f0.data))
+        v0 = split_longitudinal(grid16, grid16.half_lattice(f1.data))
         for t in (0.5, 1.25, 3.0):
             prop = Propagator(grid16, LAME, (t,))
             u, v = prop.propagate(t, u0, v0, velocity=False)
             assert v is None
             want = linear_propagate(f0, f1, t, LAME).displacement_hat.data
-            assert np.array_equal(prop.join(u), want)
+            got = transform(VectorField(grid16, inverse_scalar(grid16, prop.join(u)), "physical"))
+            assert np.array_equal(got.data, want)
 
     def test_semigroup(self, grid16):
         f0 = transform(centered_gaussian(grid16))
@@ -209,17 +212,52 @@ class TestLinearPropagate:
         assert np.max(np.abs(u.data[2])) <= 1e-15 * np.max(np.abs(u.data[0]))
 
 
+def full_lattice_split(fld):
+    """Reference split on the full lattice, with the same Nyquist-safe wave vectors."""
+    grid = fld.grid
+    xi = [grid.xi_component_safe(a) for a in range(3)]
+    dot = sum(xi[a] * fld.data[a] for a in range(3))
+    r2 = xi[0] ** 2 + xi[1] ** 2 + xi[2] ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.where(r2 > 0, dot / np.where(r2 > 0, r2, 1.0), 0.0)
+    par = np.stack([scale * xi[a] for a in range(3)])
+    return par, fld.data - par
+
+
+class TestSplitLongitudinal:
+    def test_half_lattice_split_is_the_full_split_cropped(self, grid16):
+        # White noise: content on every Nyquist plane.
+        data = np.random.default_rng(15).standard_normal((3, *grid16.shape))
+        fh = transform(VectorField(grid16, data, "physical"))
+        full = full_lattice_split(fh)
+        par, perp = split_longitudinal(grid16, grid16.half_lattice(fh.data))
+        assert par.shape == perp.shape == (3, 16, 16, 9)
+        assert np.array_equal(par, grid16.half_lattice(full[0]))
+        assert np.array_equal(perp, grid16.half_lattice(full[1]))
+        # The unpaired k_z = n/2 component goes transverse.
+        assert np.all(par[2, ..., -1] == 0.0)
+        assert np.array_equal(perp[2, ..., -1], fh.data[2, ..., 8])
+        # The parts are orthogonal, and their mirror-weighted norms are the full lattice's.
+        for part, ref in ((par, full[0]), (perp, full[1])):
+            want = sobolev_seminorm(VectorField(grid16, ref, "spectral"), 0)
+            assert abs(half_seminorm(grid16, part, 0) - want) <= 1e-12 * want
+        total = half_seminorm(grid16, par, 0) ** 2 + half_seminorm(grid16, perp, 0) ** 2
+        assert total == pytest.approx(sobolev_seminorm(fh, 0) ** 2, rel=1e-12)
+
+
 def simpson_duhamel(samples, delta):
     """Composite-Simpson forcing integral over one step through ``Propagator.duhamel``.
 
     ``samples`` are spectral forcing fields at uniformly spaced times across the
-    step (odd count); returns the (displacement, velocity) increment arrays.
+    step (odd count); returns the half-lattice (displacement, velocity) increments.
     """
     n = len(samples)
     w = simpson_weights(n, delta / (n - 1))
     lags = [delta - delta * i / (n - 1) for i in range(n)]
-    prop = Propagator(samples[0].grid, LAME, lags)
-    du, dv = prop.duhamel((w[i], lags[i], prop.split(fs.data)) for i, fs in enumerate(samples))
+    grid = samples[0].grid
+    prop = Propagator(grid, LAME, lags)
+    splits = [prop.split(grid.half_lattice(fs.data)) for fs in samples]
+    du, dv = prop.duhamel(zip(w, lags, splits))
     return prop.join(du), prop.join(dv)
 
 

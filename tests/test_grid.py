@@ -87,10 +87,10 @@ def random_scalar(grid, seed):
 
 
 def full_spectrum(grid, f):
-    """``transform`` of the vector field carrying the scalar ``f`` in component 0."""
-    data = np.zeros((3, *grid.shape))
-    data[0] = f
-    return transform(VectorField(grid, data, "physical"))
+    """``transform`` of the vector field ``f``, or of one carrying the scalar ``f`` in component 0."""
+    if f.ndim == 3:
+        f = np.stack([f, np.zeros_like(f), np.zeros_like(f)])
+    return transform(VectorField(grid, f, "physical"))
 
 
 class TestScalarTransform:
@@ -106,11 +106,18 @@ class TestScalarTransform:
         back = inverse_scalar(grid16, forward_scalar(grid16, f))
         assert np.max(np.abs(back - f)) < 1e-12 * np.max(np.abs(f))
 
-    @pytest.mark.parametrize("order", [0, 1, 2, 3])
-    def test_half_seminorm_matches_full_lattice(self, grid16, order):
-        f = random_scalar(grid16, 6)
+    @pytest.mark.parametrize(
+        "order, shape",
+        [pytest.param(order, (), id=str(order)) for order in range(4)]
+        + [pytest.param(order, (3,), id=f"vector-{order}") for order in range(4)],
+    )
+    def test_half_seminorm_matches_full_lattice(self, grid16, order, shape):
+        # A scalar, or a (3, n, n, n/2 + 1) vector field in one call.
+        f = np.random.default_rng(6).standard_normal((*shape, *grid16.shape))
         full = sobolev_seminorm(full_spectrum(grid16, f), order)
-        half = half_seminorm(grid16, forward_scalar(grid16, f), order)
+        fh = forward_scalar(grid16, f)
+        assert fh.shape == (*shape, *grid16.half_shape)
+        half = half_seminorm(grid16, fh, order)
         assert abs(half - full) <= 1e-12 * full
 
     def test_half_wave_vectors_keep_nyquist_zeroing(self, grid16):
@@ -187,6 +194,8 @@ class TestLpNorm:
 
 
 def test_dealias_mask_counts(grid16):
+    # On the half lattice the retained k_z run over 0 .. kmax only.
     mask = dealias_mask(grid16)
     kmax = grid16.n // 3
-    assert mask.sum() == (2 * kmax + 1) ** 3
+    assert mask.shape == grid16.half_shape
+    assert mask.sum() == (2 * kmax + 1) ** 2 * (kmax + 1)

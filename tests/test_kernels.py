@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import forced_kernel_quadrature
+from conftest import forced_kernel_quadrature, forced_mode_oracle
 from viscowave.exceptions import OutOfDomainError, UnsupportedOrderError
 from viscowave.kernels import (
     DampingParams,
@@ -188,7 +188,7 @@ class TestModeOracle:
     def test_constant_forcing_matches_quadrature(self):
         dp = DampingParams(1.0, 1.0)
         r, t = 1.3, 4.0
-        w, _ = mode_oracle(t, r, dp, 0.0, 0.0, forcing=lambda tau: 1.0)
+        w, _ = forced_mode_oracle(t, r, dp, 0.0, 0.0, lambda tau: 1.0)
         ref = forced_kernel_quadrature(t, r, dp, lambda tau: 1.0)
         assert w == pytest.approx(ref, abs=1e-7)
 
@@ -197,7 +197,7 @@ class TestModeOracle:
         r, t = 0.9, 3.0
         taus = np.linspace(0.0, t, 400)
         vals = np.sin(taus)
-        w, _ = mode_oracle(t, r, dp, 0.0, 0.0, forcing=(taus, vals))
+        w, _ = forced_mode_oracle(t, r, dp, 0.0, 0.0, (taus, vals))
         ref = forced_kernel_quadrature(t, r, dp, np.sin)
         assert w == pytest.approx(ref, abs=1e-7)
 

@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
-from conftest import band_limited_random, centered_gaussian, hermitian_defect, zero_field
+from conftest import band_limited_random, centered_gaussian, zero_field
 from viscowave.elastic import LameParams, Propagator, linear_propagate
 from viscowave.exceptions import DivergenceError, NoContractionError
 from viscowave.grid import (
     VectorField,
     dealias_mask,
+    forward_scalar,
+    inverse_scalar,
     make_grid,
+    sobolev_seminorm,
     transform,
 )
 from viscowave.solver import (
@@ -17,6 +20,7 @@ from viscowave.solver import (
     SolverConfig,
     _march,
     _nonlinearity_hat,
+    _x1_integrand,
     evolve,
     picard_iterate,
     x1_data_seminorm,
@@ -35,6 +39,11 @@ def small_data(grid, target=1e-3, sigma=0.8):
         VectorField(grid, scale * f0.data, "physical"),
         VectorField(grid, scale * f1.data, "physical"),
     )
+
+
+def half(st):
+    """The half lattice of a full-lattice ``linear_propagate`` state's displacement."""
+    return st.grid.half_lattice(st.displacement_hat.data)
 
 
 def with_one_nan(fld):
@@ -73,8 +82,9 @@ class TestSolverConfig:
 
 def forcing(u, tensor):
     """Physical-space forcing ``F(u)`` of a physical field, dealiased by the two-thirds mask."""
-    f_hat = _nonlinearity_hat(u.grid, transform(u).data, tensor, dealias_mask(u.grid))
-    return transform(VectorField(u.grid, f_hat, "spectral"))
+    g = u.grid
+    f_hat = _nonlinearity_hat(g, forward_scalar(g, u.data), tensor, dealias_mask(g))
+    return VectorField(g, inverse_scalar(g, f_hat), "physical")
 
 
 class TestNonlinearity:
@@ -150,16 +160,26 @@ class TestEvolve:
     def test_zero_data(self, grid16):
         cfg = SolverConfig(dt=0.5, t_end=2.0)
         traj = evolve(zero_field(grid16), zero_field(grid16), LAME, ContractionTensor.default(), cfg)
-        assert all(np.all(st.displacement_hat.data == 0.0) for st in traj.states)
+        assert all(np.all(u == 0.0) for u in traj.u)
 
     def test_zero_tensor_matches_propagator(self, grid16):
         f0, f1 = small_data(grid16)
         cfg = SolverConfig(dt=0.5, t_end=4.0)
         traj = evolve(f0, f1, LAME, ContractionTensor.zero(), cfg)
         ref = linear_propagate(transform(f0), transform(f1), 4.0, LAME)
-        scale = max(np.max(np.abs(ref.displacement_hat.data)), 1e-300)
-        diff = np.max(np.abs(traj.states[-1].displacement_hat.data - ref.displacement_hat.data))
+        scale = max(np.max(np.abs(half(ref))), 1e-300)
+        diff = np.max(np.abs(traj.u[-1] - half(ref)))
         assert diff <= 1e-10 * scale
+        # The half-lattice X1 integrand is the full lattice's, mirror planes counted twice.
+        w = 1.0 + 4.0
+        u, v = ref.displacement_hat, ref.velocity_hat
+        full = (
+            w**1.75 * sobolev_seminorm(u, 3)
+            + w**0.75 * (sobolev_seminorm(u, 1) + sobolev_seminorm(v, 0))
+            + w**1.25 * sobolev_seminorm(v, 1)
+        )
+        got = _x1_integrand(grid16, 4.0, traj.u[-1], traj.v[-1])
+        assert abs(got - full) <= 1e-10 * full
 
     def test_step_halving_order(self):
         # effective order >= 3: halving dt shrinks the self-difference by >= 8
@@ -170,19 +190,23 @@ class TestEvolve:
         for dt in (0.4, 0.2, 0.1):
             cfg = SolverConfig(dt=dt, t_end=4.0)
             traj = evolve(f0, f1, LAME, tensor, cfg)
-            ends[dt] = traj.states[-1].displacement_hat.data.copy()
+            ends[dt] = traj.u[-1]
         lin = linear_propagate(transform(f0), transform(f1), 4.0, LAME)
-        nl_size = np.max(np.abs(ends[0.1] - lin.displacement_hat.data))
+        nl_size = np.max(np.abs(ends[0.1] - half(lin)))
         e1 = np.max(np.abs(ends[0.4] - ends[0.2]))
         e2 = np.max(np.abs(ends[0.2] - ends[0.1]))
         assert nl_size > 0  # the nonlinearity actually contributed
         assert e1 / e2 >= 8.0
 
     def test_reality_preserved(self, grid16):
+        # A half-lattice spectrum stands for a real field only if its self-mirror
+        # planes k_z = 0 and n/2 are Hermitian; then the real round trip keeps it.
         f0, f1 = small_data(grid16, target=1e-2)
         cfg = SolverConfig(dt=0.5, t_end=3.0)
         traj = evolve(f0, f1, LAME, ContractionTensor.default(), cfg)
-        assert hermitian_defect(traj.states[-1].displacement_hat) < 1e-12
+        for uh in (traj.u[-1], traj.v[-1]):
+            back = forward_scalar(grid16, inverse_scalar(grid16, uh))
+            assert np.max(np.abs(back - uh)) < 1e-12 * np.max(np.abs(uh))
 
     def test_blowup_guard(self):
         g = make_grid(16, 16.0)
@@ -204,12 +228,7 @@ class TestEvolve:
         f0, f1 = small_data(g, target=1e-3)
         cfg = SolverConfig(dt=0.5, t_end=50.0)
         traj = evolve(f0, f1, LAME, ContractionTensor.default(), cfg)
-        from viscowave.solver import _x1_integrand
-
-        vals = [
-            _x1_integrand(float(t), st.displacement_hat, st.velocity_hat)
-            for t, st in zip(traj.times, traj.states)
-        ]
+        vals = [_x1_integrand(g, float(t), u, v) for t, u, v in zip(traj.times, traj.u, traj.v)]
         early = max(vals[:11])
         assert max(vals) <= 2.0 * early
 
@@ -277,8 +296,8 @@ class TestPicard:
         traj_p, history = picard_iterate(f0, f1, LAME, ContractionTensor.zero(), cfg)
         assert history[0]["distance"] == 0.0
         ref = linear_propagate(transform(f0), transform(f1), 4.0, LAME)
-        scale = np.max(np.abs(ref.displacement_hat.data))
-        diff = np.max(np.abs(traj_p.states[-1].displacement_hat.data - ref.displacement_hat.data))
+        scale = np.max(np.abs(half(ref)))
+        diff = np.max(np.abs(traj_p.u[-1] - half(ref)))
         assert diff <= 1e-12 * scale
 
     def test_zero_forcing_skips_the_duhamel_window(self, monkeypatch):
@@ -338,7 +357,7 @@ class TestPicard:
         t2, _ = picard_iterate(f0, f1, LAME, ContractionTensor.default(), cfg2)
         # common window states agree: horizon-local fixed point is stable
         k = len(t1.times)
-        sub = type(t2)(times=t2.times[:k], states=t2.states[:k])
+        sub = type(t2)(grid=g, times=t2.times[:k], u=t2.u[:k], v=t2.v[:k])
         assert x1_distance(t1, sub) <= 1e-12
 
 
@@ -374,15 +393,15 @@ class TestDuhamelStream:
         # of an odd node count.
         h, m_count = 0.5, 9
         prop = Propagator(grid16, LAME, (h, 2.0 * h))
-        samples = [
-            VectorField(grid16, transform(band_limited_random(grid16, seed=j)).data, "spectral")
-            for j in range(m_count + 1)
-        ]
+        samples = [transform(band_limited_random(grid16, seed=j)) for j in range(m_count + 1)]
         zero = VectorField(grid16, np.zeros_like(samples[0].data), "spectral")
-        z = prop.split(zero.data)
+        z = prop.split(grid16.half_lattice(zero.data))
+
+        def sample(m, u):
+            return prop.split(grid16.half_lattice(samples[m].data))
+
         streamed = [
-            (m, prop.join(u), prop.join(v))
-            for m, u, v in _march(prop, h, m_count, z, z, lambda m, u: prop.split(samples[m].data))
+            (m, prop.join(u), prop.join(v)) for m, u, v in _march(prop, h, m_count, z, z, sample)
         ]
         assert [m for m, _, _ in streamed] == list(range(1, m_count + 1))
         assert all(np.all(x == 0.0) for x in z)  # the march leaves node 0 alone
@@ -391,7 +410,7 @@ class TestDuhamelStream:
             ref_v = np.zeros_like(dv)
             for j, w in enumerate(direct_weights(m, h)):
                 st = linear_propagate(zero, samples[j], (m - j) * h, LAME)
-                ref_u += w * st.displacement_hat.data
-                ref_v += w * st.velocity_hat.data
+                ref_u += w * grid16.half_lattice(st.displacement_hat.data)
+                ref_v += w * grid16.half_lattice(st.velocity_hat.data)
             assert np.max(np.abs(du - ref_u)) <= 1e-12 * np.max(np.abs(ref_u))
             assert np.max(np.abs(dv - ref_v)) <= 1e-12 * np.max(np.abs(ref_v))
