@@ -19,7 +19,6 @@ from .audit import (
     symbol_bound_scan,
 )
 from .elastic import (
-    ElasticState,
     LameParams,
     Propagator,
     default_cutoffs,
@@ -73,7 +72,6 @@ __all__ = [
     "lp_norm",
     "radial_l2_norm",
     "LameParams",
-    "ElasticState",
     "projection",
     "matrix_kernel",
     "Propagator",

@@ -11,9 +11,10 @@ velocity tracked through the time-differentiated kernels so that restarting
 is exact.  The zero mode evolves as ``f0h + t f1h``, the common ``r -> 0``
 limit of both branches.
 
-The split and the :class:`Propagator` work on the half lattice of real
-fields' spectra (see :mod:`viscowave.grid`); :func:`linear_propagate` takes
-and returns full-lattice :class:`~viscowave.grid.VectorField` spectra.
+Every spectral array here is a real field's spectrum on the half lattice
+``k_z = 0 .. n/2`` (see :mod:`viscowave.grid`): the split, the
+:class:`Propagator`, :func:`linear_propagate` and :func:`energy` take and
+return ``(3, n, n, n/2 + 1)`` arrays.
 """
 
 from __future__ import annotations
@@ -23,12 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ShapeMismatchError
-from .grid import CutoffSpec, Grid3, VectorField, inverse_scalar, transform
+from .grid import CutoffSpec, Grid3, half_seminorm
 from .kernels import DampingParams, kernel_hat
 
 __all__ = [
     "LameParams",
-    "ElasticState",
     "projection",
     "matrix_kernel",
     "Propagator",
@@ -85,25 +85,6 @@ def default_cutoffs(lame: LameParams) -> CutoffSpec:
     bmin = min(lame.beta_long, lame.beta_trans)
     bmax = max(lame.beta_long, lame.beta_trans)
     return CutoffSpec(c0=bmin / lame.nu, c1=4.0 * bmax / lame.nu)
-
-
-@dataclass(frozen=True, eq=False)
-class ElasticState:
-    """Spectral displacement/velocity pair at one time."""
-
-    displacement_hat: VectorField
-    velocity_hat: VectorField
-    time: float
-
-    def __post_init__(self) -> None:
-        if self.displacement_hat.grid != self.velocity_hat.grid:
-            raise ShapeMismatchError("displacement and velocity live on different grids")
-        if self.displacement_hat.space != "spectral" or self.velocity_hat.space != "spectral":
-            raise ValueError("ElasticState stores spectral fields")
-
-    @property
-    def grid(self) -> Grid3:
-        return self.displacement_hat.grid
 
 
 def projection(xi) -> np.ndarray:
@@ -220,25 +201,16 @@ class Propagator:
 
 
 def linear_propagate(
-    f0_hat: VectorField, f1_hat: VectorField, t: float, lame: LameParams
-) -> ElasticState:
-    """Homogeneous evolution of real fields' spectra ``(f0h, f1h)`` to time ``t``.
-
-    Propagates the half lattice, then rebuilds each full spectrum from the
-    physical field.
-    """
-    if f0_hat.grid != f1_hat.grid:
-        raise ShapeMismatchError("initial data live on different grids")
-    grid = f0_hat.grid
+    grid: Grid3, f0_hat: np.ndarray, f1_hat: np.ndarray, t: float, lame: LameParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Homogeneous evolution ``(u, v)`` at time ``t`` of half-lattice data ``(f0h, f1h)``."""
+    shape = (3, *grid.half_shape)
+    for name, a in (("f0_hat", f0_hat), ("f1_hat", f1_hat)):
+        if np.shape(a) != shape:
+            raise ShapeMismatchError(f"{name} has shape {np.shape(a)}, expected {shape}")
     prop = Propagator(grid, lame, (t,))
-    u, v = prop.propagate(
-        t, prop.split(grid.half_lattice(f0_hat.data)), prop.split(grid.half_lattice(f1_hat.data))
-    )
-
-    def full(pair):
-        return transform(VectorField(grid, inverse_scalar(grid, prop.join(pair)), "physical"))
-
-    return ElasticState(displacement_hat=full(u), velocity_hat=full(v), time=t)
+    u, v = prop.propagate(t, prop.split(f0_hat), prop.split(f1_hat))
+    return prop.join(u), prop.join(v)
 
 
 def diagonalize_check(
@@ -282,15 +254,15 @@ def diagonalize_check(
     return float(np.max(np.abs(rebuilt - matrix_kernel(t, xi, lame, which, dt_order))))
 
 
-def energy(state: ElasticState, lame: LameParams) -> float:
-    """Dissipated energy functional ``||v||^2 + mu || |xi| u ||^2 + (lam+mu) ||xi.u||^2``."""
-    grid = state.grid
-    dxi3 = (2.0 * np.pi / grid.box_length) ** 3
-    u = state.displacement_hat.data
-    v = state.velocity_hat.data
-    xi = [grid.xi_component_safe(a) for a in range(3)]
-    div = sum(xi[a] * u[a] for a in range(3))
-    ekin = np.sum(np.abs(v) ** 2)
-    egrad = np.sum(grid.radius**2 * np.abs(u) ** 2)
-    ediv = np.sum(np.abs(div) ** 2)
-    return float((ekin + lame.mu * egrad + (lame.lam + lame.mu) * ediv) * dxi3)
+def energy(grid: Grid3, u: np.ndarray, v: np.ndarray, lame: LameParams) -> float:
+    """Dissipated energy ``||v||^2 + mu || |xi| u ||^2 + (lam+mu) ||xi.u||^2`` of a state.
+
+    ``u`` and ``v`` are half-lattice spectra; each norm is a mirror-weighted
+    :func:`~viscowave.grid.half_seminorm`.
+    """
+    div = sum(grid.xi_half(a) * u[a] for a in range(3))
+    return (
+        half_seminorm(grid, v, 0) ** 2
+        + lame.mu * half_seminorm(grid, u, 1) ** 2
+        + (lame.lam + lame.mu) * half_seminorm(grid, div, 0) ** 2
+    )

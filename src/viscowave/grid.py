@@ -14,10 +14,11 @@ Conventions fixed here and relied on everywhere else:
   (``rfftn`` layout): shape ``(n, n, n/2 + 1)`` for a scalar and
   ``(3, n, n, n/2 + 1)`` for a vector field.  The ``k_z`` planes strictly
   between 0 and n/2 stand for themselves and their conjugate mirror images,
-  so sums over them count twice (:func:`half_seminorm`).  The grid solvers
-  carry every spectral array in this layout; :func:`transform` and
-  :func:`sobolev_seminorm` are the full-lattice layer that
-  :class:`VectorField` spectra and the linear propagator's output use.
+  so sums over them count twice (:func:`half_seminorm`).  Every spectral
+  array the library computes is in this layout.  The full-lattice layer,
+  :func:`transform`, :func:`sobolev_seminorm` and spectral
+  :class:`VectorField` data, has no library caller; it remains as a test
+  reference and as a lookup target of perfbench's layer tracer.
 """
 
 from __future__ import annotations
@@ -77,11 +78,11 @@ class Grid3:
 
     @staticmethod
     def check(n: int, box_length: float) -> None:
-        """Raise InvalidGridError unless ``n`` is even and >= 8 and ``box_length > 0``."""
+        """Raise InvalidGridError unless ``n`` is even and >= 8 and ``0 < box_length < inf``."""
         if n < 8 or n % 2 != 0:
             raise InvalidGridError(f"n must be even and >= 8, got {n}")
-        if not box_length > 0:
-            raise InvalidGridError(f"box_length must be positive, got {box_length}")
+        if not 0 < box_length < math.inf:
+            raise InvalidGridError(f"box_length must be finite and positive, got {box_length}")
 
     @property
     def shape(self) -> tuple[int, int, int]:

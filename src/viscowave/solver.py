@@ -9,10 +9,10 @@ evaluated pseudospectrally with a two-thirds dealias mask (Orszag 1971).
 Every spectral array here lives on the half lattice ``k_z = 0 .. n/2``
 (``rfftn`` layout, :mod:`viscowave.grid`): states and forcing as
 ``(3, n, n, n/2 + 1)`` spectra of real fields, kernel tables and the dealias
-mask as ``(n, n, n/2 + 1)`` arrays.  The data enter through one full-lattice
-``transform`` per field and are cropped; the forcing's forward transform is
-``rfftn``; the X1 norms and the blow-up guard sum the half lattice with the
-mirror weights of :func:`~viscowave.grid.half_seminorm`.
+mask as ``(n, n, n/2 + 1)`` arrays.  The physical data and the forcing enter
+through ``rfftn`` (:func:`~viscowave.grid.forward_scalar`); the X1 norms and
+the blow-up guard sum the half lattice with the mirror weights of
+:func:`~viscowave.grid.half_seminorm`.
 
 Both solvers solve the same node equations: the Duhamel formula
 ``U(t) = S(t) U_0 + int_0^t S(t - s) (0, g(s)) ds`` for the state
@@ -61,11 +61,11 @@ from .grid import (
     forward_scalar,
     half_seminorm,
     inverse_scalar,
-    transform,
 )
 
 # Not called here; kept bound because perfbench's layer tracer self-test expects them here.
 from .elastic import linear_propagate  # noqa: F401
+from .grid import transform  # noqa: F401
 from .kernels import kernel_hat  # noqa: F401
 
 __all__ = [
@@ -182,9 +182,10 @@ def _nonlinearity_hat(
 
 
 def _as_spectral(fld: VectorField) -> np.ndarray:
-    """A real field's half-lattice spectrum, as a new complex array."""
-    full = fld if fld.space == "spectral" else transform(fld)
-    return np.array(fld.grid.half_lattice(full.data), dtype=np.complex128)
+    """The half-lattice spectrum of physical data, as a new complex array."""
+    if fld.space != "physical":
+        raise ValueError(f"the solvers take physical data, got a {fld.space} field")
+    return forward_scalar(fld.grid, fld.data)
 
 
 def _add(acc, inc) -> None:

@@ -33,9 +33,8 @@ def centered_gaussian(grid, sigma=0.8, mass=1.0, components=(1.0, 1.0, 1.0)):
     return VectorField(grid, data, "physical")
 
 
-def zero_field(grid: Grid3, space: str = "physical") -> VectorField:
-    dtype = np.complex128 if space == "spectral" else np.float64
-    return VectorField(grid=grid, data=np.zeros((3, *grid.shape), dtype=dtype), space=space)
+def zero_field(grid: Grid3) -> VectorField:
+    return VectorField(grid=grid, data=np.zeros((3, *grid.shape)), space="physical")
 
 
 def band_limited_random(grid, seed=0, keep_fraction=0.4, components=3):

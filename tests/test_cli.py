@@ -146,6 +146,7 @@ class TestRunScenario:
             ("linear-decay", {"stop": "inf"}),
             ("linear-decay", {"count": "0"}),
             ("linear-decay", {"count": "-3"}),
+            ("picard", {"box_length": "inf"}),
         ],
     )
     def test_unusable_grid_or_times_is_usage_error(self, tmp_path, suite, override, capsys):

@@ -14,7 +14,15 @@ from viscowave.elastic import (
     projection,
     split_longitudinal,
 )
-from viscowave.grid import VectorField, half_seminorm, inverse_scalar, sobolev_seminorm, transform
+from viscowave.exceptions import ShapeMismatchError
+from viscowave.grid import (
+    VectorField,
+    forward_scalar,
+    half_seminorm,
+    inverse_scalar,
+    sobolev_seminorm,
+    transform,
+)
 from viscowave.kernels import kernel_hat, mode_oracle
 from viscowave.radial import simpson_weights
 
@@ -96,33 +104,37 @@ class TestDiagonalize:
             diagonalize_check(1.0, np.zeros(3), LAME)
 
 
+def half_spectrum(fld):
+    """The half-lattice spectrum of a physical field."""
+    return forward_scalar(fld.grid, fld.data)
+
+
 class TestLinearPropagate:
     def test_t0_identity(self, grid16):
-        f0 = transform(centered_gaussian(grid16))
-        f1 = transform(centered_gaussian(grid16, sigma=0.6))
-        st = linear_propagate(f0, f1, 0.0, LAME)
-        assert np.max(np.abs(st.displacement_hat.data - f0.data)) < 1e-14
-        assert np.max(np.abs(st.velocity_hat.data - f1.data)) < 1e-14
+        f0 = half_spectrum(centered_gaussian(grid16))
+        f1 = half_spectrum(centered_gaussian(grid16, sigma=0.6))
+        u, v = linear_propagate(grid16, f0, f1, 0.0, LAME)
+        assert np.max(np.abs(u - f0)) < 1e-14
+        assert np.max(np.abs(v - f1)) < 1e-14
 
     def test_longitudinal_plane_wave(self, grid8):
         # data on a single mode, aligned with xi: evolves by the long-speed kernel
         i1 = int(np.argwhere(grid8.xi1 == 1.0)[0][0])
-        data = np.zeros((3, *grid8.shape), dtype=np.complex128)
+        data = np.zeros((3, *grid8.half_shape), dtype=np.complex128)
         data[0, i1, 0, 0] = 1.0
-        data[0, (-i1) % grid8.n, 0, 0] = 1.0  # Hermitian partner
-        f1 = VectorField(grid8, data, "spectral")
-        st = linear_propagate(transform(zero_field(grid8)), f1, 2.5, LAME)
+        data[0, (-i1) % grid8.n, 0, 0] = 1.0  # Hermitian partner, also on the k_z = 0 plane
+        u, _ = linear_propagate(grid8, np.zeros_like(data), data, 2.5, LAME)
         expected = kernel_hat(2.5, 1.0, LAME.long_params, "K1")
-        assert st.displacement_hat.data[0, i1, 0, 0] == pytest.approx(expected, rel=1e-13)
+        assert u[0, i1, 0, 0] == pytest.approx(expected, rel=1e-13)
 
     def test_per_mode_oracle(self, grid8):
-        f0 = transform(band_limited_random(grid8, seed=10))
-        f1 = transform(band_limited_random(grid8, seed=11))
+        f0 = half_spectrum(band_limited_random(grid8, seed=10))
+        f1 = half_spectrum(band_limited_random(grid8, seed=11))
         t = 1.7
-        st = linear_propagate(f0, f1, t, LAME)
+        u, _ = linear_propagate(grid8, f0, f1, t, LAME)
         # check a sample of modes against the scalar ODE oracle per branch
         rng = np.random.default_rng(12)
-        idxs = rng.integers(0, grid8.n, size=(12, 3))
+        idxs = rng.integers(0, grid8.half_shape, size=(12, 3))
         for i, j, k in idxs:
             xi = np.array([grid8.xi1[i], grid8.xi1[j], grid8.xi1[k]])
             r = float(np.linalg.norm(xi))
@@ -130,9 +142,9 @@ class TestLinearPropagate:
             for dp, proj in ((LAME.long_params, p), (LAME.trans_params, np.eye(3) - p)):
                 if r == 0.0:
                     continue
-                a0 = proj @ f0.data[:, i, j, k]
-                a1 = proj @ f1.data[:, i, j, k]
-                got = proj @ st.displacement_hat.data[:, i, j, k]
+                a0 = proj @ f0[:, i, j, k]
+                a1 = proj @ f1[:, i, j, k]
+                got = proj @ u[:, i, j, k]
                 for comp in range(3):
                     wr, _ = mode_oracle(t, r, dp, a0[comp].real, a1[comp].real)
                     wi, _ = mode_oracle(t, r, dp, a0[comp].imag, a1[comp].imag)
@@ -141,75 +153,95 @@ class TestLinearPropagate:
 
     def test_split_once_displacement_is_byte_identical(self, grid16):
         # data split once and propagated per time, displacement only, as the
-        # nonlinear suite's reference does; linear_propagate then rebuilds the
-        # full spectrum from the same half lattice
-        f0 = transform(centered_gaussian(grid16))
-        f1 = transform(band_limited_random(grid16, seed=3))
-        u0 = split_longitudinal(grid16, grid16.half_lattice(f0.data))
-        v0 = split_longitudinal(grid16, grid16.half_lattice(f1.data))
+        # nonlinear suite's reference does, against linear_propagate
+        f0 = half_spectrum(centered_gaussian(grid16))
+        f1 = half_spectrum(band_limited_random(grid16, seed=3))
+        u0 = split_longitudinal(grid16, f0)
+        v0 = split_longitudinal(grid16, f1)
         for t in (0.5, 1.25, 3.0):
             prop = Propagator(grid16, LAME, (t,))
             u, v = prop.propagate(t, u0, v0, velocity=False)
             assert v is None
-            want = linear_propagate(f0, f1, t, LAME).displacement_hat.data
-            got = transform(VectorField(grid16, inverse_scalar(grid16, prop.join(u)), "physical"))
-            assert np.array_equal(got.data, want)
+            assert np.array_equal(prop.join(u), linear_propagate(grid16, f0, f1, t, LAME)[0])
 
     def test_semigroup(self, grid16):
-        f0 = transform(centered_gaussian(grid16))
-        f1 = transform(centered_gaussian(grid16, sigma=0.5))
-        first = linear_propagate(f0, f1, 1.1, LAME)
-        one = linear_propagate(first.displacement_hat, first.velocity_hat, 2.3, LAME)
-        direct = linear_propagate(f0, f1, 3.4, LAME)
-        scale = np.max(np.abs(direct.displacement_hat.data))
-        assert np.max(np.abs(one.displacement_hat.data - direct.displacement_hat.data)) <= 1e-10 * scale
-        assert np.max(np.abs(one.velocity_hat.data - direct.velocity_hat.data)) <= 1e-10 * scale
+        f0 = half_spectrum(centered_gaussian(grid16))
+        f1 = half_spectrum(centered_gaussian(grid16, sigma=0.5))
+        first = linear_propagate(grid16, f0, f1, 1.1, LAME)
+        one = linear_propagate(grid16, *first, 2.3, LAME)
+        direct = linear_propagate(grid16, f0, f1, 3.4, LAME)
+        scale = np.max(np.abs(direct[0]))
+        assert np.max(np.abs(one[0] - direct[0])) <= 1e-10 * scale
+        assert np.max(np.abs(one[1] - direct[1])) <= 1e-10 * scale
 
     def test_energy_dissipation(self, grid16):
         lame = LameParams(-1.5, 1.0, 0.8)  # lambda + mu < 0 allowed; energy still decays
-        f0 = transform(centered_gaussian(grid16))
-        f1 = transform(centered_gaussian(grid16, sigma=0.5))
+        f0 = half_spectrum(centered_gaussian(grid16))
+        f1 = half_spectrum(centered_gaussian(grid16, sigma=0.5))
         es = [
-            energy(linear_propagate(f0, f1, t, lame), lame)
+            energy(grid16, *linear_propagate(grid16, f0, f1, t, lame), lame)
             for t in np.linspace(0.0, 12.0, 20)
         ]
         assert all(b <= a * (1.0 + 1e-12) for a, b in zip(es, es[1:]))
 
     def test_rotation_equivariance(self, grid16):
         # Quarter turn about z: R(x,y,z) = (-y, x, z), exact on the lattice.
-        f0 = band_limited_random(grid16, seed=13)
-        f1 = band_limited_random(grid16, seed=14)
+        f0 = band_limited_random(grid16, seed=13).data
+        f1 = band_limited_random(grid16, seed=14).data
         n = grid16.n
         inv = (-np.arange(n)) % n
 
-        def rot_field(fld):
-            d = fld.data
+        def rot(d):
             # (R u)(x) = R u(R^{-1} x) with R^{-1}(x,y,z) = (y, -x, z)
             moved = d[:, :, inv, :].transpose(0, 2, 1, 3)
-            out = np.empty_like(moved)
-            out[0] = -moved[1]
-            out[1] = moved[0]
-            out[2] = moved[2]
-            return VectorField(fld.grid, np.ascontiguousarray(out), "physical")
+            return np.ascontiguousarray(np.stack([-moved[1], moved[0], moved[2]]))
 
-        st = linear_propagate(transform(f0), transform(f1), 2.0, LAME)
-        st_rot = linear_propagate(
-            transform(rot_field(f0)), transform(rot_field(f1)), 2.0, LAME
-        )
-        evolved_then_rot = rot_field(transform(st.displacement_hat))
-        rot_then_evolved = transform(st_rot.displacement_hat)
-        scale = np.max(np.abs(evolved_then_rot.data))
-        diff = np.max(np.abs(evolved_then_rot.data - rot_then_evolved.data))
+        def evolved(a0, a1):
+            fwd = [forward_scalar(grid16, a) for a in (a0, a1)]
+            return inverse_scalar(grid16, linear_propagate(grid16, *fwd, 2.0, LAME)[0])
+
+        evolved_then_rot = rot(evolved(f0, f1))
+        rot_then_evolved = evolved(rot(f0), rot(f1))
+        scale = np.max(np.abs(evolved_then_rot))
+        diff = np.max(np.abs(evolved_then_rot - rot_then_evolved))
         assert diff <= 1e-12 * scale
 
     def test_component_decoupling(self, grid16):
         # lambda + mu = 0 with data in component 0 only stays in component 0
         lame = LameParams(-1.0, 1.0, 1.0)
-        f = centered_gaussian(grid16, components=(1.0, 0.0, 0.0))
-        st = linear_propagate(transform(zero_field(grid16)), transform(f), 3.0, lame)
-        u = transform(st.displacement_hat)
-        assert np.max(np.abs(u.data[1])) <= 1e-15 * np.max(np.abs(u.data[0]))
-        assert np.max(np.abs(u.data[2])) <= 1e-15 * np.max(np.abs(u.data[0]))
+        f = half_spectrum(centered_gaussian(grid16, components=(1.0, 0.0, 0.0)))
+        u, _ = linear_propagate(grid16, np.zeros_like(f), f, 3.0, lame)
+        u = inverse_scalar(grid16, u)
+        assert np.max(np.abs(u[1])) <= 1e-15 * np.max(np.abs(u[0]))
+        assert np.max(np.abs(u[2])) <= 1e-15 * np.max(np.abs(u[0]))
+
+    @pytest.mark.parametrize("shape", [(3, 16, 16, 16), (16, 16, 9), (3, 16, 16, 8)])
+    def test_wrong_shape_rejected(self, grid16, shape):
+        ok = np.zeros((3, *grid16.half_shape), dtype=np.complex128)
+        with pytest.raises(ShapeMismatchError):
+            linear_propagate(grid16, np.zeros(shape, dtype=np.complex128), ok, 1.0, LAME)
+        with pytest.raises(ShapeMismatchError):
+            linear_propagate(grid16, ok, np.zeros(shape, dtype=np.complex128), 1.0, LAME)
+
+
+class TestEnergy:
+    def test_half_lattice_energy_is_the_full_lattice_formula(self, grid16):
+        # White noise: content on every k_z plane, the self-mirror ones included.
+        rng = np.random.default_rng(16)
+        u, v = (rng.standard_normal((3, *grid16.shape)) for _ in range(2))
+        lame = LameParams(0.5, 1.0, 1.0)
+        uh = transform(VectorField(grid16, u, "physical")).data
+        vh = transform(VectorField(grid16, v, "physical")).data
+        xi = [grid16.xi_component_safe(a) for a in range(3)]
+        div = sum(xi[a] * uh[a] for a in range(3))
+        dxi3 = (2.0 * np.pi / grid16.box_length) ** 3
+        want = dxi3 * (
+            np.sum(np.abs(vh) ** 2)
+            + lame.mu * np.sum(grid16.radius**2 * np.abs(uh) ** 2)
+            + (lame.lam + lame.mu) * np.sum(np.abs(div) ** 2)
+        )
+        got = energy(grid16, forward_scalar(grid16, u), forward_scalar(grid16, v), lame)
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def full_lattice_split(fld):

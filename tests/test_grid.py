@@ -1,5 +1,7 @@
 """Grid, transform, cutoff, and norm tests."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,8 @@ class TestMakeGrid:
             make_grid(4, 1.0)
         with pytest.raises(InvalidGridError):
             make_grid(8, -1.0)
+        with pytest.raises(InvalidGridError):
+            make_grid(8, math.inf)
 
 
 class TestTransform:

@@ -41,11 +41,6 @@ def small_data(grid, target=1e-3, sigma=0.8):
     )
 
 
-def half(st):
-    """The half lattice of a full-lattice ``linear_propagate`` state's displacement."""
-    return st.grid.half_lattice(st.displacement_hat.data)
-
-
 def with_one_nan(fld):
     data = fld.data.copy()
     data[0, 3, 4, 5] = np.nan
@@ -166,13 +161,14 @@ class TestEvolve:
         f0, f1 = small_data(grid16)
         cfg = SolverConfig(dt=0.5, t_end=4.0)
         traj = evolve(f0, f1, LAME, ContractionTensor.zero(), cfg)
-        ref = linear_propagate(transform(f0), transform(f1), 4.0, LAME)
-        scale = max(np.max(np.abs(half(ref))), 1e-300)
-        diff = np.max(np.abs(traj.u[-1] - half(ref)))
+        f0h, f1h = forward_scalar(grid16, f0.data), forward_scalar(grid16, f1.data)
+        ref = linear_propagate(grid16, f0h, f1h, 4.0, LAME)
+        scale = max(np.max(np.abs(ref[0])), 1e-300)
+        diff = np.max(np.abs(traj.u[-1] - ref[0]))
         assert diff <= 1e-10 * scale
         # The half-lattice X1 integrand is the full lattice's, mirror planes counted twice.
         w = 1.0 + 4.0
-        u, v = ref.displacement_hat, ref.velocity_hat
+        u, v = (transform(VectorField(grid16, inverse_scalar(grid16, a), "physical")) for a in ref)
         full = (
             w**1.75 * sobolev_seminorm(u, 3)
             + w**0.75 * (sobolev_seminorm(u, 1) + sobolev_seminorm(v, 0))
@@ -191,8 +187,9 @@ class TestEvolve:
             cfg = SolverConfig(dt=dt, t_end=4.0)
             traj = evolve(f0, f1, LAME, tensor, cfg)
             ends[dt] = traj.u[-1]
-        lin = linear_propagate(transform(f0), transform(f1), 4.0, LAME)
-        nl_size = np.max(np.abs(ends[0.1] - half(lin)))
+        f0h, f1h = forward_scalar(g, f0.data), forward_scalar(g, f1.data)
+        lin, _ = linear_propagate(g, f0h, f1h, 4.0, LAME)
+        nl_size = np.max(np.abs(ends[0.1] - lin))
         e1 = np.max(np.abs(ends[0.4] - ends[0.2]))
         e2 = np.max(np.abs(ends[0.2] - ends[0.1]))
         assert nl_size > 0  # the nonlinearity actually contributed
@@ -295,9 +292,10 @@ class TestPicard:
         cfg = SolverConfig(dt=1.0, t_end=4.0, picard_tol=1e-30, picard_max_iter=2)
         traj_p, history = picard_iterate(f0, f1, LAME, ContractionTensor.zero(), cfg)
         assert history[0]["distance"] == 0.0
-        ref = linear_propagate(transform(f0), transform(f1), 4.0, LAME)
-        scale = np.max(np.abs(half(ref)))
-        diff = np.max(np.abs(traj_p.u[-1] - half(ref)))
+        f0h, f1h = forward_scalar(g, f0.data), forward_scalar(g, f1.data)
+        ref, _ = linear_propagate(g, f0h, f1h, 4.0, LAME)
+        scale = np.max(np.abs(ref))
+        diff = np.max(np.abs(traj_p.u[-1] - ref))
         assert diff <= 1e-12 * scale
 
     def test_zero_forcing_skips_the_duhamel_window(self, monkeypatch):
@@ -377,6 +375,16 @@ def direct_weights(m, h):
     return w
 
 
+@pytest.mark.parametrize("solve", [evolve, picard_iterate])
+def test_spectral_data_rejected(grid16, solve):
+    # The solvers transform physical data themselves; spectral data is an error.
+    f0, f1 = small_data(grid16)
+    cfg = SolverConfig(dt=1.0, t_end=2.0)
+    for a, b in ((transform(f0), f1), (f0, transform(f1))):
+        with pytest.raises(ValueError, match="physical"):
+            solve(a, b, LAME, ContractionTensor.default(), cfg)
+
+
 class TestDuhamelStream:
     def test_direct_weights_integrate_quadratics(self):
         h = 0.3
@@ -393,12 +401,15 @@ class TestDuhamelStream:
         # of an odd node count.
         h, m_count = 0.5, 9
         prop = Propagator(grid16, LAME, (h, 2.0 * h))
-        samples = [transform(band_limited_random(grid16, seed=j)) for j in range(m_count + 1)]
-        zero = VectorField(grid16, np.zeros_like(samples[0].data), "spectral")
-        z = prop.split(grid16.half_lattice(zero.data))
+        samples = [
+            forward_scalar(grid16, band_limited_random(grid16, seed=j).data)
+            for j in range(m_count + 1)
+        ]
+        zero = np.zeros_like(samples[0])
+        z = prop.split(zero)
 
         def sample(m, u):
-            return prop.split(grid16.half_lattice(samples[m].data))
+            return prop.split(samples[m])
 
         streamed = [
             (m, prop.join(u), prop.join(v)) for m, u, v in _march(prop, h, m_count, z, z, sample)
@@ -409,8 +420,8 @@ class TestDuhamelStream:
             ref_u = np.zeros_like(du)
             ref_v = np.zeros_like(dv)
             for j, w in enumerate(direct_weights(m, h)):
-                st = linear_propagate(zero, samples[j], (m - j) * h, LAME)
-                ref_u += w * grid16.half_lattice(st.displacement_hat.data)
-                ref_v += w * grid16.half_lattice(st.velocity_hat.data)
+                u, v = linear_propagate(grid16, zero, samples[j], (m - j) * h, LAME)
+                ref_u += w * u
+                ref_v += w * v
             assert np.max(np.abs(du - ref_u)) <= 1e-12 * np.max(np.abs(ref_u))
             assert np.max(np.abs(dv - ref_v)) <= 1e-12 * np.max(np.abs(ref_v))
