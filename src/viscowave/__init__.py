@@ -51,8 +51,9 @@ from .solver import (
     SolverConfig,
     Trajectory,
     evolve,
+    evolve_stream,
     picard_iterate,
-    x1_norm,
+    x1_norm_and_distance,
 )
 
 __all__ = [
@@ -82,8 +83,9 @@ __all__ = [
     "SolverConfig",
     "Trajectory",
     "evolve",
+    "evolve_stream",
     "picard_iterate",
-    "x1_norm",
+    "x1_norm_and_distance",
     "DecayReport",
     "NormSpec",
     "LinearSource",

@@ -49,11 +49,10 @@ from .kernels import DampingParams, kernel_eval, kernel_hat, lowfreq_residual, m
 from .solver import (
     ContractionTensor,
     SolverConfig,
-    evolve,
+    evolve_stream,
     picard_iterate,
     x1_data_seminorm,
-    x1_distance,
-    x1_norm,
+    x1_norm_and_distance,
 )
 
 # Not called here; kept bound because perfbench's layer tracer self-test expects it here.
@@ -334,9 +333,10 @@ def nonlinear_check(
 
     Returns ``(series, assertions)``: zero-tensor marching against the linear
     propagator, and the deviation from the linear solution under amplitude
-    halving.  Both compare half-lattice spectra, with the data spectra taken
-    from each trajectory's node 0; the deviation's norms sum the half lattice
-    with ``half_seminorm``'s mirror weights.
+    halving.  Both compare half-lattice spectra as :func:`evolve_stream`
+    yields them, with the data spectra taken from its node 0; no run's
+    trajectory is held.  The deviation's norms sum the half lattice with
+    ``half_seminorm``'s mirror weights.
     """
     grid = f0.grid
     scale = 1e-3 / x1_data_seminorm(f0, f1)
@@ -348,9 +348,10 @@ def nonlinear_check(
         )
 
     # Linear consistency with the zero tensor; keep only the data and the last state.
-    traj0 = evolve(*scaled(scale), lame, ContractionTensor.zero(), sc)
-    u0, v0, u_end, t_end = traj0.u[0], traj0.v[0], traj0.u[-1], float(traj0.times[-1])
-    del traj0
+    states = evolve_stream(*scaled(scale), lame, ContractionTensor.zero(), sc)
+    _, u0, v0 = next(states)
+    for t_end, u_end, _ in states:
+        pass
     lin_u = linear_propagate(grid, u0, v0, t_end, lame)[0]
     lin_err = np.max(np.abs(u_end - lin_u)) / max(np.max(np.abs(lin_u)), 1e-300)
     del u0, v0, u_end, lin_u
@@ -358,18 +359,20 @@ def nonlinear_check(
     # Amplitude scaling of the deviation from the homogeneous solution.
     devs = []
     for eps_fac in (1.0, 0.5):
-        traj = evolve(*scaled(scale * eps_fac), lame, tensor, sc)
+        states = evolve_stream(*scaled(scale * eps_fac), lame, tensor, sc)
         # Split the data once; a Propagator per time keeps no time's tables alive.
-        u0, v0 = split_longitudinal(grid, traj.u[0]), split_longitudinal(grid, traj.v[0])
+        _, u0, v0 = next(states)
+        u0, v0 = split_longitudinal(grid, u0), split_longitudinal(grid, v0)
         worst = 0.0
-        for t, u in zip(traj.times[1:], traj.u[1:]):
-            prop = Propagator(grid, lame, (float(t),))
-            lin = prop.join(prop.propagate(float(t), u0, v0, velocity=False)[0])
+        for t, u, v in states:
+            prop = Propagator(grid, lame, (t,))
+            lin = prop.join(prop.propagate(t, u0, v0, velocity=False)[0])
             dnum = half_seminorm(grid, u - lin, 0)
             dden = max(half_seminorm(grid, lin, 0), 1e-300)
             worst = max(worst, dnum / dden)
+            del prop, u, v, lin  # hold nothing of this time while the march builds the next
         devs.append(worst)
-        del traj, u0, v0
+        del u0, v0
     ratio = devs[1] / max(devs[0], 1e-300)
     series = {
         "nonlinear_deviation": [
@@ -395,15 +398,15 @@ def picard_check(
     """Criterion 7 on the physical data pair scaled to X1 data seminorm 1e-3.
 
     Returns ``(series, assertions)``: Picard's contraction and convergence,
-    and its fixed point against time marching.
+    and its fixed point against time marching.  The marched states are
+    compared with Picard's as :func:`evolve_stream` yields them.
     """
     grid = f0.grid
     scale = 1e-3 / x1_data_seminorm(f0, f1)
     f0 = VectorField(grid, scale * f0.data, "physical")
     f1 = VectorField(grid, scale * f1.data, "physical")
     traj_p, history = picard_iterate(f0, f1, lame, tensor, sc)
-    traj_e = evolve(f0, f1, lame, tensor, sc)
-    dist = x1_distance(traj_e, traj_p)
+    marched_norm, dist = x1_norm_and_distance(evolve_stream(f0, f1, lame, tensor, sc), traj_p)
     ratios = [h["ratio"] for h in history if h["ratio"] is not None]
     # NaN when no ratio was measured, so the contraction check fails.
     worst_ratio = max(ratios) if ratios else math.nan
@@ -420,7 +423,7 @@ def picard_check(
     assertions = [
         _assert("7", "contraction ratio from iteration 2 on", worst_ratio, 0.5, "<="),
         _assert("7", "fixed point vs marching (X1)", dist, 5.0 * sc.picard_tol, "<="),
-        _assert("7", "marched X1 norm finite", x1_norm(traj_e), math.inf, "<"),
+        _assert("7", "marched X1 norm finite", marched_norm, math.inf, "<"),
         _assert(
             "7", "last Picard increment below picard_tol", history[-1]["distance"], sc.picard_tol, "<"
         ),

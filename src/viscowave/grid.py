@@ -14,7 +14,7 @@ Conventions fixed here and relied on everywhere else:
   (``rfftn`` layout): shape ``(n, n, n/2 + 1)`` for a scalar and
   ``(3, n, n, n/2 + 1)`` for a vector field.  The ``k_z`` planes strictly
   between 0 and n/2 stand for themselves and their conjugate mirror images,
-  so sums over them count twice (:func:`half_seminorm`).  Every spectral
+  so sums over them count twice (:func:`half_density_norm`).  Every spectral
   array the library computes is in this layout.  The full-lattice layer,
   :func:`transform`, :func:`sobolev_seminorm` and spectral
   :class:`VectorField` data, has no library caller; it remains as a test
@@ -44,6 +44,7 @@ __all__ = [
     "inverse_scalar",
     "lp_norm",
     "sobolev_seminorm",
+    "half_density_norm",
     "half_seminorm",
     "dealias_mask",
 ]
@@ -291,16 +292,25 @@ def sobolev_seminorm(fld: VectorField, order: int) -> float:
     return float(np.sqrt(np.sum(w * np.abs(fld.data) ** 2) * dxi3))
 
 
-def half_seminorm(grid: Grid3, fh: np.ndarray, order: int) -> float:
-    """``sobolev_seminorm`` of a real scalar or vector field from its half-lattice spectrum.
+def half_density_norm(grid: Grid3, a: np.ndarray) -> float:
+    """``sqrt(sum a (2 pi / L)^3)`` over the full lattice, for a density ``a`` on the half lattice.
 
     The ``k_z`` planes 1 .. n/2 - 1 count twice, for their mirror images;
     the planes ``k_z = 0`` and ``k_z = n/2`` are their own mirrors and count
-    once.  The components of a vector field add, as in ``sobolev_seminorm``.
+    once.  ``a`` is a weighted squared magnitude such as ``|xi|^2 |fh|^2``.
     """
     dxi3 = (2.0 * np.pi / grid.box_length) ** 3
+    total = 2.0 * np.sum(a[..., 1:-1]) + np.sum(a[..., 0]) + np.sum(a[..., -1])
+    return float(np.sqrt(total * dxi3))
+
+
+def half_seminorm(grid: Grid3, fh: np.ndarray, order: int) -> float:
+    """``sobolev_seminorm`` of a real scalar or vector field from its half-lattice spectrum.
+
+    The mirror planes count as in :func:`half_density_norm`.  The components
+    of a vector field add, as in ``sobolev_seminorm``.
+    """
     a = np.abs(fh) ** 2
     if order:
         a *= grid.half_lattice(grid.radius) ** (2 * order)
-    total = 2.0 * np.sum(a[..., 1:-1]) + np.sum(a[..., 0]) + np.sum(a[..., -1])
-    return float(np.sqrt(total * dxi3))
+    return half_density_norm(grid, a)

@@ -12,7 +12,7 @@ Every spectral array here lives on the half lattice ``k_z = 0 .. n/2``
 mask as ``(n, n, n/2 + 1)`` arrays.  The physical data and the forcing enter
 through ``rfftn`` (:func:`~viscowave.grid.forward_scalar`); the X1 norms and
 the blow-up guard sum the half lattice with the mirror weights of
-:func:`~viscowave.grid.half_seminorm`.
+:func:`~viscowave.grid.half_density_norm`.
 
 Both solvers solve the same node equations: the Duhamel formula
 ``U(t) = S(t) U_0 + int_0^t S(t - s) (0, g(s)) ds`` for the state
@@ -34,20 +34,25 @@ takes no forcing from its own node.  So the node equations are explicit.
 scheme; Hochbruck & Ostermann, Acta Numerica 19, 2010).  It streams over the
 nodes with a two-sample window and costs O(M) for M nodes.
 
-`evolve` runs one march, sampling ``F`` of the displacement it has just
-built; there is no predictor or corrector.  `picard_iterate` runs one march
-per sweep, sampling ``F`` of the previous iterate.  Its fixed point therefore
-solves the same node equations as `evolve`, and the two agree up to the
-sweeps' convergence error and rounding.  They are compared through the
-time-weighted solution norm computed by `x1_norm`.  Where the forcing is
-known to vanish (Picard's homogeneous iterate 0, and either solver with the
-zero contraction tensor), the march is the bare ``S(h)`` / ``S(2h)``
-recursion, with no Duhamel terms.
+`evolve_stream` runs one march, sampling ``F`` of the displacement it has
+just built; there is no predictor or corrector.  It yields each full step
+as the march reaches it and keeps none, so a consumer holds only what it
+reads; `evolve` collects its states into a `Trajectory`.  `picard_iterate`
+runs one march per sweep, sampling ``F`` of the previous iterate, so it
+keeps the displacement at every node but the velocity only at the full
+steps it returns.  Its fixed point solves the same node equations as
+`evolve`, and the two agree up to the sweeps' convergence error and
+rounding.  Both the sweep increments and the comparison
+(`x1_norm_and_distance`) are sups over the full steps of the time-weighted
+X1 integrand.  Where the forcing is known to vanish (Picard's homogeneous
+iterate 0, and either solver with the zero contraction tensor), the march
+is the bare ``S(h)`` / ``S(2h)`` recursion, with no Duhamel terms.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +64,7 @@ from .grid import (
     VectorField,
     dealias_mask,
     forward_scalar,
+    half_density_norm,
     half_seminorm,
     inverse_scalar,
 )
@@ -73,9 +79,9 @@ __all__ = [
     "SolverConfig",
     "Trajectory",
     "evolve",
+    "evolve_stream",
     "picard_iterate",
-    "x1_norm",
-    "x1_distance",
+    "x1_norm_and_distance",
     "x1_data_seminorm",
 ]
 
@@ -152,25 +158,34 @@ class Trajectory:
 def _nonlinearity_hat(
     grid: Grid3, u_hat: np.ndarray, tensor: ContractionTensor, mask: np.ndarray
 ) -> np.ndarray:
-    """Dealiased half-lattice forcing from the half-lattice displacement spectrum."""
+    """Dealiased half-lattice forcing from the half-lattice displacement spectrum.
+
+    The entries are taken in sorted ``(i, j)`` order, in tensor order within
+    a pair.  Each physical derivative field is transformed when an entry
+    first needs it and dropped after its last use, so only a few are held at
+    once.  The default and the diagonal tensor list each ``F_k``'s entries in
+    ``(i, j)`` order already, so each ``F_k`` sums its terms in tensor order.
+    """
     if not tensor.entries:
         return np.zeros((3, *grid.half_shape), dtype=np.complex128)
 
     xi = [grid.xi_half(a) for a in range(3)]
-
-    first_pairs = sorted({(i, j) for (_, i, j, _, _) in tensor.entries})
-    second_triples = sorted({(min(i, j), max(i, j), m) for (_, i, j, m, _) in tensor.entries})
-
-    d1 = {}
-    for i, j in first_pairs:
-        d1[(i, j)] = inverse_scalar(grid, 1j * xi[i] * u_hat[j])
-    d2 = {}
-    for i, j, m in second_triples:
-        d2[(i, j, m)] = inverse_scalar(grid, -(xi[i] * xi[j]) * u_hat[m])
+    # Sorted by (i, j); the sort is stable, so tensor order holds within a pair.
+    entries = sorted(tensor.entries, key=lambda e: (e[1], e[2]))
+    second = [(min(i, j), max(i, j), m) for _, i, j, m, _ in entries]
+    last_use = {key: pos for pos, key in enumerate(second)}
 
     f_phys = np.zeros((3, *grid.shape))
-    for k, i, j, m, w in tensor.entries:
-        f_phys[k] += w * d1[(i, j)] * d2[(min(i, j), max(i, j), m)]
+    pair, d1, d2 = None, None, {}
+    for pos, ((k, i, j, m, w), key) in enumerate(zip(entries, second)):
+        if (i, j) != pair:
+            d1 = None  # free the last pair's field before the next transform
+            pair, d1 = (i, j), inverse_scalar(grid, 1j * xi[i] * u_hat[j])
+        if key not in d2:
+            d2[key] = inverse_scalar(grid, -(xi[key[0]] * xi[key[1]]) * u_hat[m])
+        f_phys[k] += w * d1 * d2[key]
+        if last_use[key] == pos:
+            del d2[key]
 
     f_hat = forward_scalar(grid, f_phys)
     f_hat *= mask
@@ -233,19 +248,21 @@ def _march(prop: Propagator, h: float, m_count: int, u0, v0, sample=None):
         yield m, u, v
 
 
-def evolve(
+def evolve_stream(
     f0: VectorField,
     f1: VectorField,
     lame: LameParams,
     tensor: ContractionTensor,
     config: SolverConfig,
-) -> Trajectory:
-    """March the quasi-linear system on ``[0, t_end]`` with step ``dt``.
+) -> Iterator[tuple[float, np.ndarray, np.ndarray]]:
+    """March the quasi-linear system on ``[0, t_end]`` with step ``dt``, yielding each full step.
 
-    One :func:`_march` over the half-step nodes, with forcing sampled from the
-    displacement just built at each node; the full-step nodes are returned.
-    Aborts with DivergenceError if the state norm at a full step exceeds 1e6
-    times its initial value or is not finite.
+    Yields ``(t, u, v)`` (half-lattice spectra) at t = 0 and after each step
+    of one :func:`_march` over the half-step nodes, with forcing sampled from
+    the displacement just built at each node.  Only the consumer holds a
+    yielded state while the march builds the next full step.  Raises
+    DivergenceError if the state norm at a full step exceeds 1e6 times its
+    initial value or is not finite.
     """
     grid = f0.grid
     mask = dealias_mask(grid)
@@ -261,25 +278,33 @@ def evolve(
     if not tensor.entries:
         sample = None  # the zero tensor forces nothing
 
-    times, us, vs = [0.0], [_as_spectral(f0)], [_as_spectral(f1)]
-    guard = 1e6 * max(state_norm(us[0], vs[0]), 1e-300)
-    nodes = _march(prop, h, 2 * config.n_steps, prop.split(us[0]), prop.split(vs[0]), sample)
+    u, v = _as_spectral(f0), _as_spectral(f1)
+    guard = 1e6 * max(state_norm(u, v), 1e-300)
+    nodes = _march(prop, h, 2 * config.n_steps, prop.split(u), prop.split(v), sample)
+    yield 0.0, u, v
     for m, u, v in nodes:
-        if m % 2:
-            del u, v  # free the odd node before the march builds the next one
-            continue
-        t = m * h
-        u_arr, v_arr = prop.join(u), prop.join(v)
-        norm = state_norm(u_arr, v_arr)
-        if not norm <= guard:
-            raise DivergenceError(
-                f"state norm {norm:g} is not finite or exceeded the blow-up guard at t={t:g}", t
-            )
-        times.append(t)
-        us.append(u_arr)
-        vs.append(v_arr)
+        if m % 2 == 0:
+            t = m * h
+            u, v = prop.join(u), prop.join(v)
+            norm = state_norm(u, v)
+            if not norm <= guard:
+                raise DivergenceError(
+                    f"state norm {norm:g} is not finite or exceeded the blow-up guard at t={t:g}", t
+                )
+            yield t, u, v
+        del u, v  # hold no node while the march builds the next one
 
-    return Trajectory(grid, np.asarray(times), us, vs)
+
+def evolve(
+    f0: VectorField,
+    f1: VectorField,
+    lame: LameParams,
+    tensor: ContractionTensor,
+    config: SolverConfig,
+) -> Trajectory:
+    """Every state of :func:`evolve_stream`, collected into a Trajectory."""
+    times, us, vs = zip(*evolve_stream(f0, f1, lame, tensor, config))
+    return Trajectory(f0.grid, np.asarray(times), list(us), list(vs))
 
 
 # ---------------------------------------------------------------------------
@@ -287,29 +312,36 @@ def evolve(
 
 
 def _x1_integrand(grid: Grid3, t: float, u_hat: np.ndarray, v_hat: np.ndarray) -> float:
+    """The X1 integrand at time t: four :func:`~viscowave.grid.half_seminorm` values in one pass.
+
+    ``|u|^2``, ``|v|^2`` and the ``|xi|^2``, ``|xi|^6`` tables are formed once
+    each, by the same elementwise operations as ``half_seminorm``'s.
+    """
+    radius = grid.half_lattice(grid.radius)
+    r2, r6 = radius**2, radius**6
+    au, av = np.abs(u_hat) ** 2, np.abs(v_hat) ** 2
     w = 1.0 + t
     return (
-        w**1.75 * half_seminorm(grid, u_hat, 3)
-        + w**0.75 * (half_seminorm(grid, u_hat, 1) + half_seminorm(grid, v_hat, 0))
-        + w**1.25 * half_seminorm(grid, v_hat, 1)
+        w**1.75 * half_density_norm(grid, au * r6)
+        + w**0.75 * (half_density_norm(grid, au * r2) + half_density_norm(grid, av))
+        + w**1.25 * half_density_norm(grid, av * r2)
     )
 
 
-def x1_norm(traj: Trajectory) -> float:
-    """Sup over stored times of the time-weighted derivative norms."""
-    return max(
-        _x1_integrand(traj.grid, float(t), u, v) for t, u, v in zip(traj.times, traj.u, traj.v)
-    )
+def x1_norm_and_distance(states: Iterable, ref: Trajectory) -> tuple[float, float]:
+    """X1 norm of a stream of ``(t, u, v)`` states, and its X1 distance from ``ref``, in one pass.
 
-
-def x1_distance(a: Trajectory, b: Trajectory) -> float:
-    """X1 norm of the difference of two trajectories on their common times."""
-    if len(a.times) != len(b.times) or np.max(np.abs(a.times - b.times)) > 1e-12:
-        raise ValueError("trajectories must share the same time grid")
-    return max(
-        _x1_integrand(a.grid, float(t), ua - ub, va - vb)
-        for t, ua, ub, va, vb in zip(a.times, a.u, b.u, a.v, b.v)
-    )
+    Both are sups over the stream's times of the X1 integrand, of the state
+    and of the state minus ``ref``'s; the stream must have ``ref``'s times.
+    Holds one streamed state at a time.
+    """
+    norm = dist = 0.0
+    for (t, u, v), t_ref, u_ref, v_ref in zip(states, ref.times, ref.u, ref.v, strict=True):
+        if abs(t - t_ref) > 1e-12:
+            raise ValueError(f"state at t={t:g} meets the reference at t={t_ref:g}")
+        norm = max(norm, _x1_integrand(ref.grid, t, u, v))
+        dist = max(dist, _x1_integrand(ref.grid, t, u - u_ref, v - v_ref))
+    return norm, dist
 
 
 def x1_data_seminorm(f0: VectorField, f1: VectorField) -> float:
@@ -333,13 +365,14 @@ def picard_iterate(
     The iterate lives on the half-step nodes ``m * dt / 2`` of :func:`evolve`.
     Iterate 0 is the homogeneous solution; each sweep recomputes every node by
     one :func:`_march` with forcing sampled from the previous iterate, so the
-    fixed point solves :func:`evolve`'s node equations.  Convergence is
-    measured in the X1 norm of the increments (new minus old iterate at each
-    node); the returned history holds one dict per sweep with the increment
-    size, the contraction ratio against the previous increment, and whether
-    the increment fell below ``picard_tol``.  Raises DivergenceError on a
-    non-finite increment and NoContractionError after three consecutive
-    ratios >= 1.
+    fixed point solves :func:`evolve`'s node equations.  The forcing reads the
+    displacement at every node; the velocity is kept at the full steps only,
+    the ones returned.  Convergence is measured by the increment, the X1
+    distance between successive iterates on the full steps; the returned
+    history holds one dict per sweep with the increment, the contraction
+    ratio against the previous increment, and whether the increment fell
+    below ``picard_tol``.  Raises DivergenceError on a non-finite increment
+    and NoContractionError after three consecutive ratios >= 1.
     """
     grid = f0.grid
     mask = dealias_mask(grid)
@@ -348,14 +381,15 @@ def picard_iterate(
     m_count = 2 * config.n_steps
     taus = h * np.arange(m_count + 1)
 
-    states_u = [_as_spectral(f0)]
-    states_v = [_as_spectral(f1)]
+    states_u = [_as_spectral(f0)]  # every node
+    states_v = [_as_spectral(f1)]  # the even nodes: states_v[k] is node 2k
     u0, v0 = prop.split(states_u[0]), prop.split(states_v[0])
 
     # Iterate 0: the homogeneous solution, the march without forcing.
-    for _, u, v in _march(prop, h, m_count, u0, v0):
+    for m, u, v in _march(prop, h, m_count, u0, v0):
         states_u.append(prop.join(u))
-        states_v.append(prop.join(v))
+        if m % 2 == 0:
+            states_v.append(prop.join(v))
     del u, v
 
     def sample(m, u):
@@ -370,15 +404,18 @@ def picard_iterate(
     for it in range(1, config.picard_max_iter + 1):
         distance = 0.0
         for m, u, v in _march(prop, h, m_count, u0, v0, sample):
-            u_new, v_new = prop.join(u), prop.join(v)
+            u_new = prop.join(u)
+            if m % 2 == 0:
+                t, v_new = float(taus[m]), prop.join(v)
+                inc = _x1_integrand(grid, t, u_new - states_u[m], v_new - states_v[m // 2])
+                if not np.isfinite(inc):
+                    raise DivergenceError(
+                        f"Picard sweep {it} increment is not finite at t={t:g}", t
+                    )
+                distance = max(distance, inc)
+                states_v[m // 2] = v_new
             del u, v
-            inc = _x1_integrand(grid, float(taus[m]), u_new - states_u[m], v_new - states_v[m])
-            if not np.isfinite(inc):
-                raise DivergenceError(
-                    f"Picard sweep {it} increment is not finite at t={taus[m]:g}", float(taus[m])
-                )
-            distance = max(distance, inc)
-            states_u[m], states_v[m] = u_new, v_new
+            states_u[m] = u_new
 
         ratio = None if not history else (
             distance / history[-1]["distance"] if history[-1]["distance"] > 0 else 0.0
@@ -398,5 +435,4 @@ def picard_iterate(
         if converged:
             break
 
-    # Return the full-step subset, matching evolve's sampling.
-    return Trajectory(grid, taus[::2], states_u[::2], states_v[::2]), history
+    return Trajectory(grid, taus[::2], states_u[::2], states_v), history

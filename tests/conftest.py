@@ -8,6 +8,7 @@ import pytest
 
 from viscowave.grid import Grid3, VectorField, make_grid
 from viscowave.kernels import DampingParams, kernel_hat
+from viscowave.solver import _x1_integrand
 
 REPO_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -60,6 +61,23 @@ def hermitian_defect(fld: VectorField) -> float:
     num = np.max(np.abs(fld.data - np.conj(flipped)))
     den = max(np.max(np.abs(fld.data)), 1e-300)
     return float(num / den)
+
+
+def x1_norm(traj) -> float:
+    """Sup over a trajectory's stored times of the X1 integrand."""
+    return max(
+        _x1_integrand(traj.grid, float(t), u, v) for t, u, v in zip(traj.times, traj.u, traj.v)
+    )
+
+
+def x1_distance(a, b) -> float:
+    """X1 norm of the difference of two trajectories on their common times."""
+    if len(a.times) != len(b.times) or np.max(np.abs(a.times - b.times)) > 1e-12:
+        raise ValueError("trajectories must share the same time grid")
+    return max(
+        _x1_integrand(a.grid, float(t), ua - ub, va - vb)
+        for t, ua, ub, va, vb in zip(a.times, a.u, b.u, a.v, b.v)
+    )
 
 
 def forced_kernel_quadrature(

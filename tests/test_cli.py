@@ -6,15 +6,19 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from conftest import REPO_CONFIGS, checked_in
+from conftest import REPO_CONFIGS, centered_gaussian, checked_in
 from viscowave import cli
 from viscowave.asymptotics import LinearSource
 from viscowave.cli import emit_report, main, run_scenario
+from viscowave.elastic import LameParams
 from viscowave.exceptions import FitError, QuadratureAccuracyError
+from viscowave.grid import make_grid
+from viscowave.solver import ContractionTensor, SolverConfig
 
 REPO_SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -342,7 +346,10 @@ class TestRunScenario:
     def test_infinite_marched_x1_norm_fails_criterion_7(self, tmp_path, monkeypatch):
         check = cli._assert("7", "marched X1 norm finite", math.inf, math.inf, "<")
         assert check["passed"] is False
-        monkeypatch.setattr(cli, "x1_norm", lambda traj: math.inf)
+        real = cli.x1_norm_and_distance
+        monkeypatch.setattr(
+            cli, "x1_norm_and_distance", lambda states, ref: (math.inf, real(states, ref)[1])
+        )
         cfg = write_cfg(tmp_path, picard16(t_end="2.5"))
         out = tmp_path / "out"
         assert run_scenario(cfg, out, suite="picard") == 1
@@ -384,3 +391,47 @@ class TestEmitReport:
         p2 = emit_report(rows, tmp_path / "b")[0]
         assert p1.read_bytes() == p2.read_bytes()
         assert "0.33333333333333331" in p1.read_text()
+
+
+class TestChecksHoldNoTrajectory:
+    """The grid checks read the marched states as they stream, holding O(1) of them."""
+
+    LAME = LameParams(0.0, 1.0, 1.0)
+
+    def setup_method(self):
+        grid = make_grid(16, 16.0)
+        self.f0, self.f1 = centered_gaussian(grid, sigma=0.8), centered_gaussian(grid, sigma=0.8)
+        self.state_bytes = 3 * grid.n * grid.n * (grid.n // 2 + 1) * 16
+        self.base = 0
+
+    def peak(self, check, sc):
+        """Peak traced bytes during ``check`` above ``self.base`` (the start, unless reset)."""
+        tracemalloc.start()
+        try:
+            self.base = tracemalloc.get_traced_memory()[0]
+            check(self.f0, self.f1, self.LAME, ContractionTensor.default(), sc)
+            return tracemalloc.get_traced_memory()[1] - self.base
+        finally:
+            tracemalloc.stop()
+
+    def test_nonlinear_check(self):
+        peaks = [self.peak(cli.nonlinear_check, SolverConfig(dt=0.5, t_end=t)) for t in (2.0, 4.0)]
+        # A held trajectory would add two states (u and v) per extra step: four here.
+        assert peaks[1] - peaks[0] < self.state_bytes
+
+    def test_picard_check_marching_phase(self, monkeypatch):
+        real = cli.picard_iterate
+
+        def picard_then_reset(*args):
+            # Picard's own states are not under test: count from its return.
+            out = real(*args)
+            tracemalloc.reset_peak()
+            self.base = tracemalloc.get_traced_memory()[0]
+            return out
+
+        monkeypatch.setattr(cli, "picard_iterate", picard_then_reset)
+        peaks = [
+            self.peak(cli.picard_check, SolverConfig(dt=0.5, t_end=t, picard_max_iter=2))
+            for t in (2.0, 4.0)
+        ]
+        assert peaks[1] - peaks[0] < self.state_bytes

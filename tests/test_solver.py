@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from conftest import band_limited_random, centered_gaussian, zero_field
+from conftest import band_limited_random, centered_gaussian, x1_distance, x1_norm, zero_field
 from viscowave.elastic import LameParams, Propagator, linear_propagate
 from viscowave.exceptions import DivergenceError, NoContractionError
 from viscowave.grid import (
     VectorField,
     dealias_mask,
     forward_scalar,
+    half_seminorm,
     inverse_scalar,
     make_grid,
     sobolev_seminorm,
@@ -24,8 +25,6 @@ from viscowave.solver import (
     evolve,
     picard_iterate,
     x1_data_seminorm,
-    x1_distance,
-    x1_norm,
 )
 
 LAME = LameParams(0.0, 1.0, 1.0)
@@ -73,6 +72,23 @@ class TestSolverConfig:
         assert SolverConfig(dt=0.1, t_end=4.0).n_steps == 40
         assert SolverConfig(dt=0.4, t_end=4.0).n_steps == 10
         assert SolverConfig(dt=1.25, t_end=25.0, picard_max_iter=1).n_steps == 20
+
+
+def all_at_once_forcing(grid, u_hat, tensor, mask):
+    """``_nonlinearity_hat`` as it was written first: every derivative field held at once."""
+    xi = [grid.xi_half(a) for a in range(3)]
+    first_pairs = sorted({(i, j) for (_, i, j, _, _) in tensor.entries})
+    second_triples = sorted({(min(i, j), max(i, j), m) for (_, i, j, m, _) in tensor.entries})
+    d1 = {(i, j): inverse_scalar(grid, 1j * xi[i] * u_hat[j]) for i, j in first_pairs}
+    d2 = {
+        (i, j, m): inverse_scalar(grid, -(xi[i] * xi[j]) * u_hat[m]) for i, j, m in second_triples
+    }
+    f_phys = np.zeros((3, *grid.shape))
+    for k, i, j, m, w in tensor.entries:
+        f_phys[k] += w * d1[(i, j)] * d2[(min(i, j), max(i, j), m)]
+    f_hat = forward_scalar(grid, f_phys)
+    f_hat *= mask
+    return f_hat
 
 
 def forcing(u, tensor):
@@ -144,6 +160,17 @@ class TestNonlinearity:
             assert abs(got - want) <= 1e-12
         # masked modes vanish (up to the round trip through physical space)
         assert abs(coeff(out.data[0], 3)) <= 1e-14
+
+    @pytest.mark.parametrize("name", ["default", "diagonal", "zero"])
+    def test_streamed_fields_match_all_at_once(self, name):
+        # Each F_k sums the same products in the same order, so the bits agree.
+        tensor = getattr(ContractionTensor, name)()
+        for n in (8, 16):
+            g = make_grid(n, 16.0)
+            u_hat = forward_scalar(g, band_limited_random(g, seed=n, keep_fraction=0.9).data)
+            mask = dealias_mask(g)
+            got = _nonlinearity_hat(g, u_hat, tensor, mask)
+            assert np.array_equal(got, all_at_once_forcing(g, u_hat, tensor, mask))
 
     def test_diagonal_tensor_variant(self, grid16):
         u = centered_gaussian(grid16)
@@ -236,6 +263,19 @@ class TestX1Norm:
         traj = evolve(zero_field(grid16), zero_field(grid16), LAME, ContractionTensor.zero(), cfg)
         assert x1_norm(traj) == 0.0
 
+    def test_integrand_is_four_half_seminorms(self, grid16):
+        # One pass over |u|^2 and |v|^2 gives the separate seminorms' bits.
+        rng = np.random.default_rng(5)
+        u, v = (forward_scalar(grid16, rng.standard_normal((3, *grid16.shape))) for _ in range(2))
+        for t in (0.0, 2.5, 40.0):
+            w = 1.0 + t
+            separate = (
+                w**1.75 * half_seminorm(grid16, u, 3)
+                + w**0.75 * (half_seminorm(grid16, u, 1) + half_seminorm(grid16, v, 0))
+                + w**1.25 * half_seminorm(grid16, v, 1)
+            )
+            assert _x1_integrand(grid16, t, u, v) == separate
+
     def test_homogeneity(self, grid16):
         f0, f1 = small_data(grid16)
         cfg = SolverConfig(dt=0.5, t_end=3.0)
@@ -322,6 +362,18 @@ class TestPicard:
         _, history = picard_iterate(f0, f1, LAME, ContractionTensor.default(), cfg)
         assert history[0]["iteration"] == 1
         assert history[0]["distance"] > 0
+
+    def test_increment_is_x1_distance_of_successive_iterates(self):
+        # The sweep measures its increment on the full steps it returns, as x1_distance does.
+        g = make_grid(16, 16.0)
+        f0, f1 = small_data(g, target=1e-3)
+        iterates = {}
+        for sweeps in (1, 2):
+            cfg = SolverConfig(dt=0.5, t_end=4.0, picard_tol=1e-30, picard_max_iter=sweeps)
+            iterates[sweeps] = picard_iterate(f0, f1, LAME, ContractionTensor.default(), cfg)
+        (it1, hist1), (it2, hist2) = iterates[1], iterates[2]
+        assert hist2[0] == hist1[0]
+        assert hist2[1]["distance"] == x1_distance(it2, it1)
 
     def test_history_flags_convergence(self):
         g = make_grid(16, 16.0)
