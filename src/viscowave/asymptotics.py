@@ -190,17 +190,18 @@ def expected_solution_slope(spec: NormSpec) -> float:
 class LinearSource:
     """Velocity data ``f1(x) = g(|x|) e`` with continuum radial transform ``ghat``.
 
-    ``amp`` is ``|e|``; the measured norms are rotation invariant so the
-    direction itself is irrelevant.  ``ghat0`` must equal ``ghat(0)``.
+    ``e`` is a unit vector; the measured norms are rotation invariant, so its
+    direction is irrelevant.  ``ghat0`` is ``ghat(0)``, the data's mass
+    times ``(2 pi)^{-3/2}``.
     """
 
     ghat: Callable
-    amp: float = 1.0
 
     @staticmethod
-    def gaussian(sigma: float = 0.5, mass: float = 1.0, amp: float = 1.0) -> "LinearSource":
-        c = mass * (2.0 * np.pi) ** (-1.5)
-        return LinearSource(ghat=lambda r: c * np.exp(-0.5 * (sigma * r) ** 2), amp=amp)
+    def gaussian(sigma: float = 0.5) -> "LinearSource":
+        """Unit-mass Gaussian of width ``sigma``."""
+        c = (2.0 * np.pi) ** (-1.5)
+        return LinearSource(ghat=lambda r: c * np.exp(-0.5 * (sigma * r) ** 2))
 
     def ghat0(self) -> float:
         return float(np.real(self.ghat(np.zeros(1))[0]))
@@ -236,11 +237,11 @@ def _profile_mults(lame: LameParams, src: LinearSource, which: str):
     return mult("long"), mult("trans")
 
 
-def _l2_norm_from_mults(ml, mt, t: float, alpha: int, amp: float) -> float:
-    one = lambda r: np.ones_like(r)
-    nl = radial_l2_norm(ml, one, alpha, (1.0, 0.0), t=t)
-    nt = radial_l2_norm(mt, one, alpha, (0.0, 1.0), t=t)
-    return amp * math.hypot(nl, nt)
+def _l2_norm_from_mults(ml, mt, t: float, alpha: int) -> float:
+    """L^2 norm at time t of the field with (long, trans) radial coefficients ``ml``, ``mt``."""
+    nl = radial_l2_norm(lambda r: ml(t, r), alpha, (1.0, 0.0))
+    nt = radial_l2_norm(lambda r: mt(t, r), alpha, (0.0, 1.0))
+    return math.hypot(nl, nt)
 
 
 def _support_radius(lame: LameParams, src: LinearSource, t: float) -> float:
@@ -324,7 +325,7 @@ def _derivative_fit(alpha: int) -> AngularFit:
     return angular_fit(terms, len(slots), _THETAS, nmax=alpha + 2)
 
 
-def _xspace_norms(fields, t: float, amp: float, lame: LameParams, src: LinearSource) -> list[float]:
+def _xspace_norms(fields, t: float, lame: LameParams, src: LinearSource) -> list[float]:
     """Sup- or L^p-norms at time t of several fields from one radial moment pass.
 
     ``fields`` is a list of ``(spec, (long, trans))`` pairs of a norm and the
@@ -347,20 +348,20 @@ def _xspace_norms(fields, t: float, amp: float, lame: LameParams, src: LinearSou
         weights = np.array([w for (_, _, w) in _derivative_slots(spec.alpha)])
         if not math.isinf(spec.p):
             slot_fields = slot_fields[:, :, : _THETA_GAUSS.size]
-        return amp * axisym_lp_norm(axisym_magnitude(slot_fields, weights), s, _THETA_W, spec.p)
+        return axisym_lp_norm(axisym_magnitude(slot_fields, weights), s, _THETA_W, spec.p)
 
     return axisym_evaluate(r, psi_bank, fits, s, reduce=norm)
 
 
-def _norms(fields, t: float, amp: float, lame: LameParams, src: LinearSource) -> list[float]:
+def _norms(fields, t: float, lame: LameParams, src: LinearSource) -> list[float]:
     """The norm of each ``(spec, (long, trans))`` field at time t.
 
     L^2 norms are radial quadratures; the sup/L^p norms share one moment pass.
     """
     shared = [field for field in fields if field[0].p != 2.0]
-    values = iter(_xspace_norms(shared, t, amp, lame, src) if shared else ())
+    values = iter(_xspace_norms(shared, t, lame, src) if shared else ())
     return [
-        _l2_norm_from_mults(ml, mt, t, spec.alpha, amp) if spec.p == 2.0 else next(values)
+        _l2_norm_from_mults(ml, mt, t, spec.alpha) if spec.p == 2.0 else next(values)
         for spec, (ml, mt) in fields
     ]
 
@@ -370,7 +371,7 @@ def linear_norm(
 ) -> list[float]:
     """The norms ``||grad^a dt^l u(t)||_p`` of the homogeneous solution, one per spec."""
     fields = [(spec, _solution_mults(lame, src, spec.ell)) for spec in specs]
-    return _norms(fields, t, src.amp, lame, src)
+    return _norms(fields, t, lame, src)
 
 
 def _validate_norm(which: str, spec: NormSpec) -> None:
@@ -404,7 +405,7 @@ def profile_error_series(
     for which, spec in norms:
         _validate_norm(which, spec)
     fields = _profile_fields(src, norms, lame)
-    table = np.array([_norms(fields, float(t), src.amp, lame, src) for t in times])
+    table = np.array([_norms(fields, float(t), lame, src) for t in times])
     reports = []
     for k, (_, spec) in enumerate(norms):
         exp_sol = expected_solution_slope(spec)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import line_fit, slope_ci95
+from .asymptotics import _l2_norm_from_mults, line_fit, slope_ci95
 from .elastic import LameParams
 from .exceptions import (
     DegenerateInputError,
@@ -36,6 +36,7 @@ from .radial import (
     AngularTerm,
     angular_fit,
     axisym_evaluate,
+    axisym_lp_norm,
     gauss_theta_rule,
     radial_grid,
     radial_l2_norm,
@@ -129,7 +130,7 @@ def inequality_check(ineq_id: str, grid: Grid3, f: np.ndarray, p: float = 2.0) -
     raise UnsupportedSymbolError(f"unknown inequality {ineq_id!r}")
 
 
-def dilation_ratios(ineq_id: str, generator, grid, lams=(0.5, 1.0, 2.0), p: float = 2.0):
+def dilation_ratios(ineq_id: str, generator, grid, lams=(0.5, 1.0, 2.0)):
     """Ratios of one inequality across the dilation family ``g(lam x)``.
 
     ``generator(x, y, z)`` produces the scalar profile in centered
@@ -139,7 +140,7 @@ def dilation_ratios(ineq_id: str, generator, grid, lams=(0.5, 1.0, 2.0), p: floa
     xc = [grid.x_component(a) - grid.box_length / 2.0 for a in range(3)]
     for lam in lams:
         vals = np.broadcast_to(generator(lam * xc[0], lam * xc[1], lam * xc[2]), grid.shape)
-        out.append(inequality_check(ineq_id, grid, vals, p=p))
+        out.append(inequality_check(ineq_id, grid, vals))
     return out
 
 
@@ -165,38 +166,26 @@ def decay_fit(
     which: str,
     ghat,
     lame: LameParams,
+    cutoff: CutoffSpec,
     window: tuple[float, float] = (0.1, 30.0),
-    cutoff: CutoffSpec | None = None,
 ) -> DecayFit:
     """Exponential fit of the banded kernel norm ``||K_{part}(t) g||_2`` at 25 times.
 
     ``ghat`` is the radial coefficient profile of vector data along a fixed
-    direction; the norm combines both wave families.  The fit is linear in
-    ``(t, log v)``; ``residual`` is the worst deviation relative to the
-    fitted log-range, and the fit fails on non-monotone series.
+    direction, and ``cutoff`` the partition that selects the band; the norm
+    combines both wave families.  The fit is linear in ``(t, log v)``;
+    ``residual`` is the worst deviation relative to the fitted log-range,
+    and the fit fails on non-monotone series.
     """
-    from .elastic import default_cutoffs
-
     if part not in ("M", "H"):
         raise ValueError("part must be 'M' or 'H'")
-    spec = cutoff if cutoff is not None else default_cutoffs(lame)
     times = np.linspace(window[0], window[1], 25)
 
     def banded(dp: DampingParams):
-        return lambda t, r: kernel_hat(t, r, dp, which) * spec.chi(part, r) * ghat(r)
+        return lambda t, r: kernel_hat(t, r, dp, which) * cutoff.chi(part, r) * ghat(r)
 
-    ml = banded(lame.long_params)
-    mt = banded(lame.trans_params)
-    one = lambda r: np.ones_like(r)
-    vals = np.array(
-        [
-            math.hypot(
-                radial_l2_norm(ml, one, 0, (1.0, 0.0), t=float(t)),
-                radial_l2_norm(mt, one, 0, (0.0, 1.0), t=float(t)),
-            )
-            for t in times
-        ]
-    )
+    ml, mt = banded(lame.long_params), banded(lame.trans_params)
+    vals = np.array([_l2_norm_from_mults(ml, mt, float(t), 0) for t in times])
     if np.any(vals <= 0.0):
         raise FitError("banded kernel norm vanished inside the window")
     logs = np.log(vals)
@@ -206,7 +195,7 @@ def decay_fit(
     slope, intercept, stderr = line_fit(times, logs)
     resid = float(np.max(np.abs(logs - (slope * times + intercept))))
     log_range = float(np.ptp(logs))
-    grad = radial_l2_norm(lambda t, r: np.ones_like(r), ghat, 1, (1.0, 1.0), t=0.0)
+    grad = radial_l2_norm(ghat, 1, (1.0, 1.0))
     return DecayFit(
         part=part,
         which=which,
@@ -389,7 +378,4 @@ def heat_multiplier_l1(
     s = np.arange(0.0, s_max, ds)
     fit = angular_fit([AngularTerm(0, 0, ang)], 1, thetas)
     (vals,) = axisym_evaluate(r, [np.asarray(psi, np.complex128)], [fit], s)
-    mag = np.abs(vals[0])
-    ang_int = mag @ tw
-    total = 2.0 * np.pi * np.trapezoid(ang_int * s * s, s)
-    return float(total)
+    return axisym_lp_norm(np.abs(vals[0]), s, tw, 1.0)

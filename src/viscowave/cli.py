@@ -78,8 +78,8 @@ def _parse_config(path: Path) -> dict:
         raise ConfigError(f"config file not found: {path}")
     cp = configparser.ConfigParser()
     try:
-        cp.read(path)
-    except configparser.Error as exc:
+        cp.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"config parse failure: {exc}") from exc
     try:
         scen = cp["scenario"]
@@ -94,7 +94,6 @@ def _parse_config(path: Path) -> dict:
             ),
             "family": cp.get("data", "family", fallback="gaussian"),
             "sigma": cp.getfloat("data", "sigma", fallback=0.5),
-            "amplitude": cp.getfloat("data", "amplitude", fallback=1.0),
             "n": cp.getint("grid", "n", fallback=64),
             "box_length": cp.getfloat("grid", "box_length", fallback=16.0),
             "t_start": cp.getfloat("times", "start", fallback=100.0),
@@ -109,9 +108,8 @@ def _parse_config(path: Path) -> dict:
         }
         _solver_config(cfg)
         Grid3.check(cfg["n"], cfg["box_length"])
-        for key in ("sigma", "amplitude"):
-            if not (math.isfinite(cfg[key]) and cfg[key] > 0.0):
-                raise ValueError(f"[data] {key} must be finite and positive, got {cfg[key]}")
+        if not (math.isfinite(cfg["sigma"]) and cfg["sigma"] > 0.0):
+            raise ValueError(f"[data] sigma must be finite and positive, got {cfg['sigma']}")
         if not 0.0 < cfg["t_start"] < cfg["t_stop"] < math.inf:
             raise ValueError(
                 f"[times] needs finite 0 < start < stop, got start={cfg['t_start']}, "
@@ -171,8 +169,7 @@ def _grid_data(cfg: dict):
     r2 = x[0] ** 2 + x[1] ** 2 + x[2] ** 2
     sig = cfg["sigma"]
     prof = np.exp(-r2 / (2.0 * sig**2)) / (sig**3 * (2.0 * np.pi) ** 1.5)
-    amp = cfg["amplitude"]
-    data = amp * np.stack([prof, prof, prof])
+    data = np.stack([prof, prof, prof])
     f0 = VectorField(grid, np.zeros_like(data), "physical")
     f1 = VectorField(grid, data, "physical")
     return f0, f1
@@ -593,7 +590,8 @@ def emit_report(results: dict, out_dir: Path) -> list[Path]:
 def run_scenario(config_path, out_dir, seed: int | None = None, suite: str | None = None) -> int:
     """Execute the configured suite; return the process exit status (see the module doc).
 
-    With ``suite`` given, a config for another suite is a usage error.  A
+    With ``suite`` given, a config for another suite is a usage error, and so
+    is an ``out_dir`` that is, or lies under, an existing non-directory.  A
     toolkit error raised by the suite writes a failed summary.json that records
     it, prints one line to stderr and returns 3.
     """
@@ -603,10 +601,13 @@ def run_scenario(config_path, out_dir, seed: int | None = None, suite: str | Non
             raise ConfigError(f"config is for suite {cfg['suite']!r}, not {suite!r}")
         if seed is not None:
             cfg["seed"] = _seed(seed)
+        out = Path(out_dir)
+        for path in (out, *out.parents):
+            if path.exists() and not path.is_dir():
+                raise ConfigError(f"output path {out}: {path} exists and is not a directory")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    out = Path(out_dir)
     summary = {"scenario": cfg["name"], "suite": cfg["suite"]}
 
     try:

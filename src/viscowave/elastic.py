@@ -182,17 +182,12 @@ class Propagator:
     def duhamel(self, terms):
         """Weighted sum of ``w S(tau) (0, g)`` over ``(w, tau, g)`` terms, as split pairs.
 
-        ``S(tau) (0, g) = (K1(tau) g, K1'(tau) g)``, which is ``(0, g)`` at
-        ``tau = 0``.  Returns ``(du, dv)``.
+        ``S(tau) (0, g) = (K1(tau) g, K1'(tau) g)``.  Returns ``(du, dv)``.
         """
         shape = (3, *self.grid.half_shape)
         du = [np.zeros(shape, dtype=np.complex128) for _ in range(2)]
         dv = [np.zeros(shape, dtype=np.complex128) for _ in range(2)]
         for w, tau, g in terms:
-            if tau == 0.0:
-                for acc, x in zip(dv, g):
-                    acc += w * x
-                continue
             for acc, k, x in zip(du, self.kernel(tau, "K1", 0), g):
                 acc += (w * k) * x
             for acc, k, x in zip(dv, self.kernel(tau, "K1", 1), g):
@@ -219,14 +214,12 @@ def diagonalize_check(
     lame: LameParams,
     which: str = "K1",
     dt_order: int = 0,
-    completion: str = "min-dot",
 ) -> float:
     """Max-abs difference between the kernel and its explicit diagonalization.
 
     Builds an orthogonal matrix whose first column is ``xi/|xi|`` (completed
     by Gram-Schmidt from the two standard basis vectors least aligned with
-    it, or from a fixed alternative pair when ``completion="alt"``), forms
-    ``Q diag(k_long, k_trans, k_trans) Q^T``, and compares with
+    it), forms ``Q diag(k_long, k_trans, k_trans) Q^T``, and compares with
     :func:`matrix_kernel`.
     """
     xi = np.asarray(xi, dtype=float)
@@ -234,19 +227,14 @@ def diagonalize_check(
     if r == 0.0:
         raise ValueError("diagonalize_check requires xi != 0")
     q1 = xi / r
-    order = np.argsort(np.abs(q1)) if completion == "min-dot" else np.argsort(-np.abs(q1))
     cols = [q1]
-    for idx in order:
-        if len(cols) == 3:
-            break
+    # Each candidate keeps a component of at least 1/sqrt(3) off the span so far.
+    for idx in np.argsort(np.abs(q1))[:2]:
         v = np.zeros(3)
         v[idx] = 1.0
         for c in cols:
             v = v - (v @ c) * c
-        norm = np.linalg.norm(v)
-        if norm < 1e-8:  # candidate nearly parallel to the span; try the next one
-            continue
-        cols.append(v / norm)
+        cols.append(v / np.linalg.norm(v))
     q = np.column_stack(cols)
     kl = kernel_hat(t, r, lame.long_params, which, dt_order)
     kt = kernel_hat(t, r, lame.trans_params, which, dt_order)

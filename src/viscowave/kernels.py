@@ -235,7 +235,6 @@ def mode_oracle(
     params: DampingParams,
     w0: float,
     w1: float,
-    rtol: float = 1e-10,
 ) -> tuple[float, float]:
     """Integrate one mode ODE ``w'' + nu r^2 w' + beta^2 r^2 w = 0`` to time ``t``.
 
@@ -259,7 +258,7 @@ def mode_oracle(
         (0.0, t),
         [float(w0), float(w1)],
         method="RK45",
-        rtol=rtol,
+        rtol=1e-10,
         atol=1e-14 * scale,
         t_eval=[t],
     )

@@ -76,28 +76,22 @@ def _gauss_legendre(integrand: Callable, upper: float, panels: int) -> float:
     return half * float(np.sum(integrand(r.reshape(-1)).reshape(r.shape) @ _GL_WEIGHTS))
 
 
-def radial_l2_norm(
-    multiplier: Callable,
-    h: Callable,
-    alpha: int,
-    angular_weights: tuple[float, float],
-    t: float = 0.0,
-) -> float:
-    """L^2 norm of a field with radial coefficient ``multiplier(t, r) * h(r)``.
+def radial_l2_norm(coef: Callable, alpha: int, angular_weights: tuple[float, float]) -> float:
+    """L^2 norm of a field with radial coefficient ``coef(r)``.
 
-    Computes ``sqrt( int_0^inf r^{2 alpha} |multiplier|^2 h^2
-    (w_long * 4pi/3 + w_trans * 8pi/3) r^2 dr )`` by composite 16-point
-    Gauss-Legendre quadrature on the probed support, doubling the panels until
-    two levels agree to ``1e-9`` relative; raises QuadratureAccuracyError with
-    the achieved tolerance if the last level still misses ``1e-8``, and with
+    Computes ``sqrt( int_0^inf r^{2 alpha} |coef|^2 (w_long * 4pi/3 +
+    w_trans * 8pi/3) r^2 dr )`` by composite 16-point Gauss-Legendre
+    quadrature on the probed support, doubling the panels until two levels
+    agree to ``1e-9`` relative; raises QuadratureAccuracyError with the
+    achieved tolerance if the last level still misses ``1e-8``, and with
     ``achieved = inf`` if the integrand or the result is not finite.
 
-    Both callables must accept numpy arrays of radii.
+    ``coef`` must accept a numpy array of radii.
     """
     cang = angular_weights[0] * SPHERE_LONG + angular_weights[1] * SPHERE_TRANS
 
     def integrand(r):
-        return r ** (2 * alpha + 2) * np.abs(multiplier(t, r)) ** 2 * np.abs(h(r)) ** 2 * cang
+        return r ** (2 * alpha + 2) * np.abs(coef(r)) ** 2 * cang
 
     # Probe for the effective support so the rule works on a finite interval.
     probe = np.logspace(-6, np.log10(_PROBE_RMAX), 4096)
@@ -364,10 +358,9 @@ def axisym_evaluate(
     return results
 
 
-def axisym_magnitude(fields: np.ndarray, slot_weights: np.ndarray | None = None) -> np.ndarray:
-    """Pointwise Frobenius magnitude over slots (rotation invariant)."""
-    w = np.ones(fields.shape[0]) if slot_weights is None else np.asarray(slot_weights, float)
-    return np.sqrt(np.tensordot(w, np.abs(fields) ** 2, axes=(0, 0)))
+def axisym_magnitude(fields: np.ndarray, slot_weights: np.ndarray) -> np.ndarray:
+    """Pointwise weighted Frobenius magnitude over slots (rotation invariant)."""
+    return np.sqrt(np.tensordot(slot_weights, np.abs(fields) ** 2, axes=(0, 0)))
 
 
 def gauss_theta_rule(n: int = 24) -> tuple[np.ndarray, np.ndarray]:

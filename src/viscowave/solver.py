@@ -166,9 +166,6 @@ def _nonlinearity_hat(
     once.  The default and the diagonal tensor list each ``F_k``'s entries in
     ``(i, j)`` order already, so each ``F_k`` sums its terms in tensor order.
     """
-    if not tensor.entries:
-        return np.zeros((3, *grid.half_shape), dtype=np.complex128)
-
     xi = [grid.xi_half(a) for a in range(3)]
     # Sorted by (i, j); the sort is stable, so tensor order holds within a pair.
     entries = sorted(tensor.entries, key=lambda e: (e[1], e[2]))

@@ -51,7 +51,7 @@ class TestProfileHat:
         src = LinearSource.gaussian(sigma=0.5)
         pl, pt = _profile_mults(LAME, src, "G")
         times = np.logspace(2, 4, 9)
-        vals = [_l2_norm_from_mults(pl, pt, float(t), 1, 1.0) for t in times]
+        vals = [_l2_norm_from_mults(pl, pt, float(t), 1) for t in times]
         rep = decay_slope(times, vals)
         assert rep.slope == pytest.approx(-0.75, abs=0.02)
 
@@ -125,8 +125,8 @@ class TestSharedMomentPass:
         src = LinearSource.gaussian(sigma=0.5)
         fields = _sup_lp_fields(src)
         assert {spec.p for spec, _ in fields} == {4.0, math.inf} and len(fields) == 14
-        shared = _norms(fields, t, src.amp, LAME, src)
-        alone = [_norms([field], t, src.amp, LAME, src)[0] for field in fields]
+        shared = _norms(fields, t, LAME, src)
+        alone = [_norms([field], t, LAME, src)[0] for field in fields]
         np.testing.assert_allclose(shared, alone, rtol=1e-13, atol=0.0)
 
 
@@ -136,7 +136,7 @@ class TestProfileErrorSeries:
         pl, pt = _profile_mults(LAME, src, "G")
         zero_l = lambda t, r: pl(t, r) - pl(t, r)
         zero_t = lambda t, r: pt(t, r) - pt(t, r)
-        assert _l2_norm_from_mults(zero_l, zero_t, 100.0, 1, 1.0) == 0.0
+        assert _l2_norm_from_mults(zero_l, zero_t, 100.0, 1) == 0.0
 
     def test_unsupported_norm(self):
         src = LinearSource.gaussian()

@@ -175,13 +175,9 @@ class TestDecayFit:
 
         for part in ("M", "H"):
             val = radial_l2_norm(
-                lambda t, r: kernel_hat(t, r, LAME.trans_params, "K1")
-                * cut.chi(part, r)
-                * ghat(r),
-                lambda r: np.ones_like(r),
+                lambda r: kernel_hat(1.0, r, LAME.trans_params, "K1") * cut.chi(part, r) * ghat(r),
                 0,
                 (1.0, 1.0),
-                t=1.0,
             )
             assert val <= 1e-14
 

@@ -90,11 +90,29 @@ class TestRunScenario:
         assert run_scenario(cfg, out2) == 0
         assert read_all_bytes(out1) == read_all_bytes(out2)
 
-    def test_malformed_config_is_usage_error(self, tmp_path):
+    def test_malformed_config_is_usage_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "[scenario]\nsuite = not-a-suite\n")
         out = tmp_path / "out"
         assert run_scenario(cfg, out) == 2
         assert not out.exists()  # no partial outputs
+        # Not valid UTF-8: a Latin-1 byte in a comment.
+        cfg.write_bytes(FAST_KERNELS.encode() + b"# caf\xe9\n")
+        capsys.readouterr()
+        assert main(["kernels", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+
+    def test_out_at_or_under_a_file_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        cfg = write_cfg(tmp_path, FAST_KERNELS)
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        monkeypatch.setitem(cli._SUITE_FN, "kernels", lambda cfg: pytest.fail("the suite ran"))
+        for out in (taken, taken / "sub"):
+            assert main(["kernels", "--config", str(cfg), "--out", str(out)]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("config error:")
+        assert taken.read_text() == "keep"
 
     @pytest.mark.parametrize(
         "solver",
@@ -117,9 +135,6 @@ class TestRunScenario:
     @pytest.mark.parametrize(
         "override",
         [
-            {"amplitude": "nan"},
-            {"amplitude": "0.0"},
-            {"amplitude": "inf"},
             {"sigma": "-0.5"},
             {"sigma": "nan"},
             {"lambda": "inf"},
@@ -224,7 +239,7 @@ class TestRunScenario:
             "src, lame = a.LinearSource.gaussian(0.5), LameParams(0.0, 1.0, 1.0)",
             "norms = [(which, spec) for which, spec in cli._PROFILE_SET if spec.p != 2.0]",
             "fields = a._profile_fields(src, norms, lame)",
-            "print(np.array(a._norms(fields, 100.0, 1.0, lame, src)).tobytes().hex())",
+            "print(np.array(a._norms(fields, 100.0, lame, src)).tobytes().hex())",
         ])
         outs = []
         for threads in ("1", "2"):
