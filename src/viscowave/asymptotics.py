@@ -304,8 +304,7 @@ def _derivative_fit(alpha: int) -> AngularFit:
     slots = _derivative_slots(alpha)
     terms = []
     for islot, (dirs, j, _w) in enumerate(slots):
-        def ang_par(wx, wy, wz, f, dirs=dirs, j=j):
-            e = f.gz
+        def ang_par(wx, wy, wz, e, dirs=dirs, j=j):
             we = wx * e[0] + wy * e[1] + wz * e[2]
             comp = (wx, wy, wz)
             val = ii * we * comp[j]
@@ -313,8 +312,7 @@ def _derivative_fit(alpha: int) -> AngularFit:
                 val = val * comp[d]
             return val
 
-        def ang_perp(wx, wy, wz, f, dirs=dirs, j=j):
-            e = f.gz
+        def ang_perp(wx, wy, wz, e, dirs=dirs, j=j):
             val = ii * e[j] * np.ones_like(wx)
             for d in dirs:
                 val = val * (wx, wy, wz)[d]

@@ -369,8 +369,8 @@ def heat_multiplier_l1(
         * cutoff.chi_l(r)
     )
 
-    def ang(wx, wy, wz, f, alpha=alpha):
-        w3 = wx * f.gz[0] + wy * f.gz[1] + wz * f.gz[2]
+    def ang(wx, wy, wz, gz, alpha=alpha):
+        w3 = wx * gz[0] + wy * gz[1] + wz * gz[2]
         return w3 ** (2 + alpha)
 
     thetas, tw = gauss_theta_rule(48)

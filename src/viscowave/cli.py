@@ -44,7 +44,7 @@ from .audit import (
 )
 from .elastic import LameParams, Propagator, default_cutoffs, linear_propagate, split_longitudinal
 from .exceptions import ConfigError, ViscowaveError
-from .grid import Grid3, VectorField, half_seminorm, make_grid
+from .grid import Grid3, forward_scalar, half_seminorm, make_grid
 from .kernels import DampingParams, kernel_eval, kernel_hat, lowfreq_residual, mode_oracle
 from .solver import (
     ContractionTensor,
@@ -103,7 +103,6 @@ def _parse_config(path: Path) -> dict:
             "t_end": cp.getfloat("solver", "t_end", fallback=25.0),
             "picard_tol": cp.getfloat("solver", "picard_tol", fallback=1e-9),
             "picard_max_iter": cp.getint("solver", "picard_max_iter", fallback=25),
-            "tensor": cp.get("solver", "tensor", fallback="default"),
             "oracle_samples": cp.getint("kernels", "oracle_samples", fallback=40),
         }
         _solver_config(cfg)
@@ -125,8 +124,6 @@ def _parse_config(path: Path) -> dict:
         raise ConfigError(f"unknown suite {cfg['suite']!r}")
     if cfg["family"] != "gaussian":
         raise ConfigError(f"unknown data family {cfg['family']!r}")
-    if cfg["tensor"] not in ("default", "diagonal", "zero"):
-        raise ConfigError(f"unknown contraction tensor {cfg['tensor']!r}")
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     cfg["config_hash"] = digest
     return cfg
@@ -153,26 +150,16 @@ def _times(cfg: dict) -> np.ndarray:
     return np.geomspace(cfg["t_start"], cfg["t_stop"], cfg["t_count"])
 
 
-def _tensor(cfg: dict) -> ContractionTensor:
-    return {
-        "default": ContractionTensor.default,
-        "diagonal": ContractionTensor.diagonal,
-        "zero": ContractionTensor.zero,
-    }[cfg["tensor"]]()
-
-
 def _grid_data(cfg: dict):
-    """(f0, f1) physical fields: zero displacement, a centred Gaussian velocity per component."""
+    """``(grid, f0, f1)``: real ``(3, n, n, n)`` zeros, and a centred Gaussian in each component."""
     grid = make_grid(cfg["n"], cfg["box_length"])
     L = grid.box_length
     x = [grid.x_component(a) - L / 2.0 for a in range(3)]
     r2 = x[0] ** 2 + x[1] ** 2 + x[2] ** 2
     sig = cfg["sigma"]
     prof = np.exp(-r2 / (2.0 * sig**2)) / (sig**3 * (2.0 * np.pi) ** 1.5)
-    data = np.stack([prof, prof, prof])
-    f0 = VectorField(grid, np.zeros_like(data), "physical")
-    f1 = VectorField(grid, data, "physical")
-    return f0, f1
+    f1 = np.stack([prof, prof, prof])
+    return grid, np.zeros_like(f1), f1
 
 
 # ---------------------------------------------------------------------------
@@ -317,48 +304,57 @@ def _suite_profile_error(cfg: dict):
     return series, assertions, sidecars
 
 
+def _small_data(grid: Grid3, f0: np.ndarray, f1: np.ndarray):
+    """``spectra(eps)``: half-lattice spectra of real ``(f0, f1)`` at X1 data seminorm ``eps 1e-3``.
+
+    Each call transforms the scaled data with one ``forward_scalar`` per field.
+    """
+    scale = 1e-3 / x1_data_seminorm(grid, forward_scalar(grid, f0), forward_scalar(grid, f1))
+    return lambda eps=1.0: (
+        forward_scalar(grid, (scale * eps) * f0),
+        forward_scalar(grid, (scale * eps) * f1),
+    )
+
+
 def _suite_nonlinear(cfg: dict):
-    f0, f1 = _grid_data(cfg)
     sc = _solver_config(cfg, scale=5.0)
-    return (*nonlinear_check(f0, f1, cfg["lame"], _tensor(cfg), sc), {})
+    tensor = ContractionTensor.default()
+    return (*nonlinear_check(*_grid_data(cfg), cfg["lame"], tensor, sc), {})
 
 
 def nonlinear_check(
-    f0: VectorField, f1: VectorField, lame: LameParams, tensor: ContractionTensor, sc: SolverConfig
+    grid: Grid3,
+    f0: np.ndarray,
+    f1: np.ndarray,
+    lame: LameParams,
+    tensor: ContractionTensor,
+    sc: SolverConfig,
 ):
-    """Criterion 8 on the physical data pair scaled to X1 data seminorm 1e-3.
+    """Criterion 8 on real data ``(f0, f1)`` scaled to X1 data seminorm 1e-3.
 
     Returns ``(series, assertions)``: zero-tensor marching against the linear
     propagator, and the deviation from the linear solution under amplitude
     halving.  Both compare half-lattice spectra as :func:`evolve_stream`
-    yields them, with the data spectra taken from its node 0; no run's
-    trajectory is held.  The deviation's norms sum the half lattice with
-    ``half_seminorm``'s mirror weights.
+    yields them; no run's trajectory is held.  The deviation's norms sum the
+    half lattice with ``half_seminorm``'s mirror weights.
     """
-    grid = f0.grid
-    scale = 1e-3 / x1_data_seminorm(f0, f1)
-
-    def scaled(eps):
-        return (
-            VectorField(grid, eps * f0.data, "physical"),
-            VectorField(grid, eps * f1.data, "physical"),
-        )
+    spectra = _small_data(grid, f0, f1)
 
     # Linear consistency with the zero tensor; keep only the data and the last state.
-    states = evolve_stream(*scaled(scale), lame, ContractionTensor.zero(), sc)
-    _, u0, v0 = next(states)
-    for t_end, u_end, _ in states:
+    u0, v0 = spectra()
+    for t_end, u_end, v_end in evolve_stream(grid, u0, v0, lame, ContractionTensor.zero(), sc):
         pass
     lin_u = linear_propagate(grid, u0, v0, t_end, lame)[0]
     lin_err = np.max(np.abs(u_end - lin_u)) / max(np.max(np.abs(lin_u)), 1e-300)
-    del u0, v0, u_end, lin_u
+    del u0, v0, u_end, v_end, lin_u
 
     # Amplitude scaling of the deviation from the homogeneous solution.
     devs = []
     for eps_fac in (1.0, 0.5):
-        states = evolve_stream(*scaled(scale * eps_fac), lame, tensor, sc)
+        u0, v0 = spectra(eps_fac)
+        states = evolve_stream(grid, u0, v0, lame, tensor, sc)
+        next(states)
         # Split the data once; a Propagator per time keeps no time's tables alive.
-        _, u0, v0 = next(states)
         u0, v0 = split_longitudinal(grid, u0), split_longitudinal(grid, v0)
         worst = 0.0
         for t, u, v in states:
@@ -385,25 +381,28 @@ def nonlinear_check(
 
 
 def _suite_picard(cfg: dict):
-    f0, f1 = _grid_data(cfg)
-    return (*picard_check(f0, f1, cfg["lame"], _tensor(cfg), _solver_config(cfg)), {})
+    tensor = ContractionTensor.default()
+    return (*picard_check(*_grid_data(cfg), cfg["lame"], tensor, _solver_config(cfg)), {})
 
 
 def picard_check(
-    f0: VectorField, f1: VectorField, lame: LameParams, tensor: ContractionTensor, sc: SolverConfig
+    grid: Grid3,
+    f0: np.ndarray,
+    f1: np.ndarray,
+    lame: LameParams,
+    tensor: ContractionTensor,
+    sc: SolverConfig,
 ):
-    """Criterion 7 on the physical data pair scaled to X1 data seminorm 1e-3.
+    """Criterion 7 on real data ``(f0, f1)`` scaled to X1 data seminorm 1e-3.
 
     Returns ``(series, assertions)``: Picard's contraction and convergence,
     and its fixed point against time marching.  The marched states are
     compared with Picard's as :func:`evolve_stream` yields them.
     """
-    grid = f0.grid
-    scale = 1e-3 / x1_data_seminorm(f0, f1)
-    f0 = VectorField(grid, scale * f0.data, "physical")
-    f1 = VectorField(grid, scale * f1.data, "physical")
-    traj_p, history = picard_iterate(f0, f1, lame, tensor, sc)
-    marched_norm, dist = x1_norm_and_distance(evolve_stream(f0, f1, lame, tensor, sc), traj_p)
+    f0_hat, f1_hat = _small_data(grid, f0, f1)()
+    traj_p, history = picard_iterate(grid, f0_hat, f1_hat, lame, tensor, sc)
+    marched = evolve_stream(grid, f0_hat, f1_hat, lame, tensor, sc)
+    marched_norm, dist = x1_norm_and_distance(marched, traj_p)
     ratios = [h["ratio"] for h in history if h["ratio"] is not None]
     # NaN when no ratio was measured, so the contraction check fails.
     worst_ratio = max(ratios) if ratios else math.nan

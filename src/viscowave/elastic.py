@@ -114,11 +114,17 @@ def matrix_kernel(
 def split_longitudinal(grid: Grid3, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split half-lattice data into (P data, (I-P) data); the zero mode goes transverse.
 
-    ``data`` has shape ``(3, n, n, n/2 + 1)``; the returned arrays have its
-    shape and sum to it.  The projector is built from Nyquist-safe wave-vector
-    components so that real fields stay real; unpaired Nyquist content (such
-    as the z component on the ``k_z = n/2`` plane) counts as transverse.
+    ``data`` has shape ``(3, n, n, n/2 + 1)``, or ShapeMismatchError is
+    raised; every propagator input passes through here, so this one check
+    covers :func:`linear_propagate` and both solvers.  The returned arrays
+    have its shape and sum to it.  The projector is built from Nyquist-safe
+    wave-vector components so that real fields stay real; unpaired Nyquist
+    content (such as the z component on the ``k_z = n/2`` plane) counts as
+    transverse.
     """
+    shape = (3, *grid.half_shape)
+    if np.shape(data) != shape:
+        raise ShapeMismatchError(f"data has shape {np.shape(data)}, expected {shape}")
     xi = [grid.xi_half(a) for a in range(3)]
     dot = sum(xi[a] * data[a] for a in range(3))
     r2 = xi[0] ** 2 + xi[1] ** 2 + xi[2] ** 2
@@ -199,10 +205,6 @@ def linear_propagate(
     grid: Grid3, f0_hat: np.ndarray, f1_hat: np.ndarray, t: float, lame: LameParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """Homogeneous evolution ``(u, v)`` at time ``t`` of half-lattice data ``(f0h, f1h)``."""
-    shape = (3, *grid.half_shape)
-    for name, a in (("f0_hat", f0_hat), ("f1_hat", f1_hat)):
-        if np.shape(a) != shape:
-            raise ShapeMismatchError(f"{name} has shape {np.shape(a)}, expected {shape}")
     prop = Propagator(grid, lame, (t,))
     u, v = prop.propagate(t, prop.split(f0_hat), prop.split(f1_hat))
     return prop.join(u), prop.join(v)

@@ -15,10 +15,11 @@ Conventions fixed here and relied on everywhere else:
   ``(3, n, n, n/2 + 1)`` for a vector field.  The ``k_z`` planes strictly
   between 0 and n/2 stand for themselves and their conjugate mirror images,
   so sums over them count twice (:func:`half_density_norm`).  Every spectral
-  array the library computes is in this layout.  The full-lattice layer,
-  :func:`transform`, :func:`sobolev_seminorm` and spectral
-  :class:`VectorField` data, has no library caller; it remains as a test
-  reference and as a lookup target of perfbench's layer tracer.
+  array the library computes or takes is in this layout; the library's
+  physical data are plain real arrays.  The full-lattice layer,
+  :class:`VectorField`, :func:`transform` and :func:`sobolev_seminorm`, has
+  no library caller; it remains as a test reference and as a lookup target
+  of perfbench's layer tracer.
 """
 
 from __future__ import annotations

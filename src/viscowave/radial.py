@@ -38,8 +38,8 @@ import numpy as np
 from .exceptions import QuadratureAccuracyError
 
 __all__ = [
-    "SPHERE_LONG", "SPHERE_TRANS", "radial_l2_norm", "AngularTerm", "AngularFit", "Frame",
-    "angular_fit", "axisym_evaluate", "axisym_magnitude", "axisym_lp_norm", "gauss_theta_rule",
+    "SPHERE_LONG", "SPHERE_TRANS", "radial_l2_norm", "AngularTerm", "AngularFit", "angular_fit",
+    "axisym_evaluate", "axisym_magnitude", "axisym_lp_norm", "gauss_theta_rule",
     "radial_grid", "simpson_weights",
 ]
 
@@ -166,32 +166,14 @@ def _cs_tables(s: np.ndarray, r: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Frame:
-    """Global basis vectors expressed in the evaluation frame.
-
-    The evaluation frame has its z-axis along the evaluation direction
-    ``xhat`` (global polar angle theta, azimuth 0); ``gx, gy, gz`` are the
-    global unit vectors in these coordinates.  Axisymmetric data directions
-    along global z appear as ``gz``.
-    """
-
-    theta: float
-    gx: tuple[float, float, float]
-    gy: tuple[float, float, float]
-    gz: tuple[float, float, float]
-
-    @staticmethod
-    def at(theta: float) -> "Frame":
-        c, s = np.cos(theta), np.sin(theta)
-        return Frame(theta=theta, gx=(c, 0.0, s), gy=(0.0, 1.0, 0.0), gz=(-s, 0.0, c))
-
-
-@dataclass(frozen=True)
 class AngularTerm:
     """One additive term ``psi_bank[psi] * angular(omega)`` of a field slot.
 
-    ``angular(wx, wy, wz, frame)`` must be a polynomial in the direction
+    ``angular(wx, wy, wz, gz)`` must be a polynomial in the direction
     components (complex coefficients allowed, e.g. i-factors of derivatives).
+    The evaluation frame has its z-axis along the evaluation direction
+    ``xhat`` (global polar angle theta, azimuth 0), and ``gz`` is the global
+    z unit vector, the axis of the axisymmetric data, in its coordinates.
     """
 
     slot: int
@@ -240,9 +222,9 @@ def _angular_coeffs(
     wx, wy, wz = sg * np.cos(phi), sg * np.sin(phi), mu[:, None] * np.ones_like(phi)
     integ = np.empty((len(thetas), len(terms), mu.size), dtype=np.complex128)
     for it, th in enumerate(thetas):
-        frame = Frame.at(float(th))
+        gz = (-np.sin(float(th)), 0.0, np.cos(float(th)))
         for jt, term in enumerate(terms):
-            vals = np.broadcast_to(term.angular(wx, wy, wz, frame), wx.shape)
+            vals = np.broadcast_to(term.angular(wx, wy, wz, gz), wx.shape)
             integ[it, jt] = vals.sum(axis=1) * (2.0 * np.pi / _N_PHI)
     V = np.vander(nodes, nodes.size, increasing=True)
     fit = integ[..., :-1].reshape(-1, nodes.size).T

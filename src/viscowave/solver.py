@@ -9,9 +9,13 @@ evaluated pseudospectrally with a two-thirds dealias mask (Orszag 1971).
 Every spectral array here lives on the half lattice ``k_z = 0 .. n/2``
 (``rfftn`` layout, :mod:`viscowave.grid`): states and forcing as
 ``(3, n, n, n/2 + 1)`` spectra of real fields, kernel tables and the dealias
-mask as ``(n, n, n/2 + 1)`` arrays.  The physical data and the forcing enter
-through ``rfftn`` (:func:`~viscowave.grid.forward_scalar`); the X1 norms and
-the blow-up guard sum the half lattice with the mirror weights of
+mask as ``(n, n, n/2 + 1)`` arrays.  Like
+:func:`~viscowave.elastic.linear_propagate`, the solvers take the data
+``(f0, f1)`` as half-lattice spectra, and
+:func:`~viscowave.elastic.split_longitudinal` rejects any other shape with
+ShapeMismatchError.  The forcing enters through ``rfftn``
+(:func:`~viscowave.grid.forward_scalar`); the X1 norms and the blow-up guard
+sum the half lattice with the mirror weights of
 :func:`~viscowave.grid.half_density_norm`.
 
 Both solvers solve the same node equations: the Duhamel formula
@@ -61,7 +65,6 @@ from .elastic import LameParams, Propagator
 from .exceptions import DivergenceError, NoContractionError
 from .grid import (
     Grid3,
-    VectorField,
     dealias_mask,
     forward_scalar,
     half_density_norm,
@@ -193,11 +196,19 @@ def _nonlinearity_hat(
 # shared helpers
 
 
-def _as_spectral(fld: VectorField) -> np.ndarray:
-    """The half-lattice spectrum of physical data, as a new complex array."""
-    if fld.space != "physical":
-        raise ValueError(f"the solvers take physical data, got a {fld.space} field")
-    return forward_scalar(fld.grid, fld.data)
+def _node_march(grid: Grid3, lame: LameParams, tensor: ContractionTensor, dt: float):
+    """The half step ``h``, propagator and forcing of a march with step ``dt``.
+
+    ``prop`` serves the steps ``h = dt / 2`` and ``2h``; ``forcing(u_hat)`` is
+    the split dealiased forcing of a half-lattice displacement spectrum, or
+    None for the zero tensor, which forces nothing.
+    """
+    h = 0.5 * dt
+    prop = Propagator(grid, lame, (h, 2.0 * h))
+    if not tensor.entries:
+        return h, prop, None
+    mask = dealias_mask(grid)
+    return h, prop, lambda u_hat: prop.split(_nonlinearity_hat(grid, u_hat, tensor, mask))
 
 
 def _add(acc, inc) -> None:
@@ -246,39 +257,32 @@ def _march(prop: Propagator, h: float, m_count: int, u0, v0, sample=None):
 
 
 def evolve_stream(
-    f0: VectorField,
-    f1: VectorField,
+    grid: Grid3,
+    f0_hat: np.ndarray,
+    f1_hat: np.ndarray,
     lame: LameParams,
     tensor: ContractionTensor,
     config: SolverConfig,
 ) -> Iterator[tuple[float, np.ndarray, np.ndarray]]:
     """March the quasi-linear system on ``[0, t_end]`` with step ``dt``, yielding each full step.
 
-    Yields ``(t, u, v)`` (half-lattice spectra) at t = 0 and after each step
-    of one :func:`_march` over the half-step nodes, with forcing sampled from
-    the displacement just built at each node.  Only the consumer holds a
-    yielded state while the march builds the next full step.  Raises
-    DivergenceError if the state norm at a full step exceeds 1e6 times its
-    initial value or is not finite.
+    Yields ``(t, u, v)`` (half-lattice spectra) at t = 0, the data arrays
+    themselves, and after each step of one :func:`_march` over the half-step
+    nodes, with forcing sampled from the displacement just built at each
+    node.  Only the consumer holds a yielded state while the march builds
+    the next full step.  Raises DivergenceError if the state norm at a full
+    step exceeds 1e6 times its initial value or is not finite.
     """
-    grid = f0.grid
-    mask = dealias_mask(grid)
-    h = 0.5 * config.dt
-    prop = Propagator(grid, lame, (h, 2.0 * h))
+    h, prop, forcing = _node_march(grid, lame, tensor, config.dt)
 
     def state_norm(u, v):
         return math.hypot(half_seminorm(grid, u, 0), half_seminorm(grid, v, 0))
 
-    def sample(m, u):
-        return prop.split(_nonlinearity_hat(grid, prop.join(u), tensor, mask))
-
-    if not tensor.entries:
-        sample = None  # the zero tensor forces nothing
-
-    u, v = _as_spectral(f0), _as_spectral(f1)
-    guard = 1e6 * max(state_norm(u, v), 1e-300)
-    nodes = _march(prop, h, 2 * config.n_steps, prop.split(u), prop.split(v), sample)
-    yield 0.0, u, v
+    sample = None if forcing is None else (lambda m, u: forcing(prop.join(u)))
+    nodes = _march(prop, h, 2 * config.n_steps, prop.split(f0_hat), prop.split(f1_hat), sample)
+    guard = 1e6 * max(state_norm(f0_hat, f1_hat), 1e-300)
+    yield 0.0, f0_hat, f1_hat
+    del f0_hat, f1_hat  # the march holds its own split copies
     for m, u, v in nodes:
         if m % 2 == 0:
             t = m * h
@@ -293,15 +297,16 @@ def evolve_stream(
 
 
 def evolve(
-    f0: VectorField,
-    f1: VectorField,
+    grid: Grid3,
+    f0_hat: np.ndarray,
+    f1_hat: np.ndarray,
     lame: LameParams,
     tensor: ContractionTensor,
     config: SolverConfig,
 ) -> Trajectory:
     """Every state of :func:`evolve_stream`, collected into a Trajectory."""
-    times, us, vs = zip(*evolve_stream(f0, f1, lame, tensor, config))
-    return Trajectory(f0.grid, np.asarray(times), list(us), list(vs))
+    times, us, vs = zip(*evolve_stream(grid, f0_hat, f1_hat, lame, tensor, config))
+    return Trajectory(grid, np.asarray(times), list(us), list(vs))
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +346,9 @@ def x1_norm_and_distance(states: Iterable, ref: Trajectory) -> tuple[float, floa
     return norm, dist
 
 
-def x1_data_seminorm(f0: VectorField, f1: VectorField) -> float:
-    """Value of the X1 integrand at t = 0 for data ``(f0, f1)``; used for scaling."""
-    return _x1_integrand(f0.grid, 0.0, _as_spectral(f0), _as_spectral(f1))
+def x1_data_seminorm(grid: Grid3, f0_hat: np.ndarray, f1_hat: np.ndarray) -> float:
+    """Value of the X1 integrand at t = 0 for half-lattice data ``(f0h, f1h)``; used for scaling."""
+    return _x1_integrand(grid, 0.0, f0_hat, f1_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +356,9 @@ def x1_data_seminorm(f0: VectorField, f1: VectorField) -> float:
 
 
 def picard_iterate(
-    f0: VectorField,
-    f1: VectorField,
+    grid: Grid3,
+    f0_hat: np.ndarray,
+    f1_hat: np.ndarray,
     lame: LameParams,
     tensor: ContractionTensor,
     config: SolverConfig,
@@ -371,16 +377,13 @@ def picard_iterate(
     below ``picard_tol``.  Raises DivergenceError on a non-finite increment
     and NoContractionError after three consecutive ratios >= 1.
     """
-    grid = f0.grid
-    mask = dealias_mask(grid)
-    h = 0.5 * config.dt
-    prop = Propagator(grid, lame, (h, 2.0 * h))
+    h, prop, forcing = _node_march(grid, lame, tensor, config.dt)
     m_count = 2 * config.n_steps
     taus = h * np.arange(m_count + 1)
 
-    states_u = [_as_spectral(f0)]  # every node
-    states_v = [_as_spectral(f1)]  # the even nodes: states_v[k] is node 2k
-    u0, v0 = prop.split(states_u[0]), prop.split(states_v[0])
+    u0, v0 = prop.split(f0_hat), prop.split(f1_hat)
+    states_u = [f0_hat]  # every node
+    states_v = [f1_hat]  # the even nodes: states_v[k] is node 2k
 
     # Iterate 0: the homogeneous solution, the march without forcing.
     for m, u, v in _march(prop, h, m_count, u0, v0):
@@ -389,12 +392,8 @@ def picard_iterate(
             states_v.append(prop.join(v))
     del u, v
 
-    def sample(m, u):
-        # The previous iterate at node m, read before the sweep overwrites it.
-        return prop.split(_nonlinearity_hat(grid, states_u[m], tensor, mask))
-
-    if not tensor.entries:
-        sample = None  # the zero tensor forces nothing
+    # The previous iterate at node m, read before the sweep overwrites it.
+    sample = None if forcing is None else (lambda m, u: forcing(states_u[m]))
 
     history: list[dict] = []
     bad_streak = 0

@@ -87,20 +87,18 @@ def test_criterion_06_mid_high_exponential_decay(audit_assertions):
 @pytest.fixture(scope="module")
 def nonlinear_grid_data():
     g = make_grid(64, 16.0)
-    return centered_gaussian(g, sigma=0.8), centered_gaussian(g, sigma=0.8)
+    return g, centered_gaussian(g, sigma=0.8).data, centered_gaussian(g, sigma=0.8).data
 
 
 def test_criterion_07_fixed_point_construction(nonlinear_grid_data):
-    f0, f1 = nonlinear_grid_data
     sc = SolverConfig(dt=1.25, t_end=25.0, picard_tol=1e-10)
-    _, assertions = picard_check(f0, f1, LAME, ContractionTensor.default(), sc)
+    _, assertions = picard_check(*nonlinear_grid_data, LAME, ContractionTensor.default(), sc)
     holds(7, assertions, [("<=", 0.5), ("<=", 5.0 * 1e-10), ("<", math.inf), ("<", 1e-10)])
 
 
 def test_criterion_08_nonlinear_consistency(nonlinear_grid_data):
-    f0, f1 = nonlinear_grid_data
     sc = SolverConfig(dt=0.25, t_end=5.0)
-    _, assertions = nonlinear_check(f0, f1, LAME, ContractionTensor.default(), sc)
+    _, assertions = nonlinear_check(*nonlinear_grid_data, LAME, ContractionTensor.default(), sc)
     holds(8, assertions, [("<=", 1e-10), ("<=", 0.1)])
 
 

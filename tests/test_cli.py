@@ -415,7 +415,8 @@ class TestChecksHoldNoTrajectory:
 
     def setup_method(self):
         grid = make_grid(16, 16.0)
-        self.f0, self.f1 = centered_gaussian(grid, sigma=0.8), centered_gaussian(grid, sigma=0.8)
+        f0, f1 = centered_gaussian(grid, sigma=0.8).data, centered_gaussian(grid, sigma=0.8).data
+        self.data = grid, f0, f1
         self.state_bytes = 3 * grid.n * grid.n * (grid.n // 2 + 1) * 16
         self.base = 0
 
@@ -424,7 +425,7 @@ class TestChecksHoldNoTrajectory:
         tracemalloc.start()
         try:
             self.base = tracemalloc.get_traced_memory()[0]
-            check(self.f0, self.f1, self.LAME, ContractionTensor.default(), sc)
+            check(*self.data, self.LAME, ContractionTensor.default(), sc)
             return tracemalloc.get_traced_memory()[1] - self.base
         finally:
             tracemalloc.stop()

@@ -154,7 +154,7 @@ class TestAxisymEvaluator:
     def test_gaussian_identity_structure(self):
         r = np.linspace(0, 12, 1601)
         psi = [np.exp(-0.5 * r * r)]
-        terms = [AngularTerm(0, 0, lambda wx, wy, wz, f: np.ones_like(wx))]
+        terms = [AngularTerm(0, 0, lambda wx, wy, wz, gz: np.ones_like(wx))]
         s = np.linspace(0, 6, 61)
         (out,) = axisym_evaluate(r, psi, [angular_fit(terms, 1, np.array([0.0, 0.9]))], s)
         exact = np.exp(-0.5 * s * s)
@@ -166,7 +166,7 @@ class TestAxisymEvaluator:
         psi = [r * np.exp(-0.5 * r * r)]
         terms = [
             AngularTerm(
-                0, 0, lambda wx, wy, wz, f: 1j * (wx * f.gz[0] + wy * f.gz[1] + wz * f.gz[2])
+                0, 0, lambda wx, wy, wz, gz: 1j * (wx * gz[0] + wy * gz[1] + wz * gz[2])
             )
         ]
         s = np.linspace(0, 6, 61)
@@ -181,7 +181,7 @@ class TestAxisymEvaluator:
         psi = [r * r * np.exp(-0.5 * r * r)]
         terms = [
             AngularTerm(
-                0, 0, lambda wx, wy, wz, f: (wx * f.gz[0] + wy * f.gz[1] + wz * f.gz[2]) ** 2
+                0, 0, lambda wx, wy, wz, gz: (wx * gz[0] + wy * gz[1] + wz * gz[2]) ** 2
             )
         ]
         s = np.linspace(0, 6, 61)
@@ -196,8 +196,8 @@ class TestAxisymEvaluator:
         r = np.linspace(0, 12, 1601)
         psi = [r * np.exp(-0.5 * r * r), np.exp(-0.5 * r * r)]
         terms = [
-            AngularTerm(0, 0, lambda wx, wy, wz, f: 1j * (wx * f.gz[0] + wz * f.gz[2])),
-            AngularTerm(1, 1, lambda wx, wy, wz, f: np.ones_like(wx)),
+            AngularTerm(0, 0, lambda wx, wy, wz, gz: 1j * (wx * gz[0] + wz * gz[2])),
+            AngularTerm(1, 1, lambda wx, wy, wz, gz: np.ones_like(wx)),
         ]
         s = np.linspace(0, 6, 101)
         thetas = np.array([0.2, 1.3])
@@ -209,7 +209,7 @@ class TestAxisymEvaluator:
         )
 
     def test_degree_overflow_is_rejected(self):
-        terms = [AngularTerm(0, 0, lambda wx, wy, wz, f: (wx * f.gz[0] + wz * f.gz[2]) ** 3)]
+        terms = [AngularTerm(0, 0, lambda wx, wy, wz, gz: (wx * gz[0] + wz * gz[2]) ** 3)]
         with pytest.raises(ValueError, match="polynomial degree"):
             angular_fit(terms, 1, np.array([0.4]), nmax=2)
 
@@ -217,14 +217,14 @@ class TestAxisymEvaluator:
     def test_higher_degree_overflow_is_rejected(self, degree):
         # Degree 4 and 6 have the parity of nmax = 2: the Gauss-node fit aliases
         # them into lower coefficients, and only the pole residual shows them.
-        ang = lambda wx, wy, wz, f: (wx * f.gz[0] + wz * f.gz[2]) ** degree
+        ang = lambda wx, wy, wz, gz: (wx * gz[0] + wz * gz[2]) ** degree
         with pytest.raises(ValueError, match="polynomial degree"):
             angular_fit([AngularTerm(0, 0, ang)], 1, np.array([0.4]), nmax=2)
 
     @pytest.mark.parametrize("degree", [0, 1, 2])
     def test_degree_within_the_fit_is_accepted(self, degree):
         r = np.linspace(0, 12, 401)
-        ang = lambda wx, wy, wz, f: (wx * f.gz[0] + wz * f.gz[2]) ** degree
+        ang = lambda wx, wy, wz, gz: (wx * gz[0] + wz * gz[2]) ** degree
         fit = angular_fit([AngularTerm(0, 0, ang)], 1, np.array([0.4, 1.9]), nmax=2)
         (out,) = axisym_evaluate(r, [np.exp(-0.5 * r * r)], [fit], r[:11])
         assert np.all(np.isfinite(out))
@@ -232,7 +232,7 @@ class TestAxisymEvaluator:
     def test_lp_norms_match_analytic_gaussian(self):
         r = np.linspace(0, 12, 2401)
         psi = [np.exp(-0.5 * r * r)]
-        terms = [AngularTerm(0, 0, lambda wx, wy, wz, f: np.ones_like(wx))]
+        terms = [AngularTerm(0, 0, lambda wx, wy, wz, gz: np.ones_like(wx))]
         thetas, tw = gauss_theta_rule(16)
         s = np.linspace(0, 10, 1201)
         (out,) = axisym_evaluate(r, psi, [angular_fit(terms, 1, thetas)], s)
