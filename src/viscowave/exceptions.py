@@ -37,10 +37,6 @@ class QuadratureAccuracyError(ViscowaveError, ArithmeticError):
         self.achieved = achieved
 
 
-class StiffnessError(ViscowaveError, ArithmeticError):
-    """The per-mode ODE integrator underflowed its step size."""
-
-
 class DivergenceError(ViscowaveError, ArithmeticError):
     """Blow-up guard tripped during time marching."""
 

@@ -5,8 +5,8 @@ scalar ODE ``w'' + nu r^2 w' + beta^2 r^2 w = f`` with ``r = |xi|``.  This
 module evaluates the two fundamental solutions of that ODE (``K0`` for unit
 initial value, ``K1`` for unit initial velocity) and their time derivatives
 up to second order, together with the diffusion-wave factors ``G0, G1``, the
-low-frequency cosine kernel ``K00``, and an independent adaptive-ODE oracle
-used to verify all of them.
+low-frequency cosine kernel ``K00``, and an independent oracle that solves
+the mode ODE by a matrix exponential, used to verify all of them.
 
 The characteristic roots are
 
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import OutOfDomainError, StiffnessError, UnsupportedOrderError
+from .exceptions import OutOfDomainError, UnsupportedOrderError
 
 __all__ = [
     "DampingParams",
@@ -236,35 +236,22 @@ def mode_oracle(
     w0: float,
     w1: float,
 ) -> tuple[float, float]:
-    """Integrate one mode ODE ``w'' + nu r^2 w' + beta^2 r^2 w = 0`` to time ``t``.
+    """Solve one mode ODE ``w'' + nu r^2 w' + beta^2 r^2 w = 0`` exactly to time ``t``.
 
-    Independent verification oracle for the closed-form kernels: it uses an
-    adaptive 4/5-order Runge-Kutta pair and never touches the kernel
-    formulas.  Returns ``(w(t), w'(t))`` for ``w(0) = w0``, ``w'(0) = w1``.
+    Independent verification oracle for the closed-form kernels: the ODE is
+    linear with constant coefficients, so ``(w, w')(t) = expm(t A) (w0, w1)``
+    for the companion matrix ``A = [[0, 1], [-beta^2 r^2, -nu r^2]]``.
+    ``scipy.linalg.expm`` (scaling and squaring with Pade approximants;
+    Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 2009) never forms the
+    characteristic roots the kernel formulas branch on, so it needs no
+    confluent branch.  Returns ``(w(t), w'(t))`` for ``w(0) = w0``,
+    ``w'(0) = w1``.
     """
-    from scipy.integrate import solve_ivp
+    from scipy.linalg import expm
 
-    nr2 = params.nu * r * r
-    b2r2 = (params.beta * r) ** 2
-
-    def rhs(tau, y):
-        return [y[1], -nr2 * y[1] - b2r2 * y[0]]
-
-    if t == 0.0:
-        return float(w0), float(w1)
-    scale = max(abs(w0), abs(w1), 1e-30)
-    sol = solve_ivp(
-        rhs,
-        (0.0, t),
-        [float(w0), float(w1)],
-        method="RK45",
-        rtol=1e-10,
-        atol=1e-14 * scale,
-        t_eval=[t],
-    )
-    if not sol.success:
-        raise StiffnessError(f"mode integration failed at r={r}: {sol.message}")
-    return float(sol.y[0, -1]), float(sol.y[1, -1])
+    a = np.array([[0.0, 1.0], [-((params.beta * r) ** 2), -params.nu * r * r]])
+    w, wdot = expm(t * a) @ np.array([w0, w1], dtype=float)
+    return float(w), float(wdot)
 
 
 def lowfreq_residual(t, r, params: DampingParams) -> tuple[float, float]:

@@ -270,8 +270,10 @@ def evolve_stream(
     themselves, and after each step of one :func:`_march` over the half-step
     nodes, with forcing sampled from the displacement just built at each
     node.  Only the consumer holds a yielded state while the march builds
-    the next full step.  Raises DivergenceError if the state norm at a full
-    step exceeds 1e6 times its initial value or is not finite.
+    the next full step.  The data are split, and so checked, at the call;
+    the march runs as the stream is read.  Raises DivergenceError if the
+    state norm at a full step exceeds 1e6 times its initial value or is not
+    finite.
     """
     h, prop, forcing = _node_march(grid, lame, tensor, config.dt)
 
@@ -281,19 +283,22 @@ def evolve_stream(
     sample = None if forcing is None else (lambda m, u: forcing(prop.join(u)))
     nodes = _march(prop, h, 2 * config.n_steps, prop.split(f0_hat), prop.split(f1_hat), sample)
     guard = 1e6 * max(state_norm(f0_hat, f1_hat), 1e-300)
-    yield 0.0, f0_hat, f1_hat
-    del f0_hat, f1_hat  # the march holds its own split copies
-    for m, u, v in nodes:
-        if m % 2 == 0:
-            t = m * h
-            u, v = prop.join(u), prop.join(v)
-            norm = state_norm(u, v)
-            if not norm <= guard:
-                raise DivergenceError(
-                    f"state norm {norm:g} is not finite or exceeded the blow-up guard at t={t:g}", t
-                )
-            yield t, u, v
-        del u, v  # hold no node while the march builds the next one
+
+    def states(u0, v0):
+        yield 0.0, u0, v0
+        del u0, v0  # the march holds its own split copies
+        for m, u, v in nodes:
+            if m % 2 == 0:
+                t = m * h
+                u, v = prop.join(u), prop.join(v)
+                norm = state_norm(u, v)
+                if not norm <= guard:
+                    message = f"state norm {norm:g} is not finite or exceeded the blow-up guard"
+                    raise DivergenceError(f"{message} at t={t:g}", t)
+                yield t, u, v
+            del u, v  # hold no node while the march builds the next one
+
+    return states(f0_hat, f1_hat)
 
 
 def evolve(

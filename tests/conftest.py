@@ -101,11 +101,13 @@ def forced_kernel_quadrature(
 
 
 def forced_mode_oracle(t: float, r: float, params: DampingParams, w0: float, w1: float, forcing):
-    """``kernels.mode_oracle`` with a forcing term: ``w'' + nu r^2 w' + beta^2 r^2 w = f``.
+    """Integrate the forced mode ODE ``w'' + nu r^2 w' + beta^2 r^2 w = f`` to time ``t > 0``.
 
     ``forcing`` is a callable ``f(t)`` or a pair of arrays ``(times, values)``
-    interpolated with a cubic spline.  Same adaptive Runge-Kutta pair and
-    tolerances as the library oracle; returns ``(w(t), w'(t))``.
+    interpolated with a cubic spline.  An adaptive Runge-Kutta pair (RK45,
+    ``rtol = 1e-10``), independent of the library's matrix-exponential
+    ``kernels.mode_oracle``; with zero forcing it is that oracle's reference,
+    good to about 1e-9.  Returns ``(w(t), w'(t))``.
     """
     from scipy.integrate import solve_ivp
     from scipy.interpolate import CubicSpline

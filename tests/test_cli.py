@@ -1,6 +1,7 @@
 """Harness behavior: config handling, determinism, reports, exit codes."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import REPO_CONFIGS, centered_gaussian, checked_in
@@ -59,6 +61,13 @@ picard_max_iter = {max_iter}
 def picard16(**overrides) -> str:
     """The checked-in picard config at n = 16, with ``key = value`` lines replaced."""
     return checked_in("picard", **{"n": 16, **overrides})
+
+
+def with_nan(values) -> np.ndarray:
+    """A float copy of ``values`` whose second entry is NaN."""
+    out = np.array(values, dtype=float)
+    out[1] = math.nan
+    return out
 
 
 def write_cfg(tmp_path, text, name="scenario.ini"):
@@ -317,14 +326,65 @@ class TestRunScenario:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["error"]["type"] == "FitError"
 
+    @pytest.mark.parametrize(
+        "suite, callee, call, nan_of, criterion, check",
+        [
+            ("kernels", "kernel_hat", 1, lambda k: math.nan, "1", "kernel-oracle relative error"),
+            (
+                "kernels",
+                "lowfreq_residual",
+                1,
+                lambda res: (with_nan(res[0]), res[1]),
+                "2",
+                "low-frequency representation residual",
+            ),
+            ("nonlinear", "half_seminorm", 1, lambda norm: math.nan, "8", "deviation ratio"),
+            ("audit", "inequality_check", 1, lambda ratio: math.nan, "9", "Riesz l2 ratio"),
+            ("audit", "dilation_ratios", 1, with_nan, "9", "GN_INF dilation invariance"),
+            # the second scan of the first bound: its density-128 sup
+            (
+                "audit",
+                "symbol_bound_scan",
+                2,
+                lambda scan: dataclasses.replace(scan, max_ratio=math.nan),
+                "10",
+                "B331 density stability",
+            ),
+        ],
+        ids=["1-oracle", "2-residual", "8-deviation", "9-riesz", "9-dilation", "10-scan"],
+    )
+    def test_one_nan_fails_its_criterion(
+        self, tmp_path, monkeypatch, suite, callee, call, nan_of, criterion, check
+    ):
+        # Python's max(worst, nan) returns worst, so each check must see the NaN itself.
+        real, calls = getattr(cli, callee), []
+
+        def nan_once(*args, **kwargs):
+            value = real(*args, **kwargs)
+            calls.append(1)
+            return nan_of(value) if len(calls) == call else value
+
+        monkeypatch.setattr(cli, callee, nan_once)
+        config = {
+            "kernels": FAST_KERNELS,
+            "nonlinear": checked_in("nonlinear", n=16),
+            "audit": checked_in("audit"),
+        }[suite]
+        out = tmp_path / "out"
+        assert run_scenario(write_cfg(tmp_path, config), out) == 1
+        summary = json.loads((out / "summary.json").read_text())
+        failed = [a for a in summary["assertions"] if not a["passed"]]
+        assert {a["criterion"] for a in failed} == {criterion}
+        assert any(check in a["name"] for a in failed)
+
     def test_import_loads_no_unused_scipy(self):
-        # the suites import scipy's integrate and interpolate only where they call
-        # them, and fit slopes with numpy alone, so a fit loads no scipy.stats
+        # the suites import scipy's integrate, interpolate and linalg only where
+        # they call them, and fit slopes with numpy alone, so a fit loads no scipy.stats
         probe = (
             "import sys, numpy, viscowave.cli; "
             "t = numpy.logspace(2, 4, 9); viscowave.cli.decay_slope(t, t ** -1.5); "
-            "print([m for m in ('scipy.stats', 'scipy.integrate', 'scipy.interpolate') "
-            "if m in sys.modules])"
+            "unused = ('scipy.stats', 'scipy.integrate', 'scipy.interpolate', 'scipy.linalg'); "
+            "print([m for m in unused if m in sys.modules])"
         )
         env = {**os.environ, "PYTHONPATH": str(REPO_SRC)}
         done = subprocess.run(

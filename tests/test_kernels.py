@@ -1,9 +1,12 @@
 """Scalar mode-kernel tests: closed forms against the independent ODE oracle."""
 
+import json
+
 import numpy as np
 import pytest
 
-from conftest import forced_kernel_quadrature, forced_mode_oracle
+from conftest import REPO_CONFIGS, forced_kernel_quadrature, forced_mode_oracle
+from viscowave import cli
 from viscowave.exceptions import OutOfDomainError, UnsupportedOrderError
 from viscowave.kernels import (
     DampingParams,
@@ -180,10 +183,58 @@ class TestDiffusionHat:
             lowfreq_residual(0.0, 2.5, dp)
 
 
+def criterion_1(out) -> dict:
+    """Criterion 1's assertion from a kernels run's summary.json."""
+    summary = json.loads((out / "summary.json").read_text())
+    (check,) = [a for a in summary["assertions"] if a["criterion"] == "1"]
+    return check
+
+
 class TestModeOracle:
     def test_degenerate_point(self):
         w, _ = mode_oracle(3.0, 1.0, DampingParams(1.0, 2.0), 0.0, 1.0)
         assert w == pytest.approx(3.0 * np.exp(-3.0), abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "t, r, beta, nu",
+        [
+            (5.0, 0.7, 1.0, 1.0),  # oscillatory: nu r < 2 beta
+            (0.3, 8.0, 4.0, 0.1),
+            (20.0, 0.2, 0.1, 4.0),  # overdamped: nu r > 2 beta
+            (2.0, 4.0, 1.0, 1.0),
+            (10.0, 6.0, 0.5, 3.0),
+            (3.0, 1.0, 1.0, 2.0),  # confluent: nu r = 2 beta
+            (7.0, 1.0, 1.5, 3.0),
+            (1.5, 0.0, 1.0, 1.0),  # r = 0: w0 + t w1
+        ],
+    )
+    def test_matches_runge_kutta_reference(self, t, r, beta, nu):
+        # The unforced RK45 reference is the matrix exponential's own check;
+        # the tolerance is RK45's error, not the exponential's.
+        dp = DampingParams(beta, nu)
+        for w0, w1 in ((1.0, 0.0), (0.0, 1.0), (0.3, -1.2)):
+            got = mode_oracle(t, r, dp, w0, w1)
+            ref = forced_mode_oracle(t, r, dp, w0, w1, lambda tau: 0.0)
+            for x, y in zip(got, ref):
+                assert abs(x - y) <= 1e-8 * max(abs(y), 1e-2)
+
+    def test_criterion_1_reads_the_closed_forms_error(self, tmp_path):
+        # The exact oracle leaves only the kernels' rounding: far below the
+        # 1e-8 bound on the checked-in config (RK45 read 4.79e-10 there).
+        assert cli.run_scenario(REPO_CONFIGS / "kernels.ini", tmp_path) == 0
+        assert criterion_1(tmp_path)["value"] < 1e-11
+
+    def test_perturbed_k1_fails_criterion_1(self, tmp_path, monkeypatch):
+        real = cli.kernel_hat
+
+        def perturbed(t, r, params, which="K0", dt_order=0):
+            value = real(t, r, params, which, dt_order)
+            return value * (1.0 + 1e-7) if which == "K1" else value
+
+        monkeypatch.setattr(cli, "kernel_hat", perturbed)
+        assert cli.run_scenario(REPO_CONFIGS / "kernels.ini", tmp_path) == 1
+        check = criterion_1(tmp_path)
+        assert not check["passed"] and check["value"] > 1e-8
 
     def test_constant_forcing_matches_quadrature(self):
         dp = DampingParams(1.0, 1.0)

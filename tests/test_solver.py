@@ -427,14 +427,15 @@ def direct_weights(m, h):
 @pytest.mark.parametrize("solve", [evolve_stream, evolve, picard_iterate])
 def test_wrong_shape_rejected(grid16, solve):
     # One check in split_longitudinal, as for linear_propagate: physical data,
-    # a scalar spectrum or a truncated half lattice is a ShapeMismatchError.
+    # a scalar spectrum or a truncated half lattice is a ShapeMismatchError,
+    # raised by the bare call (evolve_stream splits its data before it returns).
     cfg = SolverConfig(dt=1.0, t_end=2.0)
     ok = small_data(grid16)[0]
     for shape in [(3, 16, 16, 16), (16, 16, 9), (3, 16, 16, 8)]:
         bad = np.zeros(shape, dtype=np.complex128)
         for f0, f1 in ((bad, ok), (ok, bad)):
             with pytest.raises(ShapeMismatchError):
-                list(solve(grid16, f0, f1, LAME, ContractionTensor.default(), cfg))
+                solve(grid16, f0, f1, LAME, ContractionTensor.default(), cfg)
 
 
 class TestDuhamelStream:
