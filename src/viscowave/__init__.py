@@ -8,10 +8,9 @@ from .asymptotics import (
     NormSpec,
     decay_slope,
     linear_norm,
-    profile_error_series,
+    profile_error_norms,
 )
 from .audit import (
-    BoundScanReport,
     decay_fit,
     dilation_ratios,
     heat_multiplier_l1,
@@ -37,10 +36,7 @@ from .grid import (
 )
 from .kernels import (
     DampingParams,
-    KernelEval,
-    char_roots,
     diffusion_hat,
-    kernel_eval,
     kernel_hat,
     lowfreq_residual,
     mode_oracle,
@@ -58,10 +54,7 @@ from .solver import (
 
 __all__ = [
     "DampingParams",
-    "KernelEval",
-    "char_roots",
     "kernel_hat",
-    "kernel_eval",
     "diffusion_hat",
     "mode_oracle",
     "lowfreq_residual",
@@ -91,8 +84,7 @@ __all__ = [
     "LinearSource",
     "decay_slope",
     "linear_norm",
-    "profile_error_series",
-    "BoundScanReport",
+    "profile_error_norms",
     "inequality_check",
     "dilation_ratios",
     "decay_fit",

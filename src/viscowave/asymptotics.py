@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import stdtrit
 
 from .elastic import LameParams
-from .exceptions import FitError, UnsupportedNormError, WindowError
+from .exceptions import FitError, QuadratureAccuracyError, UnsupportedNormError, WindowError
 from .kernels import diffusion_hat, kernel_hat
 from .radial import (
     AngularFit,
@@ -49,7 +49,7 @@ __all__ = [
     "line_fit",
     "linear_norm",
     "slope_ci95",
-    "profile_error_series",
+    "profile_error_norms",
     "expected_solution_slope",
     "SUPPORTED_NORMS",
 ]
@@ -97,14 +97,10 @@ class NormSpec:
 
 @dataclass(frozen=True)
 class DecayReport:
-    times: np.ndarray
-    values: np.ndarray
     slope: float
     ci95: float
-    expected: float | None
-    norm_id: str
     power_law_ok: bool
-    drift: float = 0.0
+    drift: float
 
 
 def line_fit(x, y) -> tuple[float, float, float]:
@@ -131,22 +127,18 @@ def slope_ci95(stderr: float, n: int) -> float:
     return float(stdtrit(n - 2, 0.975) * stderr)
 
 
-def decay_slope(
-    times, values, expected: float | None = None, norm_id: str = ""
-) -> DecayReport:
+def decay_slope(times, values) -> DecayReport:
     """Least-squares slope of log(values) against log(times).
 
     Requires at least 8 points spanning 1.5 decades.  ``power_law_ok`` is
     false when decade-windowed slopes drift by more than 0.02, which flags
-    logarithmic corrections masquerading as power laws.  A non-finite time
-    or value raises FitError.
+    logarithmic corrections masquerading as power laws.  A non-finite or
+    non-positive time or value raises FitError.
     """
     times = np.asarray(times, float)
     values = np.asarray(values, float)
-    if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
-        raise FitError("decay_slope requires finite times and values")
-    if np.any(values <= 0.0) or np.any(times <= 0.0):
-        raise ValueError("decay_slope requires positive times and values")
+    if not all(np.all(np.isfinite(x) & (x > 0.0)) for x in (times, values)):
+        raise FitError("decay_slope requires finite positive times and values")
     if times.size < 8 or np.log10(times[-1] / times[0]) < 1.5:
         raise WindowError("need >= 8 points spanning >= 1.5 decades")
     lt, lv = np.log(times), np.log(values)
@@ -162,12 +154,8 @@ def decay_slope(
         lo *= math.sqrt(10.0)
     drift = float(np.max(slopes) - np.min(slopes)) if len(slopes) >= 2 else 0.0
     return DecayReport(
-        times=times,
-        values=values,
         slope=slope,
         ci95=slope_ci95(stderr, times.size),
-        expected=expected,
-        norm_id=norm_id,
         power_law_ok=drift <= 0.02,
         drift=drift,
     )
@@ -245,7 +233,10 @@ def _l2_norm_from_mults(ml, mt, t: float, alpha: int) -> float:
 
 
 def _support_radius(lame: LameParams, src: LinearSource, t: float) -> float:
-    """Radius beyond which the damped coefficients are negligible."""
+    """Radius beyond which the damped coefficients are negligible.
+
+    Raises QuadratureAccuracyError (``achieved = inf``) if they vanish on the whole probe.
+    """
     probe = np.logspace(-4, 2.5, 2048)
     m = -0.5 * lame.nu * probe**2
     d2 = m * m - (max(lame.beta_long, lame.beta_trans) * probe) ** 2
@@ -253,6 +244,8 @@ def _support_radius(lame: LameParams, src: LinearSource, t: float) -> float:
     env = np.abs(src.ghat(probe)) * np.exp(np.maximum(sigma_re * t, -745.0)) * (1.0 + t)
     env = np.maximum(env, np.abs(src.ghat(probe)) * 1e-300)
     peak = env.max()
+    if peak == 0.0:
+        raise QuadratureAccuracyError("data transform vanishes on the support probe", math.inf)
     keep = np.nonzero(env > peak * 1e-18)[0]
     return float(probe[keep[-1]] * 1.25)
 
@@ -392,24 +385,14 @@ def _profile_fields(src: LinearSource, norms: Sequence[tuple[str, NormSpec]], la
     return fields
 
 
-def profile_error_series(
-    src: LinearSource, norms: Sequence[tuple[str, NormSpec]], times, lame: LameParams
-) -> list[tuple[DecayReport, DecayReport]]:
-    """(solution decay, profile-error decay) on the continuum path, one pair per (profile, norm).
+def profile_error_norms(
+    src: LinearSource, norms: Sequence[tuple[str, NormSpec]], t: float, lame: LameParams
+) -> list[float]:
+    """The solution's norm and its error's norm against the profile at time t, per (profile, norm).
 
-    Time-outer: at each time every norm of the solution and of its error
-    against the profile is measured, the sup/L^p ones from one moment pass.
+    Two values per entry of ``norms``, in that order; the sup/L^p ones share
+    one moment pass.
     """
     for which, spec in norms:
         _validate_norm(which, spec)
-    fields = _profile_fields(src, norms, lame)
-    table = np.array([_norms(fields, float(t), lame, src) for t in times])
-    reports = []
-    for k, (_, spec) in enumerate(norms):
-        exp_sol = expected_solution_slope(spec)
-        sol = decay_slope(times, table[:, 2 * k], expected=exp_sol, norm_id=spec.label())
-        err = decay_slope(
-            times, table[:, 2 * k + 1], expected=exp_sol - 0.5, norm_id=spec.label() + ",err"
-        )
-        reports.append((sol, err))
-    return reports
+    return _norms(_profile_fields(src, norms, lame), t, lame, src)

@@ -46,7 +46,6 @@ from .radial import (
 from .grid import transform  # noqa: F401
 
 __all__ = [
-    "BoundScanReport",
     "DecayFit",
     "inequality_check",
     "dilation_ratios",
@@ -81,7 +80,7 @@ def _hessian(grid: Grid3, fh: np.ndarray):
                 yield d
 
 
-def inequality_check(ineq_id: str, grid: Grid3, f: np.ndarray, p: float = 2.0) -> float:
+def inequality_check(ineq_id: str, grid: Grid3, f: np.ndarray) -> float:
     """Constant-free ratio (left side / right side) of one inequality.
 
     ``f`` holds the real scalar test function on ``grid``.  Derivative norms
@@ -107,26 +106,20 @@ def inequality_check(ineq_id: str, grid: Grid3, f: np.ndarray, p: float = 2.0) -
         return lp_norm(grid, f, math.inf) / rhs
     if ineq_id == "GRAD_2P":
         rhs = guard(
-            lp_norm(grid, f, math.inf) ** 0.5 * lp_norm(grid, _hessian(grid, fh), p) ** 0.5
+            lp_norm(grid, f, math.inf) ** 0.5 * lp_norm(grid, _hessian(grid, fh), 2.0) ** 0.5
         )
-        return lp_norm(grid, _gradient(grid, fh), 2.0 * p) / rhs
+        return lp_norm(grid, _gradient(grid, fh), 4.0) / rhs
     if ineq_id == "SOB_6":
         rhs = guard(half_seminorm(grid, fh, 1))
         return lp_norm(grid, f, 6) / rhs
-    if ineq_id == "LOW_HIGH_SPLIT":
-        rhs = guard(lp_norm(grid, _gradient(grid, fh), 1.0) + half_seminorm(grid, fh, 3))
-        return half_seminorm(grid, fh, 1) / rhs
     if ineq_id == "RIESZ":
         xi = [grid.xi_half(a) for a in range(3)]
         rs2 = xi[0] ** 2 + xi[1] ** 2 + xi[2] ** 2
         with np.errstate(invalid="ignore", divide="ignore"):
             mult = np.where(rs2 > 0, xi[0] / np.sqrt(np.where(rs2 > 0, rs2, 1.0)), 0.0)
         riesz = fh * (-1j * mult)  # R_1 = F^{-1} (-i xi_1 / |xi|) F maps real data to real data
-        if p == 2.0:
-            rhs = guard(half_seminorm(grid, fh, 0))
-            return half_seminorm(grid, riesz, 0) / rhs
-        rhs = guard(lp_norm(grid, f, p))
-        return lp_norm(grid, inverse_scalar(grid, riesz), p) / rhs
+        rhs = guard(half_seminorm(grid, fh, 0))
+        return half_seminorm(grid, riesz, 0) / rhs
     raise UnsupportedSymbolError(f"unknown inequality {ineq_id!r}")
 
 
@@ -150,8 +143,6 @@ def dilation_ratios(ineq_id: str, generator, grid, lams=(0.5, 1.0, 2.0)):
 
 @dataclass(frozen=True)
 class DecayFit:
-    part: str
-    which: str
     c_fit: float
     prefactor: float
     residual: float  # max |log v - fit| / log-range
@@ -197,8 +188,6 @@ def decay_fit(
     log_range = float(np.ptp(logs))
     grad = radial_l2_norm(ghat, 1, (1.0, 1.0))
     return DecayFit(
-        part=part,
-        which=which,
         c_fit=float(-slope),
         prefactor=float(np.exp(intercept)),
         residual=resid / max(log_range, 1e-300),
@@ -292,17 +281,6 @@ def _scan_values(bound_id: str, dp: DampingParams, t: np.ndarray, r: np.ndarray)
 SYMBOL_BOUNDS = ("B331", "B332", "B333", "B334", "B335", "B336", "B337")
 
 
-@dataclass(frozen=True)
-class BoundScanReport:
-    bound_id: str
-    t_range: tuple[float, float]
-    r_range: tuple[float, float]
-    max_ratio: float
-    samples: int
-    seed: int
-    density: int
-
-
 def symbol_bound_scan(
     bound_id: str,
     t_range: tuple[float, float],
@@ -310,8 +288,8 @@ def symbol_bound_scan(
     dp: DampingParams,
     density: int = 64,
     seed: int = 0,
-) -> BoundScanReport:
-    """Sup of |scanned symbol quantity| / majorant over a jittered log mesh.
+) -> float:
+    """Sup of |scanned symbol quantity| / majorant over a jittered log mesh of density^2 points.
 
     The mesh is reproducible from ``seed``; doubling ``density`` must leave
     the sup stable (checked by the caller, not here).  ``r_range`` must stay
@@ -329,16 +307,7 @@ def symbol_bound_scan(
     ts = np.clip(ts, t_range[0], t_range[1])
     rs = np.clip(rs, r_range[0], r_range[1])
     lhs, maj = _scan_values(bound_id, dp, ts, rs)
-    ratio = float(np.max(lhs / maj))
-    return BoundScanReport(
-        bound_id=bound_id,
-        t_range=t_range,
-        r_range=r_range,
-        max_ratio=ratio,
-        samples=int(lhs.size),
-        seed=seed,
-        density=density,
-    )
+    return float(np.max(lhs / maj))
 
 
 # ---------------------------------------------------------------------------

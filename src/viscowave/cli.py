@@ -31,8 +31,9 @@ from .asymptotics import (
     NormSpec,
     SUPPORTED_NORMS,
     decay_slope,
+    expected_solution_slope,
     linear_norm,
-    profile_error_series,
+    profile_error_norms,
 )
 from .audit import (
     SYMBOL_BOUNDS,
@@ -45,7 +46,14 @@ from .audit import (
 from .elastic import LameParams, Propagator, default_cutoffs, linear_propagate, split_longitudinal
 from .exceptions import ConfigError, ViscowaveError
 from .grid import Grid3, forward_scalar, half_seminorm, make_grid
-from .kernels import DampingParams, kernel_eval, kernel_hat, lowfreq_residual, mode_oracle
+from .kernels import (
+    DampingParams,
+    diffusion_hat,
+    kernel_branch,
+    kernel_hat,
+    lowfreq_residual,
+    mode_oracle,
+)
 from .solver import (
     ContractionTensor,
     SolverConfig,
@@ -195,20 +203,19 @@ def _suite_kernels(cfg: dict):
     rows = []
     for dp, fam in ((lame.long_params, "long"), (lame.trans_params, "trans")):
         for t in (0.5, 2.0, 10.0):
-            for r in table_rs:
-                ke = kernel_eval(float(t), float(r), dp)
+            for r in map(float, table_rs):
                 rows.append(
                     {
                         "family": fam,
                         "t": t,
-                        "r": float(r),
+                        "r": r,
                         "beta": dp.beta,
                         "nu": dp.nu,
-                        "k0": ke.k0,
-                        "k1": ke.k1,
-                        "g0": ke.g0,
-                        "g1": ke.g1,
-                        "branch": ke.branch,
+                        "k0": kernel_hat(t, r, dp, "K0"),
+                        "k1": kernel_hat(t, r, dp, "K1"),
+                        "g0": diffusion_hat(t, r, dp, "G0"),
+                        "g1": diffusion_hat(t, r, dp, "G1"),
+                        "branch": kernel_branch(dp, r),
                     }
                 )
     assertions = [
@@ -224,15 +231,28 @@ def _decay_rows(times, values):
     return [{"t": float(t), "value": float(v)} for t, v in zip(times, values)]
 
 
-def _decay_sidecar(rep, cfg: dict) -> dict:
-    return {
-        "slope": rep.slope,
-        "ci95": rep.ci95,
-        "expected": rep.expected,
-        "norm_id": rep.norm_id,
-        "power_law_ok": rep.power_law_ok,
-        "scenario_hash": cfg["config_hash"],
-    }
+def _fit_table(cfg: dict, times, table, columns):
+    """Decay slope of each column of the time-by-norm ``table``.
+
+    ``columns`` holds one ``(key, expected, norm_id)`` per column.  Returns
+    the CSV rows and the slope sidecar under each key, and the slopes in
+    column order.
+    """
+    series, sidecars, slopes = {}, {}, []
+    for k, (key, expected, norm_id) in enumerate(columns):
+        vals = [row[k] for row in table]
+        rep = decay_slope(times, vals)
+        series[key] = _decay_rows(times, vals)
+        sidecars[key] = {
+            "slope": rep.slope,
+            "ci95": rep.ci95,
+            "expected": expected,
+            "norm_id": norm_id,
+            "power_law_ok": rep.power_law_ok,
+            "scenario_hash": cfg["config_hash"],
+        }
+        slopes.append(rep.slope)
+    return series, sidecars, slopes
 
 
 def _decay_checks(cfg: dict, criterion: str, checks, key):
@@ -241,20 +261,16 @@ def _decay_checks(cfg: dict, criterion: str, checks, key):
     ``checks`` holds ``(spec, target, tol)`` and ``key(spec)`` names a series.
     Time-outer: the sup/L^p norms at each time share one radial moment pass.
     """
-    lame = cfg["lame"]
     src = LinearSource.gaussian(sigma=cfg["sigma"])
     times = _times(cfg)
     specs = [spec for spec, _, _ in checks]
-    table = [linear_norm(lame, src, specs, float(t)) for t in times]
-    series, assertions, sidecars = {}, [], {}
-    for k, (spec, target, tol) in enumerate(checks):
-        vals = [row[k] for row in table]
-        rep = decay_slope(times, vals, expected=target, norm_id=spec.label())
-        series[key(spec)] = _decay_rows(times, vals)
-        sidecars[key(spec)] = _decay_sidecar(rep, cfg)
-        assertions.append(
-            _assert(criterion, f"slope {spec.label()}", abs(rep.slope - target), tol, "<=")
-        )
+    table = [linear_norm(cfg["lame"], src, specs, float(t)) for t in times]
+    columns = [(key(spec), target, spec.label()) for spec, target, _ in checks]
+    series, sidecars, slopes = _fit_table(cfg, times, table, columns)
+    assertions = [
+        _assert(criterion, f"slope {spec.label()}", abs(slope - target), tol, "<=")
+        for (spec, target, tol), slope in zip(checks, slopes)
+    ]
     return series, assertions, sidecars
 
 
@@ -294,16 +310,20 @@ _PROFILE_SET = tuple(
 def _suite_profile_error(cfg: dict):
     times = _times(cfg)
     src = LinearSource.gaussian(sigma=cfg["sigma"])
-    reports = profile_error_series(src, _PROFILE_SET, times, lame=cfg["lame"])
-    series, assertions, sidecars = {}, [], {}
-    for (which, spec), (sol, err) in zip(_PROFILE_SET, reports):
+    table = [profile_error_norms(src, _PROFILE_SET, float(t), cfg["lame"]) for t in times]
+    columns = []
+    for which, spec in _PROFILE_SET:
         tag = f"profile_{which}_{spec.alpha}_{spec.ell}_{_p_tag(spec)}"
-        series[tag + "_sol"] = _decay_rows(times, sol.values)
-        series[tag + "_err"] = _decay_rows(times, err.values)
-        sidecars[tag + "_sol"] = _decay_sidecar(sol, cfg)
-        sidecars[tag + "_err"] = _decay_sidecar(err, cfg)
-        gain = sol.slope - err.slope
-        assertions.append(_assert("5", f"profile gain {which} {spec.label()}", gain, 0.35, ">="))
+        expected = expected_solution_slope(spec)
+        columns += [
+            (tag + "_sol", expected, spec.label()),
+            (tag + "_err", expected - 0.5, spec.label() + ",err"),
+        ]
+    series, sidecars, slopes = _fit_table(cfg, times, table, columns)
+    assertions = [
+        _assert("5", f"profile gain {which} {spec.label()}", sol - err, 0.35, ">=")
+        for (which, spec), sol, err in zip(_PROFILE_SET, slopes[::2], slopes[1::2])
+    ]
     return series, assertions, sidecars
 
 
@@ -499,34 +519,35 @@ def _suite_audit(cfg: dict):
     ts = np.geomspace(2.0, 200.0, 9)
     for alpha, ell, target in ((1, 0, -0.5), (2, 0, -1.0), (0, 1, -1.0)):
         vals = [heat_multiplier_l1(float(t), lame.nu, cutoff, alpha, ell) for t in ts]
-        rep = decay_slope(ts, vals, expected=target)
+        rep = decay_slope(ts, vals)
         series[f"heat_l1_{alpha}_{ell}"] = _decay_rows(ts, vals)
         assertions.append(
             _assert("9", f"heat L1 slope (alpha={alpha}, ell={ell})", rep.slope, target + 0.1, "<=")
         )
 
     # Symbol bound scans with density doubling.
+    densities = (64, 128)
     for dp, fam in ((lame.long_params, "long"), (lame.trans_params, "trans")):
         r_hi = min(cutoff.c0, 0.9 * dp.root_threshold)
+        t_range, r_range = (1.0, 1e3), (1e-3, r_hi)
         for bid in SYMBOL_BOUNDS:
-            r1 = symbol_bound_scan(bid, (1.0, 1e3), (1e-3, r_hi), dp, 64, cfg["seed"])
-            r2 = symbol_bound_scan(bid, (1.0, 1e3), (1e-3, r_hi), dp, 128, cfg["seed"])
+            sups = [
+                symbol_bound_scan(bid, t_range, r_range, dp, d, cfg["seed"]) for d in densities
+            ]
             # np.max and np.min keep a NaN ratio, so both checks fail on it.
-            sups = [r1.max_ratio, r2.max_ratio]
             hi, lo = float(np.max(sups)), float(np.maximum(np.min(sups), 1e-300))
             series[f"scan_{fam}_{bid}"] = [
-                {"density": 64, "sup_ratio": r1.max_ratio},
-                {"density": 128, "sup_ratio": r2.max_ratio},
+                {"density": d, "sup_ratio": sup} for d, sup in zip(densities, sups)
             ]
             sidecars[f"scan_{fam}_{bid}"] = {
                 "bound_id": bid,
                 "family": fam,
-                "t_range": list(r1.t_range),
-                "r_range": list(r1.r_range),
-                "sup_ratios": [r1.max_ratio, r2.max_ratio],
-                "samples": [r1.samples, r2.samples],
-                "densities": [r1.density, r2.density],
-                "seed": r1.seed,
+                "t_range": list(t_range),
+                "r_range": list(r_range),
+                "sup_ratios": sups,
+                "samples": [d * d for d in densities],  # the mesh is density x density
+                "densities": list(densities),
+                "seed": cfg["seed"],
                 "scenario_hash": cfg["config_hash"],
             }
             assertions.append(_assert("10", f"{fam}/{bid} sup finite", hi, math.inf, "<"))

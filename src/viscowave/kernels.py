@@ -29,11 +29,9 @@ from .exceptions import OutOfDomainError, UnsupportedOrderError
 
 __all__ = [
     "DampingParams",
-    "KernelEval",
-    "char_roots",
+    "kernel_branch",
     "kernel_hat",
     "diffusion_hat",
-    "kernel_eval",
     "mode_oracle",
     "lowfreq_residual",
 ]
@@ -61,19 +59,6 @@ class DampingParams:
         return 2.0 * self.beta / self.nu
 
 
-@dataclass(frozen=True)
-class KernelEval:
-    """All scalar kernel values at one ``(t, r)`` point."""
-
-    k0: float
-    k1: float
-    k00: float
-    g0: float
-    g1: float
-    phi: float
-    branch: str  # complex_roots | real_roots | degenerate
-
-
 def _split(params: DampingParams, r):
     """Return (m, d2, degenerate_mask) with m the root midpoint and d2 = m^2 - beta^2 r^2."""
     r = np.asarray(r, dtype=float)
@@ -85,28 +70,10 @@ def _split(params: DampingParams, r):
     return m, d2, degen
 
 
-def char_roots(params: DampingParams, r: float) -> tuple[complex, complex, str]:
-    """Characteristic roots of ``sigma^2 + nu r^2 sigma + beta^2 r^2 = 0``.
-
-    The first root has the larger real part; on the oscillatory branch the
-    positive-imaginary root is returned first.
-    """
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    m, d2, degen = _split(params, r)
-    m = float(m)
-    d2 = float(d2)
-    if bool(degen):
-        return complex(m), complex(m), "degenerate"
-    if d2 < 0.0:
-        w = np.sqrt(-d2)
-        return complex(m, w), complex(m, -w), "complex_roots"
-    a = np.sqrt(d2)
-    # The large-magnitude root is cancellation-free; the small one comes from
-    # the exact product sigma_plus sigma_minus = beta^2 r^2.
-    s_minus = m - a
-    s_plus = (params.beta * r) ** 2 / s_minus
-    return complex(s_plus), complex(s_minus), "real_roots"
+def kernel_branch(params: DampingParams, r: float) -> str:
+    """Root branch at ``r``: ``complex_roots``, ``real_roots`` or ``degenerate``."""
+    _, d2, degen = _split(params, r)
+    return "degenerate" if degen else "complex_roots" if d2 < 0.0 else "real_roots"
 
 
 def _envelopes(params: DampingParams, t, r):
@@ -212,21 +179,6 @@ def diffusion_hat(t, r, params: DampingParams, which: str):
         raise ValueError(f"unknown diffusion kernel {which!r}")
     out = np.asarray(out)
     return out if out.ndim else float(out)
-
-
-def kernel_eval(t: float, r: float, params: DampingParams) -> KernelEval:
-    """Bundle every scalar kernel value at one ``(t, r)`` point."""
-    _, _, branch = char_roots(params, r)
-    phi = float(_phi(params, r)) if r < params.root_threshold else float("nan")
-    return KernelEval(
-        k0=float(kernel_hat(t, r, params, "K0")),
-        k1=float(kernel_hat(t, r, params, "K1")),
-        k00=float(diffusion_hat(t, r, params, "K00")),
-        g0=float(diffusion_hat(t, r, params, "G0")),
-        g1=float(diffusion_hat(t, r, params, "G1")),
-        phi=phi,
-        branch=branch,
-    )
 
 
 def mode_oracle(

@@ -340,15 +340,15 @@ def x1_norm_and_distance(states: Iterable, ref: Trajectory) -> tuple[float, floa
 
     Both are sups over the stream's times of the X1 integrand, of the state
     and of the state minus ``ref``'s; the stream must have ``ref``'s times.
-    Holds one streamed state at a time.
+    Holds one streamed state at a time.  A NaN at any time makes its sup NaN.
     """
-    norm = dist = 0.0
+    norms, dists = [], []
     for (t, u, v), t_ref, u_ref, v_ref in zip(states, ref.times, ref.u, ref.v, strict=True):
         if abs(t - t_ref) > 1e-12:
             raise ValueError(f"state at t={t:g} meets the reference at t={t_ref:g}")
-        norm = max(norm, _x1_integrand(ref.grid, t, u, v))
-        dist = max(dist, _x1_integrand(ref.grid, t, u - u_ref, v - v_ref))
-    return norm, dist
+        norms.append(_x1_integrand(ref.grid, t, u, v))
+        dists.append(_x1_integrand(ref.grid, t, u - u_ref, v - v_ref))
+    return float(np.max(norms)), float(np.max(dists))
 
 
 def x1_data_seminorm(grid: Grid3, f0_hat: np.ndarray, f1_hat: np.ndarray) -> float:

@@ -45,11 +45,10 @@ class TestInequalities:
             assert inequality_check("RIESZ", grid, rng.standard_normal(grid.shape)) <= 1.0 + 1e-14
 
     def test_riesz_lp_of_plane_wave(self):
-        # R_1 cos(x_1) = sin(x_1), which has the L^p norm of cos(x_1) for every p
+        # R_1 cos(x_1) = sin(x_1), which has the L^2 norm of cos(x_1)
         grid = make_grid(8, 2.0 * np.pi)
         f = np.cos(grid.x_component(0)) * np.ones(grid.shape)
-        for p in (2.0, 3.0, 4.0):
-            assert inequality_check("RIESZ", grid, f, p) == pytest.approx(1.0, rel=1e-12)
+        assert inequality_check("RIESZ", grid, f) == pytest.approx(1.0, rel=1e-12)
 
     def test_sobolev_refinement_oracle(self):
         vals = []
@@ -59,19 +58,6 @@ class TestInequalities:
             f = GAUSS(*xc) + 0.3 * GAUSS(2 * xc[0], xc[1], 2 * xc[2])
             vals.append(inequality_check("SOB_6", grid, f))
         assert abs(vals[0] - vals[1]) <= 1e-4 * vals[1]
-
-    def test_low_high_split_stable_family(self):
-        grid = make_grid(32, 24.0)
-        rng = np.random.default_rng(2)
-        ratios = []
-        for seed in range(20):
-            sig = rng.uniform(0.6, 2.0)
-            off = rng.uniform(-2.0, 2.0, 3)
-            xc = centered(grid, off)
-            f = np.exp(-0.5 * sum(x * x for x in xc) / sig**2)
-            ratios.append(inequality_check("LOW_HIGH_SPLIT", grid, f))
-        assert np.isfinite(ratios).all()
-        assert max(ratios) / min(ratios) < 10.0
 
     def test_degenerate_input(self):
         grid = make_grid(16, 16.0)
@@ -84,8 +70,11 @@ class TestInequalities:
             inequality_check("SOB_6", grid, np.ones((3, *grid.shape)))
 
 
-def full_lattice_ratio(ineq_id, grid, f, p=2.0):
-    """Reference: full complex FFT of the scalar, all nine second derivatives."""
+def full_lattice_ratio(ineq_id, grid, f, p):
+    """Reference: full complex FFT of the scalar, all nine second derivatives.
+
+    ``p`` is GRAD_2P's Hessian exponent; the library's is 2.
+    """
     scale = grid.spacing**3 * (2.0 * np.pi) ** -1.5
     dxi3 = (2.0 * np.pi / grid.box_length) ** 3
     fh = np.fft.fftn(f) * scale
@@ -110,15 +99,11 @@ def full_lattice_ratio(ineq_id, grid, f, p=2.0):
         return lp(grads, 2.0 * p) / (lp([f], math.inf) ** 0.5 * lp(hess, p) ** 0.5)
     if ineq_id == "SOB_6":
         return lp([f], 6) / sem(fh, 1)
-    if ineq_id == "LOW_HIGH_SPLIT":
-        return sem(fh, 1) / (lp(grads, 1) + sem(fh, 3))
     assert ineq_id == "RIESZ"
     rs2 = sum(x**2 for x in xi)
     with np.errstate(invalid="ignore", divide="ignore"):
         riesz = -1j * fh * np.where(rs2 > 0, xi[0] / np.sqrt(np.where(rs2 > 0, rs2, 1.0)), 0.0)
-    if p == 2.0:
-        return sem(riesz, 0) / sem(fh, 0)
-    return lp([inv(riesz)], p) / lp([f], p)
+    return sem(riesz, 0) / sem(fh, 0)
 
 
 class TestHalfLatticeMatchesFullLattice:
@@ -127,11 +112,8 @@ class TestHalfLatticeMatchesFullLattice:
         [
             ("GN_INF", 2.0),
             ("GRAD_2P", 2.0),
-            ("GRAD_2P", 3.0),
             ("SOB_6", 2.0),
-            ("LOW_HIGH_SPLIT", 2.0),
             ("RIESZ", 2.0),
-            ("RIESZ", 4.0),
         ],
     )
     @pytest.mark.parametrize("field", ["random16", "gaussian32"])
@@ -143,7 +125,7 @@ class TestHalfLatticeMatchesFullLattice:
             grid = make_grid(32, 24.0)
             f = GAUSS(*centered(grid, (0.7, -1.1, 0.4)))
         ref = full_lattice_ratio(ineq_id, grid, f, p)
-        assert inequality_check(ineq_id, grid, f, p) == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert inequality_check(ineq_id, grid, f) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 class TestDecayFit:
@@ -188,11 +170,8 @@ class TestSymbolScans:
         for bid in SYMBOL_BOUNDS:
             r1 = symbol_bound_scan(bid, (1.0, 1e3), (1e-3, 1.0), dp, density=48, seed=3)
             r2 = symbol_bound_scan(bid, (1.0, 1e3), (1e-3, 1.0), dp, density=96, seed=3)
-            assert np.isfinite(r1.max_ratio) and np.isfinite(r2.max_ratio)
-            hi = max(r1.max_ratio, r2.max_ratio)
-            lo = max(min(r1.max_ratio, r2.max_ratio), 1e-300)
-            assert hi / lo < 2.0, bid
-            assert r1.samples >= 1000
+            assert np.isfinite(r1) and np.isfinite(r2)
+            assert max(r1, r2) / max(min(r1, r2), 1e-300) < 2.0, bid
 
     def test_region_guard(self):
         dp = DampingParams(1.0, 1.0)

@@ -1,7 +1,6 @@
 """Harness behavior: config handling, determinism, reports, exit codes."""
 
 import csv
-import dataclasses
 import json
 import math
 import os
@@ -327,6 +326,24 @@ class TestRunScenario:
         assert summary["error"]["type"] == "FitError"
 
     @pytest.mark.parametrize(
+        "suite, error",
+        [
+            ("linear-decay", "FitError"),
+            ("smoothing", "QuadratureAccuracyError"),
+            ("profile-error", "QuadratureAccuracyError"),
+        ],
+    )
+    def test_vanishing_data_transform_is_status_3(self, tmp_path, capsys, suite, error):
+        # the parser accepts sigma = 1e8, whose transform underflows to 0 at every probed radius:
+        # the L^2 norms all vanish, and the sup/L^p support probe finds nothing to keep
+        cfg = write_cfg(tmp_path, checked_in(suite, sigma="1e8"))
+        out = tmp_path / "out"
+        assert main([suite, "--config", str(cfg), "--out", str(out)]) == 3
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["passed"] is False and summary["error"]["type"] == error
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "suite, callee, call, nan_of, criterion, check",
         [
             ("kernels", "kernel_hat", 1, lambda k: math.nan, "1", "kernel-oracle relative error"),
@@ -346,7 +363,7 @@ class TestRunScenario:
                 "audit",
                 "symbol_bound_scan",
                 2,
-                lambda scan: dataclasses.replace(scan, max_ratio=math.nan),
+                lambda sup: math.nan,
                 "10",
                 "B331 density stability",
             ),

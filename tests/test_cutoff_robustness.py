@@ -55,8 +55,7 @@ def test_symbol_scans_with_smaller_low_support():
         for bid in SYMBOL_BOUNDS:
             r1 = symbol_bound_scan(bid, (1.0, 1e3), (1e-3, r_hi), dp, 48, seed=9)
             r2 = symbol_bound_scan(bid, (1.0, 1e3), (1e-3, r_hi), dp, 96, seed=9)
-            hi = max(r1.max_ratio, r2.max_ratio)
-            lo = max(min(r1.max_ratio, r2.max_ratio), 1e-300)
+            hi, lo = max(r1, r2), max(min(r1, r2), 1e-300)
             assert np.isfinite(hi) and hi / lo < 2.0
 
 

@@ -10,9 +10,8 @@ from viscowave import cli
 from viscowave.exceptions import OutOfDomainError, UnsupportedOrderError
 from viscowave.kernels import (
     DampingParams,
-    char_roots,
     diffusion_hat,
-    kernel_eval,
+    kernel_branch,
     kernel_hat,
     lowfreq_residual,
     mode_oracle,
@@ -20,42 +19,31 @@ from viscowave.kernels import (
 
 
 class TestCharRoots:
+    """Root branch labels, and the roots of sigma^2 + nu r^2 sigma + beta^2 r^2 as K1 shows them."""
+
     def test_degenerate_example(self):
         # discriminant nu^2 r^4 - 4 beta^2 r^2 = 4 - 4 = 0 forces the double root -nu r^2 / 2
-        sp, sm, branch = char_roots(DampingParams(1.0, 2.0), 1.0)
-        assert branch == "degenerate"
-        assert sp == sm == pytest.approx(-1.0)
+        dp = DampingParams(1.0, 2.0)
+        assert kernel_branch(dp, 1.0) == "degenerate"
+        for t in (0.5, 2.0):
+            assert kernel_hat(t, 1.0, dp, "K1") == pytest.approx(t * np.exp(-t), rel=1e-13)
 
     def test_oscillatory_pair(self):
-        sp, sm, branch = char_roots(DampingParams(1.0, 1.0), 1.0)
-        assert branch == "complex_roots"
-        assert sp == pytest.approx(complex(-0.5, np.sqrt(3) / 2), abs=1e-14)
-        assert sm == pytest.approx(sp.conjugate(), abs=1e-14)
-
-    def test_polynomial_residual_random(self):
-        # Tolerance carries the unavoidable round-off floor eps * (nu r^2)^2
-        # of evaluating the quadratic at its large root.
-        rng = np.random.default_rng(7)
-        eps = np.finfo(float).eps
-        for _ in range(200):
-            beta, nu = rng.uniform(0.1, 4.0, 2)
-            r = rng.uniform(0.0, 8.0)
-            dp = DampingParams(beta, nu)
-            for sigma in char_roots(dp, r)[:2]:
-                res = abs(sigma**2 + nu * r * r * sigma + beta * beta * r * r)
-                assert res <= 1e-12 * max(1.0, beta * beta * r * r) + 8 * eps * (nu * r * r) ** 2
+        # roots -1/2 +- i sqrt(3)/2, so K1 = e^{-t/2} sin(sqrt(3) t / 2) / (sqrt(3) / 2)
+        dp = DampingParams(1.0, 1.0)
+        assert kernel_branch(dp, 1.0) == "complex_roots"
+        w = np.sqrt(3) / 2
+        for t in (0.5, 2.0, 6.0):
+            assert kernel_hat(t, 1.0, dp, "K1") == pytest.approx(
+                np.exp(-0.5 * t) * np.sin(w * t) / w, abs=1e-14
+            )
 
     def test_overdamped_limit(self):
         dp = DampingParams(1.0, 1.0)
-        sp, _, branch = char_roots(dp, 100.0)
-        assert branch == "real_roots"
-        assert abs(sp.real + 1.0) < 1e-3  # sigma_plus -> -beta^2/nu
-
-    def test_ordering(self):
-        sp, sm, _ = char_roots(DampingParams(1.0, 1.0), 5.0)
-        assert sp.real > sm.real
-        sp, sm, _ = char_roots(DampingParams(1.0, 1.0), 0.5)
-        assert sp.imag > 0 > sm.imag
+        assert kernel_branch(dp, 100.0) == "real_roots"
+        # once the fast root has died out K1 decays at sigma_plus -> -beta^2/nu
+        sigma_plus = np.log(kernel_hat(6.0, 100.0, dp, "K1") / kernel_hat(5.0, 100.0, dp, "K1"))
+        assert abs(sigma_plus + 1.0) < 1e-3
 
 
 class TestKernelHat:
@@ -177,8 +165,6 @@ class TestDiffusionHat:
     def test_phi_domain(self):
         # phi is defined strictly below the root threshold 2 beta / nu = 2
         dp = DampingParams(1.0, 1.0)
-        assert kernel_eval(0.0, 1.0, dp).phi == pytest.approx(np.sqrt(0.75))
-        assert np.isnan(kernel_eval(0.0, 2.5, dp).phi)
         with pytest.raises(OutOfDomainError):
             lowfreq_residual(0.0, 2.5, dp)
 
@@ -271,12 +257,3 @@ class TestLowFreqResidual:
         dp = DampingParams(1.0, 1.0)
         with pytest.raises(OutOfDomainError):
             lowfreq_residual(1.0, dp.root_threshold + 0.1, dp)
-
-
-def test_kernel_eval_bundle():
-    ke = kernel_eval(1.0, 0.5, DampingParams(1.0, 1.0))
-    assert ke.branch == "complex_roots"
-    assert ke.k0 == pytest.approx(
-        ke.k00 + 0.5 * 1.0 * 0.25 * ke.k1, abs=1e-14
-    )  # the representation identity
-    assert 0.0 < ke.phi < 1.0

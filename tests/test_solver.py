@@ -19,6 +19,7 @@ from viscowave.grid import (
 from viscowave.solver import (
     ContractionTensor,
     SolverConfig,
+    Trajectory,
     _march,
     _nonlinearity_hat,
     _x1_integrand,
@@ -26,6 +27,7 @@ from viscowave.solver import (
     evolve_stream,
     picard_iterate,
     x1_data_seminorm,
+    x1_norm_and_distance,
 )
 
 LAME = LameParams(0.0, 1.0, 1.0)
@@ -288,6 +290,18 @@ class TestX1Norm:
         traj1 = evolve(grid16, f0, f1, LAME, ContractionTensor.zero(), cfg)
         traj3 = evolve(grid16, 3.0 * f0, 3.0 * f1, LAME, ContractionTensor.zero(), cfg)
         assert x1_norm(traj3) == pytest.approx(3.0 * x1_norm(traj1), rel=1e-12)
+
+    @pytest.mark.parametrize("nan_in", ["state", "reference"])
+    def test_nan_at_a_later_time_reaches_the_sup(self, grid16, nan_in):
+        # Python's max(x, nan) returns x: a running max would drop a NaN after the first time
+        cfg = SolverConfig(dt=0.5, t_end=2.0)
+        traj = evolve(grid16, *small_data(grid16), LAME, ContractionTensor.zero(), cfg)
+        k = int(np.argmin(np.abs(traj.times - 1.0)))
+        u = [*traj.u[:k], with_one_nan(traj.u[k]), *traj.u[k + 1 :]]
+        bad = Trajectory(grid16, traj.times, u, traj.v)
+        states, ref = (bad, traj) if nan_in == "state" else (traj, bad)
+        norm, dist = x1_norm_and_distance(zip(states.times, states.u, states.v), ref)
+        assert np.isnan(dist) and np.isnan(norm) == (nan_in == "state")
 
     def test_grid_refinement_stability(self):
         # homogeneous-solution X1 value stable between n=48 and n=64
