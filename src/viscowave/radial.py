@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exceptions import QuadratureAccuracyError
+from .exceptions import OutOfDomainError, QuadratureAccuracyError
 
 __all__ = [
     "SPHERE_LONG", "SPHERE_TRANS", "radial_l2_norm", "AngularTerm", "AngularFit", "angular_fit",
@@ -61,12 +61,14 @@ _EPSREL = 1e-8
 # 2 pi of r * s in radial_grid.  OpenBLAS's threaded dgemm gives the same bits
 # at any thread count for products up to 12 columns wide, not from 16 on, so
 # the bank meets the tables 8 columns at a time and the reports do not depend
-# on the BLAS thread count.
+# on the BLAS thread count.  Four points per cycle is the aliasing bound of
+# the Simpson rule on these even integrands (see radial_grid): at three, the
+# smoothing suite's sup-norms move by 5.6e-3.
 _N_PHI = 16
 _BLOCK_ELEMENTS = 1 << 16
 _ANGLE_SPLIT = 64
 _MATMUL_COLUMNS = 8
-_PTS_PER_CYCLE = 16.0
+_PTS_PER_CYCLE = 4.0
 
 
 def _gauss_legendre(integrand: Callable, upper: float, panels: int) -> float:
@@ -184,12 +186,21 @@ class AngularTerm:
 def radial_grid(r_max: float, s_max: float) -> np.ndarray:
     """Uniform r grid on ``[0, r_max]`` for :func:`axisym_evaluate` up to radius ``s_max``.
 
-    Resolves ``e^{i r s}`` with 16 points per cycle, at least 801 points, odd count.
+    Takes ``ceil(r_max * s_max * 4 / (2 pi))`` intervals rounded up to an even
+    count, and at least 800, so the step is ``h <= pi / (2 s_max)``: 4 points
+    per cycle of ``e^{i r s}``.  That is the aliasing bound of the Simpson rule
+    ``(4 T_h - T_2h) / 3``.  The integrand ``psi(r) r^2 J_n(s r)`` is smooth
+    and even in r (a smooth field's ``psi`` has the parity of the moment
+    orders n that its :func:`angular_fit` keeps) and negligible at
+    ``r_max``, so the Euler-Maclaurin endpoint terms vanish and each
+    trapezoid sum errs only by aliasing (Trefethen and Weideman, SIAM Review
+    56, 2014).  ``T_2h`` takes its alias from radial distance
+    ``pi / h - s >= s_max``, which lies outside the support that the caller
+    builds ``s_max`` to cover.
     """
-    n_r = max(int(r_max * s_max * _PTS_PER_CYCLE / (2.0 * math.pi)) + 1, 801)
-    if n_r % 2 == 0:
-        n_r += 1
-    return np.linspace(0.0, r_max, n_r)
+    intervals = math.ceil(r_max * s_max * _PTS_PER_CYCLE / (2.0 * math.pi))
+    intervals += intervals % 2
+    return np.linspace(0.0, r_max, max(intervals, 800) + 1)
 
 
 def simpson_weights(n: int, h: float) -> np.ndarray:
@@ -291,8 +302,10 @@ def axisym_evaluate(
 
     Field k has the angular fit ``fits[k]`` and reads the next
     ``fits[k].n_psi`` profiles of ``psi_bank``, in field order; one fit may
-    serve several fields.  ``r`` must be uniform with an odd point count
-    (Simpson quadrature).  The moment tables are swept once for the whole
+    serve several fields.  ``r`` must be uniform and increasing from ``r[0]
+    >= 0`` with an odd point count (Simpson quadrature), and ``s >= 0`` with
+    ``max(s) * dr <= pi / 2`` (see :func:`radial_grid`); OutOfDomainError
+    otherwise.  The moment tables are swept once for the whole
     bank.  Then each field in turn becomes a complex array of shape
     ``(n_slots, len(s), len(thetas))``: the slot fields at radius ``s`` and
     the fit's polar angles (components in the evaluation frame, so
@@ -301,7 +314,17 @@ def axisym_evaluate(
     ``reduce``.
     """
     r, s = np.asarray(r, dtype=float), np.asarray(s, dtype=float)
-    ws = simpson_weights(r.size, r[1] - r[0]) * r * r
+    dr = r[1] - r[0]
+    # Written so that NaN also fails; the slack absorbs linspace rounding.
+    if not (r[0] >= 0.0 and dr > 0.0 and np.allclose(np.diff(r), dr, rtol=1e-9, atol=0.0)):
+        raise OutOfDomainError("r must be uniform and increasing from r[0] >= 0")
+    if not np.all(s >= 0.0):
+        raise OutOfDomainError("s must be non-negative")
+    if not np.max(s, initial=0.0) * dr <= 0.5 * math.pi * (1.0 + 1e-12):
+        raise OutOfDomainError(
+            f"max(s) * dr = {np.max(s) * dr:.6g} exceeds pi / 2: the r grid aliases (see radial_grid)"
+        )
+    ws = simpson_weights(r.size, dr) * r * r
     # Radial profiles with measure folded in, as real [Re | Im] columns: the
     # moment tables are real, so each moment is one real matmul.
     bank = np.stack([np.asarray(p, dtype=np.complex128) * ws for p in psi_bank])

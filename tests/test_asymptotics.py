@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import REPO_CONFIGS
+from viscowave import radial
 from viscowave.asymptotics import (
     LinearSource,
     NormSpec,
@@ -16,12 +18,13 @@ from viscowave.asymptotics import (
     decay_slope,
     expected_solution_slope,
     line_fit,
+    linear_norm,
     profile_error_norms,
     slope_ci95,
 )
-from viscowave.cli import _PROFILE_SET
+from viscowave.cli import _PROFILE_SET, _parse_config
 from viscowave.elastic import LameParams
-from viscowave.exceptions import FitError, UnsupportedNormError, WindowError
+from viscowave.exceptions import FitError, OutOfDomainError, UnsupportedNormError, WindowError
 from viscowave.kernels import diffusion_hat
 
 LAME = LameParams(0.0, 1.0, 1.0)
@@ -128,6 +131,30 @@ class TestSharedMomentPass:
         shared = _norms(fields, t, LAME, src)
         alone = [_norms([field], t, LAME, src)[0] for field in fields]
         np.testing.assert_allclose(shared, alone, rtol=1e-13, atol=0.0)
+
+
+class TestRadialGridBound:
+    """The r grid's 4 points per cycle of r * s, the Simpson aliasing bound, pinned from both sides."""
+
+    SUPS = [NormSpec(0, 0, math.inf), NormSpec(1, 0, math.inf)]
+
+    @staticmethod
+    def _smoothing():
+        cfg = _parse_config(REPO_CONFIGS / "smoothing.ini")
+        return cfg["lame"], LinearSource.gaussian(cfg["sigma"])
+
+    @pytest.mark.parametrize("t", [100.0, 1e4])
+    def test_sups_match_sixteen_points_per_cycle(self, t, monkeypatch):
+        lame, src = self._smoothing()
+        sups = linear_norm(lame, src, self.SUPS, t)
+        monkeypatch.setattr(radial, "_PTS_PER_CYCLE", 16.0)
+        np.testing.assert_allclose(sups, linear_norm(lame, src, self.SUPS, t), rtol=1e-12, atol=0.0)
+
+    def test_three_points_per_cycle_is_rejected(self, monkeypatch):
+        lame, src = self._smoothing()
+        monkeypatch.setattr(radial, "_PTS_PER_CYCLE", 3.0)
+        with pytest.raises(OutOfDomainError, match="aliases"):
+            linear_norm(lame, src, self.SUPS, 1e4)
 
 
 class TestProfileErrorSeries:

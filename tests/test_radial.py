@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from conftest import centered_gaussian
 from viscowave.asymptotics import LinearSource, _solution_mults
 from viscowave.elastic import LameParams, default_cutoffs
-from viscowave.exceptions import QuadratureAccuracyError
+from viscowave.exceptions import OutOfDomainError, QuadratureAccuracyError
 from viscowave.grid import lp_norm, make_grid
 from viscowave.kernels import kernel_hat
 from viscowave.radial import (
@@ -20,10 +20,13 @@ from viscowave.radial import (
     axisym_lp_norm,
     axisym_magnitude,
     gauss_theta_rule,
+    radial_grid,
     radial_l2_norm,
 )
 
 LAME = LameParams(0.0, 1.0, 1.0)
+# The radial profile itself, on the z axis: one slot, one profile.
+_SCALAR_FIT = angular_fit([AngularTerm(0, 0, lambda wx, wy, wz, gz: np.ones_like(wx))], 1, np.zeros(1))
 
 
 def quad_reference(coef, alpha, angular_weights, upper):
@@ -207,6 +210,47 @@ class TestAxisymEvaluator:
         np.testing.assert_allclose(
             np.concatenate(parts, axis=1), whole, rtol=0, atol=1e-14 * np.max(np.abs(whole))
         )
+
+    @pytest.mark.parametrize(
+        "s",
+        [-np.linspace(0, 6, 61), np.linspace(-0.1, 6, 62), np.array([0.0, np.nan, 1.0])],
+        ids=["negated", "one-negative", "nan"],
+    )
+    def test_negative_s_is_rejected(self, s):
+        r = np.linspace(0, 12, 1601)
+        with pytest.raises(OutOfDomainError, match="non-negative"):
+            axisym_evaluate(r, [np.exp(-0.5 * r * r)], [_SCALAR_FIT], s)
+
+    @pytest.mark.parametrize(
+        "r",
+        [
+            np.linspace(0, 12**0.5, 1601) ** 2,
+            np.linspace(0, 12, 1601)[::-1],
+            np.linspace(-1, 11, 1601),
+            np.linspace(0, 12, 1601) * np.where(np.arange(1601) == 800, 1.0 + 1e-6, 1.0),
+        ],
+        ids=["non-uniform", "reversed", "negative-start", "one-perturbed-radius"],
+    )
+    def test_non_uniform_r_is_rejected(self, r):
+        with pytest.raises(OutOfDomainError, match="uniform"):
+            axisym_evaluate(r, [np.exp(-0.5 * r * r)], [_SCALAR_FIT], np.linspace(0, 6, 61))
+
+    def test_s_past_the_aliasing_bound_is_rejected(self):
+        # dr = 12 / 1600, so max(s) may reach pi / (2 dr) = 209.4 and no further
+        r = np.linspace(0, 12, 1601)
+        psi = [np.exp(-0.5 * r * r)]
+        s_top = 0.5 * np.pi / (r[1] - r[0])
+        (out,) = axisym_evaluate(r, psi, [_SCALAR_FIT], np.linspace(0, s_top, 11))
+        assert np.all(np.isfinite(out))
+        with pytest.raises(OutOfDomainError, match="exceeds pi / 2"):
+            axisym_evaluate(r, psi, [_SCALAR_FIT], np.linspace(0, s_top * (1.0 + 1e-9), 11))
+
+    @pytest.mark.parametrize("r_max, s_max", [(12.0, 6.0), (10.0, 876.5 * np.pi / 20.0), (3.7, 1e3)])
+    def test_radial_grid_meets_the_bound(self, r_max, s_max):
+        # the second case needs 876.5 intervals: rounding down to 876 would miss the bound
+        r = radial_grid(r_max, s_max)
+        assert r.size % 2 == 1 and r.size >= 801 and r[-1] == r_max
+        assert s_max * (r[1] - r[0]) <= 0.5 * np.pi * (1.0 + 1e-12)
 
     def test_degree_overflow_is_rejected(self):
         terms = [AngularTerm(0, 0, lambda wx, wy, wz, gz: (wx * gz[0] + wz * gz[2]) ** 3)]
