@@ -21,10 +21,7 @@ from .elastic import (
     LameParams,
     Propagator,
     default_cutoffs,
-    diagonalize_check,
     linear_propagate,
-    matrix_kernel,
-    projection,
 )
 from .grid import (
     CutoffSpec,
@@ -66,11 +63,8 @@ __all__ = [
     "lp_norm",
     "radial_l2_norm",
     "LameParams",
-    "projection",
-    "matrix_kernel",
     "Propagator",
     "linear_propagate",
-    "diagonalize_check",
     "default_cutoffs",
     "ContractionTensor",
     "SolverConfig",

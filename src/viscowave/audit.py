@@ -39,7 +39,6 @@ from .radial import (
     axisym_lp_norm,
     gauss_theta_rule,
     radial_grid,
-    radial_l2_norm,
 )
 
 # Not called here; kept bound because perfbench's layer tracer self-test expects it here.
@@ -148,7 +147,6 @@ class DecayFit:
     residual: float  # max |log v - fit| / log-range
     times: np.ndarray
     values: np.ndarray
-    grad_norm: float
     rate_ci95: float  # 95% half-width on c_fit
 
 
@@ -186,14 +184,12 @@ def decay_fit(
     slope, intercept, stderr = line_fit(times, logs)
     resid = float(np.max(np.abs(logs - (slope * times + intercept))))
     log_range = float(np.ptp(logs))
-    grad = radial_l2_norm(ghat, 1, (1.0, 1.0))
     return DecayFit(
         c_fit=float(-slope),
         prefactor=float(np.exp(intercept)),
         residual=resid / max(log_range, 1e-300),
         times=times,
         values=vals,
-        grad_norm=grad,
         rate_ci95=slope_ci95(stderr, times.size),
     )
 

@@ -491,11 +491,15 @@ def _suite_audit(cfg: dict):
                 _assert("6", f"{part}/{which} fit residual", fit.residual, 0.05, "<=")
             )
             if part == "H" and which == "K1":
-                # Envelope in units of the data gradient norm, with the fitted
-                # intercept inflated by the observed worst deviation.
+                # Fitted envelope with the intercept inflated by the observed
+                # worst deviation.  residual * log_range is max |log deviation|,
+                # so this ratio is at most 1 for any data (see README, criterion 6).
                 log_range = float(np.ptp(np.log(fit.values)))
-                pref = fit.prefactor * math.exp(fit.residual * log_range) / fit.grad_norm
-                envelope = pref * np.exp(-fit.c_fit * fit.times) * fit.grad_norm
+                envelope = (
+                    fit.prefactor
+                    * math.exp(fit.residual * log_range)
+                    * np.exp(-fit.c_fit * fit.times)
+                )
                 margin = float(np.max(fit.values / envelope))
                 assertions.append(
                     _assert("6", "high-band gradient-norm envelope", margin, 1.0 + 1e-9, "<=")

@@ -29,11 +29,8 @@ from .kernels import DampingParams, kernel_hat
 
 __all__ = [
     "LameParams",
-    "projection",
-    "matrix_kernel",
     "Propagator",
     "linear_propagate",
-    "diagonalize_check",
     "default_cutoffs",
     "split_longitudinal",
     "energy",
@@ -85,30 +82,6 @@ def default_cutoffs(lame: LameParams) -> CutoffSpec:
     bmin = min(lame.beta_long, lame.beta_trans)
     bmax = max(lame.beta_long, lame.beta_trans)
     return CutoffSpec(c0=bmin / lame.nu, c1=4.0 * bmax / lame.nu)
-
-
-def projection(xi) -> np.ndarray:
-    """Rank-one projector ``(xi/|xi|) (x) (xi/|xi|)``; zero matrix at ``xi = 0``."""
-    xi = np.asarray(xi, dtype=float)
-    n2 = float(xi @ xi)
-    if n2 == 0.0:
-        return np.zeros((3, 3))
-    return np.outer(xi, xi) / n2
-
-
-def matrix_kernel(
-    t: float, xi, lame: LameParams, which: str = "K0", dt_order: int = 0
-) -> np.ndarray:
-    """3x3 mode kernel at one wave vector (see module docstring)."""
-    xi = np.asarray(xi, dtype=float)
-    r = float(np.linalg.norm(xi))
-    kl = kernel_hat(t, r, lame.long_params, which, dt_order)
-    kt = kernel_hat(t, r, lame.trans_params, which, dt_order)
-    if r == 0.0:
-        # Both branches coincide in the r -> 0 limit.
-        return kt * np.eye(3)
-    p = projection(xi)
-    return kl * p + kt * (np.eye(3) - p)
 
 
 def split_longitudinal(grid: Grid3, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -208,40 +181,6 @@ def linear_propagate(
     prop = Propagator(grid, lame, (t,))
     u, v = prop.propagate(t, prop.split(f0_hat), prop.split(f1_hat))
     return prop.join(u), prop.join(v)
-
-
-def diagonalize_check(
-    t: float,
-    xi,
-    lame: LameParams,
-    which: str = "K1",
-    dt_order: int = 0,
-) -> float:
-    """Max-abs difference between the kernel and its explicit diagonalization.
-
-    Builds an orthogonal matrix whose first column is ``xi/|xi|`` (completed
-    by Gram-Schmidt from the two standard basis vectors least aligned with
-    it), forms ``Q diag(k_long, k_trans, k_trans) Q^T``, and compares with
-    :func:`matrix_kernel`.
-    """
-    xi = np.asarray(xi, dtype=float)
-    r = float(np.linalg.norm(xi))
-    if r == 0.0:
-        raise ValueError("diagonalize_check requires xi != 0")
-    q1 = xi / r
-    cols = [q1]
-    # Each candidate keeps a component of at least 1/sqrt(3) off the span so far.
-    for idx in np.argsort(np.abs(q1))[:2]:
-        v = np.zeros(3)
-        v[idx] = 1.0
-        for c in cols:
-            v = v - (v @ c) * c
-        cols.append(v / np.linalg.norm(v))
-    q = np.column_stack(cols)
-    kl = kernel_hat(t, r, lame.long_params, which, dt_order)
-    kt = kernel_hat(t, r, lame.trans_params, which, dt_order)
-    rebuilt = q @ np.diag([kl, kt, kt]) @ q.T
-    return float(np.max(np.abs(rebuilt - matrix_kernel(t, xi, lame, which, dt_order))))
 
 
 def energy(grid: Grid3, u: np.ndarray, v: np.ndarray, lame: LameParams) -> float:

@@ -128,15 +128,18 @@ class Grid3:
 
         Lets radial kernels be evaluated on a few thousand scalars instead of
         one per lattice point; ``vals[inv]`` has shape ``(n, n, n/2 + 1)``.
-        Every radius of the full lattice has a mirror image on the half
-        lattice, so ``vals`` is the full lattice's set.  Cached after the
-        first call.
+        Radii are keyed exactly, on the integer ``|k|^2`` of each lattice
+        point, and ``vals = (2 pi / L) sqrt(|k|^2)``.  Every radius of the
+        full lattice has a mirror image on the half lattice, so ``vals`` is
+        the full lattice's set.  Cached after the first call.
         """
         cached = self.__dict__.get("_unique_radii")
         if cached is None:
-            half = self.half_lattice(self.radius)
-            vals, inv = np.unique(half.round(12), return_inverse=True)
-            cached = (vals, inv.reshape(half.shape).astype(np.int32))
+            k2 = ((np.arange(self.n) + self.n // 2) % self.n - self.n // 2) ** 2
+            m = k2[:, None, None] + k2[None, :, None] + k2[None, None, : self.n // 2 + 1]
+            keys, inv = np.unique(m, return_inverse=True)
+            vals = 2.0 * np.pi / self.box_length * np.sqrt(keys)
+            cached = (vals, inv.reshape(m.shape).astype(np.int32))
             object.__setattr__(self, "_unique_radii", cached)
         return cached
 

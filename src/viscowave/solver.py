@@ -106,13 +106,6 @@ class ContractionTensor:
     def zero() -> "ContractionTensor":
         return ContractionTensor(())
 
-    @staticmethod
-    def diagonal() -> "ContractionTensor":
-        """Alternative contraction without cross-component products."""
-        return ContractionTensor(
-            tuple((k, i, k, k, 1.0) for k in range(3) for i in range(3))
-        )
-
 
 @dataclass(frozen=True)
 class SolverConfig:

@@ -1,4 +1,4 @@
-"""Elastic propagator tests: projector algebra, kernels, Duhamel, invariants."""
+"""Elastic propagator tests: split, kernels, Duhamel, invariants."""
 
 import numpy as np
 import pytest
@@ -7,11 +7,8 @@ from conftest import band_limited_random, centered_gaussian, forced_kernel_quadr
 from viscowave.elastic import (
     LameParams,
     Propagator,
-    diagonalize_check,
     energy,
     linear_propagate,
-    matrix_kernel,
-    projection,
     split_longitudinal,
 )
 from viscowave.exceptions import ShapeMismatchError
@@ -36,64 +33,6 @@ class TestLameParams:
     def test_non_finite_rejected(self, args):
         with pytest.raises(ValueError, match="finite"):
             LameParams(*args)
-
-
-class TestProjection:
-    def test_axis_vector(self):
-        p = projection(np.array([1.0, 0.0, 0.0]))
-        v = np.array([3.0, -2.0, 5.0])
-        assert np.allclose(p @ v, [3.0, 0.0, 0.0])
-
-    def test_idempotent_symmetric_trace(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            xi = rng.standard_normal(3)
-            p = projection(xi)
-            assert np.max(np.abs(p @ p - p)) < 1e-15
-            assert np.max(np.abs(p - p.T)) < 1e-16
-            assert np.trace(p) == pytest.approx(1.0, abs=1e-15)
-            assert np.allclose(p @ xi, xi, atol=1e-13 * np.linalg.norm(xi))
-
-    def test_zero_vector_convention(self):
-        assert np.all(projection(np.zeros(3)) == 0.0)
-
-
-class TestMatrixKernel:
-    def test_axis_aligned_diagonal(self):
-        xi = np.array([0.7, 0.0, 0.0])
-        m = matrix_kernel(2.0, xi, LAME, "K1")
-        kl = kernel_hat(2.0, 0.7, LAME.long_params, "K1")
-        kt = kernel_hat(2.0, 0.7, LAME.trans_params, "K1")
-        assert np.allclose(m, np.diag([kl, kt, kt]), atol=1e-15)
-
-    def test_equal_speeds_scalar(self):
-        # lambda + mu = 0 collapses the kernel to a scalar multiple of I
-        lame = LameParams(-1.0, 1.0, 0.5)
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            xi = rng.standard_normal(3)
-            m = matrix_kernel(1.5, xi, lame, "K0")
-            k = kernel_hat(1.5, float(np.linalg.norm(xi)), lame.trans_params, "K0")
-            assert np.max(np.abs(m - k * np.eye(3))) < 1e-15
-
-    def test_t0_identity(self):
-        assert np.allclose(matrix_kernel(0.0, np.array([1.0, 2.0, -1.0]), LAME, "K0"), np.eye(3))
-
-
-class TestDiagonalize:
-    def test_axis(self):
-        assert diagonalize_check(1.0, np.array([0.0, 0.0, 1.0]), LAME) <= 1e-15
-
-    def test_random(self):
-        rng = np.random.default_rng(2)
-        worst = max(
-            diagonalize_check(0.8, rng.standard_normal(3), LAME) for _ in range(100)
-        )
-        assert worst <= 1e-12
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            diagonalize_check(1.0, np.zeros(3), LAME)
 
 
 def half_spectrum(fld):
@@ -130,10 +69,11 @@ class TestLinearPropagate:
         for i, j, k in idxs:
             xi = np.array([grid8.xi1[i], grid8.xi1[j], grid8.xi1[k]])
             r = float(np.linalg.norm(xi))
-            p = projection(xi)
+            if r == 0.0:
+                continue
+            q = xi / r
+            p = np.outer(q, q)
             for dp, proj in ((LAME.long_params, p), (LAME.trans_params, np.eye(3) - p)):
-                if r == 0.0:
-                    continue
                 a0 = proj @ f0[:, i, j, k]
                 a1 = proj @ f1[:, i, j, k]
                 got = proj @ u[:, i, j, k]

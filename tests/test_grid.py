@@ -41,6 +41,17 @@ class TestMakeGrid:
         g = make_grid(12, 7.5)
         assert g.spacing * g.n == pytest.approx(g.box_length, rel=1e-15)
 
+    def test_unique_radii_are_exact(self):
+        g = make_grid(16, 16.0)
+        ks = range(-8, 8)
+        k2 = sorted({a * a + b * b + c * c for a in ks for b in ks for c in ks})
+        vals, inv = g.unique_radii()
+        assert np.array_equal(vals, 2.0 * np.pi / g.box_length * np.sqrt(k2))
+        assert inv.shape == g.half_shape
+        assert np.allclose(vals[inv], g.half_lattice(g.radius), rtol=1e-15, atol=0.0)
+        # Rounding |xi| to 12 decimals split equal radii here (8,050 keys).
+        assert make_grid(128, 24.0).unique_radii()[0].size == 8041
+
     def test_invalid(self):
         with pytest.raises(InvalidGridError):
             make_grid(7, 1.0)
