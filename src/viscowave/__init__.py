@@ -40,7 +40,6 @@ from .kernels import (
 )
 from .radial import radial_l2_norm
 from .solver import (
-    ContractionTensor,
     SolverConfig,
     Trajectory,
     evolve,
@@ -66,7 +65,6 @@ __all__ = [
     "Propagator",
     "linear_propagate",
     "default_cutoffs",
-    "ContractionTensor",
     "SolverConfig",
     "Trajectory",
     "evolve",

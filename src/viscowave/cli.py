@@ -55,7 +55,6 @@ from .kernels import (
     mode_oracle,
 )
 from .solver import (
-    ContractionTensor,
     SolverConfig,
     evolve_stream,
     picard_iterate,
@@ -341,8 +340,7 @@ def _small_data(grid: Grid3, f0: np.ndarray, f1: np.ndarray):
 
 def _suite_nonlinear(cfg: dict):
     sc = _solver_config(cfg, scale=5.0)
-    tensor = ContractionTensor.default()
-    return (*nonlinear_check(*_grid_data(cfg), cfg["lame"], tensor, sc), {})
+    return (*nonlinear_check(*_grid_data(cfg), cfg["lame"], sc), {})
 
 
 def nonlinear_check(
@@ -350,12 +348,11 @@ def nonlinear_check(
     f0: np.ndarray,
     f1: np.ndarray,
     lame: LameParams,
-    tensor: ContractionTensor,
     sc: SolverConfig,
 ):
     """Criterion 8 on real data ``(f0, f1)`` scaled to X1 data seminorm 1e-3.
 
-    Returns ``(series, assertions)``: zero-tensor marching against the linear
+    Returns ``(series, assertions)``: the linear march against the linear
     propagator, and the deviation from the linear solution under amplitude
     halving.  Both compare half-lattice spectra as :func:`evolve_stream`
     yields them; no run's trajectory is held.  The deviation's norms sum the
@@ -363,9 +360,9 @@ def nonlinear_check(
     """
     spectra = _small_data(grid, f0, f1)
 
-    # Linear consistency with the zero tensor; keep only the data and the last state.
+    # Consistency of the linear march; keep only the data and the last state.
     u0, v0 = spectra()
-    for t_end, u_end, v_end in evolve_stream(grid, u0, v0, lame, ContractionTensor.zero(), sc):
+    for t_end, u_end, v_end in evolve_stream(grid, u0, v0, lame, sc, nonlinear=False):
         pass
     lin_u = linear_propagate(grid, u0, v0, t_end, lame)[0]
     lin_err = np.max(np.abs(u_end - lin_u)) / max(np.max(np.abs(lin_u)), 1e-300)
@@ -374,9 +371,9 @@ def nonlinear_check(
     # Amplitude scaling of the deviation from the homogeneous solution.
     devs = []
     for eps_fac in (1.0, 0.5):
-        if eps_fac != 1.0:  # the eps = 1 run reuses the zero-tensor run's data
+        if eps_fac != 1.0:  # the eps = 1 run reuses the linear march's data
             u0, v0 = spectra(eps_fac)
-        states = evolve_stream(grid, u0, v0, lame, tensor, sc)
+        states = evolve_stream(grid, u0, v0, lame, sc)
         next(states)
         # Split the data once; a Propagator per time keeps no time's tables alive.
         u0, v0 = split_longitudinal(grid, u0), split_longitudinal(grid, v0)
@@ -398,6 +395,7 @@ def nonlinear_check(
         ]
     }
     assertions = [
+        # The linear march; "zero-tensor" names its zero forcing in summary.json.
         _assert("8", "zero-tensor consistency with the propagator", lin_err, 1e-10, "<="),
         _assert("8", "deviation ratio under amplitude halving", abs(ratio - 0.5), 0.1, "<="),
     ]
@@ -405,8 +403,7 @@ def nonlinear_check(
 
 
 def _suite_picard(cfg: dict):
-    tensor = ContractionTensor.default()
-    return (*picard_check(*_grid_data(cfg), cfg["lame"], tensor, _solver_config(cfg)), {})
+    return (*picard_check(*_grid_data(cfg), cfg["lame"], _solver_config(cfg)), {})
 
 
 def picard_check(
@@ -414,7 +411,6 @@ def picard_check(
     f0: np.ndarray,
     f1: np.ndarray,
     lame: LameParams,
-    tensor: ContractionTensor,
     sc: SolverConfig,
 ):
     """Criterion 7 on real data ``(f0, f1)`` scaled to X1 data seminorm 1e-3.
@@ -424,8 +420,8 @@ def picard_check(
     compared with Picard's as :func:`evolve_stream` yields them.
     """
     f0_hat, f1_hat = _small_data(grid, f0, f1)()
-    traj_p, history = picard_iterate(grid, f0_hat, f1_hat, lame, tensor, sc)
-    marched = evolve_stream(grid, f0_hat, f1_hat, lame, tensor, sc)
+    traj_p, history = picard_iterate(grid, f0_hat, f1_hat, lame, sc)
+    marched = evolve_stream(grid, f0_hat, f1_hat, lame, sc)
     marched_norm, dist = x1_norm_and_distance(marched, traj_p)
     ratios = [h["ratio"] for h in history if h["ratio"] is not None]
     # NaN when no ratio was measured, so the contraction check fails.

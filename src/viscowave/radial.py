@@ -86,7 +86,9 @@ def radial_l2_norm(coef: Callable, alpha: int, angular_weights: tuple[float, flo
     quadrature on the probed support, doubling the panels until two levels
     agree to ``1e-9`` relative; raises QuadratureAccuracyError with the
     achieved tolerance if the last level still misses ``1e-8``, and with
-    ``achieved = inf`` if the integrand or the result is not finite.
+    ``achieved = inf`` if the integrand or the result is not finite, or the
+    integrand is still above its support cut at the probe's end r = 100.  A
+    support wholly beyond r = 100 underflows on the probe and reads 0.0.
 
     ``coef`` must accept a numpy array of radii.
     """
@@ -104,6 +106,8 @@ def radial_l2_norm(coef: Callable, alpha: int, angular_weights: tuple[float, flo
     if peak == 0.0:
         return 0.0
     above = np.nonzero(vals > peak * 1e-26)[0]
+    if above[-1] == probe.size - 1:
+        raise QuadratureAccuracyError("radial support runs past the probe", achieved=math.inf)
     upper = min(_PROBE_RMAX, probe[above[-1]] * 1.3)
 
     panels, err = 16, math.inf

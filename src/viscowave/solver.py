@@ -2,7 +2,7 @@
 
 The nonlinearity is the quadratic gradient contraction
 
-    F_k(u) = sum c[k,i,j,m] (d_i u_j)(d_i d_j u_m),
+    F_k(u) = sum_ij (d_i u_j)(d_i d_j u_k),
 
 evaluated pseudospectrally with a two-thirds dealias mask (Orszag 1971).
 
@@ -48,9 +48,9 @@ steps it returns.  Its fixed point solves the same node equations as
 `evolve`, and the two agree up to the sweeps' convergence error and
 rounding.  Both the sweep increments and the comparison
 (`x1_norm_and_distance`) are sups over the full steps of the time-weighted
-X1 integrand.  Where the forcing is known to vanish (Picard's homogeneous
-iterate 0, and either solver with the zero contraction tensor), the march
-is the bare ``S(h)`` / ``S(2h)`` recursion, with no Duhamel terms.
+X1 integrand.  Where there is no forcing (Picard's homogeneous iterate 0,
+and `evolve_stream` with ``nonlinear=False``), the march is the bare
+``S(h)`` / ``S(2h)`` recursion, with no Duhamel terms.
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ from .grid import transform  # noqa: F401
 from .kernels import kernel_hat  # noqa: F401
 
 __all__ = [
-    "ContractionTensor",
     "SolverConfig",
     "Trajectory",
     "evolve",
@@ -87,24 +86,6 @@ __all__ = [
     "x1_norm_and_distance",
     "x1_data_seminorm",
 ]
-
-
-@dataclass(frozen=True)
-class ContractionTensor:
-    """Sparse weights ``c[k,i,j,m]`` of the quadratic gradient contraction."""
-
-    entries: tuple[tuple[int, int, int, int, float], ...]
-
-    @staticmethod
-    def default() -> "ContractionTensor":
-        """Full component coupling: ``F_k = sum_ij (d_i u_j)(d_i d_j u_k)``."""
-        return ContractionTensor(
-            tuple((k, i, j, k, 1.0) for k in range(3) for i in range(3) for j in range(3))
-        )
-
-    @staticmethod
-    def zero() -> "ContractionTensor":
-        return ContractionTensor(())
 
 
 @dataclass(frozen=True)
@@ -151,34 +132,28 @@ class Trajectory:
 # nonlinearity
 
 
-def _nonlinearity_hat(
-    grid: Grid3, u_hat: np.ndarray, tensor: ContractionTensor, mask: np.ndarray
-) -> np.ndarray:
-    """Dealiased half-lattice forcing from the half-lattice displacement spectrum.
+def _nonlinearity_hat(grid: Grid3, u_hat: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Dealiased half-lattice forcing ``F_k = sum_ij (d_i u_j)(d_i d_j u_k)`` of ``u_hat``.
 
-    The entries are taken in sorted ``(i, j)`` order, in tensor order within
-    a pair.  Each physical derivative field is transformed when an entry
-    first needs it and dropped after its last use, so only a few are held at
-    once.  The default and the diagonal tensor list each ``F_k``'s entries in
-    ``(i, j)`` order already, so each ``F_k`` sums its terms in tensor order.
+    The pairs ``(i, j)`` are taken in order, one first-derivative field per
+    pair.  The three fields ``d_a d_b u`` (a <= b) are transformed at the
+    first of the pairs ``(a, b)``, ``(b, a)`` and dropped after the later
+    one, so at most six second-derivative fields are held at once.
     """
     xi = [grid.xi_half(a) for a in range(3)]
-    # Sorted by (i, j); the sort is stable, so tensor order holds within a pair.
-    entries = sorted(tensor.entries, key=lambda e: (e[1], e[2]))
-    second = [(min(i, j), max(i, j), m) for _, i, j, m, _ in entries]
-    last_use = {key: pos for pos, key in enumerate(second)}
-
     f_phys = np.zeros((3, *grid.shape))
-    pair, d1, d2 = None, None, {}
-    for pos, ((k, i, j, m, w), key) in enumerate(zip(entries, second)):
-        if (i, j) != pair:
-            d1 = None  # free the last pair's field before the next transform
-            pair, d1 = (i, j), inverse_scalar(grid, 1j * xi[i] * u_hat[j])
-        if key not in d2:
-            d2[key] = inverse_scalar(grid, -(xi[key[0]] * xi[key[1]]) * u_hat[m])
-        f_phys[k] += w * d1 * d2[key]
-        if last_use[key] == pos:
-            del d2[key]
+    d2 = {}
+    for i in range(3):
+        for j in range(3):
+            d1 = inverse_scalar(grid, 1j * xi[i] * u_hat[j])
+            for k in range(3):
+                key = (min(i, j), max(i, j), k)
+                if key not in d2:
+                    d2[key] = inverse_scalar(grid, -(xi[i] * xi[j]) * u_hat[k])
+                f_phys[k] += d1 * d2[key]
+                if i >= j:
+                    del d2[key]
+            del d1  # free this pair's field before the next transform
 
     f_hat = forward_scalar(grid, f_phys)
     f_hat *= mask
@@ -189,19 +164,16 @@ def _nonlinearity_hat(
 # shared helpers
 
 
-def _node_march(grid: Grid3, lame: LameParams, tensor: ContractionTensor, dt: float):
+def _node_march(grid: Grid3, lame: LameParams, dt: float):
     """The half step ``h``, propagator and forcing of a march with step ``dt``.
 
     ``prop`` serves the steps ``h = dt / 2`` and ``2h``; ``forcing(u_hat)`` is
-    the split dealiased forcing of a half-lattice displacement spectrum, or
-    None for the zero tensor, which forces nothing.
+    the split dealiased forcing of a half-lattice displacement spectrum.
     """
     h = 0.5 * dt
     prop = Propagator(grid, lame, (h, 2.0 * h))
-    if not tensor.entries:
-        return h, prop, None
     mask = dealias_mask(grid)
-    return h, prop, lambda u_hat: prop.split(_nonlinearity_hat(grid, u_hat, tensor, mask))
+    return h, prop, lambda u_hat: prop.split(_nonlinearity_hat(grid, u_hat, mask))
 
 
 def _add(acc, inc) -> None:
@@ -254,26 +226,27 @@ def evolve_stream(
     f0_hat: np.ndarray,
     f1_hat: np.ndarray,
     lame: LameParams,
-    tensor: ContractionTensor,
     config: SolverConfig,
+    *,
+    nonlinear: bool = True,
 ) -> Iterator[tuple[float, np.ndarray, np.ndarray]]:
     """March the quasi-linear system on ``[0, t_end]`` with step ``dt``, yielding each full step.
 
     Yields ``(t, u, v)`` (half-lattice spectra) at t = 0, the data arrays
     themselves, and after each step of one :func:`_march` over the half-step
     nodes, with forcing sampled from the displacement just built at each
-    node.  Only the consumer holds a yielded state while the march builds
-    the next full step.  The data are split, and so checked, at the call;
-    the march runs as the stream is read.  Raises DivergenceError if the
-    state norm at a full step exceeds 1e6 times its initial value or is not
-    finite.
+    node, or none with ``nonlinear=False``.  Only the consumer holds a
+    yielded state while the march builds the next full step.  The data are
+    split, and so checked, at the call; the march runs as the stream is
+    read.  Raises DivergenceError if the state norm at a full step exceeds
+    1e6 times its initial value or is not finite.
     """
-    h, prop, forcing = _node_march(grid, lame, tensor, config.dt)
+    h, prop, forcing = _node_march(grid, lame, config.dt)
 
     def state_norm(u, v):
         return math.hypot(half_seminorm(grid, u, 0), half_seminorm(grid, v, 0))
 
-    sample = None if forcing is None else (lambda m, u: forcing(prop.join(u)))
+    sample = (lambda m, u: forcing(prop.join(u))) if nonlinear else None
     nodes = _march(prop, h, 2 * config.n_steps, prop.split(f0_hat), prop.split(f1_hat), sample)
     guard = 1e6 * max(state_norm(f0_hat, f1_hat), 1e-300)
 
@@ -299,11 +272,12 @@ def evolve(
     f0_hat: np.ndarray,
     f1_hat: np.ndarray,
     lame: LameParams,
-    tensor: ContractionTensor,
     config: SolverConfig,
+    *,
+    nonlinear: bool = True,
 ) -> Trajectory:
     """Every state of :func:`evolve_stream`, collected into a Trajectory."""
-    times, us, vs = zip(*evolve_stream(grid, f0_hat, f1_hat, lame, tensor, config))
+    times, us, vs = zip(*evolve_stream(grid, f0_hat, f1_hat, lame, config, nonlinear=nonlinear))
     return Trajectory(grid, np.asarray(times), list(us), list(vs))
 
 
@@ -358,7 +332,6 @@ def picard_iterate(
     f0_hat: np.ndarray,
     f1_hat: np.ndarray,
     lame: LameParams,
-    tensor: ContractionTensor,
     config: SolverConfig,
 ) -> tuple[Trajectory, list[dict]]:
     """Successive substitution ``u <- u_lin + forcing integral of u`` on [0, t_end].
@@ -375,7 +348,7 @@ def picard_iterate(
     below ``picard_tol``.  Raises DivergenceError on a non-finite increment
     and NoContractionError after three consecutive ratios >= 1.
     """
-    h, prop, forcing = _node_march(grid, lame, tensor, config.dt)
+    h, prop, forcing = _node_march(grid, lame, config.dt)
     m_count = 2 * config.n_steps
     taus = h * np.arange(m_count + 1)
 
@@ -390,8 +363,8 @@ def picard_iterate(
             states_v.append(prop.join(v))
     del u, v
 
-    # The previous iterate at node m, read before the sweep overwrites it.
-    sample = None if forcing is None else (lambda m, u: forcing(states_u[m]))
+    def sample(m, u):
+        return forcing(states_u[m])  # the previous iterate, read before the sweep overwrites it
 
     history: list[dict] = []
     bad_streak = 0
@@ -411,9 +384,7 @@ def picard_iterate(
             del u, v
             states_u[m] = u_new
 
-        ratio = None if not history else (
-            distance / history[-1]["distance"] if history[-1]["distance"] > 0 else 0.0
-        )
+        ratio = distance / history[-1]["distance"] if history else None
         converged = distance < config.picard_tol
         history.append(
             {"iteration": it, "distance": distance, "ratio": ratio, "converged": converged}

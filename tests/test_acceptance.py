@@ -19,7 +19,7 @@ from viscowave.cli import nonlinear_check, picard_check, riesz_check, run_scenar
 from viscowave.elastic import LameParams, Propagator, linear_propagate
 from viscowave.grid import forward_scalar, inverse_scalar, make_grid
 from viscowave.kernels import kernel_hat
-from viscowave.solver import ContractionTensor, SolverConfig
+from viscowave.solver import SolverConfig
 
 LAME = LameParams(0.0, 1.0, 1.0)
 
@@ -93,13 +93,13 @@ def nonlinear_grid_data():
 
 def test_criterion_07_fixed_point_construction(nonlinear_grid_data):
     sc = SolverConfig(dt=1.25, t_end=25.0, picard_tol=1e-10)
-    _, assertions = picard_check(*nonlinear_grid_data, LAME, ContractionTensor.default(), sc)
+    _, assertions = picard_check(*nonlinear_grid_data, LAME, sc)
     holds(7, assertions, [("<=", 0.5), ("<=", 5.0 * 1e-10), ("<", math.inf), ("<", 1e-10)])
 
 
 def test_criterion_08_nonlinear_consistency(nonlinear_grid_data):
     sc = SolverConfig(dt=0.25, t_end=5.0)
-    _, assertions = nonlinear_check(*nonlinear_grid_data, LAME, ContractionTensor.default(), sc)
+    _, assertions = nonlinear_check(*nonlinear_grid_data, LAME, sc)
     holds(8, assertions, [("<=", 1e-10), ("<=", 0.1)])
 
 

@@ -19,7 +19,7 @@ from viscowave.cli import emit_report, main, run_scenario
 from viscowave.elastic import LameParams
 from viscowave.exceptions import FitError, QuadratureAccuracyError
 from viscowave.grid import make_grid
-from viscowave.solver import ContractionTensor, SolverConfig
+from viscowave.solver import SolverConfig
 
 REPO_SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -502,7 +502,7 @@ class TestChecksHoldNoTrajectory:
         tracemalloc.start()
         try:
             self.base = tracemalloc.get_traced_memory()[0]
-            check(*self.data, self.LAME, ContractionTensor.default(), sc)
+            check(*self.data, self.LAME, sc)
             return tracemalloc.get_traced_memory()[1] - self.base
         finally:
             tracemalloc.stop()

@@ -106,6 +106,13 @@ class TestRadialL2:
             radial_l2_norm(square_wave, 0, (1.0, 0.0))
         assert 1e-8 < info.value.achieved < 1.0
 
+    def test_support_past_the_probe_end_is_rejected(self):
+        # The integrand peaks at r = 99 and is still e^-2 of its peak at the
+        # probe's end r = 100; clipping there would read 1.2% low.
+        with pytest.raises(QuadratureAccuracyError) as info:
+            radial_l2_norm(lambda r: np.exp(-((r - 99.0) ** 2)), 0, (1.0, 0.0))
+        assert info.value.achieved == np.inf
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_integrand_at_the_probe(self, bad):
         # The support probe itself meets a non-finite value.

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import band_limited_random, centered_gaussian, x1_distance, x1_norm, zero_field
+from viscowave import solver
 from viscowave.elastic import LameParams, Propagator, linear_propagate
 from viscowave.exceptions import DivergenceError, NoContractionError, ShapeMismatchError
 from viscowave.grid import (
@@ -17,7 +18,6 @@ from viscowave.grid import (
     transform,
 )
 from viscowave.solver import (
-    ContractionTensor,
     SolverConfig,
     Trajectory,
     _march,
@@ -55,6 +55,16 @@ def with_one_nan(f_hat):
     return f_hat
 
 
+def count_duhamel_calls(monkeypatch):
+    """A list that gains one entry per ``Propagator.duhamel`` call from now on."""
+    calls = []
+    real = Propagator.duhamel
+    monkeypatch.setattr(
+        Propagator, "duhamel", lambda self, terms: calls.append(1) or real(self, terms)
+    )
+    return calls
+
+
 class TestSolverConfig:
     @pytest.mark.parametrize(
         "kwargs",
@@ -83,40 +93,43 @@ class TestSolverConfig:
         assert SolverConfig(dt=1.25, t_end=25.0, picard_max_iter=1).n_steps == 20
 
 
-def all_at_once_forcing(grid, u_hat, tensor, mask):
-    """``_nonlinearity_hat`` as it was written first: every derivative field held at once."""
+def all_at_once_forcing(grid, u_hat, mask):
+    """``F_k = sum_ij (d_i u_j)(d_i d_j u_k)``: 27 products, all derivative fields held at once."""
     xi = [grid.xi_half(a) for a in range(3)]
-    first_pairs = sorted({(i, j) for (_, i, j, _, _) in tensor.entries})
-    second_triples = sorted({(min(i, j), max(i, j), m) for (_, i, j, m, _) in tensor.entries})
-    d1 = {(i, j): inverse_scalar(grid, 1j * xi[i] * u_hat[j]) for i, j in first_pairs}
+    d1 = {(i, j): inverse_scalar(grid, 1j * xi[i] * u_hat[j]) for i in range(3) for j in range(3)}
     d2 = {
-        (i, j, m): inverse_scalar(grid, -(xi[i] * xi[j]) * u_hat[m]) for i, j, m in second_triples
+        (i, j, k): inverse_scalar(grid, -(xi[i] * xi[j]) * u_hat[k])
+        for i in range(3)
+        for j in range(i, 3)
+        for k in range(3)
     }
     f_phys = np.zeros((3, *grid.shape))
-    for k, i, j, m, w in tensor.entries:
-        f_phys[k] += w * d1[(i, j)] * d2[(min(i, j), max(i, j), m)]
+    for k in range(3):
+        for i in range(3):
+            for j in range(3):
+                f_phys[k] += d1[i, j] * d2[min(i, j), max(i, j), k]
     f_hat = forward_scalar(grid, f_phys)
     f_hat *= mask
     return f_hat
 
 
-def forcing(u, tensor):
+def forcing(u):
     """Physical-space forcing ``F(u)`` of a physical field, dealiased by the two-thirds mask."""
     g = u.grid
-    f_hat = _nonlinearity_hat(g, forward_scalar(g, u.data), tensor, dealias_mask(g))
+    f_hat = _nonlinearity_hat(g, forward_scalar(g, u.data), dealias_mask(g))
     return VectorField(g, inverse_scalar(g, f_hat), "physical")
 
 
 class TestNonlinearity:
     def test_zero(self, grid16):
-        out = forcing(zero_field(grid16), ContractionTensor.default())
+        out = forcing(zero_field(grid16))
         assert np.all(out.data == 0.0)
 
     def test_quadratic_homogeneity(self, grid16):
         u = centered_gaussian(grid16, sigma=1.2)
-        f1 = forcing(u, ContractionTensor.default())
+        f1 = forcing(u)
         u2 = VectorField(grid16, 2.0 * u.data, "physical")
-        f2 = forcing(u2, ContractionTensor.default())
+        f2 = forcing(u2)
         scale = np.max(np.abs(f2.data))
         assert np.max(np.abs(f2.data - 4.0 * f1.data)) <= 1e-13 * scale
 
@@ -129,7 +142,7 @@ class TestNonlinearity:
         data = np.zeros((3, *g.shape))
         data[0] = eps * np.sin(x) * np.ones(g.shape)
         u = VectorField(g, data, "physical")
-        out = forcing(u, ContractionTensor.default())
+        out = forcing(u)
         expected = -0.5 * eps * eps * np.sin(2.0 * x) * np.ones(g.shape)
         assert np.max(np.abs(out.data[0] - expected)) <= 1e-12
         assert np.max(np.abs(out.data[1])) <= 1e-13
@@ -146,7 +159,7 @@ class TestNonlinearity:
         data = np.zeros((3, *g.shape))
         data[0] = profile * np.ones(g.shape)
         u = VectorField(g, data, "physical")
-        out = transform(forcing(u, ContractionTensor.default()))
+        out = transform(forcing(u))
 
         k1 = np.rint(g.xi1).astype(int)
 
@@ -170,37 +183,27 @@ class TestNonlinearity:
         # masked modes vanish (up to the round trip through physical space)
         assert abs(coeff(out.data[0], 3)) <= 1e-14
 
-    @pytest.mark.parametrize(
-        "tensor",
-        [
-            ContractionTensor.default(),
-            # no cross-component products: F_k = sum_i (d_i u_k)(d_i d_k u_k)
-            ContractionTensor(tuple((k, i, k, k, 1.0) for k in range(3) for i in range(3))),
-            ContractionTensor.zero(),
-        ],
-        ids=["default", "diagonal", "zero"],
-    )
-    def test_streamed_fields_match_all_at_once(self, tensor):
+    def test_streamed_fields_match_all_at_once(self):
         # Each F_k sums the same products in the same order, so the bits agree.
         for n in (8, 16):
             g = make_grid(n, 16.0)
             u_hat = forward_scalar(g, band_limited_random(g, seed=n, keep_fraction=0.9).data)
             mask = dealias_mask(g)
-            got = _nonlinearity_hat(g, u_hat, tensor, mask)
-            assert np.array_equal(got, all_at_once_forcing(g, u_hat, tensor, mask))
+            got = _nonlinearity_hat(g, u_hat, mask)
+            assert np.array_equal(got, all_at_once_forcing(g, u_hat, mask))
 
 
 class TestEvolve:
     def test_zero_data(self, grid16):
         cfg = SolverConfig(dt=0.5, t_end=2.0)
         zero = zero_data(grid16)
-        traj = evolve(grid16, zero, zero, LAME, ContractionTensor.default(), cfg)
+        traj = evolve(grid16, zero, zero, LAME, cfg)
         assert all(np.all(u == 0.0) for u in traj.u)
 
     def test_zero_tensor_matches_propagator(self, grid16):
         f0, f1 = small_data(grid16)
         cfg = SolverConfig(dt=0.5, t_end=4.0)
-        traj = evolve(grid16, f0, f1, LAME, ContractionTensor.zero(), cfg)
+        traj = evolve(grid16, f0, f1, LAME, cfg, nonlinear=False)
         ref = linear_propagate(grid16, f0, f1, 4.0, LAME)
         scale = max(np.max(np.abs(ref[0])), 1e-300)
         diff = np.max(np.abs(traj.u[-1] - ref[0]))
@@ -216,6 +219,11 @@ class TestEvolve:
         got = _x1_integrand(grid16, 4.0, traj.u[-1], traj.v[-1])
         assert abs(got - full) <= 1e-10 * full
 
+    def test_linear_march_skips_the_duhamel_window(self, monkeypatch, grid16):
+        calls = count_duhamel_calls(monkeypatch)
+        evolve(grid16, *small_data(grid16), LAME, SolverConfig(dt=1.0, t_end=4.0), nonlinear=False)
+        assert calls == []
+
     def test_step_halving_order(self):
         # The linear part is exact, so only the Duhamel quadrature errs in the
         # deviation u(T) - u_lin(T); composite Simpson in the exponential
@@ -226,7 +234,7 @@ class TestEvolve:
         devs = []
         for k in range(5):
             cfg = SolverConfig(dt=0.5**k, t_end=4.0)
-            for _, u, _ in evolve_stream(g, f0, f1, LAME, ContractionTensor.default(), cfg):
+            for _, u, _ in evolve_stream(g, f0, f1, LAME, cfg):
                 pass
             devs.append(u - lin)
         diffs = [half_seminorm(g, a - b, 0) for a, b in zip(devs, devs[1:])]
@@ -238,7 +246,7 @@ class TestEvolve:
         # planes k_z = 0 and n/2 are Hermitian; then the real round trip keeps it.
         f0, f1 = small_data(grid16, target=1e-2)
         cfg = SolverConfig(dt=0.5, t_end=3.0)
-        traj = evolve(grid16, f0, f1, LAME, ContractionTensor.default(), cfg)
+        traj = evolve(grid16, f0, f1, LAME, cfg)
         for uh in (traj.u[-1], traj.v[-1]):
             back = forward_scalar(grid16, inverse_scalar(grid16, uh))
             assert np.max(np.abs(back - uh)) < 1e-12 * np.max(np.abs(uh))
@@ -248,20 +256,20 @@ class TestEvolve:
         big = gaussian_data(g, 5e3)[0]
         cfg = SolverConfig(dt=0.5, t_end=20.0)
         with pytest.raises(DivergenceError):
-            evolve(g, big, big, LAME, ContractionTensor.default(), cfg)
+            evolve(g, big, big, LAME, cfg)
 
     def test_nan_data_raises(self, grid16):
         f0, f1 = small_data(grid16)
         cfg = SolverConfig(dt=0.5, t_end=2.0)
         with pytest.raises(DivergenceError):
-            evolve(grid16, with_one_nan(f0), f1, LAME, ContractionTensor.default(), cfg)
+            evolve(grid16, with_one_nan(f0), f1, LAME, cfg)
 
     def test_bounded_small_data_long_run(self):
         # running weighted norm stays below twice its early-segment value
         g = make_grid(16, 16.0)
         f0, f1 = small_data(g, target=1e-3)
         cfg = SolverConfig(dt=0.5, t_end=50.0)
-        traj = evolve(g, f0, f1, LAME, ContractionTensor.default(), cfg)
+        traj = evolve(g, f0, f1, LAME, cfg)
         vals = [_x1_integrand(g, float(t), u, v) for t, u, v in zip(traj.times, traj.u, traj.v)]
         early = max(vals[:11])
         assert max(vals) <= 2.0 * early
@@ -271,7 +279,7 @@ class TestX1Norm:
     def test_zero(self, grid16):
         cfg = SolverConfig(dt=1.0, t_end=2.0)
         zero = zero_data(grid16)
-        traj = evolve(grid16, zero, zero, LAME, ContractionTensor.zero(), cfg)
+        traj = evolve(grid16, zero, zero, LAME, cfg, nonlinear=False)
         assert x1_norm(traj) == 0.0
 
     def test_integrand_is_four_half_seminorms(self, grid16):
@@ -290,15 +298,15 @@ class TestX1Norm:
     def test_homogeneity(self, grid16):
         f0, f1 = small_data(grid16)
         cfg = SolverConfig(dt=0.5, t_end=3.0)
-        traj1 = evolve(grid16, f0, f1, LAME, ContractionTensor.zero(), cfg)
-        traj3 = evolve(grid16, 3.0 * f0, 3.0 * f1, LAME, ContractionTensor.zero(), cfg)
+        traj1 = evolve(grid16, f0, f1, LAME, cfg, nonlinear=False)
+        traj3 = evolve(grid16, 3.0 * f0, 3.0 * f1, LAME, cfg, nonlinear=False)
         assert x1_norm(traj3) == pytest.approx(3.0 * x1_norm(traj1), rel=1e-12)
 
     @pytest.mark.parametrize("nan_in", ["state", "reference"])
     def test_nan_at_a_later_time_reaches_the_sup(self, grid16, nan_in):
         # Python's max(x, nan) returns x: a running max would drop a NaN after the first time
         cfg = SolverConfig(dt=0.5, t_end=2.0)
-        traj = evolve(grid16, *small_data(grid16), LAME, ContractionTensor.zero(), cfg)
+        traj = evolve(grid16, *small_data(grid16), LAME, cfg, nonlinear=False)
         k = int(np.argmin(np.abs(traj.times - 1.0)))
         u = [*traj.u[:k], with_one_nan(traj.u[k]), *traj.u[k + 1 :]]
         bad = Trajectory(grid16, traj.times, u, traj.v)
@@ -312,7 +320,7 @@ class TestX1Norm:
         for n in (48, 64):
             g = make_grid(n, 16.0)
             cfg = SolverConfig(dt=1.0, t_end=8.0)
-            traj = evolve(g, *gaussian_data(g), LAME, ContractionTensor.zero(), cfg)
+            traj = evolve(g, *gaussian_data(g), LAME, cfg, nonlinear=False)
             vals[n] = x1_norm(traj)
         assert abs(vals[64] - vals[48]) <= 0.02 * vals[64]
 
@@ -322,10 +330,10 @@ class TestPicard:
         g = make_grid(16, 16.0)
         f0, f1 = small_data(g, target=1e-3)
         cfg = SolverConfig(dt=1.0, t_end=8.0, picard_tol=1e-16, picard_max_iter=10)
-        traj_p, history = picard_iterate(g, f0, f1, LAME, ContractionTensor.default(), cfg)
+        traj_p, history = picard_iterate(g, f0, f1, LAME, cfg)
         ratios = [h["ratio"] for h in history if h["ratio"] is not None]
         assert ratios and max(ratios) <= 0.5
-        traj_e = evolve(g, f0, f1, LAME, ContractionTensor.default(), cfg)
+        traj_e = evolve(g, f0, f1, LAME, cfg)
         assert x1_distance(traj_e, traj_p) <= 5.0 * 1e-12  # far below even a tight tol
 
     def test_evolve_solves_picard_node_equations(self):
@@ -334,18 +342,20 @@ class TestPicard:
         g = make_grid(16, 16.0)
         f0, f1 = small_data(g, target=1e-3)
         cfg = SolverConfig(dt=1.0, t_end=8.0, picard_tol=1e-16, picard_max_iter=10)
-        traj_p, history = picard_iterate(g, f0, f1, LAME, ContractionTensor.default(), cfg)
+        traj_p, history = picard_iterate(g, f0, f1, LAME, cfg)
         assert history[-1]["converged"]
-        traj_e = evolve(g, f0, f1, LAME, ContractionTensor.default(), cfg)
+        traj_e = evolve(g, f0, f1, LAME, cfg)
         assert x1_distance(traj_e, traj_p) <= 1e-14 * x1_norm(traj_e)
 
-    def test_starting_iterate_is_homogeneous_solution(self):
-        # With a vanishing contraction tensor every sweep is a no-op, so the
-        # starting iterate (the homogeneous solution) is also the fixed point.
+    def test_starting_iterate_is_homogeneous_solution(self, monkeypatch):
+        # With vanishing forcing every sweep is a no-op, so the starting
+        # iterate (the homogeneous solution) is also the fixed point.
+        zero = lambda g, u_hat, mask: np.zeros_like(u_hat)
+        monkeypatch.setattr(solver, "_nonlinearity_hat", zero)
         g = make_grid(16, 16.0)
         f0, f1 = small_data(g, target=1e-3)
         cfg = SolverConfig(dt=1.0, t_end=4.0, picard_tol=1e-30, picard_max_iter=2)
-        traj_p, history = picard_iterate(g, f0, f1, LAME, ContractionTensor.zero(), cfg)
+        traj_p, history = picard_iterate(g, f0, f1, LAME, cfg)
         assert history[0]["distance"] == 0.0
         ref, _ = linear_propagate(g, f0, f1, 4.0, LAME)
         scale = np.max(np.abs(ref))
@@ -353,27 +363,19 @@ class TestPicard:
         assert diff <= 1e-12 * scale
 
     def test_zero_forcing_skips_the_duhamel_window(self, monkeypatch):
-        # Iterate 0 and every zero-tensor march have no forcing to integrate.
-        calls = []
-        real = Propagator.duhamel
-        monkeypatch.setattr(
-            Propagator, "duhamel", lambda self, terms: calls.append(1) or real(self, terms)
-        )
+        # Iterate 0 has no forcing to integrate; the sweep integrates one window per half-step node.
+        calls = count_duhamel_calls(monkeypatch)
         g = make_grid(16, 16.0)
         f0, f1 = small_data(g, target=1e-3)
         cfg = SolverConfig(dt=1.0, t_end=4.0, picard_tol=1e-30, picard_max_iter=1)
-        evolve(g, f0, f1, LAME, ContractionTensor.zero(), cfg)
-        _, history = picard_iterate(g, f0, f1, LAME, ContractionTensor.zero(), cfg)
-        assert calls == [] and [h["distance"] for h in history] == [0.0]
-        # With forcing, only the sweep integrates it: one window per half-step node.
-        picard_iterate(g, f0, f1, LAME, ContractionTensor.default(), cfg)
+        picard_iterate(g, f0, f1, LAME, cfg)
         assert len(calls) == 2 * cfg.n_steps
 
     def test_first_sweep_measures_forcing_increment(self):
         g = make_grid(16, 16.0)
         f0, f1 = small_data(g, target=1e-3)
         cfg = SolverConfig(dt=1.0, t_end=4.0, picard_max_iter=1, picard_tol=1e-30)
-        _, history = picard_iterate(g, f0, f1, LAME, ContractionTensor.default(), cfg)
+        _, history = picard_iterate(g, f0, f1, LAME, cfg)
         assert history[0]["iteration"] == 1
         assert history[0]["distance"] > 0
 
@@ -384,7 +386,7 @@ class TestPicard:
         iterates = {}
         for sweeps in (1, 2):
             cfg = SolverConfig(dt=0.5, t_end=4.0, picard_tol=1e-30, picard_max_iter=sweeps)
-            iterates[sweeps] = picard_iterate(g, f0, f1, LAME, ContractionTensor.default(), cfg)
+            iterates[sweeps] = picard_iterate(g, f0, f1, LAME, cfg)
         (it1, hist1), (it2, hist2) = iterates[1], iterates[2]
         assert hist2[0] == hist1[0]
         assert hist2[1]["distance"] == x1_distance(it2, it1)
@@ -393,32 +395,32 @@ class TestPicard:
         g = make_grid(16, 16.0)
         f0, f1 = small_data(g, target=1e-3)
         cfg = SolverConfig(dt=1.0, t_end=4.0, picard_tol=1e-30, picard_max_iter=2)
-        _, history = picard_iterate(g, f0, f1, LAME, ContractionTensor.default(), cfg)
+        _, history = picard_iterate(g, f0, f1, LAME, cfg)
         assert [h["converged"] for h in history] == [False, False]
         cfg = SolverConfig(dt=1.0, t_end=4.0, picard_tol=1e-9, picard_max_iter=10)
-        _, history = picard_iterate(g, f0, f1, LAME, ContractionTensor.default(), cfg)
+        _, history = picard_iterate(g, f0, f1, LAME, cfg)
         assert history[-1]["converged"] and not any(h["converged"] for h in history[:-1])
 
     def test_nan_data_raises(self, grid16):
         f0, f1 = small_data(grid16)
         cfg = SolverConfig(dt=1.0, t_end=2.0, picard_max_iter=5)
         with pytest.raises(DivergenceError):
-            picard_iterate(grid16, with_one_nan(f0), f1, LAME, ContractionTensor.default(), cfg)
+            picard_iterate(grid16, with_one_nan(f0), f1, LAME, cfg)
 
     def test_no_contraction_for_large_data(self):
         g = make_grid(16, 16.0)
         f0, f1 = small_data(g, target=2e3)
         cfg = SolverConfig(dt=0.5, t_end=6.0, picard_tol=1e-14, picard_max_iter=12)
         with pytest.raises(NoContractionError):
-            picard_iterate(g, f0, f1, LAME, ContractionTensor.default(), cfg)
+            picard_iterate(g, f0, f1, LAME, cfg)
 
     def test_horizon_doubling_consistency(self):
         g = make_grid(16, 16.0)
         f0, f1 = small_data(g, target=1e-3)
         cfg1 = SolverConfig(dt=1.0, t_end=6.0, picard_tol=1e-16)
         cfg2 = SolverConfig(dt=1.0, t_end=12.0, picard_tol=1e-16)
-        t1, _ = picard_iterate(g, f0, f1, LAME, ContractionTensor.default(), cfg1)
-        t2, _ = picard_iterate(g, f0, f1, LAME, ContractionTensor.default(), cfg2)
+        t1, _ = picard_iterate(g, f0, f1, LAME, cfg1)
+        t2, _ = picard_iterate(g, f0, f1, LAME, cfg2)
         # common window states agree: horizon-local fixed point is stable
         k = len(t1.times)
         sub = type(t2)(grid=g, times=t2.times[:k], u=t2.u[:k], v=t2.v[:k])
@@ -452,7 +454,7 @@ def test_wrong_shape_rejected(grid16, solve):
         bad = np.zeros(shape, dtype=np.complex128)
         for f0, f1 in ((bad, ok), (ok, bad)):
             with pytest.raises(ShapeMismatchError):
-                solve(grid16, f0, f1, LAME, ContractionTensor.default(), cfg)
+                solve(grid16, f0, f1, LAME, cfg)
 
 
 class TestDuhamelStream:
