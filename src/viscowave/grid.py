@@ -187,20 +187,32 @@ def transform(fld: VectorField) -> VectorField:
 _SPACE_AXES = (-3, -2, -1)
 
 
+def _rfftn(f: np.ndarray) -> np.ndarray:
+    """Unscaled ``rfftn`` over the last three axes."""
+    return sfft.rfftn(f, axes=_SPACE_AXES, workers=_WORKERS)
+
+
+def _irfftn(grid: Grid3, fh: np.ndarray) -> np.ndarray:
+    """Unscaled ``irfftn`` of a half-lattice spectrum over the last three axes."""
+    return sfft.irfftn(fh, s=grid.shape, axes=_SPACE_AXES, workers=_WORKERS)
+
+
 def forward_scalar(grid: Grid3, f: np.ndarray) -> np.ndarray:
     """Half-lattice spectrum of real data, scaled like ``transform``.
 
     Transforms the last three axes, so one call takes a scalar ``(n, n, n)``
     or a vector field's ``(3, n, n, n)`` data.
     """
-    return sfft.rfftn(f, axes=_SPACE_AXES, workers=_WORKERS) * _forward_scale(grid)
+    return _rfftn(f) * _forward_scale(grid)
 
 
 def inverse_scalar(grid: Grid3, fh: np.ndarray) -> np.ndarray:
-    """Physical values of a half-lattice spectrum: the inverse of ``forward_scalar``."""
-    scale = _forward_scale(grid)
+    """Physical values of a half-lattice spectrum: the inverse of ``forward_scalar``.
+
+    Transforms the last three axes, like ``forward_scalar``.
+    """
     # One expression, so numpy divides the irfftn temporary in place.
-    return sfft.irfftn(fh, s=grid.shape, axes=_SPACE_AXES, workers=_WORKERS) / scale
+    return _irfftn(grid, fh) / _forward_scale(grid)
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,7 @@ SPHERE_TRANS = 8.0 * np.pi / 3.0
 # radial_l2_norm: support probe up to _PROBE_RMAX, 16 Gauss-Legendre nodes per
 # panel, 16 panels doubled up to the cap, relative tolerance of the result.
 _PROBE_RMAX = 100.0
+_ZERO_RMAX = 1e4  # reach of the check that a coefficient zero on the probe is zero
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _GL_PANELS_MAX = 2**14
 _EPSREL = 1e-8
@@ -87,8 +88,11 @@ def radial_l2_norm(coef: Callable, alpha: int, angular_weights: tuple[float, flo
     agree to ``1e-9`` relative; raises QuadratureAccuracyError with the
     achieved tolerance if the last level still misses ``1e-8``, and with
     ``achieved = inf`` if the integrand or the result is not finite, or the
-    integrand is still above its support cut at the probe's end r = 100.  A
-    support wholly beyond r = 100 underflows on the probe and reads 0.0.
+    integrand is still above its support cut at the probe's end r = 100.  An
+    integrand that is zero on the whole probe reads 0.0 only if ``coef`` is
+    exactly zero at 8,192 points out to r = 1e4 as well; a support wholly
+    beyond r = 100, or a coefficient whose square underflows, raises with
+    ``achieved = inf``.
 
     ``coef`` must accept a numpy array of radii.
     """
@@ -104,6 +108,15 @@ def radial_l2_norm(coef: Callable, alpha: int, angular_weights: tuple[float, flo
         raise QuadratureAccuracyError("radial integrand is not finite", achieved=math.inf)
     peak = vals.max()
     if peak == 0.0:
+        # Only a zero coefficient has norm 0; a nonzero or non-finite value
+        # on the wider reach is a support the probe missed.
+        reach = np.logspace(-6, np.log10(_ZERO_RMAX), 8192)
+        with np.errstate(all="ignore"):
+            missed = np.any(coef(reach) != 0.0)
+        if missed:
+            raise QuadratureAccuracyError(
+                "radial integrand underflows on the support probe", achieved=math.inf
+            )
         return 0.0
     above = np.nonzero(vals > peak * 1e-26)[0]
     if above[-1] == probe.size - 1:

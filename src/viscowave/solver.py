@@ -4,7 +4,17 @@ The nonlinearity is the quadratic gradient contraction
 
     F_k(u) = sum_ij (d_i u_j)(d_i d_j u_k),
 
-evaluated pseudospectrally with a two-thirds dealias mask (Orszag 1971).
+evaluated pseudospectrally in divergence form (Canuto, Hussaini, Quarteroni
+& Zang, Spectral Methods, 2006): with ``M_jk = sum_i (d_i u_j)(d_i u_k)``,
+
+    F_k(u) = sum_j d_j M_jk - sum_i (d_i div u)(d_i u_k).
+
+That takes 21 field transforms per forcing (12 inverse, 9 forward) where the
+27 products above take 30, and the unitary scale is folded into the
+derivative multipliers.  The product is dealiased with the same two-thirds
+mask as before (Orszag 1971).  On band-limited input (``u_hat * mask``) the
+two forms agree to rounding; on content above the two-thirds band they
+alias differently.
 
 Every spectral array here lives on the half lattice ``k_z = 0 .. n/2``
 (``rfftn`` layout, :mod:`viscowave.grid`): states and forcing as
@@ -13,9 +23,8 @@ mask as ``(n, n, n/2 + 1)`` arrays.  Like
 :func:`~viscowave.elastic.linear_propagate`, the solvers take the data
 ``(f0, f1)`` as half-lattice spectra, and
 :func:`~viscowave.elastic.split_longitudinal` rejects any other shape with
-ShapeMismatchError.  The forcing enters through ``rfftn``
-(:func:`~viscowave.grid.forward_scalar`); the X1 norms and the blow-up guard
-sum the half lattice with the mirror weights of
+ShapeMismatchError.  The forcing enters through ``rfftn``; the X1 norms
+and the blow-up guard sum the half lattice with the mirror weights of
 :func:`~viscowave.grid.half_density_norm`.
 
 Both solvers solve the same node equations: the Duhamel formula
@@ -65,11 +74,12 @@ from .elastic import LameParams, Propagator
 from .exceptions import DivergenceError, NoContractionError
 from .grid import (
     Grid3,
+    _forward_scale,
+    _irfftn,
+    _rfftn,
     dealias_mask,
-    forward_scalar,
     half_density_norm,
     half_seminorm,
-    inverse_scalar,
 )
 
 # Not called here; kept bound because perfbench's layer tracer self-test expects them here.
@@ -135,27 +145,49 @@ class Trajectory:
 def _nonlinearity_hat(grid: Grid3, u_hat: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Dealiased half-lattice forcing ``F_k = sum_ij (d_i u_j)(d_i d_j u_k)`` of ``u_hat``.
 
-    The pairs ``(i, j)`` are taken in order, one first-derivative field per
-    pair.  The three fields ``d_a d_b u`` (a <= b) are transformed at the
-    first of the pairs ``(a, b)``, ``(b, a)`` and dropped after the later
-    one, so at most six second-derivative fields are held at once.
+    Computed in the divergence form of the module docstring, with ``C_k =
+    sum_i (d_i div u)(d_i u_k)``, in 21 field transforms: 12 ``irfftn``
+    calls, one per field (``d_i u_j`` and ``d_i div u``), and 7 ``rfftn``
+    calls (one per field of the symmetric ``M``, one for the three fields of
+    ``C``).  The unitary scale rides on the derivative multipliers, small
+    broadcast arrays, so no field is scaled on its own.  For each ``i`` the
+    four fields ``d_i u`` and ``d_i div u`` are accumulated into ``M`` and
+    ``C`` and dropped before the next ``i``, so about 15 real ``n^3`` fields
+    are held at most.  The two-thirds dealias mask is applied to the sum.
     """
+    scale = _forward_scale(grid)
     xi = [grid.xi_half(a) for a in range(3)]
-    f_phys = np.zeros((3, *grid.shape))
-    d2 = {}
+    pairs = [(j, k) for j in range(3) for k in range(j, 3)]
+    div_hat = sum(1j * xi[j] * u_hat[j] for j in range(3))
+    c = np.empty((3, *grid.shape))
     for i in range(3):
-        for j in range(3):
-            d1 = inverse_scalar(grid, 1j * xi[i] * u_hat[j])
+        # d_i u with the inverse transform's 1 / scale, and -scale d_i div u:
+        # its 1 / scale cancels against the forward transform's -scale on C.
+        d_i = (1j / scale) * xi[i]
+        du = [_irfftn(grid, d_i * u_hat[j]) for j in range(3)]
+        grad_div = _irfftn(grid, (-1j * xi[i]) * div_hat)
+        if i == 0:
+            m = [du[j] * du[k] for j, k in pairs]
             for k in range(3):
-                key = (min(i, j), max(i, j), k)
-                if key not in d2:
-                    d2[key] = inverse_scalar(grid, -(xi[i] * xi[j]) * u_hat[k])
-                f_phys[k] += d1 * d2[key]
-                if i >= j:
-                    del d2[key]
-            del d1  # free this pair's field before the next transform
+                np.multiply(du[k], grad_div, out=c[k])
+        else:
+            tmp = np.empty(grid.shape)
+            for acc, (j, k) in zip(m, pairs):
+                acc += np.multiply(du[j], du[k], out=tmp)
+            for k in range(3):
+                c[k] += np.multiply(du[k], grad_div, out=tmp)
+            del tmp
+        del du, grad_div  # free this i's fields before the next transforms
 
-    f_hat = forward_scalar(grid, f_phys)
+    f_hat = _rfftn(c)  # the spectrum of -scale C
+    del c
+    d = [(1j * scale) * x for x in xi]  # d_j with the forward transform's scale
+    for (j, k), m_jk in zip(pairs, m):
+        m_hat = _rfftn(m_jk)
+        if j != k:
+            f_hat[j] += d[k] * m_hat
+        m_hat *= d[j]
+        f_hat[k] += m_hat
     f_hat *= mask
     return f_hat
 

@@ -113,6 +113,17 @@ class TestRadialL2:
             radial_l2_norm(lambda r: np.exp(-((r - 99.0) ** 2)), 0, (1.0, 0.0))
         assert info.value.achieved == np.inf
 
+    def test_support_wholly_past_the_probe_is_rejected(self):
+        # The integrand underflows on every probe point (r <= 100), so it
+        # looked like a zero coefficient and read 0.0.
+        with pytest.raises(QuadratureAccuracyError) as info:
+            radial_l2_norm(lambda r: np.exp(-((r - 200.0) ** 2)), 0, (1.0, 0.0))
+        assert info.value.achieved == np.inf
+
+    @pytest.mark.parametrize("zero", [lambda r: np.zeros_like(r), lambda r: 0.0 * np.exp(-r)])
+    def test_zero_coefficient_reads_zero(self, zero):
+        assert radial_l2_norm(zero, 0, (1.0, 0.0)) == 0.0
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_integrand_at_the_probe(self, bad):
         # The support probe itself meets a non-finite value.
