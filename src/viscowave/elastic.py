@@ -84,25 +84,34 @@ def default_cutoffs(lame: LameParams) -> CutoffSpec:
     return CutoffSpec(c0=bmin / lame.nu, c1=4.0 * bmax / lame.nu)
 
 
+def _check_state(grid: Grid3, *states) -> None:
+    """Raise ShapeMismatchError unless every array has the state shape ``(3, n, n, n/2 + 1)``."""
+    shape = (3, *grid.half_shape)
+    for data in states:
+        if np.shape(data) != shape:
+            raise ShapeMismatchError(f"data has shape {np.shape(data)}, expected {shape}")
+
+
+def _wave_vectors(grid: Grid3):
+    """Nyquist-safe half-lattice ``xi`` components, and ``1 / |xi|^2`` (0 where ``xi = 0``)."""
+    xi = [grid.xi_half(a) for a in range(3)]
+    r2 = xi[0] ** 2 + xi[1] ** 2 + xi[2] ** 2
+    with np.errstate(divide="ignore"):
+        return xi, np.where(r2 > 0, 1.0 / r2, 0.0)
+
+
 def split_longitudinal(grid: Grid3, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split half-lattice data into (P data, (I-P) data); the zero mode goes transverse.
 
     ``data`` has shape ``(3, n, n, n/2 + 1)``, or ShapeMismatchError is
-    raised; every propagator input passes through here, so this one check
-    covers :func:`linear_propagate` and both solvers.  The returned arrays
-    have its shape and sum to it.  The projector is built from Nyquist-safe
-    wave-vector components so that real fields stay real; unpaired Nyquist
-    content (such as the z component on the ``k_z = n/2`` plane) counts as
-    transverse.
+    raised.  The returned arrays have its shape and sum to it.  The projector
+    is :class:`Propagator`'s: built from Nyquist-safe wave-vector components
+    so that real fields stay real, with unpaired Nyquist content (such as the
+    z component on the ``k_z = n/2`` plane) transverse.
     """
-    shape = (3, *grid.half_shape)
-    if np.shape(data) != shape:
-        raise ShapeMismatchError(f"data has shape {np.shape(data)}, expected {shape}")
-    xi = [grid.xi_half(a) for a in range(3)]
-    dot = sum(xi[a] * data[a] for a in range(3))
-    r2 = xi[0] ** 2 + xi[1] ** 2 + xi[2] ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(r2 > 0, dot / np.where(r2 > 0, r2, 1.0), 0.0)
+    _check_state(grid, data)
+    xi, inv_r2 = _wave_vectors(grid)
+    scale = sum(xi[a] * data[a] for a in range(3)) * inv_r2
     par = np.stack([scale * xi[a] for a in range(3)])
     return par, data - par
 
@@ -111,13 +120,13 @@ class Propagator:
     """Exact mode propagator ``S(tau)`` on one grid, for a fixed set of steps.
 
     ``S(tau)`` maps a state ``(u, v)`` to ``(K0 u + K1 v, K0' u + K1' v)``.
-    States are half-lattice spectra of real fields, shape ``(3, n, n, n/2 + 1)``,
-    carried as split ``(P data, (I-P) data)`` pairs (see
-    :func:`split_longitudinal`), on which every matrix kernel is a per-element
-    multiply by its (long, trans) table of shape ``(n, n, n/2 + 1)``.  Each
-    table (``K0``/``K1``, time orders 0 and 1) is built from the unique-radius
-    table on first use, once per step; steps not declared at construction
-    are rejected.
+    States are half-lattice spectra of real fields, shape ``(3, n, n, n/2 + 1)``.
+    Each matrix kernel is applied as ``K u = k_trans u + xi (d (xi . u))``
+    with ``d = (k_long - k_trans) / |xi|^2``, 0 where the Nyquist-safe ``xi``
+    is (see :func:`split_longitudinal`), from a ``(k_trans, d)`` table pair
+    of shape ``(n, n, n/2 + 1)``.  Each table (``K0``/``K1``, time orders 0
+    and 1) is built from the unique-radius table on first use, once per
+    step; steps not declared at construction are rejected.
     """
 
     def __init__(self, grid: Grid3, lame: LameParams, steps):
@@ -125,52 +134,58 @@ class Propagator:
         self.lame = lame
         self.steps = frozenset(float(s) for s in steps)
         self._tables: dict = {}
-
-    def split(self, data: np.ndarray) -> list[np.ndarray]:
-        """Split half-lattice data into a mutable ``[par, perp]`` pair."""
-        return list(split_longitudinal(self.grid, data))
-
-    @staticmethod
-    def join(pair) -> np.ndarray:
-        return pair[0] + pair[1]
+        self._xi, self._inv_r2 = _wave_vectors(grid)
 
     def kernel(self, tau: float, which: str, order: int) -> tuple[np.ndarray, np.ndarray]:
-        """(long, trans) tables of ``d^order/dt^order`` of ``which`` at ``tau``."""
+        """The ``(k_trans, d)`` tables of ``which``'s ``order``-th time derivative at ``tau``."""
         key = (float(tau), which, order)
         hit = self._tables.get(key)
         if hit is None:
             if key[0] not in self.steps:
                 raise ValueError(f"step {tau!r} is not one of this propagator's steps")
             vals, inv = self.grid.unique_radii()
-            hit = tuple(
+            k_long, k_trans = (
                 kernel_hat(key[0], vals, params, which, order)[inv]
                 for params in (self.lame.long_params, self.lame.trans_params)
             )
-            self._tables[key] = hit
+            hit = self._tables[key] = (k_trans, (k_long - k_trans) * self._inv_r2)
         return hit
 
+    def _dot(self, x: np.ndarray) -> np.ndarray:
+        xi = self._xi
+        return xi[0] * x[0] + xi[1] * x[1] + xi[2] * x[2]
+
     def propagate(self, tau: float, u, v, velocity: bool = True):
-        """``S(tau)`` on the split state ``(u, v)``; the velocity is None unless asked for."""
+        """``S(tau)`` on the state ``(u, v)``; the velocity is None unless asked for."""
+        _check_state(self.grid, u, v)
+        xu, xv = self._dot(u), self._dot(v)
 
         def combine(order):
-            k0, k1 = self.kernel(tau, "K0", order), self.kernel(tau, "K1", order)
-            return [a * x + b * y for a, b, x, y in zip(k0, k1, u, v)]
+            (a0, d0), (a1, d1) = self.kernel(tau, "K0", order), self.kernel(tau, "K1", order)
+            s0, s1 = d0 * xu, d1 * xv
+            out = np.empty(np.shape(u), dtype=np.complex128)
+            for c, x in enumerate(self._xi):
+                out[c] = (a0 * u[c] + x * s0) + (a1 * v[c] + x * s1)
+            return out
 
         return combine(0), (combine(1) if velocity else None)
 
     def duhamel(self, terms):
-        """Weighted sum of ``w S(tau) (0, g)`` over ``(w, tau, g)`` terms, as split pairs.
+        """Weighted sum of ``w S(tau) (0, g)`` over ``(w, tau, g)`` terms.
 
         ``S(tau) (0, g) = (K1(tau) g, K1'(tau) g)``.  Returns ``(du, dv)``.
         """
-        shape = (3, *self.grid.half_shape)
-        du = [np.zeros(shape, dtype=np.complex128) for _ in range(2)]
-        dv = [np.zeros(shape, dtype=np.complex128) for _ in range(2)]
+        du, dv = (np.zeros((3, *self.grid.half_shape), dtype=np.complex128) for _ in range(2))
+        su, sv = (np.zeros(self.grid.half_shape, dtype=np.complex128) for _ in range(2))
         for w, tau, g in terms:
-            for acc, k, x in zip(du, self.kernel(tau, "K1", 0), g):
-                acc += (w * k) * x
-            for acc, k, x in zip(dv, self.kernel(tau, "K1", 1), g):
-                acc += (w * k) * x
+            xg = self._dot(g)
+            for acc, s, order in ((du, su, 0), (dv, sv, 1)):
+                a, d = self.kernel(tau, "K1", order)
+                acc += (w * a) * g
+                s += (w * d) * xg
+        for acc, s in ((du, su), (dv, sv)):
+            for c, x in enumerate(self._xi):
+                acc[c] += x * s
         return du, dv
 
 
@@ -178,9 +193,7 @@ def linear_propagate(
     grid: Grid3, f0_hat: np.ndarray, f1_hat: np.ndarray, t: float, lame: LameParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """Homogeneous evolution ``(u, v)`` at time ``t`` of half-lattice data ``(f0h, f1h)``."""
-    prop = Propagator(grid, lame, (t,))
-    u, v = prop.propagate(t, prop.split(f0_hat), prop.split(f1_hat))
-    return prop.join(u), prop.join(v)
+    return Propagator(grid, lame, (t,)).propagate(t, f0_hat, f1_hat)
 
 
 def energy(grid: Grid3, u: np.ndarray, v: np.ndarray, lame: LameParams) -> float:

@@ -25,6 +25,7 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,7 +51,11 @@ __all__ = [
     "dealias_mask",
 ]
 
-_WORKERS = -1  # scipy.fft: use all cores
+# scipy.fft workers: the CPUs this process may run on.  workers=-1 would count
+# os.cpu_count(), which ignores CPU affinity before Python 3.13.
+_WORKERS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,7 @@ Every spectral array here lives on the half lattice ``k_z = 0 .. n/2``
 ``(3, n, n, n/2 + 1)`` spectra of real fields, kernel tables and the dealias
 mask as ``(n, n, n/2 + 1)`` arrays.  Like
 :func:`~viscowave.elastic.linear_propagate`, the solvers take the data
-``(f0, f1)`` as half-lattice spectra, and
-:func:`~viscowave.elastic.split_longitudinal` rejects any other shape with
+``(f0, f1)`` as half-lattice spectra, and any other shape is a
 ShapeMismatchError.  The forcing enters through ``rfftn``; the X1 norms
 and the blow-up guard sum the half lattice with the mirror weights of
 :func:`~viscowave.grid.half_density_norm`.
@@ -32,8 +31,7 @@ Both solvers solve the same node equations: the Duhamel formula
 ``U = (u, v)``, with forcing samples ``g_j`` at the half-step nodes
 ``t_m = m h`` (``h = dt / 2``) and the composite-Simpson rule in time.  The
 exact mode propagator ``S`` (:class:`~viscowave.elastic.Propagator`, kernel
-tables built once per step, states and forcing carried as split
-(longitudinal, transverse) pairs) is a semigroup, so the state at node m
+tables built once per step) is a semigroup, so the state at node m
 follows from the one at the last even node (trapezoid at m = 1):
 
     U_m = S(2h) U_{m-2} + panel(m-2, m)           (m even, weights h/3, 4h/3, h/3),
@@ -70,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elastic import LameParams, Propagator
+from .elastic import LameParams, Propagator, _check_state
 from .exceptions import DivergenceError, NoContractionError
 from .grid import (
     Grid3,
@@ -200,18 +198,12 @@ def _node_march(grid: Grid3, lame: LameParams, dt: float):
     """The half step ``h``, propagator and forcing of a march with step ``dt``.
 
     ``prop`` serves the steps ``h = dt / 2`` and ``2h``; ``forcing(u_hat)`` is
-    the split dealiased forcing of a half-lattice displacement spectrum.
+    the dealiased forcing of a half-lattice displacement spectrum.
     """
     h = 0.5 * dt
     prop = Propagator(grid, lame, (h, 2.0 * h))
     mask = dealias_mask(grid)
-    return h, prop, lambda u_hat: prop.split(_nonlinearity_hat(grid, u_hat, mask))
-
-
-def _add(acc, inc) -> None:
-    """Add the arrays of ``inc`` to those of ``acc`` in place."""
-    for a, x in zip(acc, inc):
-        a += x
+    return h, prop, lambda u_hat: _nonlinearity_hat(grid, u_hat, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +211,10 @@ def _add(acc, inc) -> None:
 
 
 def _march(prop: Propagator, h: float, m_count: int, u0, v0, sample=None):
-    """Yield the split state ``(m, u, v)`` at nodes m = 1, ..., ``m_count`` (module docstring).
+    """Yield the state ``(m, u, v)`` at nodes m = 1, ..., ``m_count`` (module docstring).
 
-    ``(u0, v0)`` is the split state at node 0; it is not written to.
-    ``sample(m, u)`` returns the split forcing at node m given the displacement
+    ``(u0, v0)`` is the state at node 0; neither it nor a yielded array is
+    written to.  ``sample(m, u)`` returns the forcing at node m given the displacement
     ``u`` just built there; it is called once per node, in order, from m = 0.
     ``sample=None`` means the forcing is zero at every node: the march is then
     the homogeneous recursion, with no Duhamel window (adding its exact zeros
@@ -232,7 +224,7 @@ def _march(prop: Propagator, h: float, m_count: int, u0, v0, sample=None):
     panel = (h / 3.0, 4.0 * h / 3.0, h / 3.0)
     trailing = (-h / 12.0, 8.0 * h / 12.0, 5.0 * h / 12.0)
     window = [] if sample is None else [sample(0, u0)]  # forcing at the last two nodes
-    even = (u0, v0)  # split state at the last even node
+    even = (u0, v0)  # state at the last even node
     for m in range(1, m_count + 1):
         if m == 1:
             weights, lags = trapezoid, (h,)
@@ -241,12 +233,11 @@ def _march(prop: Propagator, h: float, m_count: int, u0, v0, sample=None):
         u, v = prop.propagate(h if m % 2 else 2.0 * h, *even)
         if sample is not None:
             du, dv = prop.duhamel(zip(weights, lags, window))
-            _add(u, du)
-            _add(v, dv)
+            u += du
+            v += dv
             del du, dv
             g = sample(m, u)
-            for acc, x in zip(v, g):
-                acc += weights[-1] * x
+            v += weights[-1] * g
             window = window[-1:] + [g]
         if m % 2 == 0:
             even = (u, v)
@@ -267,28 +258,28 @@ def evolve_stream(
     Yields ``(t, u, v)`` (half-lattice spectra) at t = 0, the data arrays
     themselves, and after each step of one :func:`_march` over the half-step
     nodes, with forcing sampled from the displacement just built at each
-    node, or none with ``nonlinear=False``.  Only the consumer holds a
-    yielded state while the march builds the next full step.  The data are
-    split, and so checked, at the call; the march runs as the stream is
-    read.  Raises DivergenceError if the state norm at a full step exceeds
-    1e6 times its initial value or is not finite.
+    node, or none with ``nonlinear=False``.  A yielded state is the march's
+    own, so holding it costs nothing more, and it must not be written to.
+    The data's shapes are checked at the call; the march runs as the stream
+    is read.  Raises DivergenceError if the state norm at a full step
+    exceeds 1e6 times its initial value or is not finite.
     """
+    _check_state(grid, f0_hat, f1_hat)
     h, prop, forcing = _node_march(grid, lame, config.dt)
 
     def state_norm(u, v):
         return math.hypot(half_seminorm(grid, u, 0), half_seminorm(grid, v, 0))
 
-    sample = (lambda m, u: forcing(prop.join(u))) if nonlinear else None
-    nodes = _march(prop, h, 2 * config.n_steps, prop.split(f0_hat), prop.split(f1_hat), sample)
+    sample = (lambda m, u: forcing(u)) if nonlinear else None
+    nodes = _march(prop, h, 2 * config.n_steps, f0_hat, f1_hat, sample)
     guard = 1e6 * max(state_norm(f0_hat, f1_hat), 1e-300)
 
     def states(u0, v0):
         yield 0.0, u0, v0
-        del u0, v0  # the march holds its own split copies
+        del u0, v0  # hold the data no longer than the march does
         for m, u, v in nodes:
             if m % 2 == 0:
                 t = m * h
-                u, v = prop.join(u), prop.join(v)
                 norm = state_norm(u, v)
                 if not norm <= guard:
                     message = f"state norm {norm:g} is not finite or exceeded the blow-up guard"
@@ -384,15 +375,14 @@ def picard_iterate(
     m_count = 2 * config.n_steps
     taus = h * np.arange(m_count + 1)
 
-    u0, v0 = prop.split(f0_hat), prop.split(f1_hat)
     states_u = [f0_hat]  # every node
     states_v = [f1_hat]  # the even nodes: states_v[k] is node 2k
 
     # Iterate 0: the homogeneous solution, the march without forcing.
-    for m, u, v in _march(prop, h, m_count, u0, v0):
-        states_u.append(prop.join(u))
+    for m, u, v in _march(prop, h, m_count, f0_hat, f1_hat):
+        states_u.append(u)
         if m % 2 == 0:
-            states_v.append(prop.join(v))
+            states_v.append(v)
     del u, v
 
     def sample(m, u):
@@ -402,19 +392,18 @@ def picard_iterate(
     bad_streak = 0
     for it in range(1, config.picard_max_iter + 1):
         distance = 0.0
-        for m, u, v in _march(prop, h, m_count, u0, v0, sample):
-            u_new = prop.join(u)
+        for m, u, v in _march(prop, h, m_count, f0_hat, f1_hat, sample):
             if m % 2 == 0:
-                t, v_new = float(taus[m]), prop.join(v)
-                inc = _x1_integrand(grid, t, u_new - states_u[m], v_new - states_v[m // 2])
+                t = float(taus[m])
+                inc = _x1_integrand(grid, t, u - states_u[m], v - states_v[m // 2])
                 if not np.isfinite(inc):
                     raise DivergenceError(
                         f"Picard sweep {it} increment is not finite at t={t:g}", t
                     )
                 distance = max(distance, inc)
-                states_v[m // 2] = v_new
+                states_v[m // 2] = v
+            states_u[m] = u
             del u, v
-            states_u[m] = u_new
 
         ratio = distance / history[-1]["distance"] if history else None
         converged = distance < config.picard_tol

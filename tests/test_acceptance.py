@@ -134,9 +134,9 @@ def propagator_diagonalization(grid, lame, t):
         unit = zero.copy()
         unit[c] = 1.0
         for which, (u, v) in (("K0", (unit, zero)), ("K1", (zero, unit))):
-            out = prop.propagate(t, prop.split(u), prop.split(v))
+            out = prop.propagate(t, u, v)
             for order in (0, 1):
-                cols[which, order, c] = prop.join(out[order])
+                cols[which, order, c] = out[order]
 
     h = grid.n // 2
     idx = np.indices(grid.half_shape)

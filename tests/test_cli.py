@@ -16,7 +16,7 @@ from conftest import REPO_CONFIGS, centered_gaussian, checked_in
 from viscowave import cli
 from viscowave.asymptotics import LinearSource
 from viscowave.cli import emit_report, main, run_scenario
-from viscowave.elastic import LameParams
+from viscowave.elastic import LameParams, default_cutoffs
 from viscowave.exceptions import FitError, QuadratureAccuracyError
 from viscowave.grid import make_grid
 from viscowave.solver import SolverConfig
@@ -393,6 +393,32 @@ class TestRunScenario:
         failed = [a for a in summary["assertions"] if not a["passed"]]
         assert {a["criterion"] for a in failed} == {criterion}
         assert any(check in a["name"] for a in failed)
+
+    def test_slower_high_band_decay_fails_the_envelope(self, tmp_path, monkeypatch):
+        # Criterion 6's envelope C e^{-ct} ||chi_H g|| is fixed by the symbol, so
+        # kernels that decay 10% slower on the high band break it.  The slowdown
+        # is blended in by chi_H itself (0 at c1, full from 2 c1 on): a jump at
+        # c1 would stop the mid band's quadrature, whose support reaches 2 c1.
+        from viscowave import audit
+
+        cfg = write_cfg(tmp_path, checked_in("audit"))
+        chi_h = default_cutoffs(cli._parse_config(cfg)["lame"]).chi_h
+        real = audit.kernel_hat
+
+        def slower(t, r, params, which="K0", dt_order=0):
+            r = np.asarray(r, dtype=float)
+            nu, beta = params.nu, params.beta
+            gap = np.sqrt(np.maximum(0.25 * nu**2 * r**4 - beta**2 * r**2, 0.0))
+            slow_root = beta**2 * r**2 / (0.5 * nu * r**2 + gap)  # the decay rate on r >= c1
+            gain = np.exp(0.1 * slow_root * t * chi_h(r))
+            return real(t, r, params, which, dt_order) * gain
+
+        monkeypatch.setattr(audit, "kernel_hat", slower)
+        out = tmp_path / "out"
+        assert run_scenario(cfg, out) == 1
+        summary = json.loads((out / "summary.json").read_text())
+        failed = [a["name"] for a in summary["assertions"] if not a["passed"]]
+        assert failed == ["high-band gradient-norm envelope"]
 
     def test_import_loads_no_unused_scipy(self):
         # the suites import scipy's integrate, interpolate and linalg only where

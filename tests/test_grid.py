@@ -1,6 +1,10 @@
 """Grid, transform, cutoff, and norm tests."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,6 +138,21 @@ class TestScalarTransform:
         assert fh.shape == (*shape, *grid16.half_shape)
         half = half_seminorm(grid16, fh, order)
         assert abs(half - full) <= 1e-12 * full
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+    def test_fft_workers_follow_cpu_affinity(self):
+        # A process pinned to one CPU runs each transform on one worker.
+        probe = "\n".join([
+            "import os",
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})",
+            "from viscowave import grid",
+            "print(grid._WORKERS)",
+        ])
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, check=True, capture_output=True, text=True
+        )
+        assert done.stdout.strip() == "1"
 
     def test_half_wave_vectors_keep_nyquist_zeroing(self, grid16):
         xz = grid16.xi_half(2)
