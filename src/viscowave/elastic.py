@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ShapeMismatchError
+from .exceptions import OutOfDomainError, ShapeMismatchError
 from .grid import CutoffSpec, Grid3, half_seminorm
 from .kernels import DampingParams, kernel_hat
 
@@ -126,13 +126,18 @@ class Propagator:
     is (see :func:`split_longitudinal`), from a ``(k_trans, d)`` table pair
     of shape ``(n, n, n/2 + 1)``.  Each table (``K0``/``K1``, time orders 0
     and 1) is built from the unique-radius table on first use, once per
-    step; steps not declared at construction are rejected.
+    step; steps not declared at construction are rejected, and so is a
+    declared step that is negative or not finite (OutOfDomainError).
     """
 
     def __init__(self, grid: Grid3, lame: LameParams, steps):
         self.grid = grid
         self.lame = lame
         self.steps = frozenset(float(s) for s in steps)
+        if not all(0.0 <= s < np.inf for s in self.steps):
+            raise OutOfDomainError(
+                f"steps must be finite and non-negative, got {sorted(self.steps)}"
+            )
         self._tables: dict = {}
         self._xi, self._inv_r2 = _wave_vectors(grid)
 
@@ -151,42 +156,34 @@ class Propagator:
             hit = self._tables[key] = (k_trans, (k_long - k_trans) * self._inv_r2)
         return hit
 
-    def _dot(self, x: np.ndarray) -> np.ndarray:
-        xi = self._xi
-        return xi[0] * x[0] + xi[1] * x[1] + xi[2] * x[2]
+    def apply(self, terms, velocity: bool = True):
+        """``sum w K(tau) x`` over ``(w, tau, which, x)`` terms, and its time derivative.
+
+        ``which`` is ``"K0"`` or ``"K1"``, and each ``x`` a state-shaped array
+        (else ShapeMismatchError).  ``S(tau) (u, v)`` is the two terms
+        ``(1, tau, "K0", u)`` and ``(1, tau, "K1", v)``; a Duhamel term
+        ``w S(tau) (0, g)`` is ``(w, tau, "K1", g)``.  The ``xi`` part is added
+        once per time order for all terms.  Returns the displacement
+        ``sum w K x`` and the velocity ``sum w K' x``, None unless asked for.
+        """
+        orders = (0, 1) if velocity else (0,)
+        outs = [np.zeros((3, *self.grid.half_shape), dtype=np.complex128) for _ in orders]
+        sums = [np.zeros(self.grid.half_shape, dtype=np.complex128) for _ in orders]
+        for w, tau, which, x in terms:
+            _check_state(self.grid, x)
+            dot = self._xi[0] * x[0] + self._xi[1] * x[1] + self._xi[2] * x[2]
+            for out, s, order in zip(outs, sums, orders):
+                a, d = self.kernel(tau, which, order)
+                out += (w * a) * x
+                s += (w * d) * dot
+        for out, s in zip(outs, sums):
+            for c, xi in enumerate(self._xi):
+                out[c] += xi * s
+        return outs[0], (outs[1] if velocity else None)
 
     def propagate(self, tau: float, u, v, velocity: bool = True):
         """``S(tau)`` on the state ``(u, v)``; the velocity is None unless asked for."""
-        _check_state(self.grid, u, v)
-        xu, xv = self._dot(u), self._dot(v)
-
-        def combine(order):
-            (a0, d0), (a1, d1) = self.kernel(tau, "K0", order), self.kernel(tau, "K1", order)
-            s0, s1 = d0 * xu, d1 * xv
-            out = np.empty(np.shape(u), dtype=np.complex128)
-            for c, x in enumerate(self._xi):
-                out[c] = (a0 * u[c] + x * s0) + (a1 * v[c] + x * s1)
-            return out
-
-        return combine(0), (combine(1) if velocity else None)
-
-    def duhamel(self, terms):
-        """Weighted sum of ``w S(tau) (0, g)`` over ``(w, tau, g)`` terms.
-
-        ``S(tau) (0, g) = (K1(tau) g, K1'(tau) g)``.  Returns ``(du, dv)``.
-        """
-        du, dv = (np.zeros((3, *self.grid.half_shape), dtype=np.complex128) for _ in range(2))
-        su, sv = (np.zeros(self.grid.half_shape, dtype=np.complex128) for _ in range(2))
-        for w, tau, g in terms:
-            xg = self._dot(g)
-            for acc, s, order in ((du, su, 0), (dv, sv, 1)):
-                a, d = self.kernel(tau, "K1", order)
-                acc += (w * a) * g
-                s += (w * d) * xg
-        for acc, s in ((du, su), (dv, sv)):
-            for c, x in enumerate(self._xi):
-                acc[c] += x * s
-        return du, dv
+        return self.apply(((1.0, tau, "K0", u), (1.0, tau, "K1", v)), velocity)
 
 
 def linear_propagate(

@@ -40,8 +40,9 @@ follows from the one at the last even node (trapezoid at m = 1):
 where each window term is ``w S(lag) (0, g_j)`` at lags 2h, h and 0.  Since
 ``K1(0) = 0``, the lag-0 term is ``(0, w g_m)``: the displacement ``u_m``
 takes no forcing from its own node.  So the node equations are explicit.
-:func:`_march` builds ``u_m`` from the lag-2h and lag-h terms, samples
-``g_m`` from it, and only then completes ``v_m`` (an exponential multistep
+:func:`_march` sums ``S U`` and the lag-2h and lag-h terms in one
+``Propagator.apply`` call per node, samples ``g_m`` from the ``u_m`` it
+returns, and only then completes ``v_m`` (an exponential multistep
 scheme; Hochbruck & Ostermann, Acta Numerica 19, 2010).  It streams over the
 nodes with a two-sample window and costs O(M) for M nodes.
 
@@ -230,12 +231,10 @@ def _march(prop: Propagator, h: float, m_count: int, u0, v0, sample=None):
             weights, lags = trapezoid, (h,)
         else:
             weights, lags = (trailing if m % 2 else panel), (2.0 * h, h)
-        u, v = prop.propagate(h if m % 2 else 2.0 * h, *even)
+        tau = h if m % 2 else 2.0 * h
+        state = [(1.0, tau, "K0", even[0]), (1.0, tau, "K1", even[1])]
+        u, v = prop.apply(state + [(w, lag, "K1", g) for w, lag, g in zip(weights, lags, window)])
         if sample is not None:
-            du, dv = prop.duhamel(zip(weights, lags, window))
-            u += du
-            v += dv
-            del du, dv
             g = sample(m, u)
             v += weights[-1] * g
             window = window[-1:] + [g]

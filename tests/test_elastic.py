@@ -1,4 +1,4 @@
-"""Elastic propagator tests: split, kernels, Duhamel, invariants."""
+"""Elastic propagator tests: split, kernels, kernel sums, Duhamel, invariants."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from viscowave.elastic import (
     linear_propagate,
     split_longitudinal,
 )
-from viscowave.exceptions import ShapeMismatchError
+from viscowave.exceptions import OutOfDomainError, ShapeMismatchError
 from viscowave.grid import (
     VectorField,
     forward_scalar,
@@ -154,6 +154,55 @@ class TestLinearPropagate:
             linear_propagate(grid16, ok, np.zeros(shape, dtype=np.complex128), 1.0, LAME)
 
 
+class TestPropagator:
+    def terms(self, grid):
+        """Weighted K0 and K1 terms at both steps 0.5 and 1.25, on white-noise spectra."""
+        rng = np.random.default_rng(24)
+        xs = [forward_scalar(grid, rng.standard_normal((3, *grid.shape))) for _ in range(4)]
+        return [
+            (0.7, 0.5, "K0", xs[0]),
+            (-1.3, 1.25, "K1", xs[1]),
+            (2.1, 1.25, "K0", xs[2]),
+            (0.4, 0.5, "K1", xs[3]),
+        ]
+
+    def test_apply_is_the_weighted_projector_sum(self, grid16):
+        # Independent reference: w (k_long P x + k_trans (I - P) x), with the
+        # scalar kernels at the exact radii and P from split_longitudinal.
+        terms = self.terms(grid16)
+        u, v = Propagator(grid16, LAME, (0.5, 1.25)).apply(terms)
+        r = grid16.half_lattice(grid16.radius)
+        for order, got in ((0, u), (1, v)):
+            want = np.zeros_like(got)
+            for w, tau, which, x in terms:
+                par, perp = split_longitudinal(grid16, x)
+                k_long = kernel_hat(tau, r, LAME.long_params, which, order)
+                k_trans = kernel_hat(tau, r, LAME.trans_params, which, order)
+                want += w * (k_long * par + k_trans * perp)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_displacement_only(self, grid16):
+        terms = self.terms(grid16)
+        prop = Propagator(grid16, LAME, (0.5, 1.25))
+        u, v = prop.apply(terms, velocity=False)
+        assert v is None
+        assert np.array_equal(u, prop.apply(terms)[0])
+
+    def test_wrong_shape_term_rejected(self, grid16):
+        ok = np.zeros((3, *grid16.half_shape), dtype=np.complex128)
+        bad = np.zeros((3, 16, 16, 8), dtype=np.complex128)
+        with pytest.raises(ShapeMismatchError):
+            Propagator(grid16, LAME, (0.5,)).apply([(1.0, 0.5, "K0", ok), (0.5, 0.5, "K1", bad)])
+
+    @pytest.mark.parametrize("t", [-5.0, -1e-3, np.nan, np.inf, -np.inf])
+    def test_negative_or_non_finite_step_rejected(self, grid16, t):
+        f = np.zeros((3, *grid16.half_shape), dtype=np.complex128)
+        with pytest.raises(OutOfDomainError):
+            Propagator(grid16, LAME, (0.5, t))
+        with pytest.raises(OutOfDomainError):
+            linear_propagate(grid16, f, f, t, LAME)
+
+
 class TestEnergy:
     def test_half_lattice_energy_is_the_full_lattice_formula(self, grid16):
         # White noise: content on every k_z plane, the self-mirror ones included.
@@ -208,7 +257,7 @@ class TestSplitLongitudinal:
 
 
 def simpson_duhamel(samples, delta):
-    """Composite-Simpson forcing integral over one step through ``Propagator.duhamel``.
+    """Composite-Simpson forcing integral over one step through ``Propagator.apply``.
 
     ``samples`` are spectral forcing fields at uniformly spaced times across the
     step (odd count); returns the half-lattice (displacement, velocity) increments.
@@ -218,7 +267,8 @@ def simpson_duhamel(samples, delta):
     lags = [delta - delta * i / (n - 1) for i in range(n)]
     grid = samples[0].grid
     prop = Propagator(grid, LAME, lags)
-    return prop.duhamel(zip(w, lags, [grid.half_lattice(fs.data) for fs in samples]))
+    gs = [grid.half_lattice(fs.data) for fs in samples]
+    return prop.apply([(wj, lag, "K1", g) for wj, lag, g in zip(w, lags, gs)])
 
 
 class TestDuhamel:

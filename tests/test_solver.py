@@ -58,12 +58,20 @@ def with_one_nan(f_hat):
 
 
 def count_duhamel_calls(monkeypatch):
-    """A list that gains one entry per ``Propagator.duhamel`` call from now on."""
+    """A list that gains one entry per ``Propagator.apply`` call with Duhamel terms from now on.
+
+    A call carries Duhamel terms when it has more than the state's two terms.
+    """
     calls = []
-    real = Propagator.duhamel
-    monkeypatch.setattr(
-        Propagator, "duhamel", lambda self, terms: calls.append(1) or real(self, terms)
-    )
+    real = Propagator.apply
+
+    def counted(self, terms, velocity=True):
+        terms = list(terms)
+        if len(terms) > 2:
+            calls.append(1)
+        return real(self, terms, velocity)
+
+    monkeypatch.setattr(Propagator, "apply", counted)
     return calls
 
 
