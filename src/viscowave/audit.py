@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +31,15 @@ from .exceptions import (
     ShapeMismatchError,
     UnsupportedSymbolError,
 )
-from .grid import CutoffSpec, Grid3, forward_scalar, half_seminorm, inverse_scalar, lp_norm
+from .grid import (
+    CutoffSpec,
+    Grid3,
+    forward_scalar,
+    half_density_norm,
+    half_seminorm,
+    inverse_scalar,
+    lp_norm,
+)
 from .kernels import DampingParams, kernel_hat
 from .radial import (
     AngularTerm,
@@ -65,29 +74,44 @@ def _gradient(grid: Grid3, fh: np.ndarray):
         yield inverse_scalar(grid, 1j * grid.xi_half(a) * fh)
 
 
-def _hessian(grid: Grid3, fh: np.ndarray):
-    """The nine second derivatives of the real scalar with half-lattice spectrum ``fh``.
+class _Norms:
+    """The spectrum of one real scalar ``f`` on ``grid`` and the norms inequalities share.
 
-    Each of the six distinct ones is transformed once; an off-diagonal one is
-    yielded twice.
+    Each is computed at most once, on first use, so a scan of several
+    inequalities over one field transforms it once.
     """
-    for a in range(3):
-        for b in range(a, 3):
-            d = inverse_scalar(grid, -(grid.xi_half(a) * grid.xi_half(b)) * fh)
-            yield d
-            if b != a:
-                yield d
+
+    def __init__(self, grid: Grid3, f: np.ndarray):
+        if f.shape != grid.shape:
+            raise ShapeMismatchError(f"scalar shape {f.shape} does not match grid {grid.shape}")
+        self.grid, self.f = grid, f
+
+    @cached_property
+    def fh(self) -> np.ndarray:
+        return forward_scalar(self.grid, self.f)
+
+    @cached_property
+    def l2(self) -> float:
+        return lp_norm(self.grid, self.f, 2)
+
+    @cached_property
+    def sup(self) -> float:
+        return lp_norm(self.grid, self.f, math.inf)
+
+    @cached_property
+    def hessian_l2(self) -> float:
+        """``||D^2 f||_2`` over all nine second derivatives, by Plancherel.
+
+        ``sum_ab |xi_a xi_b|^2 = |xi|^4`` with the Nyquist-safe ``xi`` of
+        :func:`_gradient`, so no second derivative is transformed.
+        """
+        xi2 = sum(self.grid.xi_half(a) ** 2 for a in range(3))
+        return half_density_norm(self.grid, xi2 * xi2 * np.abs(self.fh) ** 2)
 
 
-def inequality_check(ineq_id: str, grid: Grid3, f: np.ndarray) -> float:
-    """Constant-free ratio (left side / right side) of one inequality.
-
-    ``f`` holds the real scalar test function on ``grid``.  Derivative norms
-    stream their fields one at a time.  Raises DegenerateInputError when the
-    right side vanishes.
-    """
-    if f.shape != grid.shape:
-        raise ShapeMismatchError(f"scalar shape {f.shape} does not match grid {grid.shape}")
+def _ratio(ineq_id: str, norms: _Norms) -> float:
+    """Constant-free ratio (left side / right side) of one inequality on ``norms.f``."""
+    grid, f = norms.grid, norms.f
 
     def guard(rhs: float) -> float:
         if rhs == 0.0:
@@ -97,21 +121,19 @@ def inequality_check(ineq_id: str, grid: Grid3, f: np.ndarray) -> float:
     if ineq_id == "GN_L1":
         x = [grid.x_component(a) - grid.box_length / 2.0 for a in range(3)]
         w2 = x[0] ** 2 + x[1] ** 2 + x[2] ** 2
-        rhs = guard(lp_norm(grid, f, 2) ** 0.25 * lp_norm(grid, f * w2, 2) ** 0.75)
+        rhs = guard(norms.l2**0.25 * lp_norm(grid, f * w2, 2) ** 0.75)
         return lp_norm(grid, f, 1) / rhs
-    fh = forward_scalar(grid, f)
     if ineq_id == "GN_INF":
-        rhs = guard(lp_norm(grid, f, 2) ** 0.25 * half_seminorm(grid, fh, 2) ** 0.75)
-        return lp_norm(grid, f, math.inf) / rhs
+        rhs = guard(norms.l2**0.25 * half_seminorm(grid, norms.fh, 2) ** 0.75)
+        return norms.sup / rhs
     if ineq_id == "GRAD_2P":
-        rhs = guard(
-            lp_norm(grid, f, math.inf) ** 0.5 * lp_norm(grid, _hessian(grid, fh), 2.0) ** 0.5
-        )
-        return lp_norm(grid, _gradient(grid, fh), 4.0) / rhs
+        rhs = guard(norms.sup**0.5 * norms.hessian_l2**0.5)
+        return lp_norm(grid, _gradient(grid, norms.fh), 4.0) / rhs
     if ineq_id == "SOB_6":
-        rhs = guard(half_seminorm(grid, fh, 1))
+        rhs = guard(half_seminorm(grid, norms.fh, 1))
         return lp_norm(grid, f, 6) / rhs
     if ineq_id == "RIESZ":
+        fh = norms.fh
         xi = [grid.xi_half(a) for a in range(3)]
         rs2 = xi[0] ** 2 + xi[1] ** 2 + xi[2] ** 2
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -122,18 +144,34 @@ def inequality_check(ineq_id: str, grid: Grid3, f: np.ndarray) -> float:
     raise UnsupportedSymbolError(f"unknown inequality {ineq_id!r}")
 
 
-def dilation_ratios(ineq_id: str, generator, grid, lams=(0.5, 1.0, 2.0)):
-    """Ratios of one inequality across the dilation family ``g(lam x)``.
+def inequality_check(ineq_id: str, grid: Grid3, f: np.ndarray) -> float:
+    """Constant-free ratio (left side / right side) of one inequality.
+
+    ``f`` holds the real scalar test function on ``grid``.  Gradient norms
+    stream their fields one at a time.  Raises DegenerateInputError when the
+    right side vanishes.
+    """
+    return _ratio(ineq_id, _Norms(grid, f))
+
+
+def dilation_ratios(ineq_ids, generator, grid, lams=(0.5, 1.0, 2.0)) -> dict[str, list[float]]:
+    """Ratios of each inequality across the dilation family ``g(lam x)``.
 
     ``generator(x, y, z)`` produces the scalar profile in centered
     coordinates; scale-invariant inequalities must return equal ratios.
+    Each dilate is built and transformed once for all of ``ineq_ids``.
+    Returns ``{ineq_id: [ratio per lam]}``.
     """
-    out = []
+    ineq_ids = tuple(ineq_ids)
     xc = [grid.x_component(a) - grid.box_length / 2.0 for a in range(3)]
-    for lam in lams:
+
+    def ratios_at(lam: float) -> list[float]:
         vals = np.broadcast_to(generator(lam * xc[0], lam * xc[1], lam * xc[2]), grid.shape)
-        out.append(inequality_check(ineq_id, grid, vals))
-    return out
+        norms = _Norms(grid, vals)
+        return [_ratio(ineq_id, norms) for ineq_id in ineq_ids]
+
+    per_lam = [ratios_at(lam) for lam in lams]  # each dilate is freed before the next is built
+    return {ineq_id: [r[i] for r in per_lam] for i, ineq_id in enumerate(ineq_ids)}
 
 
 # ---------------------------------------------------------------------------

@@ -499,11 +499,12 @@ def _suite_audit(cfg: dict):
     # high powers narrow the effective profile).
     grid = make_grid(128, 24.0)
     gauss = lambda x, y, z: np.exp(-(x * x + y * y + z * z) / 2.0)
-    for ineq in ("GN_INF", "GN_L1", "GRAD_2P", "SOB_6"):
-        ratios = dilation_ratios(ineq, gauss, grid, (0.5, 1.0, 2.0))
+    lams = (0.5, 1.0, 2.0)
+    scan = dilation_ratios(("GN_INF", "GN_L1", "GRAD_2P", "SOB_6"), gauss, grid, lams)
+    for ineq, ratios in scan.items():
         spread = (np.max(ratios) - np.min(ratios)) / np.max(ratios)  # NaN if any ratio is
         series[f"dilation_{ineq}"] = [
-            {"lam": lam, "ratio": val} for lam, val in zip((0.5, 1.0, 2.0), ratios)
+            {"lam": lam, "ratio": val} for lam, val in zip(lams, ratios)
         ]
         assertions.append(_assert("9", f"{ineq} dilation invariance", spread, 1e-6, "<="))
 

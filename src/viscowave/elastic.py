@@ -164,21 +164,44 @@ class Propagator:
         ``(1, tau, "K0", u)`` and ``(1, tau, "K1", v)``; a Duhamel term
         ``w S(tau) (0, g)`` is ``(w, tau, "K1", g)``.  The ``xi`` part is added
         once per time order for all terms.  Returns the displacement
-        ``sum w K x`` and the velocity ``sum w K' x``, None unless asked for.
+        ``sum w K x`` and the velocity ``sum w K' x``, None unless asked for,
+        as fresh arrays.  ``terms`` holds at least one term.
+
+        The first term writes the outputs and the later ones add into them
+        through call-local scratch, in the order ``out += (w a) x``,
+        ``s += (w d) (xi . x)``, then ``out += xi s``; a weight of 1 is not
+        multiplied in.
         """
         orders = (0, 1) if velocity else (0,)
-        outs = [np.zeros((3, *self.grid.half_shape), dtype=np.complex128) for _ in orders]
-        sums = [np.zeros(self.grid.half_shape, dtype=np.complex128) for _ in orders]
+        shape, half = (3, *self.grid.half_shape), self.grid.half_shape
+        xi = self._xi
+        outs = [np.empty(shape, dtype=np.complex128) for _ in orders]
+        sums = [np.empty(half, dtype=np.complex128) for _ in orders]
+        dot, tmp = np.empty(half, dtype=np.complex128), np.empty(half, dtype=np.complex128)
+        prod = np.empty(shape, dtype=np.complex128)
+        wa, wd = np.empty(half), np.empty(half)
+        first = True
         for w, tau, which, x in terms:
             _check_state(self.grid, x)
-            dot = self._xi[0] * x[0] + self._xi[1] * x[1] + self._xi[2] * x[2]
+            np.multiply(xi[0], x[0], out=dot)
+            for c in (1, 2):
+                dot += np.multiply(xi[c], x[c], out=tmp)
             for out, s, order in zip(outs, sums, orders):
                 a, d = self.kernel(tau, which, order)
-                out += (w * a) * x
-                s += (w * d) * dot
+                if w != 1.0:
+                    a, d = np.multiply(w, a, out=wa), np.multiply(w, d, out=wd)
+                if first:
+                    np.multiply(a, x, out=out)
+                    np.multiply(d, dot, out=s)
+                else:
+                    out += np.multiply(a, x, out=prod)
+                    s += np.multiply(d, dot, out=tmp)
+            first = False
+        if first:
+            raise ValueError("apply needs at least one term")
         for out, s in zip(outs, sums):
-            for c, xi in enumerate(self._xi):
-                out[c] += xi * s
+            for c in range(3):
+                out[c] += np.multiply(xi[c], s, out=tmp)
         return outs[0], (outs[1] if velocity else None)
 
     def propagate(self, tau: float, u, v, velocity: bool = True):

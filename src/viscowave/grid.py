@@ -292,16 +292,24 @@ def lp_norm(grid: Grid3, f, p: float) -> float:
     if p < 1:
         raise InvalidExponentError(f"p must satisfy 1 <= p <= inf, got {p}")
 
-    def magnitudes():
-        for a in (f,) if isinstance(f, np.ndarray) else f:
-            if np.iscomplexobj(a):
-                raise ValueError("lp_norm expects real physical data, got a complex array")
-            yield np.abs(a)
+    def power(a: np.ndarray) -> np.ndarray:
+        """``a**p`` for ``a = |f|``; p = 4 and 6 square in place, with no C ``pow``."""
+        if p == 4 or p == 6:
+            a *= a
+            a *= a if p == 4 else a * a
+            return a
+        return a if p == 1 else a**p
 
+    parts = []  # the max, or the sum of a**p, of each array
+    for a in (f,) if isinstance(f, np.ndarray) else f:
+        if np.iscomplexobj(a):
+            raise ValueError("lp_norm expects real physical data, got a complex array")
+        a = np.abs(a)
+        parts.append(float(np.max(a)) if math.isinf(p) else float(np.sum(power(a))))
+        del a  # a streamed array and its magnitudes go before the next one is made
     if math.isinf(p):
-        return float(max(np.max(a) for a in magnitudes()))
-    total = sum(float(np.sum(a**p)) for a in magnitudes())
-    return float((total * grid.spacing**3) ** (1.0 / p))
+        return max(parts)
+    return float((sum(parts) * grid.spacing**3) ** (1.0 / p))
 
 
 def sobolev_seminorm(fld: VectorField, order: int) -> float:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from viscowave import audit
 from viscowave.audit import (
     SYMBOL_BOUNDS,
     decay_fit,
@@ -16,7 +17,11 @@ from viscowave.audit import (
 )
 from viscowave.asymptotics import decay_slope
 from viscowave.elastic import LameParams, default_cutoffs
-from viscowave.exceptions import DegenerateInputError, ShapeMismatchError
+from viscowave.exceptions import (
+    DegenerateInputError,
+    ShapeMismatchError,
+    UnsupportedSymbolError,
+)
 from viscowave.grid import CutoffSpec, make_grid
 from viscowave.kernels import DampingParams
 
@@ -33,10 +38,49 @@ class TestInequalities:
         # resolution matters: high Lebesgue powers narrow the effective
         # Gaussian, so the Riemann sums need h well below the tightest scale
         grid = make_grid(128, 24.0)
-        for ineq in ("GN_INF", "GN_L1", "GRAD_2P", "SOB_6"):
-            ratios = dilation_ratios(ineq, GAUSS, grid, (0.5, 1.0, 2.0))
+        scan = dilation_ratios(("GN_INF", "GN_L1", "GRAD_2P", "SOB_6"), GAUSS, grid)
+        assert list(scan) == ["GN_INF", "GN_L1", "GRAD_2P", "SOB_6"]
+        for ineq, ratios in scan.items():
+            assert len(ratios) == 3
             spread = (max(ratios) - min(ratios)) / max(ratios)
             assert spread <= 1e-6, (ineq, ratios)
+
+    def test_scan_transforms_each_dilate_once(self, monkeypatch):
+        # Four inequalities over three dilates share each dilate's norms:
+        # one forward transform per dilate, and three inverse ones for
+        # GRAD_2P's gradient (its Hessian norm is a Plancherel sum).
+        counts = {"forward": 0, "inverse": 0, "generator": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(audit, "forward_scalar", counted("forward", audit.forward_scalar))
+        monkeypatch.setattr(audit, "inverse_scalar", counted("inverse", audit.inverse_scalar))
+        scan = dilation_ratios(
+            ("GN_INF", "GN_L1", "GRAD_2P", "SOB_6"), counted("generator", GAUSS), make_grid(32, 24.0)
+        )
+        assert counts == {"forward": 3, "inverse": 9, "generator": 3}
+        assert all(len(ratios) == 3 for ratios in scan.values())
+
+    def test_scan_is_the_per_dilate_check(self):
+        grid = make_grid(32, 24.0)
+        ids, lams = ("GN_INF", "GN_L1", "GRAD_2P", "SOB_6", "RIESZ"), (0.7, 1.3)
+        scan = dilation_ratios(ids, GAUSS, grid, lams)
+        for lam_index, lam in enumerate(lams):
+            f = np.broadcast_to(GAUSS(*(lam * x for x in centered(grid))), grid.shape)
+            for ineq in ids:
+                assert scan[ineq][lam_index] == inequality_check(ineq, grid, f), (ineq, lam)
+
+    def test_unknown_inequality_rejected(self):
+        grid = make_grid(16, 16.0)
+        with pytest.raises(UnsupportedSymbolError):
+            inequality_check("GN_2", grid, np.ones(grid.shape))
+        with pytest.raises(UnsupportedSymbolError):
+            dilation_ratios(("SOB_6", "GN_2"), GAUSS, grid)
 
     def test_riesz_contraction(self):
         grid = make_grid(16, 16.0)

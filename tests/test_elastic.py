@@ -188,6 +188,21 @@ class TestPropagator:
         assert v is None
         assert np.array_equal(u, prop.apply(terms)[0])
 
+    def test_successive_calls_return_fresh_arrays(self, grid16):
+        # Picard stores the returned states, so a later call must not write into them.
+        terms = self.terms(grid16)
+        prop = Propagator(grid16, LAME, (0.5, 1.25))
+        first = prop.apply(terms)
+        kept = [a.copy() for a in first]
+        second = prop.apply(terms[::-1])
+        for a in first:
+            assert not any(np.shares_memory(a, b) for b in second)
+        assert all(np.array_equal(a, b) for a, b in zip(first, kept))
+
+    def test_no_terms_rejected(self, grid16):
+        with pytest.raises(ValueError, match="at least one term"):
+            Propagator(grid16, LAME, (0.5,)).apply([])
+
     def test_wrong_shape_term_rejected(self, grid16):
         ok = np.zeros((3, *grid16.half_shape), dtype=np.complex128)
         bad = np.zeros((3, 16, 16, 8), dtype=np.complex128)

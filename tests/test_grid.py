@@ -206,6 +206,15 @@ class TestLpNorm:
         for p in (1.0, 3.0, np.inf):
             assert lp_norm(grid16, iter(data), p) == pytest.approx(lp_norm(grid16, data, p), rel=1e-14)
 
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 6, 2.5])
+    def test_matches_an_exact_sum(self, grid16, p):
+        # p = 1, 4 and 6 multiply instead of calling pow; every p must keep the value
+        data = band_limited_random(grid16, seed=12).data
+        kept = data.copy()
+        exact = (math.fsum(abs(x) ** p for x in data.flat) * grid16.spacing**3) ** (1.0 / p)
+        assert lp_norm(grid16, data, p) == pytest.approx(exact, rel=1e-15, abs=0.0)
+        assert np.array_equal(data, kept)
+
     def test_spectral_data_rejected(self, grid16):
         fh = transform(band_limited_random(grid16, seed=11))
         with pytest.raises(ValueError):
