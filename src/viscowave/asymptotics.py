@@ -322,8 +322,9 @@ def _xspace_norms(fields, t: float, lame: LameParams, src: LinearSource) -> list
     ``fields`` is a list of ``(spec, (long, trans))`` pairs of a norm and the
     field's radial coefficient callables.  The ``(r, s)`` grid depends on t
     only, so one :func:`axisym_evaluate` call sweeps the moment tables for
-    every field; each field is then contracted and reduced to its norm before
-    the next one is built.
+    every field; each field is then contracted one slot at a time, each
+    slot's squared magnitude stacked as it arrives, and reduced to its norm
+    before the next one is built.
     """
     r, s = _xspace_grids(lame, src, t)
     psi_bank, fits = [], []
@@ -334,12 +335,12 @@ def _xspace_norms(fields, t: float, lame: LameParams, src: LinearSource) -> list
         psi_bank.extend([ra * (vl - vt), ra * vt])
         fits.append(_derivative_fit(spec.alpha))
 
-    def norm(k, slot_fields):
+    def norm(k, slots):
         spec = fields[k][0]
         weights = np.array([w for (_, _, w) in _derivative_slots(spec.alpha)])
         if not math.isinf(spec.p):
-            slot_fields = slot_fields[:, :, : _THETA_GAUSS.size]
-        return axisym_lp_norm(axisym_magnitude(slot_fields, weights), s, _THETA_W, spec.p)
+            slots = (slot[:, : _THETA_GAUSS.size] for slot in slots)
+        return axisym_lp_norm(axisym_magnitude(slots, weights), s, _THETA_W, spec.p)
 
     return axisym_evaluate(r, psi_bank, fits, s, reduce=norm)
 

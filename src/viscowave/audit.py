@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .elastic import LameParams
 from .exceptions import (
     DegenerateInputError,
     FitError,
+    OutOfDomainError,
     ShapeMismatchError,
     UnsupportedSymbolError,
 )
@@ -42,6 +43,7 @@ from .grid import (
 )
 from .kernels import DampingParams, kernel_hat
 from .radial import (
+    AngularFit,
     AngularTerm,
     angular_fit,
     axisym_evaluate,
@@ -74,29 +76,59 @@ def _gradient(grid: Grid3, fh: np.ndarray):
         yield inverse_scalar(grid, 1j * grid.xi_half(a) * fh)
 
 
-class _Norms:
-    """The spectrum of one real scalar ``f`` on ``grid`` and the norms inequalities share.
+def _riesz_symbol(grid: Grid3) -> np.ndarray:
+    """``xi_1 / |xi|`` on the half lattice, with the Nyquist-safe ``xi`` and 0 at ``xi = 0``."""
+    xi = [grid.xi_half(a) for a in range(3)]
+    rs2 = xi[0] ** 2 + xi[1] ** 2 + xi[2] ** 2
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(rs2 > 0, xi[0] / np.sqrt(np.where(rs2 > 0, rs2, 1.0)), 0.0)
 
-    Each is computed at most once, on first use, so a scan of several
-    inequalities over one field transforms it once.
+
+def _weighted_l2(grid: Grid3, f: np.ndarray) -> float:
+    """``|| |x - c|^2 f ||_2`` about the box centre ``c``; the weight goes with its product."""
+    x = [grid.x_component(a) - grid.box_length / 2.0 for a in range(3)]
+    return lp_norm(grid, f * (x[0] ** 2 + x[1] ** 2 + x[2] ** 2), 2)
+
+
+# The physical-space norms of f that each inequality reads, and whether it
+# reads f's spectrum.
+_PHYSICAL_NORMS = {
+    "l1": lambda grid, f: lp_norm(grid, f, 1),
+    "l2": lambda grid, f: lp_norm(grid, f, 2),
+    "l6": lambda grid, f: lp_norm(grid, f, 6),
+    "sup": lambda grid, f: lp_norm(grid, f, math.inf),
+    "weighted_l2": _weighted_l2,
+}
+_READS = {
+    "GN_L1": (("l1", "l2", "weighted_l2"), False),
+    "GN_INF": (("l2", "sup"), True),
+    "GRAD_2P": (("sup",), True),
+    "SOB_6": (("l6",), True),
+    "RIESZ": ((), True),
+}
+
+
+class _Norms:
+    """The norms of one real scalar ``f`` on ``grid`` that the inequalities ``ineq_ids`` read.
+
+    The physical-space norms are all taken at construction, before the
+    spectrum is made, and no reference to ``f`` is kept, so the field can be
+    freed while its spectrum is worked on.  A scan of several inequalities
+    over one field transforms it once.  The Hessian norm is computed on
+    first use.
     """
 
-    def __init__(self, grid: Grid3, f: np.ndarray):
+    def __init__(self, grid: Grid3, f: np.ndarray, ineq_ids):
         if f.shape != grid.shape:
             raise ShapeMismatchError(f"scalar shape {f.shape} does not match grid {grid.shape}")
-        self.grid, self.f = grid, f
-
-    @cached_property
-    def fh(self) -> np.ndarray:
-        return forward_scalar(self.grid, self.f)
-
-    @cached_property
-    def l2(self) -> float:
-        return lp_norm(self.grid, self.f, 2)
-
-    @cached_property
-    def sup(self) -> float:
-        return lp_norm(self.grid, self.f, math.inf)
+        for ineq_id in ineq_ids:
+            if ineq_id not in _READS:
+                raise UnsupportedSymbolError(f"unknown inequality {ineq_id!r}")
+        names = sorted({name for ineq_id in ineq_ids for name in _READS[ineq_id][0]})
+        self.grid = grid
+        self.physical = {name: _PHYSICAL_NORMS[name](grid, f) for name in names}
+        spectral = any(_READS[ineq_id][1] for ineq_id in ineq_ids)
+        self.fh = forward_scalar(grid, f) if spectral else None
 
     @cached_property
     def hessian_l2(self) -> float:
@@ -106,12 +138,14 @@ class _Norms:
         :func:`_gradient`, so no second derivative is transformed.
         """
         xi2 = sum(self.grid.xi_half(a) ** 2 for a in range(3))
-        return half_density_norm(self.grid, xi2 * xi2 * np.abs(self.fh) ** 2)
+        a = np.abs(self.fh) ** 2
+        a *= xi2 * xi2
+        return half_density_norm(self.grid, a)
 
 
 def _ratio(ineq_id: str, norms: _Norms) -> float:
-    """Constant-free ratio (left side / right side) of one inequality on ``norms.f``."""
-    grid, f = norms.grid, norms.f
+    """Constant-free ratio (left side / right side) of one inequality on the field of ``norms``."""
+    grid, phys, fh = norms.grid, norms.physical, norms.fh
 
     def guard(rhs: float) -> float:
         if rhs == 0.0:
@@ -119,39 +153,34 @@ def _ratio(ineq_id: str, norms: _Norms) -> float:
         return rhs
 
     if ineq_id == "GN_L1":
-        x = [grid.x_component(a) - grid.box_length / 2.0 for a in range(3)]
-        w2 = x[0] ** 2 + x[1] ** 2 + x[2] ** 2
-        rhs = guard(norms.l2**0.25 * lp_norm(grid, f * w2, 2) ** 0.75)
-        return lp_norm(grid, f, 1) / rhs
+        rhs = guard(phys["l2"] ** 0.25 * phys["weighted_l2"] ** 0.75)
+        return phys["l1"] / rhs
     if ineq_id == "GN_INF":
-        rhs = guard(norms.l2**0.25 * half_seminorm(grid, norms.fh, 2) ** 0.75)
-        return norms.sup / rhs
+        rhs = guard(phys["l2"] ** 0.25 * half_seminorm(grid, fh, 2) ** 0.75)
+        return phys["sup"] / rhs
     if ineq_id == "GRAD_2P":
-        rhs = guard(norms.sup**0.5 * norms.hessian_l2**0.5)
-        return lp_norm(grid, _gradient(grid, norms.fh), 4.0) / rhs
+        rhs = guard(phys["sup"] ** 0.5 * norms.hessian_l2**0.5)
+        return lp_norm(grid, _gradient(grid, fh), 4.0) / rhs
     if ineq_id == "SOB_6":
-        rhs = guard(half_seminorm(grid, norms.fh, 1))
-        return lp_norm(grid, f, 6) / rhs
-    if ineq_id == "RIESZ":
-        fh = norms.fh
-        xi = [grid.xi_half(a) for a in range(3)]
-        rs2 = xi[0] ** 2 + xi[1] ** 2 + xi[2] ** 2
-        with np.errstate(invalid="ignore", divide="ignore"):
-            mult = np.where(rs2 > 0, xi[0] / np.sqrt(np.where(rs2 > 0, rs2, 1.0)), 0.0)
-        riesz = fh * (-1j * mult)  # R_1 = F^{-1} (-i xi_1 / |xi|) F maps real data to real data
-        rhs = guard(half_seminorm(grid, fh, 0))
-        return half_seminorm(grid, riesz, 0) / rhs
-    raise UnsupportedSymbolError(f"unknown inequality {ineq_id!r}")
+        rhs = guard(half_seminorm(grid, fh, 1))
+        return phys["l6"] / rhs
+    # RIESZ: R_1 = F^{-1} (-i xi_1 / |xi|) F maps real data to real data.
+    rhs = guard(half_seminorm(grid, fh, 0))
+    riesz = fh * _riesz_symbol(grid)
+    riesz *= -1j
+    return half_seminorm(grid, riesz, 0) / rhs
 
 
 def inequality_check(ineq_id: str, grid: Grid3, f: np.ndarray) -> float:
     """Constant-free ratio (left side / right side) of one inequality.
 
-    ``f`` holds the real scalar test function on ``grid``.  Gradient norms
-    stream their fields one at a time.  Raises DegenerateInputError when the
-    right side vanishes.
+    ``f`` holds the real scalar test function on ``grid``; only the norms the
+    inequality reads are computed.  Gradient norms stream their fields one
+    at a time.  Raises DegenerateInputError when the right side vanishes.
     """
-    return _ratio(ineq_id, _Norms(grid, f))
+    norms = _Norms(grid, f, (ineq_id,))
+    del f  # a caller's temporary field goes before the spectral work
+    return _ratio(ineq_id, norms)
 
 
 def dilation_ratios(ineq_ids, generator, grid, lams=(0.5, 1.0, 2.0)) -> dict[str, list[float]]:
@@ -159,18 +188,20 @@ def dilation_ratios(ineq_ids, generator, grid, lams=(0.5, 1.0, 2.0)) -> dict[str
 
     ``generator(x, y, z)`` produces the scalar profile in centered
     coordinates; scale-invariant inequalities must return equal ratios.
-    Each dilate is built and transformed once for all of ``ineq_ids``.
-    Returns ``{ineq_id: [ratio per lam]}``.
+    Each dilate is built and transformed once for all of ``ineq_ids``, and
+    freed once its norms are taken.  Returns ``{ineq_id: [ratio per lam]}``.
     """
     ineq_ids = tuple(ineq_ids)
     xc = [grid.x_component(a) - grid.box_length / 2.0 for a in range(3)]
 
     def ratios_at(lam: float) -> list[float]:
-        vals = np.broadcast_to(generator(lam * xc[0], lam * xc[1], lam * xc[2]), grid.shape)
-        norms = _Norms(grid, vals)
+        # The dilate lives only while _Norms takes its norms and its spectrum.
+        dilate = np.broadcast_to(generator(lam * xc[0], lam * xc[1], lam * xc[2]), grid.shape)
+        norms = _Norms(grid, dilate, ineq_ids)
+        del dilate
         return [_ratio(ineq_id, norms) for ineq_id in ineq_ids]
 
-    per_lam = [ratios_at(lam) for lam in lams]  # each dilate is freed before the next is built
+    per_lam = [ratios_at(lam) for lam in lams]
     return {ineq_id: [r[i] for r in per_lam] for i, ineq_id in enumerate(ineq_ids)}
 
 
@@ -348,6 +379,21 @@ def symbol_bound_scan(
 # heat-multiplier L^1 decay
 
 
+# The polar angles of heat_multiplier_l1's L^1 integral: 48 Gauss nodes in cos(theta).
+_HEAT_THETAS, _HEAT_THETA_W = gauss_theta_rule(48)
+
+
+@cache
+def _heat_fit(alpha: int) -> AngularFit:
+    """Angular fit of ``omega_3^(2 + alpha)`` on the heat rule's thetas, made once per ``alpha``."""
+
+    def ang(wx, wy, wz, gz):
+        w3 = wx * gz[0] + wy * gz[1] + wz * gz[2]
+        return w3 ** (2 + alpha)
+
+    return angular_fit([AngularTerm(0, 0, ang)], 1, _HEAT_THETAS)
+
+
 def heat_multiplier_l1(
     t: float,
     nu: float,
@@ -359,8 +405,11 @@ def heat_multiplier_l1(
 
     Evaluates ``F^{-1}[(i xi_3)^alpha (-nu |xi|^2 / 2)^ell e^{-nu t |xi|^2 / 2}
     chi_L omega_3^2]`` on an axisymmetric polar grid (axis-aligned
-    representative indices) and integrates its absolute value.
+    representative indices) and integrates its absolute value.  ``t`` must be
+    finite and non-negative; OutOfDomainError otherwise.
     """
+    if not 0.0 <= t < math.inf:  # written so that NaN also fails
+        raise OutOfDomainError(f"t must be finite and non-negative, got {t}")
     c0 = cutoff.c0
     r_max = c0
     s_max = 12.0 * math.sqrt(max(nu * t, 1e-6)) + 80.0 / c0
@@ -371,14 +420,7 @@ def heat_multiplier_l1(
         * np.exp(-0.5 * nu * t * r * r)
         * cutoff.chi_l(r)
     )
-
-    def ang(wx, wy, wz, gz, alpha=alpha):
-        w3 = wx * gz[0] + wy * gz[1] + wz * gz[2]
-        return w3 ** (2 + alpha)
-
-    thetas, tw = gauss_theta_rule(48)
     ds = math.pi / (10.0 * r_max)
     s = np.arange(0.0, s_max, ds)
-    fit = angular_fit([AngularTerm(0, 0, ang)], 1, thetas)
-    (vals,) = axisym_evaluate(r, [np.asarray(psi, np.complex128)], [fit], s)
-    return axisym_lp_norm(np.abs(vals[0]), s, tw, 1.0)
+    (vals,) = axisym_evaluate(r, [np.asarray(psi, np.complex128)], [_heat_fit(alpha)], s)
+    return axisym_lp_norm(np.abs(vals[0]), s, _HEAT_THETA_W, 1.0)

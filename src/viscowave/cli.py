@@ -439,8 +439,10 @@ def picard_check(
 
 def riesz_check(grid: Grid3, rng: np.random.Generator, count: int, bound: float) -> dict:
     """Criterion 9's Riesz contraction: the worst l2 ratio over ``count`` random fields."""
-    fields = (rng.standard_normal(grid.shape) for _ in range(count))
-    ratios = [inequality_check("RIESZ", grid, field) for field in fields]
+    # Each field is drawn in the call, so it is freed once its spectrum is made.
+    ratios = [
+        inequality_check("RIESZ", grid, rng.standard_normal(grid.shape)) for _ in range(count)
+    ]
     return _assert("9", "Riesz l2 ratio", np.max(ratios), bound, "<=")
 
 

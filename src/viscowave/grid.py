@@ -17,21 +17,28 @@ Conventions fixed here and relied on everywhere else:
   so sums over them count twice (:func:`half_density_norm`).  Every spectral
   array the library computes or takes is in this layout; the library's
   physical data are plain real arrays.  The full-lattice layer,
-  :class:`VectorField`, :func:`transform` and :func:`sobolev_seminorm`, has
-  no library caller; it remains as a test reference and as a lookup target
-  of perfbench's layer tracer.
+  :class:`VectorField`, :func:`transform`, :func:`sobolev_seminorm` and
+  ``Grid3.radius``, has no library caller; it remains as a test reference
+  and as a lookup target of perfbench's layer tracer.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import fft as sfft
 
-from .exceptions import InvalidExponentError, InvalidGridError, ShapeMismatchError
+from .exceptions import (
+    InvalidExponentError,
+    InvalidGridError,
+    ShapeMismatchError,
+    UnsupportedOrderError,
+)
 
 # Not called here; kept bound because perfbench's layer tracer self-test expects it here.
 from .kernels import kernel_hat  # noqa: F401
@@ -62,26 +69,38 @@ _WORKERS = (
 class Grid3:
     """Periodic cubic lattice and its frequency lattice.
 
-    ``xi1`` is the 1-D frequency array in FFT order; ``radius`` the full
-    ``|xi|`` array, precomputed because every radial table needs it.
+    ``xi1`` is the 1-D frequency array in FFT order.  The half-lattice
+    ``|xi|`` table that the Plancherel norms weight by, :attr:`half_radius`,
+    is built on first use and cached; so is the full-lattice ``radius``,
+    which no library path reads and only the tests' full-lattice references
+    build.
     """
 
     n: int
     box_length: float
     spacing: float = field(init=False, compare=False)
     xi1: np.ndarray = field(init=False, repr=False, compare=False)
-    radius: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.check(self.n, self.box_length)
         spacing = self.box_length / self.n
-        xi1 = 2.0 * np.pi * np.fft.fftfreq(self.n, d=spacing)
-        rad = np.sqrt(
-            xi1[:, None, None] ** 2 + xi1[None, :, None] ** 2 + xi1[None, None, :] ** 2
-        )
         object.__setattr__(self, "spacing", spacing)
-        object.__setattr__(self, "xi1", xi1)
-        object.__setattr__(self, "radius", rad)
+        object.__setattr__(self, "xi1", 2.0 * np.pi * np.fft.fftfreq(self.n, d=spacing))
+
+    def _radius(self, kz: np.ndarray) -> np.ndarray:
+        """``|xi|`` over the lattice whose ``k_z`` frequencies are ``kz``."""
+        xi1 = self.xi1
+        return np.sqrt(xi1[:, None, None] ** 2 + xi1[None, :, None] ** 2 + kz[None, None, :] ** 2)
+
+    @cached_property
+    def half_radius(self) -> np.ndarray:
+        """``|xi|`` on the half lattice ``(n, n, n/2 + 1)``, elementwise the planes of ``radius``."""
+        return self._radius(self.half_lattice(self.xi1))
+
+    @cached_property
+    def radius(self) -> np.ndarray:
+        """``|xi|`` on the full lattice, read only by the test reference ``sobolev_seminorm``."""
+        return self._radius(self.xi1)
 
     @staticmethod
     def check(n: int, box_length: float) -> None:
@@ -289,14 +308,15 @@ def lp_norm(grid: Grid3, f, p: float) -> float:
     of arrays, read one at a time, whose sums add: the component-sum
     convention, matching the max over all entries at p = inf.
     """
-    if p < 1:
+    if not p >= 1:  # written so that NaN also fails
         raise InvalidExponentError(f"p must satisfy 1 <= p <= inf, got {p}")
 
     def power(a: np.ndarray) -> np.ndarray:
-        """``a**p`` for ``a = |f|``; p = 4 and 6 square in place, with no C ``pow``."""
-        if p == 4 or p == 6:
+        """``a**p`` for ``a = |f|``; p = 2, 4 and 6 square in place, with no C ``pow``."""
+        if p in (2, 4, 6):
             a *= a
-            a *= a if p == 4 else a * a
+            if p > 2:
+                a *= a if p == 4 else a * a
             return a
         return a if p == 1 else a**p
 
@@ -337,9 +357,12 @@ def half_seminorm(grid: Grid3, fh: np.ndarray, order: int) -> float:
     """``sobolev_seminorm`` of a real scalar or vector field from its half-lattice spectrum.
 
     The mirror planes count as in :func:`half_density_norm`.  The components
-    of a vector field add, as in ``sobolev_seminorm``.
+    of a vector field add, as in ``sobolev_seminorm``.  ``order`` must be a
+    non-negative integer; UnsupportedOrderError otherwise.
     """
+    if not (isinstance(order, numbers.Integral) and order >= 0):
+        raise UnsupportedOrderError(f"order must be a non-negative integer, got {order!r}")
     a = np.abs(fh) ** 2
     if order:
-        a *= grid.half_lattice(grid.radius) ** (2 * order)
+        a *= grid.half_radius ** (2 * order)
     return half_density_norm(grid, a)

@@ -24,7 +24,8 @@ moment tables depend on the ``(r, s)`` grid only, so one
 :func:`axisym_evaluate` call sweeps them once for a whole bank of radial
 profiles: every field on that grid shares the sweep and its moment matmul,
 and then each field in turn is contracted with its own fit and handed to a
-reduction (a magnitude and a norm, say) before the next one is built.
+reduction (a magnitude and a norm, say) one slot at a time, before the next
+field is built.
 """
 
 from __future__ import annotations
@@ -323,12 +324,15 @@ def axisym_evaluate(
     >= 0`` with an odd point count (Simpson quadrature), and ``s >= 0`` with
     ``max(s) * dr <= pi / 2`` (see :func:`radial_grid`); OutOfDomainError
     otherwise.  The moment tables are swept once for the whole
-    bank.  Then each field in turn becomes a complex array of shape
-    ``(n_slots, len(s), len(thetas))``: the slot fields at radius ``s`` and
+    bank.  Then field k is contracted one slot at a time: each slot is a
+    complex ``(len(s), len(thetas))`` array, its values at radius ``s`` and
     the fit's polar angles (components in the evaluation frame, so
-    rotation-invariant reductions should be taken per point).  Returns the
-    list of ``reduce(k, fields)``, or of the fields themselves without
-    ``reduce``.
+    rotation-invariant reductions should be taken per point).
+    ``reduce(k, slots)`` receives an iterator over the field's slots, each
+    written into one buffer that the next slot overwrites, so a reduction
+    keeps what it needs of a slot before it asks for the next.  Returns the
+    list of ``reduce(k, slots)``, or without ``reduce`` of the fields
+    themselves, complex arrays of shape ``(n_slots, len(s), len(thetas))``.
     """
     r, s = np.asarray(r, dtype=float), np.asarray(s, dtype=float)
     dr = r[1] - r[0]
@@ -364,6 +368,13 @@ def axisym_evaluate(
             np.matmul(J, bank_ri[:, cols], out=moments[:, start : start + sb.size, cols])
     del work
 
+    def slots(M: np.ndarray, weights: np.ndarray):
+        """Each slot of one field in turn, written into one buffer that the next overwrites."""
+        n_theta = weights.shape[-1]
+        buf = np.empty((s.size, n_theta), dtype=np.complex128)
+        for slot in range(weights.shape[-2]):
+            yield np.matmul(M, weights[..., slot, :].reshape(-1, n_theta), out=buf)
+
     results, first = [], 0
     for k, fit in enumerate(fits):
         cols = np.arange(first, first + fit.n_psi)
@@ -371,18 +382,29 @@ def axisym_evaluate(
         # This field's moments as rows over s, columns over (n, Re | Im, psi).
         M = moments[: fit.n_top + 1][:, :, np.concatenate([cols, n_psi + cols])]
         M = M.transpose(1, 0, 2).reshape(s.size, -1)
-        _, _, _, n_slots, n_theta = fit.weights.shape
-        out = np.empty((n_slots, s.size, n_theta), dtype=np.complex128)
-        for slot in range(n_slots):
-            np.matmul(M, fit.weights[..., slot, :].reshape(-1, n_theta), out=out[slot])
-        results.append(out if reduce is None else reduce(k, out))
-        del M, out
+        field_slots = slots(M, fit.weights)
+        if reduce is None:
+            results.append(np.array([slot.copy() for slot in field_slots]))
+        else:
+            results.append(reduce(k, field_slots))
+        del M, field_slots
     return results
 
 
-def axisym_magnitude(fields: np.ndarray, slot_weights: np.ndarray) -> np.ndarray:
-    """Pointwise weighted Frobenius magnitude over slots (rotation invariant)."""
-    return np.sqrt(np.tensordot(slot_weights, np.abs(fields) ** 2, axes=(0, 0)))
+def axisym_magnitude(fields, slot_weights: np.ndarray) -> np.ndarray:
+    """Pointwise weighted Frobenius magnitude over slots (rotation invariant).
+
+    ``fields`` is a complex ``(n_slots, ...)`` array, or an iterable of its
+    ``n_slots = len(slot_weights)`` slots read one at a time, such as the
+    slots :func:`axisym_evaluate` hands a reduction.  Only the real stack of
+    squared slot magnitudes is held.
+    """
+    sq = None
+    for i, slot in enumerate(fields):
+        if sq is None:
+            sq = np.empty((len(slot_weights), *slot.shape))
+        np.square(np.abs(slot, out=sq[i]), out=sq[i])
+    return np.sqrt(np.tensordot(slot_weights, sq, axes=(0, 0)))
 
 
 def gauss_theta_rule(n: int = 24) -> tuple[np.ndarray, np.ndarray]:

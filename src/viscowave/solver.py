@@ -313,8 +313,7 @@ def _x1_integrand(grid: Grid3, t: float, u_hat: np.ndarray, v_hat: np.ndarray) -
     ``|u|^2``, ``|v|^2`` and the ``|xi|^2``, ``|xi|^6`` tables are formed once
     each, by the same elementwise operations as ``half_seminorm``'s.
     """
-    radius = grid.half_lattice(grid.radius)
-    r2, r6 = radius**2, radius**6
+    r2, r6 = grid.half_radius**2, grid.half_radius**6
     au, av = np.abs(u_hat) ** 2, np.abs(v_hat) ** 2
     w = 1.0 + t
     return (

@@ -1,5 +1,6 @@
 """Shared builders and test-only oracles for the test suite."""
 
+import tracemalloc
 from pathlib import Path
 from typing import Callable
 
@@ -22,6 +23,17 @@ def checked_in(name: str, **overrides) -> str:
         lines[i] = f"{key} = {value}"
         text = "\n".join(lines) + "\n"
     return text
+
+
+def traced_peak(fn: Callable) -> int:
+    """Peak bytes traced by ``tracemalloc`` while ``fn()`` runs, above those held when it starts."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def centered_gaussian(grid, sigma=0.8, mass=1.0, components=(1.0, 1.0, 1.0)):

@@ -5,16 +5,22 @@ import math
 import numpy as np
 import pytest
 
-from conftest import REPO_CONFIGS
+from conftest import REPO_CONFIGS, traced_peak
 from viscowave import radial
 from viscowave.asymptotics import (
+    _THETA_GAUSS,
+    _THETA_W,
     LinearSource,
     NormSpec,
+    _derivative_fit,
+    _derivative_slots,
     _l2_norm_from_mults,
     _norms,
     _profile_fields,
     _profile_mults,
     _solution_mults,
+    _xspace_grids,
+    _xspace_norms,
     decay_slope,
     expected_solution_slope,
     line_fit,
@@ -131,6 +137,50 @@ class TestSharedMomentPass:
         shared = _norms(fields, t, LAME, src)
         alone = [_norms([field], t, LAME, src)[0] for field in fields]
         np.testing.assert_allclose(shared, alone, rtol=1e-13, atol=0.0)
+
+
+class TestStreamedSlots:
+    """The sup/L^p pass reduces each field slot by slot, with the numbers of the whole field."""
+
+    T = 1e4
+    SMOOTHING = [NormSpec(0, 0, math.inf), NormSpec(1, 0, math.inf), NormSpec(0, 2, 2.0)]
+
+    @staticmethod
+    def _config(name):
+        cfg = _parse_config(REPO_CONFIGS / f"{name}.ini")
+        return cfg["lame"], LinearSource.gaussian(cfg["sigma"])
+
+    @pytest.mark.parametrize("suite", ["smoothing", "profile-error"])
+    def test_streamed_norms_equal_the_whole_field_reference(self, suite):
+        lame, src = self._config(suite)
+        if suite == "smoothing":
+            fields = [(spec, _solution_mults(lame, src, spec.ell)) for spec in self.SMOOTHING]
+        else:
+            fields = _profile_fields(src, _PROFILE_SET, lame)
+        fields = [field for field in fields if field[0].p != 2.0]
+        got = _xspace_norms(fields, self.T, lame, src)
+
+        # Reference: each field whole from the evaluator without a reduction.
+        r, s = _xspace_grids(lame, src, self.T)
+        bank = []
+        for spec, (ml, mt) in fields:
+            vl, vt = (np.asarray(m(self.T, r), dtype=np.complex128) for m in (ml, mt))
+            bank += [r**spec.alpha * (vl - vt), r**spec.alpha * vt]
+        fits = [_derivative_fit(spec.alpha) for spec, _ in fields]
+        whole = radial.axisym_evaluate(r, bank, fits, s)
+        want = []
+        for (spec, _), slots in zip(fields, whole):
+            weights = np.array([w for (_, _, w) in _derivative_slots(spec.alpha)])
+            if not math.isinf(spec.p):
+                slots = slots[:, :, : _THETA_GAUSS.size]
+            mag = radial.axisym_magnitude(slots, weights)
+            want.append(radial.axisym_lp_norm(mag, s, _THETA_W, spec.p))
+        assert got == want
+
+    def test_smoothing_norms_peak(self):
+        lame, src = self._config("smoothing")
+        linear_norm(lame, src, self.SMOOTHING, 100.0)  # the per-process angular fits
+        assert traced_peak(lambda: linear_norm(lame, src, self.SMOOTHING, self.T)) < 25e6
 
 
 class TestRadialGridBound:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from viscowave import audit
 from viscowave.audit import (
     SYMBOL_BOUNDS,
@@ -112,6 +113,44 @@ class TestInequalities:
         grid = make_grid(16, 16.0)
         with pytest.raises(ShapeMismatchError):
             inequality_check("SOB_6", grid, np.ones((3, *grid.shape)))
+
+
+class TestOneFieldAtATime:
+    """Norm passes take a field's physical norms, then its spectrum, and hold one at a time."""
+
+    @staticmethod
+    def counted(monkeypatch, calls):
+        for name in ("lp_norm", "forward_scalar"):
+            real = getattr(audit, name)
+
+            def wrapper(*args, real=real, name=name):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(audit, name, wrapper)
+
+    @pytest.mark.parametrize(
+        "ineq_id, physical, spectral",
+        [("GN_L1", 3, 0), ("GN_INF", 2, 1), ("GRAD_2P", 1, 1), ("SOB_6", 1, 1), ("RIESZ", 0, 1)],
+    )
+    def test_check_takes_only_the_norms_it_reads(self, monkeypatch, ineq_id, physical, spectral):
+        calls = []
+        self.counted(monkeypatch, calls)
+        grid = make_grid(16, 16.0)
+        inequality_check(ineq_id, grid, np.random.default_rng(0).standard_normal(grid.shape))
+        # The physical norms come first; GRAD_2P's gradient norm is the lp_norm after the transform.
+        assert calls[: physical + spectral] == ["lp_norm"] * physical + ["forward_scalar"] * spectral
+        assert calls[physical + spectral :] == (["lp_norm"] if ineq_id == "GRAD_2P" else [])
+
+    def test_dilation_scan_peak(self):
+        grid = make_grid(64, 24.0)
+        ids = ("GN_INF", "GN_L1", "GRAD_2P", "SOB_6")
+        assert traced_peak(lambda: dilation_ratios(ids, GAUSS, grid)) <= 5 * 8 * grid.n**3
+
+    def test_riesz_check_peak(self):
+        grid = make_grid(64, 24.0)
+        f = np.random.default_rng(0).standard_normal(grid.shape)
+        assert traced_peak(lambda: inequality_check("RIESZ", grid, f)) <= 3.4 * 8 * grid.n**3
 
 
 def full_lattice_ratio(ineq_id, grid, f, p):
@@ -257,3 +296,11 @@ class TestHeatL1:
         cut = CutoffSpec(1.0, 4.0)
         v = heat_multiplier_l1(5.0, 1.0, cut, 1, 0)
         assert np.isfinite(v) and v > 0.0
+
+    def test_angular_fit_made_at_most_once_per_alpha(self, monkeypatch):
+        calls = []
+        real = audit.angular_fit
+        monkeypatch.setattr(audit, "angular_fit", lambda *args: calls.append(args) or real(*args))
+        for t in (2.0, 20.0, 200.0):
+            heat_multiplier_l1(t, 1.0, CutoffSpec(1.0, 4.0), 2, 0)
+        assert len(calls) <= 1

@@ -41,6 +41,13 @@ class TestMakeGrid:
         assert int(np.count_nonzero(g.radius == 0.0)) == 1
         assert g.radius.size == 8**3
 
+    def test_half_radius_is_the_radius_planes(self):
+        g = make_grid(16, 7.0)
+        assert "radius" not in vars(g)  # the full lattice is built only when read
+        half = g.half_radius
+        assert half.shape == g.half_shape and "radius" not in vars(g)
+        assert np.array_equal(half, g.half_lattice(g.radius))
+
     def test_spacing_identity(self):
         g = make_grid(12, 7.5)
         assert g.spacing * g.n == pytest.approx(g.box_length, rel=1e-15)

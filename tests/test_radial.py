@@ -229,6 +229,37 @@ class TestAxisymEvaluator:
             np.concatenate(parts, axis=1), whole, rtol=0, atol=1e-14 * np.max(np.abs(whole))
         )
 
+    def test_reduction_takes_the_slots_one_at_a_time(self):
+        r = np.linspace(0, 12, 1601)
+        psi = [r * np.exp(-0.5 * r * r), np.exp(-0.5 * r * r)]
+        terms = [
+            AngularTerm(0, 0, lambda wx, wy, wz, gz: 1j * (wx * gz[0] + wz * gz[2])),
+            AngularTerm(1, 1, lambda wx, wy, wz, gz: np.ones_like(wx)),
+        ]
+        fit = angular_fit(terms, 2, np.array([0.2, 1.3]))
+        s = np.linspace(0, 6, 101)
+        (whole,) = axisym_evaluate(r, psi, [fit], s)
+        seen, buffers = [], set()
+
+        def reduce(k, slots):
+            for slot in slots:
+                seen.append(slot.copy())
+                buffers.add(slot.ctypes.data)
+            return k
+
+        assert axisym_evaluate(r, psi, [fit], s, reduce=reduce) == [0]
+        assert len(seen) == 2 and all(np.array_equal(a, b) for a, b in zip(seen, whole))
+        assert len(buffers) == 1  # each slot overwrites the last
+
+    def test_magnitude_of_streamed_slots_is_the_whole_fields(self):
+        rng = np.random.default_rng(3)
+        fields = rng.standard_normal((3, 40, 9)) + 1j * rng.standard_normal((3, 40, 9))
+        weights = np.array([1.0, 2.0, 0.5])
+        for part in (fields, fields[:, :, :5]):
+            ref = np.sqrt(np.tensordot(weights, np.abs(part) ** 2, axes=(0, 0)))
+            assert np.array_equal(axisym_magnitude(part, weights), ref)
+            assert np.array_equal(axisym_magnitude(iter(part), weights), ref)
+
     @pytest.mark.parametrize(
         "s",
         [-np.linspace(0, 6, 61), np.linspace(-0.1, 6, 62), np.array([0.0, np.nan, 1.0])],
