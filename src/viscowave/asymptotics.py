@@ -24,7 +24,14 @@ import numpy as np
 from scipy.special import stdtrit
 
 from .elastic import LameParams
-from .exceptions import FitError, QuadratureAccuracyError, UnsupportedNormError, WindowError
+from .exceptions import (
+    FitError,
+    InvalidExponentError,
+    OutOfDomainError,
+    QuadratureAccuracyError,
+    UnsupportedNormError,
+    WindowError,
+)
 from .kernels import diffusion_hat, kernel_hat
 from .radial import (
     AngularFit,
@@ -323,8 +330,8 @@ def _xspace_norms(fields, t: float, lame: LameParams, src: LinearSource) -> list
     field's radial coefficient callables.  The ``(r, s)`` grid depends on t
     only, so one :func:`axisym_evaluate` call sweeps the moment tables for
     every field; each field is then contracted one slot at a time, each
-    slot's squared magnitude stacked as it arrives, and reduced to its norm
-    before the next one is built.
+    slot's weighted squared magnitude added to a running sum as it arrives,
+    and reduced to its norm before the next one is built.
     """
     r, s = _xspace_grids(lame, src, t)
     psi_bank, fits = [], []
@@ -358,10 +365,27 @@ def _norms(fields, t: float, lame: LameParams, src: LinearSource) -> list[float]
     ]
 
 
+def _check_norm_input(specs: Sequence[NormSpec], t: float) -> None:
+    """Raise unless every spec's ``p`` lies in [1, inf] and ``t`` is finite and non-negative.
+
+    InvalidExponentError for a bad ``p``, OutOfDomainError for a bad ``t``.
+    """
+    for spec in specs:
+        if not spec.p >= 1.0:  # written so that NaN also fails
+            raise InvalidExponentError(f"p must satisfy 1 <= p <= inf, got {spec.p}")
+    if not 0.0 <= t < math.inf:
+        raise OutOfDomainError(f"t must be finite and non-negative, got {t}")
+
+
 def linear_norm(
     lame: LameParams, src: LinearSource, specs: Sequence[NormSpec], t: float
 ) -> list[float]:
-    """The norms ``||grad^a dt^l u(t)||_p`` of the homogeneous solution, one per spec."""
+    """The norms ``||grad^a dt^l u(t)||_p`` of the homogeneous solution, one per spec.
+
+    Each ``p`` must lie in [1, inf] (InvalidExponentError) and ``t`` must be
+    finite and non-negative (OutOfDomainError).
+    """
+    _check_norm_input(specs, t)
     fields = [(spec, _solution_mults(lame, src, spec.ell)) for spec in specs]
     return _norms(fields, t, lame, src)
 
@@ -392,8 +416,9 @@ def profile_error_norms(
     """The solution's norm and its error's norm against the profile at time t, per (profile, norm).
 
     Two values per entry of ``norms``, in that order; the sup/L^p ones share
-    one moment pass.
+    one moment pass.  Guarded like :func:`linear_norm`.
     """
+    _check_norm_input([spec for _, spec in norms], t)
     for which, spec in norms:
         _validate_norm(which, spec)
     return _norms(_profile_fields(src, norms, lame), t, lame, src)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .grid import (
     forward_scalar,
     half_density_norm,
     half_seminorm,
-    inverse_scalar,
+    inverse_slabs,
     lp_norm,
 )
 from .kernels import DampingParams, kernel_hat
@@ -71,9 +72,15 @@ __all__ = [
 
 
 def _gradient(grid: Grid3, fh: np.ndarray):
-    """The three first derivatives of the real scalar with half-lattice spectrum ``fh``."""
+    """The three first derivatives of the real scalar with half-lattice spectrum ``fh``.
+
+    Yields each derivative in x-slabs (:func:`~viscowave.grid.inverse_slabs`);
+    the three spectra ``i xi_a fh`` take turns in one buffer.
+    """
+    buf = np.empty_like(fh)
     for a in range(3):
-        yield inverse_scalar(grid, 1j * grid.xi_half(a) * fh)
+        np.multiply(1j * grid.xi_half(a), fh, out=buf)
+        yield from inverse_slabs(grid, buf)
 
 
 def _riesz_symbol(grid: Grid3) -> np.ndarray:
@@ -398,14 +405,15 @@ def heat_multiplier_l1(
     t: float,
     nu: float,
     cutoff: CutoffSpec,
-    alpha: int = 0,
-    ell: int = 0,
-) -> float:
-    """L^1 norm of the double-Riesz low-pass heat kernel with derivatives.
+    orders: Sequence[tuple[int, int]],
+) -> list[float]:
+    """L^1 norms of the double-Riesz low-pass heat kernel with derivatives, one per order.
 
-    Evaluates ``F^{-1}[(i xi_3)^alpha (-nu |xi|^2 / 2)^ell e^{-nu t |xi|^2 / 2}
-    chi_L omega_3^2]`` on an axisymmetric polar grid (axis-aligned
-    representative indices) and integrates its absolute value.  ``t`` must be
+    For each ``(alpha, ell)`` of ``orders``, evaluates ``F^{-1}[(i xi_3)^alpha
+    (-nu |xi|^2 / 2)^ell e^{-nu t |xi|^2 / 2} chi_L omega_3^2]`` on an
+    axisymmetric polar grid (axis-aligned representative indices) and
+    integrates its absolute value.  The grid depends on ``t``, ``nu`` and the
+    cutoff only, so one moment sweep serves every order.  ``t`` must be
     finite and non-negative; OutOfDomainError otherwise.
     """
     if not 0.0 <= t < math.inf:  # written so that NaN also fails
@@ -414,13 +422,19 @@ def heat_multiplier_l1(
     r_max = c0
     s_max = 12.0 * math.sqrt(max(nu * t, 1e-6)) + 80.0 / c0
     r = radial_grid(r_max, s_max)
-    psi = (
+    psis = [
         (1j * r) ** alpha
         * (-0.5 * nu * r * r) ** ell
         * np.exp(-0.5 * nu * t * r * r)
         * cutoff.chi_l(r)
-    )
+        for alpha, ell in orders
+    ]
     ds = math.pi / (10.0 * r_max)
     s = np.arange(0.0, s_max, ds)
-    (vals,) = axisym_evaluate(r, [np.asarray(psi, np.complex128)], [_heat_fit(alpha)], s)
-    return axisym_lp_norm(np.abs(vals[0]), s, _HEAT_THETA_W, 1.0)
+    fits = [_heat_fit(alpha) for alpha, _ in orders]
+
+    def l1(k, slots):
+        (vals,) = slots
+        return axisym_lp_norm(np.abs(vals), s, _HEAT_THETA_W, 1.0)
+
+    return axisym_evaluate(r, psis, fits, s, reduce=l1)

@@ -514,8 +514,10 @@ def _suite_audit(cfg: dict):
 
     # Heat-multiplier L^1 decay slopes.
     ts = np.geomspace(2.0, 200.0, 9)
-    for alpha, ell, target in ((1, 0, -0.5), (2, 0, -1.0), (0, 1, -1.0)):
-        vals = [heat_multiplier_l1(float(t), lame.nu, cutoff, alpha, ell) for t in ts]
+    targets = {(1, 0): -0.5, (2, 0): -1.0, (0, 1): -1.0}
+    per_t = [heat_multiplier_l1(float(t), lame.nu, cutoff, list(targets)) for t in ts]
+    for i, ((alpha, ell), target) in enumerate(targets.items()):
+        vals = [row[i] for row in per_t]
         rep = decay_slope(ts, vals)
         series[f"heat_l1_{alpha}_{ell}"] = _decay_rows(ts, vals)
         assertions.append(

@@ -51,6 +51,7 @@ __all__ = [
     "transform",
     "forward_scalar",
     "inverse_scalar",
+    "inverse_slabs",
     "lp_norm",
     "sobolev_seminorm",
     "half_density_norm",
@@ -237,6 +238,40 @@ def inverse_scalar(grid: Grid3, fh: np.ndarray) -> np.ndarray:
     """
     # One expression, so numpy divides the irfftn temporary in place.
     return _irfftn(grid, fh) / _forward_scale(grid)
+
+
+# Points per slab of inverse_slabs: a slab's output and its transform
+# workspace take 0.5 and 1 MB, so even at 64^3 a field is four slabs.
+_SLAB_POINTS = 1 << 16
+
+
+def inverse_slabs(grid: Grid3, fh: np.ndarray):
+    """``inverse_scalar`` of a scalar half-lattice spectrum, yielded one x-slab at a time.
+
+    The slabs hold about 2^16 points each and concatenate along the first
+    axis to ``inverse_scalar(grid, fh)``, bit for bit: the x pass runs on the
+    whole spectrum first, written into ``fh`` itself (which is overwritten),
+    and then each slab takes the (y, z) passes and the same two scalings,
+    ``irfftn``'s 1/n^3 and the division by the forward scale.  So no
+    full-size physical array is made.  Each slab is a fresh array.
+    """
+    if fh.shape != grid.half_shape:
+        raise ShapeMismatchError(
+            f"spectrum shape {fh.shape} is not the half lattice {grid.half_shape}"
+        )
+    n = grid.n
+    x = sfft.ifft(fh, axis=0, norm="forward", overwrite_x=True, workers=_WORKERS)
+    # irfftn's 1/n^3 as it applies it, in its last pass; for every even n up
+    # to 2048 this double is its long-double-rounded factor.
+    fct, scale = 1.0 / n**3, _forward_scale(grid)
+    rows = max(1, _SLAB_POINTS // (n * n))
+    for start in range(0, n, rows):
+        slab = sfft.irfftn(
+            x[start : start + rows], s=(n, n), axes=(1, 2), norm="forward", workers=_WORKERS
+        )
+        slab *= fct
+        slab /= scale
+        yield slab
 
 
 # ---------------------------------------------------------------------------

@@ -396,15 +396,21 @@ def axisym_magnitude(fields, slot_weights: np.ndarray) -> np.ndarray:
 
     ``fields`` is a complex ``(n_slots, ...)`` array, or an iterable of its
     ``n_slots = len(slot_weights)`` slots read one at a time, such as the
-    slots :func:`axisym_evaluate` hands a reduction.  Only the real stack of
-    squared slot magnitudes is held.
+    slots :func:`axisym_evaluate` hands a reduction.  Only the running sum
+    ``sum_i w_i |slot_i|^2`` and one scratch slot are held; a weight of 1 is
+    not multiplied in.
     """
-    sq = None
-    for i, slot in enumerate(fields):
-        if sq is None:
-            sq = np.empty((len(slot_weights), *slot.shape))
-        np.square(np.abs(slot, out=sq[i]), out=sq[i])
-    return np.sqrt(np.tensordot(slot_weights, sq, axes=(0, 0)))
+    total = scratch = None
+    for w, slot in zip(slot_weights, fields, strict=True):
+        scratch = np.abs(slot, out=scratch)
+        np.square(scratch, out=scratch)
+        if w != 1.0:
+            scratch *= w
+        if total is None:
+            total, scratch = scratch, None  # the first slot starts the sum
+        else:
+            total += scratch
+    return np.sqrt(total, out=total)
 
 
 def gauss_theta_rule(n: int = 24) -> tuple[np.ndarray, np.ndarray]:

@@ -43,8 +43,9 @@ takes no forcing from its own node.  So the node equations are explicit.
 :func:`_march` sums ``S U`` and the lag-2h and lag-h terms in one
 ``Propagator.apply`` call per node, samples ``g_m`` from the ``u_m`` it
 returns, and only then completes ``v_m`` (an exponential multistep
-scheme; Hochbruck & Ostermann, Acta Numerica 19, 2010).  It streams over the
-nodes with a two-sample window and costs O(M) for M nodes.
+scheme; Hochbruck & Ostermann, Acta Numerica 19, 2010).  Every node starts
+from an even one, so ``v_m`` is built at even nodes only.  It streams over
+the nodes with a two-sample window and costs O(M) for M nodes.
 
 `evolve_stream` runs one march, sampling ``F`` of the displacement it has
 just built; there is no predictor or corrector.  It yields each full step
@@ -215,7 +216,9 @@ def _march(prop: Propagator, h: float, m_count: int, u0, v0, sample=None):
     """Yield the state ``(m, u, v)`` at nodes m = 1, ..., ``m_count`` (module docstring).
 
     ``(u0, v0)`` is the state at node 0; neither it nor a yielded array is
-    written to.  ``sample(m, u)`` returns the forcing at node m given the displacement
+    written to.  The velocity is built at the even nodes only, which are all
+    that a later node and every caller read; at odd nodes ``v`` is None.
+    ``sample(m, u)`` returns the forcing at node m given the displacement
     ``u`` just built there; it is called once per node, in order, from m = 0.
     ``sample=None`` means the forcing is zero at every node: the march is then
     the homogeneous recursion, with no Duhamel window (adding its exact zeros
@@ -233,12 +236,14 @@ def _march(prop: Propagator, h: float, m_count: int, u0, v0, sample=None):
             weights, lags = (trailing if m % 2 else panel), (2.0 * h, h)
         tau = h if m % 2 else 2.0 * h
         state = [(1.0, tau, "K0", even[0]), (1.0, tau, "K1", even[1])]
-        u, v = prop.apply(state + [(w, lag, "K1", g) for w, lag, g in zip(weights, lags, window)])
+        terms = state + [(w, lag, "K1", g) for w, lag, g in zip(weights, lags, window)]
+        u, v = prop.apply(terms, velocity=m % 2 == 0)
         if sample is not None:
             g = sample(m, u)
-            v += weights[-1] * g
+            if v is not None:
+                v += weights[-1] * g
             window = window[-1:] + [g]
-        if m % 2 == 0:
+        if v is not None:
             even = (u, v)
         yield m, u, v
 

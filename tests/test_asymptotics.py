@@ -180,7 +180,8 @@ class TestStreamedSlots:
     def test_smoothing_norms_peak(self):
         lame, src = self._config("smoothing")
         linear_norm(lame, src, self.SMOOTHING, 100.0)  # the per-process angular fits
-        assert traced_peak(lambda: linear_norm(lame, src, self.SMOOTHING, self.T)) < 25e6
+        # 10.7 MB measured; stacking every slot's squared magnitude took 21.5 MB.
+        assert traced_peak(lambda: linear_norm(lame, src, self.SMOOTHING, self.T)) < 15e6
 
 
 class TestRadialGridBound:

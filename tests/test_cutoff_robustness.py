@@ -63,7 +63,8 @@ def test_heat_l1_slopes_with_variant_cutoffs():
     # halving c0 pushes the asymptotic onset out by 4x; scale the window along
     spec = variant_cutoffs()
     ts = np.geomspace(8.0, 800.0, 9)
-    for alpha, ell, target in ((1, 0, -0.5), (0, 1, -1.0)):
-        vals = [heat_multiplier_l1(float(t), LAME.nu, spec, alpha, ell) for t in ts]
-        rep = decay_slope(ts, vals)
+    targets = {(1, 0): -0.5, (0, 1): -1.0}
+    per_t = [heat_multiplier_l1(float(t), LAME.nu, spec, list(targets)) for t in ts]
+    for i, target in enumerate(targets.values()):
+        rep = decay_slope(ts, [row[i] for row in per_t])
         assert rep.slope <= target + 0.1

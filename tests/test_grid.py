@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from conftest import band_limited_random, centered_gaussian, hermitian_defect, zero_field
-from viscowave.exceptions import InvalidExponentError, InvalidGridError
+from viscowave import grid
+from viscowave.exceptions import InvalidExponentError, InvalidGridError, ShapeMismatchError
 from viscowave.grid import (
     CutoffSpec,
     VectorField,
@@ -18,6 +19,7 @@ from viscowave.grid import (
     forward_scalar,
     half_seminorm,
     inverse_scalar,
+    inverse_slabs,
     lp_norm,
     make_grid,
     sobolev_seminorm,
@@ -131,6 +133,20 @@ class TestScalarTransform:
         f = random_scalar(grid16, 5)
         back = inverse_scalar(grid16, forward_scalar(grid16, f))
         assert np.max(np.abs(back - f)) < 1e-12 * np.max(np.abs(f))
+
+    # n = 32 is one slab; n = 112 is 23, 22 of five x-rows and one of two.
+    @pytest.mark.parametrize("n, slabs", [(32, 1), (112, 23)])
+    @pytest.mark.parametrize("workers", ["one", "all"])
+    def test_slabs_concatenate_to_the_whole_inverse(self, monkeypatch, n, slabs, workers):
+        g = make_grid(n, 24.0)
+        fh = forward_scalar(g, random_scalar(g, n))
+        whole = inverse_scalar(g, fh)
+        monkeypatch.setattr(grid, "_WORKERS", 1 if workers == "one" else grid._WORKERS)
+        got = list(inverse_slabs(g, fh))
+        assert len(got) == slabs
+        assert np.array_equal(np.concatenate(got), whole)
+        with pytest.raises(ShapeMismatchError):
+            next(inverse_slabs(g, np.zeros(g.shape, dtype=complex)))
 
     @pytest.mark.parametrize(
         "order, shape",

@@ -533,7 +533,7 @@ class TestDuhamelStream:
     def test_recursion_matches_direct_sum(self, grid16):
         # O(M) node march from a zero state with fixed samples against the
         # O(M^2) sum of the same composite-Simpson quadrature, at every node
-        # of an odd node count.
+        # of an odd node count; the velocity is built at even nodes only.
         h, m_count = 0.5, 9
         prop = Propagator(grid16, LAME, (h, 2.0 * h))
         samples = [
@@ -546,10 +546,13 @@ class TestDuhamelStream:
         assert np.all(zero == 0.0)  # the march leaves node 0 alone
         for m, du, dv in streamed:
             ref_u = np.zeros_like(du)
-            ref_v = np.zeros_like(dv)
+            ref_v = np.zeros_like(du)
             for j, w in enumerate(direct_weights(m, h)):
                 u, v = linear_propagate(grid16, zero, samples[j], (m - j) * h, LAME)
                 ref_u += w * u
                 ref_v += w * v
             assert np.max(np.abs(du - ref_u)) <= 1e-12 * np.max(np.abs(ref_u))
-            assert np.max(np.abs(dv - ref_v)) <= 1e-12 * np.max(np.abs(ref_v))
+            if m % 2:
+                assert dv is None
+            else:
+                assert np.max(np.abs(dv - ref_v)) <= 1e-12 * np.max(np.abs(ref_v))
