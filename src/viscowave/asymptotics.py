@@ -194,7 +194,9 @@ class LinearSource:
 
     @staticmethod
     def gaussian(sigma: float = 0.5) -> "LinearSource":
-        """Unit-mass Gaussian of width ``sigma``."""
+        """Unit-mass Gaussian of width ``sigma``, finite and positive (else OutOfDomainError)."""
+        if not 0.0 < sigma < math.inf:  # written so that NaN also fails
+            raise OutOfDomainError(f"sigma must be finite and positive, got {sigma}")
         c = (2.0 * np.pi) ** (-1.5)
         return LinearSource(ghat=lambda r: c * np.exp(-0.5 * (sigma * r) ** 2))
 
@@ -239,7 +241,7 @@ def _l2_norm_from_mults(ml, mt, t: float, alpha: int) -> float:
     return math.hypot(nl, nt)
 
 
-def _support_radius(lame: LameParams, src: LinearSource, t: float) -> float:
+def _support_r_max(lame: LameParams, src: LinearSource, t: float) -> float:
     """Radius beyond which the damped coefficients are negligible.
 
     Raises QuadratureAccuracyError (``achieved = inf``) if they vanish on the whole probe.
@@ -258,7 +260,7 @@ def _support_radius(lame: LameParams, src: LinearSource, t: float) -> float:
 
 
 def _xspace_grids(lame: LameParams, src: LinearSource, t: float):
-    r_max = _support_radius(lame, src, t)
+    r_max = _support_r_max(lame, src, t)
     width = max(math.sqrt(lame.nu * t), 1e-3)
     s_max = lame.beta_long * t + 12.0 * width + 12.0 * math.pi / r_max
     ds = math.pi / (8.0 * r_max)

@@ -78,17 +78,9 @@ def _gradient(grid: Grid3, fh: np.ndarray):
     the three spectra ``i xi_a fh`` take turns in one buffer.
     """
     buf = np.empty_like(fh)
-    for a in range(3):
-        np.multiply(1j * grid.xi_half(a), fh, out=buf)
+    for xi in grid.xi:
+        np.multiply(1j * xi, fh, out=buf)
         yield from inverse_slabs(grid, buf)
-
-
-def _riesz_symbol(grid: Grid3) -> np.ndarray:
-    """``xi_1 / |xi|`` on the half lattice, with the Nyquist-safe ``xi`` and 0 at ``xi = 0``."""
-    xi = [grid.xi_half(a) for a in range(3)]
-    rs2 = xi[0] ** 2 + xi[1] ** 2 + xi[2] ** 2
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(rs2 > 0, xi[0] / np.sqrt(np.where(rs2 > 0, rs2, 1.0)), 0.0)
 
 
 def _weighted_l2(grid: Grid3, f: np.ndarray) -> float:
@@ -122,7 +114,7 @@ class _Norms:
     spectrum is made, and no reference to ``f`` is kept, so the field can be
     freed while its spectrum is worked on.  A scan of several inequalities
     over one field transforms it once.  The Hessian norm is computed on
-    first use.
+    first use and shared by every inequality that reads it.
     """
 
     def __init__(self, grid: Grid3, f: np.ndarray, ineq_ids):
@@ -141,13 +133,11 @@ class _Norms:
     def hessian_l2(self) -> float:
         """``||D^2 f||_2`` over all nine second derivatives, by Plancherel.
 
-        ``sum_ab |xi_a xi_b|^2 = |xi|^4`` with the Nyquist-safe ``xi`` of
-        :func:`_gradient`, so no second derivative is transformed.
+        ``sum_ab |xi_a xi_b|^2 = |xi|^4`` with the grid's Nyquist-safe ``xi``,
+        so this is ``half_seminorm(grid, fh, 2)`` and no second derivative is
+        transformed.
         """
-        xi2 = sum(self.grid.xi_half(a) ** 2 for a in range(3))
-        a = np.abs(self.fh) ** 2
-        a *= xi2 * xi2
-        return half_density_norm(self.grid, a)
+        return half_seminorm(self.grid, self.fh, 2)
 
 
 def _ratio(ineq_id: str, norms: _Norms) -> float:
@@ -163,7 +153,7 @@ def _ratio(ineq_id: str, norms: _Norms) -> float:
         rhs = guard(phys["l2"] ** 0.25 * phys["weighted_l2"] ** 0.75)
         return phys["l1"] / rhs
     if ineq_id == "GN_INF":
-        rhs = guard(phys["l2"] ** 0.25 * half_seminorm(grid, fh, 2) ** 0.75)
+        rhs = guard(phys["l2"] ** 0.25 * norms.hessian_l2**0.75)
         return phys["sup"] / rhs
     if ineq_id == "GRAD_2P":
         rhs = guard(phys["sup"] ** 0.5 * norms.hessian_l2**0.5)
@@ -171,11 +161,13 @@ def _ratio(ineq_id: str, norms: _Norms) -> float:
     if ineq_id == "SOB_6":
         rhs = guard(half_seminorm(grid, fh, 1))
         return phys["l6"] / rhs
-    # RIESZ: R_1 = F^{-1} (-i xi_1 / |xi|) F maps real data to real data.
+    # RIESZ: R_1 = F^{-1} (-i xi_1 / |xi|) F, whose L^2 norm is the Plancherel
+    # density |fh|^2 xi_1^2 / |xi|^2, 0 where the Nyquist-safe xi is.
     rhs = guard(half_seminorm(grid, fh, 0))
-    riesz = fh * _riesz_symbol(grid)
-    riesz *= -1j
-    return half_seminorm(grid, riesz, 0) / rhs
+    a = np.abs(fh) ** 2
+    a *= grid.xi[0] * grid.xi[0]
+    np.divide(a, grid.xi2, out=a, where=grid.xi2 > 0)
+    return half_density_norm(grid, a) / rhs
 
 
 def inequality_check(ineq_id: str, grid: Grid3, f: np.ndarray) -> float:
@@ -364,11 +356,17 @@ def symbol_bound_scan(
     """Sup of |scanned symbol quantity| / majorant over a jittered log mesh of density^2 points.
 
     The mesh is reproducible from ``seed``; doubling ``density`` must leave
-    the sup stable (checked by the caller, not here).  ``r_range`` must stay
-    inside the oscillatory region of ``dp``.
+    the sup stable (checked by the caller, not here).  ``density`` must be
+    at least 2, each range ``0 < lo <= hi < inf``, and ``r_range`` inside
+    the oscillatory region of ``dp``; OutOfDomainError otherwise.
     """
+    if not density >= 2:
+        raise OutOfDomainError(f"density must be at least 2, got {density}")
+    for name, (lo, hi) in (("t_range", t_range), ("r_range", r_range)):
+        if not 0.0 < lo <= hi < math.inf:  # written so that NaN also fails
+            raise OutOfDomainError(f"{name} must satisfy 0 < lo <= hi < inf, got {(lo, hi)}")
     if r_range[1] >= dp.root_threshold:
-        raise ValueError(
+        raise OutOfDomainError(
             f"scan region must satisfy r < 2 beta / nu = {dp.root_threshold:g}"
         )
     rng = np.random.default_rng(seed)

@@ -92,12 +92,10 @@ def _check_state(grid: Grid3, *states) -> None:
             raise ShapeMismatchError(f"data has shape {np.shape(data)}, expected {shape}")
 
 
-def _wave_vectors(grid: Grid3):
-    """Nyquist-safe half-lattice ``xi`` components, and ``1 / |xi|^2`` (0 where ``xi = 0``)."""
-    xi = [grid.xi_half(a) for a in range(3)]
-    r2 = xi[0] ** 2 + xi[1] ** 2 + xi[2] ** 2
+def _inverse_xi2(grid: Grid3) -> np.ndarray:
+    """``1 / |xi|^2`` on the half lattice from the grid's table, 0 where ``xi = 0``."""
     with np.errstate(divide="ignore"):
-        return xi, np.where(r2 > 0, 1.0 / r2, 0.0)
+        return np.where(grid.xi2 > 0, 1.0 / grid.xi2, 0.0)
 
 
 def split_longitudinal(grid: Grid3, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -110,8 +108,8 @@ def split_longitudinal(grid: Grid3, data: np.ndarray) -> tuple[np.ndarray, np.nd
     z component on the ``k_z = n/2`` plane) transverse.
     """
     _check_state(grid, data)
-    xi, inv_r2 = _wave_vectors(grid)
-    scale = sum(xi[a] * data[a] for a in range(3)) * inv_r2
+    xi = grid.xi
+    scale = sum(xi[a] * data[a] for a in range(3)) * _inverse_xi2(grid)
     par = np.stack([scale * xi[a] for a in range(3)])
     return par, data - par
 
@@ -139,7 +137,7 @@ class Propagator:
                 f"steps must be finite and non-negative, got {sorted(self.steps)}"
             )
         self._tables: dict = {}
-        self._xi, self._inv_r2 = _wave_vectors(grid)
+        self._inv_r2 = _inverse_xi2(grid)
 
     def kernel(self, tau: float, which: str, order: int) -> tuple[np.ndarray, np.ndarray]:
         """The ``(k_trans, d)`` tables of ``which``'s ``order``-th time derivative at ``tau``."""
@@ -174,7 +172,7 @@ class Propagator:
         """
         orders = (0, 1) if velocity else (0,)
         shape, half = (3, *self.grid.half_shape), self.grid.half_shape
-        xi = self._xi
+        xi = self.grid.xi
         outs = [np.empty(shape, dtype=np.complex128) for _ in orders]
         sums = [np.empty(half, dtype=np.complex128) for _ in orders]
         dot, tmp = np.empty(half, dtype=np.complex128), np.empty(half, dtype=np.complex128)
@@ -220,9 +218,9 @@ def energy(grid: Grid3, u: np.ndarray, v: np.ndarray, lame: LameParams) -> float
     """Dissipated energy ``||v||^2 + mu || |xi| u ||^2 + (lam+mu) ||xi.u||^2`` of a state.
 
     ``u`` and ``v`` are half-lattice spectra; each norm is a mirror-weighted
-    :func:`~viscowave.grid.half_seminorm`.
+    :func:`~viscowave.grid.half_seminorm`, and ``xi`` the grid's Nyquist-safe table.
     """
-    div = sum(grid.xi_half(a) * u[a] for a in range(3))
+    div = sum(grid.xi[a] * u[a] for a in range(3))
     return (
         half_seminorm(grid, v, 0) ** 2
         + lame.mu * half_seminorm(grid, u, 1) ** 2

@@ -17,9 +17,15 @@ Conventions fixed here and relied on everywhere else:
   so sums over them count twice (:func:`half_density_norm`).  Every spectral
   array the library computes or takes is in this layout; the library's
   physical data are plain real arrays.  The full-lattice layer,
-  :class:`VectorField`, :func:`transform`, :func:`sobolev_seminorm` and
-  ``Grid3.radius``, has no library caller; it remains as a test reference
-  and as a lookup target of perfbench's layer tracer.
+  :class:`VectorField`, :func:`transform` and :func:`sobolev_seminorm`, has
+  no library caller; it remains as a test reference and as a lookup target
+  of perfbench's layer tracer;
+* one wave-vector table: ``Grid3.xi``, the half-lattice ``xi`` components
+  with the unpaired Nyquist entry ``k = -n/2`` zeroed, and ``Grid3.xi2``,
+  their ``|xi|^2``.  Every seminorm, derivative, Riesz factor and projector
+  reads it (integer powers by multiplication), so real fields stay real and
+  a seminorm is the physical norm of its derivative fields.  The kernel
+  tables key on the exact lattice ``|k|^2`` instead (``unique_radii``).
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import math
 import numbers
 import os
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import reduce
 
 import numpy as np
 from scipy import fft as sfft
@@ -70,38 +76,27 @@ _WORKERS = (
 class Grid3:
     """Periodic cubic lattice and its frequency lattice.
 
-    ``xi1`` is the 1-D frequency array in FFT order.  The half-lattice
-    ``|xi|`` table that the Plancherel norms weight by, :attr:`half_radius`,
-    is built on first use and cached; so is the full-lattice ``radius``,
-    which no library path reads and only the tests' full-lattice references
-    build.
+    ``xi1`` is the 1-D frequency array in FFT order.  ``xi`` and ``xi2`` are
+    the wave-vector table of the module docstring, built at construction:
+    ``xi[a]`` broadcasts like :meth:`xi_component_safe` on the half lattice,
+    and ``xi2`` has the half-lattice shape ``(n, n, n/2 + 1)``.
     """
 
     n: int
     box_length: float
     spacing: float = field(init=False, compare=False)
     xi1: np.ndarray = field(init=False, repr=False, compare=False)
+    xi: tuple = field(init=False, repr=False, compare=False)
+    xi2: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.check(self.n, self.box_length)
         spacing = self.box_length / self.n
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "xi1", 2.0 * np.pi * np.fft.fftfreq(self.n, d=spacing))
-
-    def _radius(self, kz: np.ndarray) -> np.ndarray:
-        """``|xi|`` over the lattice whose ``k_z`` frequencies are ``kz``."""
-        xi1 = self.xi1
-        return np.sqrt(xi1[:, None, None] ** 2 + xi1[None, :, None] ** 2 + kz[None, None, :] ** 2)
-
-    @cached_property
-    def half_radius(self) -> np.ndarray:
-        """``|xi|`` on the half lattice ``(n, n, n/2 + 1)``, elementwise the planes of ``radius``."""
-        return self._radius(self.half_lattice(self.xi1))
-
-    @cached_property
-    def radius(self) -> np.ndarray:
-        """``|xi|`` on the full lattice, read only by the test reference ``sobolev_seminorm``."""
-        return self._radius(self.xi1)
+        xi = tuple(self.half_lattice(self.xi_component_safe(a)) for a in range(3))
+        object.__setattr__(self, "xi", xi)
+        object.__setattr__(self, "xi2", xi[0] * xi[0] + xi[1] * xi[1] + xi[2] * xi[2])
 
     @staticmethod
     def check(n: int, box_length: float) -> None:
@@ -137,10 +132,6 @@ class Grid3:
     def half_lattice(self, a: np.ndarray) -> np.ndarray:
         """The ``k_z = 0 .. n/2`` planes of a full-lattice array (a view)."""
         return a[..., : self.n // 2 + 1]
-
-    def xi_half(self, axis: int) -> np.ndarray:
-        """``xi_component_safe`` on the half lattice of :func:`forward_scalar`."""
-        return self.half_lattice(self.xi_component_safe(axis))
 
     def x_component(self, axis: int) -> np.ndarray:
         """Physical coordinate along one axis, broadcastable like xi_component_safe."""
@@ -368,11 +359,12 @@ def lp_norm(grid: Grid3, f, p: float) -> float:
 
 
 def sobolev_seminorm(fld: VectorField, order: int) -> float:
-    """Homogeneous seminorm ``|| |xi|^order fhat ||`` via spectral Plancherel."""
+    """Homogeneous seminorm ``|| |xi|^order fhat ||`` by Plancherel, Nyquist-safe ``xi``."""
     if fld.space != "spectral":
         raise ValueError("sobolev_seminorm expects a spectral field")
     dxi3 = (2.0 * np.pi / fld.grid.box_length) ** 3
-    w = fld.grid.radius ** (2 * order) if order else 1.0
+    xi = [fld.grid.xi_component_safe(a) for a in range(3)]
+    w = reduce(np.multiply, [xi[0] * xi[0] + xi[1] * xi[1] + xi[2] * xi[2]] * order, 1.0)
     return float(np.sqrt(np.sum(w * np.abs(fld.data) ** 2) * dxi3))
 
 
@@ -399,5 +391,5 @@ def half_seminorm(grid: Grid3, fh: np.ndarray, order: int) -> float:
         raise UnsupportedOrderError(f"order must be a non-negative integer, got {order!r}")
     a = np.abs(fh) ** 2
     if order:
-        a *= grid.half_radius ** (2 * order)
+        a *= reduce(np.multiply, [grid.xi2] * order)  # |xi|^(2 order), no C pow
     return half_density_norm(grid, a)

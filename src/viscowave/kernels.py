@@ -197,9 +197,13 @@ def mode_oracle(
     Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 2009) never forms the
     characteristic roots the kernel formulas branch on, so it needs no
     confluent branch.  Returns ``(w(t), w'(t))`` for ``w(0) = w0``,
-    ``w'(0) = w1``.
+    ``w'(0) = w1``.  ``t`` must be finite and non-negative; OutOfDomainError
+    otherwise.
     """
     from scipy.linalg import expm
+
+    if not 0.0 <= t < np.inf:  # written so that NaN also fails
+        raise OutOfDomainError(f"t must be finite and non-negative, got {t}")
 
     a = np.array([[0.0, 1.0], [-((params.beta * r) ** 2), -params.nu * r * r]])
     w, wdot = expm(t * a) @ np.array([w0, w1], dtype=float)

@@ -156,7 +156,7 @@ def _nonlinearity_hat(grid: Grid3, u_hat: np.ndarray, mask: np.ndarray) -> np.nd
     are held at most.  The two-thirds dealias mask is applied to the sum.
     """
     scale = _forward_scale(grid)
-    xi = [grid.xi_half(a) for a in range(3)]
+    xi = grid.xi
     pairs = [(j, k) for j in range(3) for k in range(j, 3)]
     div_hat = sum(1j * xi[j] * u_hat[j] for j in range(3))
     c = np.empty((3, *grid.shape))
@@ -315,10 +315,12 @@ def evolve(
 def _x1_integrand(grid: Grid3, t: float, u_hat: np.ndarray, v_hat: np.ndarray) -> float:
     """The X1 integrand at time t: four :func:`~viscowave.grid.half_seminorm` values in one pass.
 
-    ``|u|^2``, ``|v|^2`` and the ``|xi|^2``, ``|xi|^6`` tables are formed once
-    each, by the same elementwise operations as ``half_seminorm``'s.
+    ``|u|^2``, ``|v|^2`` and ``|xi|^6`` are formed once each, by the same
+    elementwise operations as ``half_seminorm``'s, and ``|xi|^2`` is the
+    grid's table.
     """
-    r2, r6 = grid.half_radius**2, grid.half_radius**6
+    r2 = grid.xi2
+    r6 = r2 * r2 * r2
     au, av = np.abs(u_hat) ** 2, np.abs(v_hat) ** 2
     w = 1.0 + t
     return (

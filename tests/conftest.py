@@ -36,6 +36,16 @@ def traced_peak(fn: Callable) -> int:
         tracemalloc.stop()
 
 
+def lattice_radius(grid: Grid3) -> np.ndarray:
+    """The exact lattice ``|xi|`` on the full lattice, Nyquist entries included.
+
+    Not the library's Nyquist-safe table, whose radius is 0 at ``k = (-n/2, 0, 0)``:
+    the exact one is what band-limits a field and keys the radial kernels.
+    """
+    xi1 = grid.xi1
+    return np.sqrt(xi1[:, None, None] ** 2 + xi1[None, :, None] ** 2 + xi1[None, None, :] ** 2)
+
+
 def centered_gaussian(grid, sigma=0.8, mass=1.0, components=(1.0, 1.0, 1.0)):
     """Unit-mass-normalized Gaussian bump at the box center in each component."""
     L = grid.box_length
@@ -59,7 +69,7 @@ def band_limited_random(grid, seed=0, keep_fraction=0.4, components=3):
     for c in range(components):
         data[c] = rng.standard_normal(grid.shape)
     fld = transform(VectorField(grid, data, "physical"))
-    mask = grid.radius <= keep_fraction * np.max(np.abs(grid.xi1))
+    mask = lattice_radius(grid) <= keep_fraction * np.max(np.abs(grid.xi1))
     return transform(VectorField(grid, fld.data * mask, "spectral"))
 
 

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from conftest import band_limited_random, centered_gaussian, forced_kernel_quadrature, zero_field
+from conftest import (
+    band_limited_random,
+    centered_gaussian,
+    forced_kernel_quadrature,
+    lattice_radius,
+    zero_field,
+)
 from viscowave.elastic import (
     LameParams,
     Propagator,
@@ -171,7 +177,7 @@ class TestPropagator:
         # scalar kernels at the exact radii and P from split_longitudinal.
         terms = self.terms(grid16)
         u, v = Propagator(grid16, LAME, (0.5, 1.25)).apply(terms)
-        r = grid16.half_lattice(grid16.radius)
+        r = grid16.half_lattice(lattice_radius(grid16))
         for order, got in ((0, u), (1, v)):
             want = np.zeros_like(got)
             for w, tau, which, x in terms:
@@ -221,6 +227,7 @@ class TestPropagator:
 class TestEnergy:
     def test_half_lattice_energy_is_the_full_lattice_formula(self, grid16):
         # White noise: content on every k_z plane, the self-mirror ones included.
+        # Every |xi| is the Nyquist-safe one.
         rng = np.random.default_rng(16)
         u, v = (rng.standard_normal((3, *grid16.shape)) for _ in range(2))
         lame = LameParams(0.5, 1.0, 1.0)
@@ -231,7 +238,7 @@ class TestEnergy:
         dxi3 = (2.0 * np.pi / grid16.box_length) ** 3
         want = dxi3 * (
             np.sum(np.abs(vh) ** 2)
-            + lame.mu * np.sum(grid16.radius**2 * np.abs(uh) ** 2)
+            + lame.mu * np.sum(sum(x**2 for x in xi) * np.abs(uh) ** 2)
             + (lame.lam + lame.mu) * np.sum(np.abs(div) ** 2)
         )
         got = energy(grid16, forward_scalar(grid16, u), forward_scalar(grid16, v), lame)

@@ -9,7 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import band_limited_random, centered_gaussian, hermitian_defect, zero_field
+from conftest import (
+    band_limited_random,
+    centered_gaussian,
+    hermitian_defect,
+    lattice_radius,
+    zero_field,
+)
 from viscowave import grid
 from viscowave.exceptions import InvalidExponentError, InvalidGridError, ShapeMismatchError
 from viscowave.grid import (
@@ -40,15 +46,22 @@ class TestMakeGrid:
 
     def test_zero_vector_once(self):
         g = make_grid(8, 2.0 * np.pi)
-        assert int(np.count_nonzero(g.radius == 0.0)) == 1
-        assert g.radius.size == 8**3
+        radius = lattice_radius(g)
+        assert int(np.count_nonzero(radius == 0.0)) == 1
+        assert radius.size == 8**3
 
-    def test_half_radius_is_the_radius_planes(self):
+    def test_xi2_is_the_safe_components_squared(self):
+        # |xi|^2 sums the table's squared components, so each entry falls
+        # short of the exact lattice |xi|^2 by xi(-n/2)^2 per Nyquist index.
         g = make_grid(16, 7.0)
-        assert "radius" not in vars(g)  # the full lattice is built only when read
-        half = g.half_radius
-        assert half.shape == g.half_shape and "radius" not in vars(g)
-        assert np.array_equal(half, g.half_lattice(g.radius))
+        assert g.xi2.shape == g.half_shape
+        assert np.array_equal(g.xi2, g.xi[0] ** 2 + g.xi[1] ** 2 + g.xi[2] ** 2)
+        nyq = np.arange(g.n) == g.n // 2
+        count = nyq[:, None, None] * 1 + nyq[None, :, None] + g.half_lattice(nyq)[None, None, :]
+        k2 = g.xi1**2
+        exact = k2[:, None, None] + k2[None, :, None] + g.half_lattice(k2)[None, None, :]
+        assert np.array_equal(g.xi2[count == 0], exact[count == 0])
+        assert np.allclose(g.xi2 + count * k2[g.n // 2], exact, rtol=1e-15, atol=0.0)
 
     def test_spacing_identity(self):
         g = make_grid(12, 7.5)
@@ -61,7 +74,7 @@ class TestMakeGrid:
         vals, inv = g.unique_radii()
         assert np.array_equal(vals, 2.0 * np.pi / g.box_length * np.sqrt(k2))
         assert inv.shape == g.half_shape
-        assert np.allclose(vals[inv], g.half_lattice(g.radius), rtol=1e-15, atol=0.0)
+        assert np.allclose(vals[inv], g.half_lattice(lattice_radius(g)), rtol=1e-15, atol=0.0)
         # Rounding |xi| to 12 decimals split equal radii here (8,050 keys).
         assert make_grid(128, 24.0).unique_radii()[0].size == 8041
 
@@ -178,9 +191,12 @@ class TestScalarTransform:
         assert done.stdout.strip() == "1"
 
     def test_half_wave_vectors_keep_nyquist_zeroing(self, grid16):
-        xz = grid16.xi_half(2)
+        xx, _, xz = grid16.xi
         assert xz.shape == (1, 1, 9) and xz[0, 0, -1] == 0.0
-        assert np.array_equal(grid16.xi_half(0), grid16.xi_component_safe(0))
+        assert xx.shape == (16, 1, 1) and xx[8, 0, 0] == 0.0
+        assert np.array_equal(xx, grid16.xi_component_safe(0))
+        # Only the zero mode and the Nyquist entry are 0.
+        assert [np.count_nonzero(x) for x in grid16.xi] == [14, 14, 7]
 
 
 class TestCutoffs:

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from viscowave.asymptotics import LinearSource, NormSpec, linear_norm, profile_error_norms
-from viscowave.audit import heat_multiplier_l1
+from viscowave.audit import heat_multiplier_l1, symbol_bound_scan
 from viscowave.elastic import LameParams
 from viscowave.exceptions import InvalidExponentError, OutOfDomainError, UnsupportedOrderError
 from viscowave.grid import CutoffSpec, half_seminorm, lp_norm, make_grid
+from viscowave.kernels import DampingParams, mode_oracle
 
 GRID = make_grid(8, 8.0)
 CUTOFF = CutoffSpec(0.5, 2.0)
@@ -34,6 +35,14 @@ def profile(p=math.inf, t=10.0):
     return profile_error_norms(SOURCE, [("G", NormSpec(0, 0, p))], t, LAME)
 
 
+def oracle(t):
+    return mode_oracle(t, 1.0, LAME.long_params, 1.0, 0.0)
+
+
+def scan(t_range=(1.0, 10.0), r_range=(1e-3, 0.5), density=8):
+    return symbol_bound_scan("B331", t_range, r_range, DampingParams(1.0, 1.0), density)
+
+
 GUARDS = [
     ("lp_norm p=nan", lambda: lp_norm(GRID, FIELD, math.nan), InvalidExponentError),
     ("half_seminorm order=-1", lambda: half_seminorm(GRID, SPECTRUM, -1), UnsupportedOrderError),
@@ -51,6 +60,14 @@ GUARDS = [
     ("profile_error_norms t=-1", lambda: profile(t=-1.0), OutOfDomainError),
     ("profile_error_norms t=inf", lambda: profile(t=math.inf), OutOfDomainError),
     ("profile_error_norms t=nan", lambda: profile(t=math.nan), OutOfDomainError),
+    ("LinearSource.gaussian sigma=nan", lambda: LinearSource.gaussian(math.nan), OutOfDomainError),
+    ("LinearSource.gaussian sigma=-1", lambda: LinearSource.gaussian(-1.0), OutOfDomainError),
+    ("LinearSource.gaussian sigma=0", lambda: LinearSource.gaussian(0.0), OutOfDomainError),
+    ("symbol_bound_scan density=1", lambda: scan(density=1), OutOfDomainError),
+    ("symbol_bound_scan t_range from 0", lambda: scan(t_range=(0.0, 10.0)), OutOfDomainError),
+    ("symbol_bound_scan r_range from 0", lambda: scan(r_range=(0.0, 0.5)), OutOfDomainError),
+    ("symbol_bound_scan r_range to 2", lambda: scan(r_range=(1e-3, 2.0)), OutOfDomainError),
+    ("mode_oracle t=nan", lambda: oracle(math.nan), OutOfDomainError),
 ]
 
 

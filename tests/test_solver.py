@@ -105,7 +105,7 @@ class TestSolverConfig:
 
 def all_at_once_forcing(grid, u_hat, mask):
     """``F_k = sum_ij (d_i u_j)(d_i d_j u_k)``: 27 products, all derivative fields held at once."""
-    xi = [grid.xi_half(a) for a in range(3)]
+    xi = grid.xi
     d1 = {(i, j): inverse_scalar(grid, 1j * xi[i] * u_hat[j]) for i in range(3) for j in range(3)}
     d2 = {
         (i, j, k): inverse_scalar(grid, -(xi[i] * xi[j]) * u_hat[k])
