@@ -234,13 +234,6 @@ def _profile_mults(lame: LameParams, src: LinearSource, which: str):
     return mult("long"), mult("trans")
 
 
-def _l2_norm_from_mults(ml, mt, t: float, alpha: int) -> float:
-    """L^2 norm at time t of the field with (long, trans) radial coefficients ``ml``, ``mt``."""
-    nl = radial_l2_norm(lambda r: ml(t, r), alpha, (1.0, 0.0))
-    nt = radial_l2_norm(lambda r: mt(t, r), alpha, (0.0, 1.0))
-    return math.hypot(nl, nt)
-
-
 def _support_r_max(lame: LameParams, src: LinearSource, t: float) -> float:
     """Radius beyond which the damped coefficients are negligible.
 
@@ -362,7 +355,9 @@ def _norms(fields, t: float, lame: LameParams, src: LinearSource) -> list[float]
     shared = [field for field in fields if field[0].p != 2.0]
     values = iter(_xspace_norms(shared, t, lame, src) if shared else ())
     return [
-        _l2_norm_from_mults(ml, mt, t, spec.alpha) if spec.p == 2.0 else next(values)
+        radial_l2_norm(functools.partial(ml, t), functools.partial(mt, t), spec.alpha)
+        if spec.p == 2.0
+        else next(values)
         for spec, (ml, mt) in fields
     ]
 

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from typing import Sequence
 
 import numpy as np
 
-from .asymptotics import _l2_norm_from_mults, line_fit, slope_ci95
+from .asymptotics import line_fit, slope_ci95
 from .elastic import LameParams
 from .exceptions import (
     DegenerateInputError,
@@ -51,6 +51,7 @@ from .radial import (
     axisym_lp_norm,
     gauss_theta_rule,
     radial_grid,
+    radial_l2_norm,
 )
 
 # Not called here; kept bound because perfbench's layer tracer self-test expects it here.
@@ -89,85 +90,69 @@ def _weighted_l2(grid: Grid3, f: np.ndarray) -> float:
     return lp_norm(grid, f * (x[0] ** 2 + x[1] ** 2 + x[2] ** 2), 2)
 
 
-# The physical-space norms of f that each inequality reads, and whether it
-# reads f's spectrum.
-_PHYSICAL_NORMS = {
+def _riesz_l2(grid: Grid3, fh: np.ndarray) -> float:
+    """``||R_1 f||_2`` of ``R_1 = F^{-1} (-i xi_1 / |xi|) F`` by Plancherel, 0 where ``xi`` is."""
+    a = np.abs(fh) ** 2
+    a *= grid.xi[0] * grid.xi[0]
+    np.divide(a, grid.xi2, out=a, where=grid.xi2 > 0)
+    return half_density_norm(grid, a)
+
+
+# The named norms of a real scalar f, taken from f itself or from its spectrum
+# fh; h<k> is the Plancherel seminorm || |xi|^k fh ||_2, so h2 is ||D^2 f||_2.
+_PHYSICAL = {
     "l1": lambda grid, f: lp_norm(grid, f, 1),
     "l2": lambda grid, f: lp_norm(grid, f, 2),
     "l6": lambda grid, f: lp_norm(grid, f, 6),
     "sup": lambda grid, f: lp_norm(grid, f, math.inf),
     "weighted_l2": _weighted_l2,
 }
-_READS = {
-    "GN_L1": (("l1", "l2", "weighted_l2"), False),
-    "GN_INF": (("l2", "sup"), True),
-    "GRAD_2P": (("sup",), True),
-    "SOB_6": (("l6",), True),
-    "RIESZ": ((), True),
+_SPECTRAL = {
+    "h0": lambda grid, fh: half_seminorm(grid, fh, 0),
+    "h1": lambda grid, fh: half_seminorm(grid, fh, 1),
+    "h2": lambda grid, fh: half_seminorm(grid, fh, 2),
+    "grad_l4": lambda grid, fh: lp_norm(grid, _gradient(grid, fh), 4.0),
+    "riesz_l2": _riesz_l2,
+}
+# Each inequality as ``(lhs, ((rhs, power), ...))``: its constant-free ratio
+# is ``||f||_lhs / prod ||f||_rhs ** power``.
+_RATIOS = {
+    "GN_L1": ("l1", (("l2", 0.25), ("weighted_l2", 0.75))),
+    "GN_INF": ("sup", (("l2", 0.25), ("h2", 0.75))),
+    "GRAD_2P": ("grad_l4", (("sup", 0.5), ("h2", 0.5))),
+    "SOB_6": ("l6", (("h1", 1.0),)),
+    "RIESZ": ("riesz_l2", (("h0", 1.0),)),
 }
 
 
-class _Norms:
-    """The norms of one real scalar ``f`` on ``grid`` that the inequalities ``ineq_ids`` read.
+def _norms_of(grid: Grid3, f: np.ndarray, ineq_ids) -> tuple[dict, np.ndarray | None]:
+    """The physical norms of ``f`` that ``ineq_ids`` read, then its spectrum if they read one.
 
-    The physical-space norms are all taken at construction, before the
-    spectrum is made, and no reference to ``f`` is kept, so the field can be
-    freed while its spectrum is worked on.  A scan of several inequalities
-    over one field transforms it once.  The Hessian norm is computed on
-    first use and shared by every inequality that reads it.
+    No reference to ``f`` is kept, so a caller that drops its own frees the
+    field before :func:`_ratios` takes the spectral norms.
     """
-
-    def __init__(self, grid: Grid3, f: np.ndarray, ineq_ids):
-        if f.shape != grid.shape:
-            raise ShapeMismatchError(f"scalar shape {f.shape} does not match grid {grid.shape}")
-        for ineq_id in ineq_ids:
-            if ineq_id not in _READS:
-                raise UnsupportedSymbolError(f"unknown inequality {ineq_id!r}")
-        names = sorted({name for ineq_id in ineq_ids for name in _READS[ineq_id][0]})
-        self.grid = grid
-        self.physical = {name: _PHYSICAL_NORMS[name](grid, f) for name in names}
-        spectral = any(_READS[ineq_id][1] for ineq_id in ineq_ids)
-        self.fh = forward_scalar(grid, f) if spectral else None
-
-    @cached_property
-    def hessian_l2(self) -> float:
-        """``||D^2 f||_2`` over all nine second derivatives, by Plancherel.
-
-        ``sum_ab |xi_a xi_b|^2 = |xi|^4`` with the grid's Nyquist-safe ``xi``,
-        so this is ``half_seminorm(grid, fh, 2)`` and no second derivative is
-        transformed.
-        """
-        return half_seminorm(self.grid, self.fh, 2)
+    if f.shape != grid.shape:
+        raise ShapeMismatchError(f"scalar shape {f.shape} does not match grid {grid.shape}")
+    if unknown := sorted(set(ineq_ids) - _RATIOS.keys()):
+        raise UnsupportedSymbolError(f"unknown inequality {unknown[0]!r}")
+    names = {name for i in ineq_ids for name in (_RATIOS[i][0], *dict(_RATIOS[i][1]))}
+    norms = {name: _PHYSICAL[name](grid, f) for name in sorted(names & _PHYSICAL.keys())}
+    return norms, (forward_scalar(grid, f) if len(norms) < len(names) else None)
 
 
-def _ratio(ineq_id: str, norms: _Norms) -> float:
-    """Constant-free ratio (left side / right side) of one inequality on the field of ``norms``."""
-    grid, phys, fh = norms.grid, norms.physical, norms.fh
-
-    def guard(rhs: float) -> float:
-        if rhs == 0.0:
+def _ratios(ineq_ids, grid: Grid3, norms: dict, fh) -> list[float]:
+    """Each inequality's ratio from ``norms``, to which the spectral norms of ``fh`` are added once."""
+    ratios = []
+    for ineq_id in ineq_ids:
+        lhs, rhs = _RATIOS[ineq_id]
+        for name in (lhs, *dict(rhs)):
+            if name not in norms:
+                norms[name] = _SPECTRAL[name](grid, fh)
+        denominator = math.prod(norms[name] ** power for name, power in rhs)
+        if denominator == 0.0:
             raise DegenerateInputError(f"{ineq_id}: right side vanishes")
-        return rhs
-
-    if ineq_id == "GN_L1":
-        rhs = guard(phys["l2"] ** 0.25 * phys["weighted_l2"] ** 0.75)
-        return phys["l1"] / rhs
-    if ineq_id == "GN_INF":
-        rhs = guard(phys["l2"] ** 0.25 * norms.hessian_l2**0.75)
-        return phys["sup"] / rhs
-    if ineq_id == "GRAD_2P":
-        rhs = guard(phys["sup"] ** 0.5 * norms.hessian_l2**0.5)
-        return lp_norm(grid, _gradient(grid, fh), 4.0) / rhs
-    if ineq_id == "SOB_6":
-        rhs = guard(half_seminorm(grid, fh, 1))
-        return phys["l6"] / rhs
-    # RIESZ: R_1 = F^{-1} (-i xi_1 / |xi|) F, whose L^2 norm is the Plancherel
-    # density |fh|^2 xi_1^2 / |xi|^2, 0 where the Nyquist-safe xi is.
-    rhs = guard(half_seminorm(grid, fh, 0))
-    a = np.abs(fh) ** 2
-    a *= grid.xi[0] * grid.xi[0]
-    np.divide(a, grid.xi2, out=a, where=grid.xi2 > 0)
-    return half_density_norm(grid, a) / rhs
+        ratios.append(norms[lhs] / denominator)
+    return ratios
 
 
 def inequality_check(ineq_id: str, grid: Grid3, f: np.ndarray) -> float:
@@ -177,9 +162,9 @@ def inequality_check(ineq_id: str, grid: Grid3, f: np.ndarray) -> float:
     inequality reads are computed.  Gradient norms stream their fields one
     at a time.  Raises DegenerateInputError when the right side vanishes.
     """
-    norms = _Norms(grid, f, (ineq_id,))
+    norms, fh = _norms_of(grid, f, (ineq_id,))
     del f  # a caller's temporary field goes before the spectral work
-    return _ratio(ineq_id, norms)
+    return _ratios((ineq_id,), grid, norms, fh)[0]
 
 
 def dilation_ratios(ineq_ids, generator, grid, lams=(0.5, 1.0, 2.0)) -> dict[str, list[float]]:
@@ -194,11 +179,11 @@ def dilation_ratios(ineq_ids, generator, grid, lams=(0.5, 1.0, 2.0)) -> dict[str
     xc = [grid.x_component(a) - grid.box_length / 2.0 for a in range(3)]
 
     def ratios_at(lam: float) -> list[float]:
-        # The dilate lives only while _Norms takes its norms and its spectrum.
+        # The dilate lives only while its physical norms and its spectrum are taken.
         dilate = np.broadcast_to(generator(lam * xc[0], lam * xc[1], lam * xc[2]), grid.shape)
-        norms = _Norms(grid, dilate, ineq_ids)
+        norms, fh = _norms_of(grid, dilate, ineq_ids)
         del dilate
-        return [_ratio(ineq_id, norms) for ineq_id in ineq_ids]
+        return _ratios(ineq_ids, grid, norms, fh)
 
     per_lam = [ratios_at(lam) for lam in lams]
     return {ineq_id: [r[i] for r in per_lam] for i, ineq_id in enumerate(ineq_ids)}
@@ -238,11 +223,11 @@ def decay_fit(
         raise ValueError("part must be 'M' or 'H'")
     times = np.linspace(window[0], window[1], 25)
 
-    def banded(dp: DampingParams):
-        return lambda t, r: kernel_hat(t, r, dp, which) * cutoff.chi(part, r) * ghat(r)
+    def banded(dp: DampingParams, t: float):
+        return lambda r: kernel_hat(t, r, dp, which) * cutoff.chi(part, r) * ghat(r)
 
-    ml, mt = banded(lame.long_params), banded(lame.trans_params)
-    vals = np.array([_l2_norm_from_mults(ml, mt, float(t), 0) for t in times])
+    long, trans = lame.long_params, lame.trans_params
+    vals = np.array([radial_l2_norm(banded(long, t), banded(trans, t), 0) for t in times])
     if np.any(vals <= 0.0):
         raise FitError("banded kernel norm vanished inside the window")
     logs = np.log(vals)

@@ -30,7 +30,6 @@ from .asymptotics import (
     LinearSource,
     NormSpec,
     SUPPORTED_NORMS,
-    _l2_norm_from_mults,
     decay_slope,
     expected_solution_slope,
     linear_norm,
@@ -55,6 +54,7 @@ from .kernels import (
     lowfreq_residual,
     mode_oracle,
 )
+from .radial import radial_l2_norm
 from .solver import (
     SolverConfig,
     evolve_stream,
@@ -488,8 +488,8 @@ def _suite_audit(cfg: dict):
                     1.0 / math.sqrt(lame.nu**2 * c1**4 - 4.0 * beta**2 * c1**2)
                     for beta in (lame.beta_long, lame.beta_trans)
                 )
-                banded = lambda t, r: cutoff.chi("H", r) * ghat_high(r)
-                g_norm = _l2_norm_from_mults(banded, banded, 0.0, 0)
+                banded = lambda r: cutoff.chi("H", r) * ghat_high(r)
+                g_norm = radial_l2_norm(banded, banded, 0)
                 envelope = C_sym * np.exp(-c_sym * fit.times) * g_norm
                 margin = float(np.max(fit.values / envelope))
                 sidecars["decayfit_H_K1"].update(c_sym=c_sym, C_sym=C_sym)

@@ -145,7 +145,7 @@ class Propagator:
         hit = self._tables.get(key)
         if hit is None:
             if key[0] not in self.steps:
-                raise ValueError(f"step {tau!r} is not one of this propagator's steps")
+                raise OutOfDomainError(f"step {tau!r} is not one of this propagator's steps")
             vals, inv = self.grid.unique_radii()
             k_long, k_trans = (
                 kernel_hat(key[0], vals, params, which, order)[inv]
@@ -210,7 +210,13 @@ class Propagator:
 def linear_propagate(
     grid: Grid3, f0_hat: np.ndarray, f1_hat: np.ndarray, t: float, lame: LameParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Homogeneous evolution ``(u, v)`` at time ``t`` of half-lattice data ``(f0h, f1h)``."""
+    """Homogeneous evolution ``(u, v)`` at time ``t`` of half-lattice data ``(f0h, f1h)``.
+
+    Data that are not finite, and a ``t`` that is negative or not finite,
+    raise OutOfDomainError.
+    """
+    if not (np.isfinite(f0_hat).all() and np.isfinite(f1_hat).all()):
+        raise OutOfDomainError("data must be finite")
     return Propagator(grid, lame, (t,)).propagate(t, f0_hat, f1_hat)
 
 

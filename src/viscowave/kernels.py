@@ -59,6 +59,23 @@ class DampingParams:
         return 2.0 * self.beta / self.nu
 
 
+def _finite_nonnegative(**values) -> list[np.ndarray]:
+    """``values`` as float arrays; OutOfDomainError unless every entry is finite and non-negative.
+
+    One min and one max per array, not a test per element; NaN fails too, as
+    it propagates through both.
+    """
+    arrays = []
+    for name, value in values.items():
+        a = np.asarray(value, dtype=float)
+        if a.size and not (0.0 <= a.min() and a.max() < np.inf):
+            raise OutOfDomainError(
+                f"{name} must be finite and non-negative, got values in [{a.min()}, {a.max()}]"
+            )
+        arrays.append(a)
+    return arrays
+
+
 def _split(params: DampingParams, r):
     """Return (m, d2, degenerate_mask) with m the root midpoint and d2 = m^2 - beta^2 r^2."""
     r = np.asarray(r, dtype=float)
@@ -125,12 +142,14 @@ def kernel_hat(t, r, params: DampingParams, which: str = "K0", dt_order: int = 0
     Broadcasts over ``t`` and ``r``.  ``K0`` solves the mode ODE with data
     (1, 0), ``K1`` with data (0, 1); derivatives use the exact relations
     ``K0' = -beta^2 r^2 K1`` and the envelope algebra, so every branch is
-    cancellation-free.
+    cancellation-free.  Every ``t`` and ``r`` must be finite and
+    non-negative; OutOfDomainError otherwise.
     """
     if dt_order not in (0, 1, 2):
         raise UnsupportedOrderError(f"time derivative order {dt_order} not supported (0..2)")
+    t, r = _finite_nonnegative(t=t, r=r)
     ec, es, m = _envelopes(params, t, r)
-    r = np.broadcast_to(np.asarray(r, dtype=float), ec.shape)
+    r = np.broadcast_to(r, ec.shape)
     b2r2 = (params.beta * r) ** 2
     if which == "K1":
         if dt_order == 0:
@@ -163,10 +182,10 @@ def diffusion_hat(t, r, params: DampingParams, which: str):
     ``G0 = e^{-nu r^2 t/2} cos(beta r t)`` and
     ``G1 = e^{-nu r^2 t/2} sin(beta r t)/(beta r)`` (limit ``t`` at ``r = 0``).
     ``K00 = e^{-nu r^2 t/2} cos(beta r t phi)`` continues as the hyperbolic
-    envelope past the overdamped threshold.
+    envelope past the overdamped threshold.  Every ``t`` and ``r`` must be
+    finite and non-negative; OutOfDomainError otherwise.
     """
-    t = np.asarray(t, dtype=float)
-    r = np.asarray(r, dtype=float)
+    t, r = _finite_nonnegative(t=t, r=r)
     env = np.exp(-0.5 * params.nu * r * r * t)
     if which == "G0":
         out = env * np.cos(params.beta * r * t)
@@ -197,14 +216,12 @@ def mode_oracle(
     Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 2009) never forms the
     characteristic roots the kernel formulas branch on, so it needs no
     confluent branch.  Returns ``(w(t), w'(t))`` for ``w(0) = w0``,
-    ``w'(0) = w1``.  ``t`` must be finite and non-negative; OutOfDomainError
-    otherwise.
+    ``w'(0) = w1``.  ``t`` and ``r`` must be finite and non-negative;
+    OutOfDomainError otherwise.
     """
     from scipy.linalg import expm
 
-    if not 0.0 <= t < np.inf:  # written so that NaN also fails
-        raise OutOfDomainError(f"t must be finite and non-negative, got {t}")
-
+    _finite_nonnegative(t=t, r=r)
     a = np.array([[0.0, 1.0], [-((params.beta * r) ** 2), -params.nu * r * r]])
     w, wdot = expm(t * a) @ np.array([w0, w1], dtype=float)
     return float(w), float(wdot)

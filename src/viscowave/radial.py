@@ -80,24 +80,31 @@ def _gauss_legendre(integrand: Callable, upper: float, panels: int) -> float:
     return half * float(np.sum(integrand(r.reshape(-1)).reshape(r.shape) @ _GL_WEIGHTS))
 
 
-def radial_l2_norm(coef: Callable, alpha: int, angular_weights: tuple[float, float]) -> float:
-    """L^2 norm of a field with radial coefficient ``coef(r)``.
+def radial_l2_norm(long: Callable, trans: Callable, alpha: int) -> float:
+    """L^2 norm of the field with radial coefficients ``long(r)`` and ``trans(r)`` on its two families.
 
-    Computes ``sqrt( int_0^inf r^{2 alpha} |coef|^2 (w_long * 4pi/3 +
-    w_trans * 8pi/3) r^2 dr )`` by composite 16-point Gauss-Legendre
-    quadrature on the probed support, doubling the panels until two levels
-    agree to ``1e-9`` relative; raises QuadratureAccuracyError with the
-    achieved tolerance if the last level still misses ``1e-8``, and with
-    ``achieved = inf`` if the integrand or the result is not finite, or the
-    integrand is still above its support cut at the probe's end r = 100.  An
-    integrand that is zero on the whole probe reads 0.0 only if ``coef`` is
-    exactly zero at 8,192 points out to r = 1e4 as well; a support wholly
-    beyond r = 100, or a coefficient whose square underflows, raises with
-    ``achieved = inf``.
+    The field is ``|xi|^alpha (long P + trans (I - P)) e`` for the projector
+    ``P`` along ``xi`` and a unit vector ``e``.  Each family's part is
+    ``sqrt( int_0^inf r^{2 alpha} |coef|^2 c r^2 dr )`` with ``c`` its sphere
+    integral, ``SPHERE_LONG`` or ``SPHERE_TRANS``, and the two parts add as
+    ``math.hypot``.  Each family is integrated on its own probed support by
+    composite 16-point Gauss-Legendre quadrature, doubling the panels until
+    two levels agree to ``1e-9`` relative; raises QuadratureAccuracyError
+    with the achieved tolerance if the last level still misses ``1e-8``, and
+    with ``achieved = inf`` if the integrand or the result is not finite, or
+    the integrand is still above its support cut at the probe's end r = 100.
+    A family whose integrand is zero on the whole probe reads 0.0 only if its
+    coefficient is exactly zero at 8,192 points out to r = 1e4 as well; a
+    support wholly beyond r = 100, or a coefficient whose square underflows,
+    raises with ``achieved = inf``.
 
-    ``coef`` must accept a numpy array of radii.
+    Both coefficients must accept a numpy array of radii.
     """
-    cang = angular_weights[0] * SPHERE_LONG + angular_weights[1] * SPHERE_TRANS
+    return math.hypot(_family_l2(long, alpha, SPHERE_LONG), _family_l2(trans, alpha, SPHERE_TRANS))
+
+
+def _family_l2(coef: Callable, alpha: int, cang: float) -> float:
+    """One family's part of :func:`radial_l2_norm`, whose sphere integral is ``cang``."""
 
     def integrand(r):
         return r ** (2 * alpha + 2) * np.abs(coef(r)) ** 2 * cang

@@ -1,6 +1,7 @@
 """Profile and decay-measurement tests."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from viscowave.asymptotics import (
     NormSpec,
     _derivative_fit,
     _derivative_slots,
-    _l2_norm_from_mults,
     _norms,
     _profile_fields,
     _profile_mults,
@@ -32,6 +32,7 @@ from viscowave.cli import _PROFILE_SET, _parse_config
 from viscowave.elastic import LameParams
 from viscowave.exceptions import FitError, OutOfDomainError, UnsupportedNormError, WindowError
 from viscowave.kernels import diffusion_hat
+from viscowave.radial import radial_l2_norm
 
 LAME = LameParams(0.0, 1.0, 1.0)
 
@@ -60,7 +61,7 @@ class TestProfileHat:
         src = LinearSource.gaussian(sigma=0.5)
         pl, pt = _profile_mults(LAME, src, "G")
         times = np.logspace(2, 4, 9)
-        vals = [_l2_norm_from_mults(pl, pt, float(t), 1) for t in times]
+        vals = [radial_l2_norm(partial(pl, t), partial(pt, t), 1) for t in times]
         rep = decay_slope(times, vals)
         assert rep.slope == pytest.approx(-0.75, abs=0.02)
 
@@ -212,9 +213,9 @@ class TestProfileErrorSeries:
     def test_profile_against_itself_is_zero(self):
         src = LinearSource.gaussian(sigma=0.5)
         pl, pt = _profile_mults(LAME, src, "G")
-        zero_l = lambda t, r: pl(t, r) - pl(t, r)
-        zero_t = lambda t, r: pt(t, r) - pt(t, r)
-        assert _l2_norm_from_mults(zero_l, zero_t, 100.0, 1) == 0.0
+        zero_l = lambda r: pl(100.0, r) - pl(100.0, r)
+        zero_t = lambda r: pt(100.0, r) - pt(100.0, r)
+        assert radial_l2_norm(zero_l, zero_t, 1) == 0.0
 
     def test_unsupported_norm(self):
         src = LinearSource.gaussian()

@@ -94,8 +94,10 @@ class TestInequalities:
         hessian = [inverse_scalar(grid, -(xi[a] * xi[b]) * fh) for a in range(3) for b in range(3)]
         want = lp_norm(grid, hessian, 2)
         assert half_seminorm(grid, fh, 2) == pytest.approx(want, rel=1e-12, abs=0.0)
-        norms = audit._Norms(grid, f, ("GN_INF", "GRAD_2P"))
-        assert norms.hessian_l2 == pytest.approx(want, rel=1e-12, abs=0.0)
+        ids = ("GN_INF", "GRAD_2P")
+        norms, spectrum = audit._norms_of(grid, f, ids)
+        audit._ratios(ids, grid, norms, spectrum)
+        assert norms["h2"] == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_unknown_inequality_rejected(self):
         grid = make_grid(16, 16.0)
@@ -177,6 +179,16 @@ class TestOneFieldAtATime:
         f = np.random.default_rng(0).standard_normal(grid.shape)
         assert traced_peak(lambda: inequality_check("GRAD_2P", grid, f)) <= 2.7 * 8 * grid.n**3
 
+    @pytest.mark.parametrize("ineq_id, fields", [("RIESZ", 2.3), ("GRAD_2P", 3.0)])
+    def test_check_frees_a_field_only_it_holds(self, ineq_id, fields):
+        # The field is made inside the traced call, as riesz_check's is, so
+        # the check must drop it before the spectral norms: 2.03 (RIESZ) and
+        # 2.57 (GRAD_2P) fields measured, 2.61 and 3.57 when it is held.
+        grid = make_grid(64, 24.0)
+        rng = np.random.default_rng(0)
+        peak = traced_peak(lambda: inequality_check(ineq_id, grid, rng.standard_normal(grid.shape)))
+        assert peak <= fields * 8 * grid.n**3
+
     def test_riesz_check_peak(self):
         # The spectrum and one real density (3.13 half-lattice arrays
         # measured); 5.18 while the ratio formed the complex Riesz field.
@@ -190,7 +202,8 @@ def full_lattice_ratio(ineq_id, grid, f, p):
     """Reference: full complex FFT of the scalar, all nine second derivatives.
 
     ``p`` is GRAD_2P's Hessian exponent; the library's is 2.  Every ``xi`` is
-    the Nyquist-safe one, as in the library's table.
+    the Nyquist-safe one, as in the library's table.  GN_L1 reads no spectrum:
+    its weight ``|x - c|^2`` is about the box centre ``c``.
     """
     scale = grid.spacing**3 * (2.0 * np.pi) ** -1.5
     dxi3 = (2.0 * np.pi / grid.box_length) ** 3
@@ -211,6 +224,10 @@ def full_lattice_ratio(ineq_id, grid, f, p):
         return np.sqrt(np.sum(rs2**order * np.abs(gh) ** 2) * dxi3)
 
     grads = [inv(1j * xi[a] * fh) for a in range(3)]
+    if ineq_id == "GN_L1":
+        x = centered(grid)
+        weighted = (x[0] ** 2 + x[1] ** 2 + x[2] ** 2) * f
+        return lp([f], 1) / (lp([f], 2) ** 0.25 * lp([weighted], 2) ** 0.75)
     if ineq_id == "GN_INF":
         return lp([f], math.inf) / (lp([f], 2) ** 0.25 * sem(fh, 2) ** 0.75)
     if ineq_id == "GRAD_2P":
@@ -228,6 +245,7 @@ class TestHalfLatticeMatchesFullLattice:
     @pytest.mark.parametrize(
         "ineq_id, p",
         [
+            ("GN_L1", 2.0),
             ("GN_INF", 2.0),
             ("GRAD_2P", 2.0),
             ("SOB_6", 2.0),
@@ -274,12 +292,8 @@ class TestDecayFit:
         from viscowave.radial import radial_l2_norm
 
         for part in ("M", "H"):
-            val = radial_l2_norm(
-                lambda r: kernel_hat(1.0, r, LAME.trans_params, "K1") * cut.chi(part, r) * ghat(r),
-                0,
-                (1.0, 1.0),
-            )
-            assert val <= 1e-14
+            coef = lambda r: kernel_hat(1.0, r, LAME.trans_params, "K1") * cut.chi(part, r) * ghat(r)
+            assert radial_l2_norm(coef, coef, 0) <= 1e-14
 
 
 class TestSymbolScans:

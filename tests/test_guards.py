@@ -11,16 +11,17 @@ import pytest
 
 from viscowave.asymptotics import LinearSource, NormSpec, linear_norm, profile_error_norms
 from viscowave.audit import heat_multiplier_l1, symbol_bound_scan
-from viscowave.elastic import LameParams
+from viscowave.elastic import LameParams, Propagator, linear_propagate
 from viscowave.exceptions import InvalidExponentError, OutOfDomainError, UnsupportedOrderError
 from viscowave.grid import CutoffSpec, half_seminorm, lp_norm, make_grid
-from viscowave.kernels import DampingParams, mode_oracle
+from viscowave.kernels import DampingParams, diffusion_hat, kernel_hat, mode_oracle
 
 GRID = make_grid(8, 8.0)
 CUTOFF = CutoffSpec(0.5, 2.0)
 LAME, SOURCE = LameParams(0.0, 1.0, 1.0), LinearSource.gaussian(0.5)
 
 FIELD, SPECTRUM = np.ones(GRID.shape), np.ones(GRID.half_shape)
+STATE = np.zeros((3, *GRID.half_shape), dtype=np.complex128)
 
 
 def heat(t):
@@ -35,8 +36,22 @@ def profile(p=math.inf, t=10.0):
     return profile_error_norms(SOURCE, [("G", NormSpec(0, 0, p))], t, LAME)
 
 
-def oracle(t):
-    return mode_oracle(t, 1.0, LAME.long_params, 1.0, 0.0)
+def oracle(t=1.0, r=1.0):
+    return mode_oracle(t, r, LAME.long_params, 1.0, 0.0)
+
+
+def kernel(t=1.0, r=0.5):
+    return kernel_hat(t, np.array([0.0, r]), LAME.long_params, "K1")
+
+
+def diffusion(t=1.0, r=0.5):
+    return diffusion_hat(np.array([0.0, t]), r, LAME.long_params, "G0")
+
+
+def propagate(bad):
+    data = STATE.copy()
+    data[1, 2, 3, 1] = bad
+    return linear_propagate(GRID, STATE, data, 1.0, LAME)
 
 
 def scan(t_range=(1.0, 10.0), r_range=(1e-3, 0.5), density=8):
@@ -67,7 +82,27 @@ GUARDS = [
     ("symbol_bound_scan t_range from 0", lambda: scan(t_range=(0.0, 10.0)), OutOfDomainError),
     ("symbol_bound_scan r_range from 0", lambda: scan(r_range=(0.0, 0.5)), OutOfDomainError),
     ("symbol_bound_scan r_range to 2", lambda: scan(r_range=(1e-3, 2.0)), OutOfDomainError),
-    ("mode_oracle t=nan", lambda: oracle(math.nan), OutOfDomainError),
+    ("mode_oracle t=nan", lambda: oracle(t=math.nan), OutOfDomainError),
+    ("mode_oracle r=nan", lambda: oracle(r=math.nan), OutOfDomainError),
+    ("kernel_hat t=nan", lambda: kernel(t=math.nan), OutOfDomainError),
+    ("kernel_hat t=-1", lambda: kernel(t=-1.0), OutOfDomainError),
+    ("kernel_hat t=inf", lambda: kernel(t=math.inf), OutOfDomainError),
+    ("kernel_hat r=nan", lambda: kernel(r=math.nan), OutOfDomainError),
+    ("kernel_hat r=-1", lambda: kernel(r=-1.0), OutOfDomainError),
+    ("kernel_hat r=inf", lambda: kernel(r=math.inf), OutOfDomainError),
+    ("diffusion_hat t=nan", lambda: diffusion(t=math.nan), OutOfDomainError),
+    ("diffusion_hat t=-1", lambda: diffusion(t=-1.0), OutOfDomainError),
+    ("diffusion_hat t=inf", lambda: diffusion(t=math.inf), OutOfDomainError),
+    ("diffusion_hat r=nan", lambda: diffusion(r=math.nan), OutOfDomainError),
+    ("diffusion_hat r=-1", lambda: diffusion(r=-1.0), OutOfDomainError),
+    ("diffusion_hat r=inf", lambda: diffusion(r=math.inf), OutOfDomainError),
+    ("linear_propagate data=nan", lambda: propagate(math.nan), OutOfDomainError),
+    ("linear_propagate data=inf", lambda: propagate(complex(math.inf, 0.0)), OutOfDomainError),
+    (
+        "Propagator.kernel undeclared step",
+        lambda: Propagator(GRID, LAME, (0.5,)).kernel(1.0, "K0", 0),
+        OutOfDomainError,
+    ),
 ]
 
 

@@ -29,9 +29,12 @@ LAME = LameParams(0.0, 1.0, 1.0)
 _SCALAR_FIT = angular_fit([AngularTerm(0, 0, lambda wx, wy, wz, gz: np.ones_like(wx))], 1, np.zeros(1))
 
 
-def quad_reference(coef, alpha, angular_weights, upper):
-    """The squared-norm integral by adaptive scipy quad at a tight tolerance."""
-    cang = angular_weights[0] * SPHERE_LONG + angular_weights[1] * SPHERE_TRANS
+# The coefficient of a family the field does not have.
+ZERO = np.zeros_like
+
+
+def quad_reference(coef, alpha, cang, upper):
+    """One family's norm, with sphere integral ``cang``, by adaptive scipy quad at a tight tolerance."""
 
     def integrand(r):
         r = np.array([r])
@@ -45,9 +48,13 @@ def quad_reference(coef, alpha, angular_weights, upper):
 class TestRadialL2:
     def test_gaussian_analytic(self):
         # coef(r) = e^{-r^2/2}: integral = c_ang * int r^2 e^{-r^2} dr
-        val = radial_l2_norm(lambda r: np.exp(-0.5 * r * r), 0, (1.0, 0.0))
+        gauss = lambda r: np.exp(-0.5 * r * r)
+        val = radial_l2_norm(gauss, ZERO, 0)
         exact = np.sqrt(SPHERE_LONG * np.sqrt(np.pi) / 4.0)
         assert val == pytest.approx(exact, rel=1e-8)
+        # both families: the sphere integrals add to 4 pi
+        both = radial_l2_norm(gauss, gauss, 0)
+        assert both == pytest.approx(np.sqrt(4.0 * np.pi * np.sqrt(np.pi) / 4.0), rel=1e-8)
 
     def test_angular_constants_against_sphere_quadrature(self):
         # c_par = int (w.e)^2 dOmega, c_perp = int |e - (w.e)w|^2 dOmega
@@ -58,10 +65,10 @@ class TestRadialL2:
 
     def test_heat_multiplier_monotone_in_time(self):
         h = lambda r: np.exp(-0.25 * r * r)
-        vals = [
-            radial_l2_norm(lambda r, t=t: np.exp(-r * r * t) * h(r), 0, (0.5, 0.5))
-            for t in (0.1, 0.5, 1.0, 2.0, 5.0)
-        ]
+        vals = []
+        for t in (0.1, 0.5, 1.0, 2.0, 5.0):
+            coef = lambda r, t=t: np.exp(-r * r * t) * h(r)
+            vals.append(radial_l2_norm(coef, coef, 0))
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_agrees_with_grid_norm(self):
@@ -73,13 +80,14 @@ class TestRadialL2:
         c = (2.0 * np.pi) ** (-1.5)
         ghat = lambda r: c * np.exp(-0.5 * (sigma * r) ** 2)
         # one component along e1: |P e|^2 + |(I-P) e|^2 = 1 on the sphere
-        val = np.hypot(radial_l2_norm(ghat, 0, (1.0, 0.0)), radial_l2_norm(ghat, 0, (0.0, 1.0)))
+        val = radial_l2_norm(ghat, ghat, 0)
         assert val == pytest.approx(grid_val, rel=1e-5)
 
     def test_smoothing_integrand_matches_tight_quad(self):
         # the smoothing suite's ell = 2 L^2 norm at its last time, t = 1e4
         ml, mt = _solution_mults(LAME, LinearSource.gaussian(sigma=0.5), 2)
-        for mult, weights in ((ml, (1.0, 0.0)), (mt, (0.0, 1.0))):
+        parts = []
+        for family, (mult, cang) in enumerate(((ml, SPHERE_LONG), (mt, SPHERE_TRANS))):
             coef = lambda r, mult=mult: mult(1e4, r)
             calls = []
 
@@ -87,49 +95,54 @@ class TestRadialL2:
                 calls.append(r.size)
                 return coef(r)
 
-            val = radial_l2_norm(counted, 0, weights)
-            assert val == pytest.approx(quad_reference(coef, 0, weights, 0.2), rel=1e-9)
+            pair = [ZERO, ZERO]
+            pair[family] = counted
+            parts.append(quad_reference(coef, 0, cang, 0.2))
+            assert radial_l2_norm(*pair, 0) == pytest.approx(parts[-1], rel=1e-9)
             assert len(calls) <= 20  # support probe plus a few vectorised levels
+        # both families in one call add as hypot
+        both = radial_l2_norm(lambda r: ml(1e4, r), lambda r: mt(1e4, r), 0)
+        assert both == pytest.approx(np.hypot(*parts), rel=1e-9)
 
     def test_banded_integrand_matches_tight_quad(self):
         # the audit suite's high-band K1 norm
         cutoff = default_cutoffs(LAME)
         ghat = lambda r: np.exp(-((r - 2.2 * cutoff.c1) ** 2))
         coef = lambda r: kernel_hat(3.0, r, LAME.long_params, "K1") * cutoff.chi("H", r) * ghat(r)
-        val = radial_l2_norm(coef, 0, (1.0, 0.0))
-        ref = quad_reference(coef, 0, (1.0, 0.0), 2.2 * cutoff.c1 + 8.0)
+        val = radial_l2_norm(coef, ZERO, 0)
+        ref = quad_reference(coef, 0, SPHERE_LONG, 2.2 * cutoff.c1 + 8.0)
         assert val == pytest.approx(ref, rel=1e-9)
 
     def test_unresolvable_integrand_reports_achieved_error(self):
         square_wave = lambda r: (1.0 + np.sign(np.sin(1e4 * r))) * np.exp(-r * r)
         with pytest.raises(QuadratureAccuracyError) as info:
-            radial_l2_norm(square_wave, 0, (1.0, 0.0))
+            radial_l2_norm(square_wave, ZERO, 0)
         assert 1e-8 < info.value.achieved < 1.0
 
     def test_support_past_the_probe_end_is_rejected(self):
         # The integrand peaks at r = 99 and is still e^-2 of its peak at the
         # probe's end r = 100; clipping there would read 1.2% low.
         with pytest.raises(QuadratureAccuracyError) as info:
-            radial_l2_norm(lambda r: np.exp(-((r - 99.0) ** 2)), 0, (1.0, 0.0))
+            radial_l2_norm(lambda r: np.exp(-((r - 99.0) ** 2)), ZERO, 0)
         assert info.value.achieved == np.inf
 
     def test_support_wholly_past_the_probe_is_rejected(self):
         # The integrand underflows on every probe point (r <= 100), so it
         # looked like a zero coefficient and read 0.0.
         with pytest.raises(QuadratureAccuracyError) as info:
-            radial_l2_norm(lambda r: np.exp(-((r - 200.0) ** 2)), 0, (1.0, 0.0))
+            radial_l2_norm(lambda r: np.exp(-((r - 200.0) ** 2)), ZERO, 0)
         assert info.value.achieved == np.inf
 
     @pytest.mark.parametrize("zero", [lambda r: np.zeros_like(r), lambda r: 0.0 * np.exp(-r)])
     def test_zero_coefficient_reads_zero(self, zero):
-        assert radial_l2_norm(zero, 0, (1.0, 0.0)) == 0.0
+        assert radial_l2_norm(zero, zero, 0) == 0.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_integrand_at_the_probe(self, bad):
         # The support probe itself meets a non-finite value.
         coef = lambda r: np.where(r > 1.0, bad, 1.0) * np.exp(-r)
         with pytest.raises(QuadratureAccuracyError) as info:
-            radial_l2_norm(coef, 0, (1.0, 0.0))
+            radial_l2_norm(coef, ZERO, 0)
         assert info.value.achieved == np.inf
 
     def test_non_finite_integrand_at_the_nodes_only(self):
@@ -141,7 +154,7 @@ class TestRadialL2:
             return (np.ones_like(r) if len(calls) == 1 else np.full_like(r, np.nan)) * np.exp(-r * r)
 
         with pytest.raises(QuadratureAccuracyError) as info:
-            radial_l2_norm(coef, 0, (1.0, 0.0))
+            radial_l2_norm(coef, ZERO, 0)
         assert info.value.achieved == np.inf and len(calls) >= 2
 
 
