@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .elastic import LameParams
 from .exceptions import (
@@ -129,9 +128,48 @@ def line_fit(x, y) -> tuple[float, float, float]:
     return float(slope), float(intercept), float(stderr)
 
 
+def _t_two_tail(t: float, dof: int) -> tuple[float, float]:
+    """``P(|T| > t)`` for Student's t with ``dof`` degrees of freedom, and its density at ``t``.
+
+    The finite series of Abramowitz & Stegun 26.7.3-4 in ``theta = atan(t / sqrt(dof))``,
+    arranged so that no rounded ``cos^2 theta`` is raised to a power (its k-th
+    power is ``exp(-k log1p(t^2 / dof))``) and the even-dof series starts
+    from ``1 - sin theta = cos^2 theta / (1 + sin theta)``.
+    """
+    x = t * t / dof
+    log_c2 = -math.log1p(x)  # log cos^2 theta
+    s = math.sqrt(x / (1.0 + x))  # sin theta
+    coef, terms = 1.0, []
+    for k in range(1, dof // 2):
+        coef *= (2 * k - 1) / (2 * k) if dof % 2 == 0 else 2 * k / (2 * k + 1)
+        terms.append(coef * math.exp(k * log_c2))
+    if dof % 2 == 0:
+        tail = math.exp(log_c2) / (1.0 + s) - s * math.fsum(terms)
+    else:
+        sin_cos = math.sqrt(x) / (1.0 + x) * (1.0 + math.fsum(terms)) if dof > 1 else 0.0
+        tail = 2.0 / math.pi * (math.atan2(math.sqrt(dof), t) - sin_cos)
+    log_norm = math.lgamma(0.5 * (dof + 1)) - math.lgamma(0.5 * dof) - 0.5 * math.log(dof * math.pi)
+    return tail, math.exp(log_norm + 0.5 * (dof + 1) * log_c2)
+
+
 def slope_ci95(stderr: float, n: int) -> float:
-    """95% half-width of a fitted slope with standard error ``stderr`` from ``n`` points."""
-    return float(stdtrit(n - 2, 0.975) * stderr)
+    """95% half-width of a fitted slope with standard error ``stderr`` from ``n >= 3`` points.
+
+    The half-width is ``stderr`` times the 0.975 quantile of Student's t with
+    ``n - 2`` degrees of freedom, found by Newton's method on
+    ``P(|T| > t) = 0.05`` (:func:`_t_two_tail`).  It starts at the normal
+    quantile, which lies below every t quantile; the tail is convex in t, so
+    the iterates rise to the root.  OutOfDomainError for ``n < 3``.
+    """
+    if not n >= 3:
+        raise OutOfDomainError(f"a slope's confidence interval needs at least 3 points, got {n}")
+    t = 1.959963984540054
+    while True:
+        tail, density = _t_two_tail(t, n - 2)
+        step = (tail - 0.05) / (2.0 * density)
+        t += step
+        if abs(step) < 1e-12 * t:  # convergence is quadratic: what is left is round-off
+            return float(t * stderr)
 
 
 def decay_slope(times, values) -> DecayReport:

@@ -220,7 +220,7 @@ def decay_fit(
     and the fit fails on non-monotone series.
     """
     if part not in ("M", "H"):
-        raise ValueError("part must be 'M' or 'H'")
+        raise UnsupportedSymbolError(f"part must be 'M' or 'H', got {part!r}")
     times = np.linspace(window[0], window[1], 25)
 
     def banded(dp: DampingParams, t: float):

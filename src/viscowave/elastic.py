@@ -39,7 +39,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LameParams:
-    """Material constants ``(lambda, mu, nu)`` with the usual positivity."""
+    """Material constants ``(lambda, mu, nu)`` with the usual positivity.
+
+    Non-finite values, ``mu`` or ``lambda + 2 mu`` not positive and ``nu`` not
+    positive raise OutOfDomainError.
+    """
 
     lam: float
     mu: float
@@ -47,13 +51,15 @@ class LameParams:
 
     def __post_init__(self) -> None:
         if not np.all(np.isfinite((self.lam, self.mu, self.nu))):
-            raise ValueError(f"Lame parameters must be finite, got {(self.lam, self.mu, self.nu)}")
+            raise OutOfDomainError(
+                f"Lame parameters must be finite, got {(self.lam, self.mu, self.nu)}"
+            )
         if not self.mu > 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
+            raise OutOfDomainError(f"mu must be positive, got {self.mu}")
         if not self.lam + 2.0 * self.mu > 0:
-            raise ValueError(f"lambda + 2*mu must be positive, got {self.lam + 2 * self.mu}")
+            raise OutOfDomainError(f"lambda + 2*mu must be positive, got {self.lam + 2 * self.mu}")
         if not self.nu > 0:
-            raise ValueError(f"nu must be positive, got {self.nu}")
+            raise OutOfDomainError(f"nu must be positive, got {self.nu}")
 
     @property
     def beta_long(self) -> float:
@@ -163,7 +169,8 @@ class Propagator:
         ``w S(tau) (0, g)`` is ``(w, tau, "K1", g)``.  The ``xi`` part is added
         once per time order for all terms.  Returns the displacement
         ``sum w K x`` and the velocity ``sum w K' x``, None unless asked for,
-        as fresh arrays.  ``terms`` holds at least one term.
+        as fresh arrays.  ``terms`` holds at least one term; OutOfDomainError
+        otherwise.
 
         The first term writes the outputs and the later ones add into them
         through call-local scratch, in the order ``out += (w a) x``,
@@ -196,7 +203,7 @@ class Propagator:
                     s += np.multiply(d, dot, out=tmp)
             first = False
         if first:
-            raise ValueError("apply needs at least one term")
+            raise OutOfDomainError("apply needs at least one term")
         for out, s in zip(outs, sums):
             for c in range(3):
                 out[c] += np.multiply(xi[c], s, out=tmp)

@@ -37,11 +37,11 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
-from scipy import fft as sfft
 
 from .exceptions import (
     InvalidExponentError,
     InvalidGridError,
+    OutOfDomainError,
     ShapeMismatchError,
     UnsupportedOrderError,
 )
@@ -65,6 +65,10 @@ __all__ = [
     "dealias_mask",
 ]
 
+# scipy.fft is imported where a transform is made, as kernels.mode_oracle
+# imports scipy.linalg, so the suites that make none never load scipy; after
+# the first import each call's import is one sys.modules lookup.
+#
 # scipy.fft workers: the CPUs this process may run on.  workers=-1 would count
 # os.cpu_count(), which ignores CPU affinity before Python 3.13.
 _WORKERS = (
@@ -192,6 +196,8 @@ def _forward_scale(grid: Grid3) -> float:
 
 def transform(fld: VectorField) -> VectorField:
     """Toggle between physical and spectral space (unitary up to round-off)."""
+    from scipy import fft as sfft
+
     scale = _forward_scale(fld.grid)
     if fld.space == "physical":
         data = sfft.fftn(fld.data, axes=(1, 2, 3), workers=_WORKERS) * scale
@@ -205,11 +211,15 @@ _SPACE_AXES = (-3, -2, -1)
 
 def _rfftn(f: np.ndarray) -> np.ndarray:
     """Unscaled ``rfftn`` over the last three axes."""
+    from scipy import fft as sfft
+
     return sfft.rfftn(f, axes=_SPACE_AXES, workers=_WORKERS)
 
 
 def _irfftn(grid: Grid3, fh: np.ndarray) -> np.ndarray:
     """Unscaled ``irfftn`` of a half-lattice spectrum over the last three axes."""
+    from scipy import fft as sfft
+
     return sfft.irfftn(fh, s=grid.shape, axes=_SPACE_AXES, workers=_WORKERS)
 
 
@@ -250,6 +260,8 @@ def inverse_slabs(grid: Grid3, fh: np.ndarray):
         raise ShapeMismatchError(
             f"spectrum shape {fh.shape} is not the half lattice {grid.half_shape}"
         )
+    from scipy import fft as sfft
+
     n = grid.n
     x = sfft.ifft(fh, axis=0, norm="forward", overwrite_x=True, workers=_WORKERS)
     # irfftn's 1/n^3 as it applies it, in its last pass; for every even n up
@@ -290,15 +302,16 @@ class CutoffSpec:
 
     ``chi_l = 1`` for ``r <= c0/2`` and 0 for ``r >= c0``; ``chi_h = 0`` for
     ``r <= c1`` and 1 for ``r >= 2 c1``; ``chi_m`` is the remainder.  Needs
-    ``0 < c0 < c1`` so the low and high supports cannot overlap.
+    ``0 < c0 < c1 < inf`` so the low and high supports cannot overlap;
+    OutOfDomainError otherwise.
     """
 
     c0: float
     c1: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.c0 < self.c1):
-            raise ValueError(f"need 0 < c0 < c1, got c0={self.c0}, c1={self.c1}")
+        if not 0.0 < self.c0 < self.c1 < math.inf:
+            raise OutOfDomainError(f"need 0 < c0 < c1 < inf, got c0={self.c0}, c1={self.c1}")
 
     def chi_l(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)

@@ -21,11 +21,12 @@ explicit degenerate window switches to the confluent limit formulas.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import OutOfDomainError, UnsupportedOrderError
+from .exceptions import OutOfDomainError, UnsupportedOrderError, UnsupportedSymbolError
 
 __all__ = [
     "DampingParams",
@@ -42,16 +43,19 @@ _DEGENERATE_RTOL = 1e-6
 
 @dataclass(frozen=True)
 class DampingParams:
-    """Wave speed ``beta`` and viscosity ``nu`` of one scalar mode family."""
+    """Wave speed ``beta`` and viscosity ``nu`` of one scalar mode family.
+
+    Both must be finite and positive; OutOfDomainError otherwise.
+    """
 
     beta: float
     nu: float
 
     def __post_init__(self) -> None:
-        if not self.beta > 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if not self.nu > 0:
-            raise ValueError(f"nu must be positive, got {self.nu}")
+        if not 0 < self.beta < math.inf:
+            raise OutOfDomainError(f"beta must be finite and positive, got {self.beta}")
+        if not 0 < self.nu < math.inf:
+            raise OutOfDomainError(f"nu must be finite and positive, got {self.nu}")
 
     @property
     def root_threshold(self) -> float:
@@ -143,7 +147,8 @@ def kernel_hat(t, r, params: DampingParams, which: str = "K0", dt_order: int = 0
     (1, 0), ``K1`` with data (0, 1); derivatives use the exact relations
     ``K0' = -beta^2 r^2 K1`` and the envelope algebra, so every branch is
     cancellation-free.  Every ``t`` and ``r`` must be finite and
-    non-negative; OutOfDomainError otherwise.
+    non-negative; OutOfDomainError otherwise.  UnsupportedSymbolError for a
+    ``which`` other than ``K0`` and ``K1``.
     """
     if dt_order not in (0, 1, 2):
         raise UnsupportedOrderError(f"time derivative order {dt_order} not supported (0..2)")
@@ -166,7 +171,7 @@ def kernel_hat(t, r, params: DampingParams, which: str = "K0", dt_order: int = 0
         else:
             out = -b2r2 * (m * es + ec)
     else:
-        raise ValueError(f"unknown kernel {which!r}")
+        raise UnsupportedSymbolError(f"unknown kernel {which!r}")
     return out if out.ndim else float(out)
 
 
@@ -183,7 +188,8 @@ def diffusion_hat(t, r, params: DampingParams, which: str):
     ``G1 = e^{-nu r^2 t/2} sin(beta r t)/(beta r)`` (limit ``t`` at ``r = 0``).
     ``K00 = e^{-nu r^2 t/2} cos(beta r t phi)`` continues as the hyperbolic
     envelope past the overdamped threshold.  Every ``t`` and ``r`` must be
-    finite and non-negative; OutOfDomainError otherwise.
+    finite and non-negative; OutOfDomainError otherwise.  UnsupportedSymbolError
+    for a ``which`` other than ``G0``, ``G1`` and ``K00``.
     """
     t, r = _finite_nonnegative(t=t, r=r)
     env = np.exp(-0.5 * params.nu * r * r * t)
@@ -195,7 +201,7 @@ def diffusion_hat(t, r, params: DampingParams, which: str):
         ec, _, _ = _envelopes(params, t, r)
         out = ec
     else:
-        raise ValueError(f"unknown diffusion kernel {which!r}")
+        raise UnsupportedSymbolError(f"unknown diffusion kernel {which!r}")
     out = np.asarray(out)
     return out if out.ndim else float(out)
 

@@ -118,7 +118,30 @@ class TestLineFit:
         slope, intercept, stderr = line_fit(x, y)
         ref = stats.linregress(x, y)
         assert (slope, intercept, stderr) == (ref.slope, ref.intercept, ref.stderr)
-        assert slope_ci95(stderr, n) == stats.t.ppf(0.975, n - 2) * ref.stderr
+        half_width = stats.t.ppf(0.975, n - 2) * ref.stderr
+        assert abs(slope_ci95(stderr, n) - half_width) <= 64 * math.ulp(half_width)
+
+    def test_t_quantile_matches_scipy(self):
+        # the library's quantile is its own (Newton on the A&S 26.7.3-4 series);
+        # scipy.stats is the test-only oracle, within 64 ulp for every dof to 200
+        from scipy import stats
+
+        for dof in range(1, 201):
+            ref = stats.t.ppf(0.975, dof)
+            assert abs(slope_ci95(1.0, dof + 2) - ref) <= 64 * math.ulp(ref), dof
+
+    @pytest.mark.parametrize(
+        "dof, closed_form",
+        [
+            # tan(0.475 pi), written as 1 / tan(0.025 pi): rounding 0.475 pi
+            # first would move the tangent by about 20 ulp per ulp of angle
+            (1, 1.0 / math.tan(0.025 * math.pi)),
+            (2, 0.95 * math.sqrt(2.0 / 0.0975)),
+        ],
+        ids=["dof1", "dof2"],
+    )
+    def test_t_quantile_closed_forms(self, dof, closed_form):
+        assert abs(slope_ci95(1.0, dof + 2) - closed_form) <= 4 * math.ulp(closed_form)
 
 
 def _sup_lp_fields(src):

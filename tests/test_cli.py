@@ -428,19 +428,33 @@ class TestRunScenario:
         assert failed == ["high-band gradient-norm envelope"]
 
     def test_import_loads_no_unused_scipy(self):
-        # the suites import scipy's integrate, interpolate and linalg only where
-        # they call them, and fit slopes with numpy alone, so a fit loads no scipy.stats
+        # scipy.fft is imported at the first transform and the slope CI's t
+        # quantile is the library's own, so a fit loads no scipy module at all
         probe = (
             "import sys, numpy, viscowave.cli; "
             "t = numpy.logspace(2, 4, 9); viscowave.cli.decay_slope(t, t ** -1.5); "
-            "unused = ('scipy.stats', 'scipy.integrate', 'scipy.interpolate', 'scipy.linalg'); "
-            "print([m for m in unused if m in sys.modules])"
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
         )
         env = {**os.environ, "PYTHONPATH": str(REPO_SRC)}
         done = subprocess.run(
             [sys.executable, "-c", probe], env=env, check=True, capture_output=True, text=True
         )
         assert done.stdout.strip() == "[]"
+
+    def test_linear_decay_run_loads_no_scipy(self, tmp_path):
+        # a whole continuum suite, as the console script runs it, makes no
+        # transform and so never imports scipy (-X importtime lists every import)
+        env = {**os.environ, "PYTHONPATH": str(REPO_SRC)}
+        config = REPO_CONFIGS / "linear-decay.ini"
+        done = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "viscowave.cli", "linear-decay",
+             "--config", str(config), "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        imported = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()]
+        assert "viscowave.asymptotics" in imported
+        assert [m for m in imported if m == "scipy" or m.startswith("scipy.")] == []
 
     def test_subcommand_must_match_config_suite(self, tmp_path):
         repo_cfg = Path(__file__).resolve().parents[1] / "configs" / "kernels.ini"

@@ -190,6 +190,28 @@ class TestScalarTransform:
         )
         assert done.stdout.strip() == "1"
 
+    def test_first_transform_loads_scipy_fft(self):
+        # scipy.fft is imported at the first transform, not with the module,
+        # and the spectrum is the one scipy.fft.rfftn gives scaled by h^3 (2 pi)^(-3/2).
+        probe = "\n".join([
+            "import sys",
+            "import numpy as np",
+            "from viscowave.grid import forward_scalar, make_grid",
+            "before = 'scipy.fft' in sys.modules",
+            "g = make_grid(8, 8.0)",
+            "f = np.random.default_rng(8).standard_normal(g.shape)",
+            "fh = forward_scalar(g, f)",
+            "after = 'scipy.fft' in sys.modules",
+            "from scipy import fft",
+            "ref = fft.rfftn(f, axes=(-3, -2, -1)) * (g.spacing**3 * (2.0 * np.pi) ** -1.5)",
+            "print(before, after, np.array_equal(fh, ref))",
+        ])
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, check=True, capture_output=True, text=True
+        )
+        assert done.stdout.split() == ["False", "True", "True"]
+
     def test_half_wave_vectors_keep_nyquist_zeroing(self, grid16):
         xx, _, xz = grid16.xi
         assert xz.shape == (1, 1, 9) and xz[0, 0, -1] == 0.0

@@ -9,10 +9,21 @@ import math
 import numpy as np
 import pytest
 
-from viscowave.asymptotics import LinearSource, NormSpec, linear_norm, profile_error_norms
-from viscowave.audit import heat_multiplier_l1, symbol_bound_scan
+from viscowave.asymptotics import (
+    LinearSource,
+    NormSpec,
+    linear_norm,
+    profile_error_norms,
+    slope_ci95,
+)
+from viscowave.audit import decay_fit, heat_multiplier_l1, symbol_bound_scan
 from viscowave.elastic import LameParams, Propagator, linear_propagate
-from viscowave.exceptions import InvalidExponentError, OutOfDomainError, UnsupportedOrderError
+from viscowave.exceptions import (
+    InvalidExponentError,
+    OutOfDomainError,
+    UnsupportedOrderError,
+    UnsupportedSymbolError,
+)
 from viscowave.grid import CutoffSpec, half_seminorm, lp_norm, make_grid
 from viscowave.kernels import DampingParams, diffusion_hat, kernel_hat, mode_oracle
 
@@ -40,12 +51,12 @@ def oracle(t=1.0, r=1.0):
     return mode_oracle(t, r, LAME.long_params, 1.0, 0.0)
 
 
-def kernel(t=1.0, r=0.5):
-    return kernel_hat(t, np.array([0.0, r]), LAME.long_params, "K1")
+def kernel(t=1.0, r=0.5, which="K1"):
+    return kernel_hat(t, np.array([0.0, r]), LAME.long_params, which)
 
 
-def diffusion(t=1.0, r=0.5):
-    return diffusion_hat(np.array([0.0, t]), r, LAME.long_params, "G0")
+def diffusion(t=1.0, r=0.5, which="G0"):
+    return diffusion_hat(np.array([0.0, t]), r, LAME.long_params, which)
 
 
 def propagate(bad):
@@ -103,6 +114,31 @@ GUARDS = [
         lambda: Propagator(GRID, LAME, (0.5,)).kernel(1.0, "K0", 0),
         OutOfDomainError,
     ),
+    (
+        "Propagator.apply no terms",
+        lambda: Propagator(GRID, LAME, (1.0,)).apply([]),
+        OutOfDomainError,
+    ),
+    ("kernel_hat which=K2", lambda: kernel(which="K2"), UnsupportedSymbolError),
+    ("diffusion_hat which=K2", lambda: diffusion(which="K2"), UnsupportedSymbolError),
+    (
+        "decay_fit part=L",
+        lambda: decay_fit("L", "K0", np.exp, LAME, CUTOFF),
+        UnsupportedSymbolError,
+    ),
+    ("DampingParams beta=0", lambda: DampingParams(0.0, 1.0), OutOfDomainError),
+    ("DampingParams beta=inf", lambda: DampingParams(math.inf, 1.0), OutOfDomainError),
+    ("DampingParams nu=-1", lambda: DampingParams(1.0, -1.0), OutOfDomainError),
+    ("DampingParams nu=inf", lambda: DampingParams(1.0, math.inf), OutOfDomainError),
+    ("DampingParams nu=nan", lambda: DampingParams(1.0, math.nan), OutOfDomainError),
+    ("LameParams mu=0", lambda: LameParams(0.0, 0.0, 1.0), OutOfDomainError),
+    ("LameParams lambda+2mu=0", lambda: LameParams(-2.0, 1.0, 1.0), OutOfDomainError),
+    ("LameParams nu=0", lambda: LameParams(0.0, 1.0, 0.0), OutOfDomainError),
+    ("LameParams lambda=nan", lambda: LameParams(math.nan, 1.0, 1.0), OutOfDomainError),
+    ("CutoffSpec c0=0", lambda: CutoffSpec(0.0, 1.0), OutOfDomainError),
+    ("CutoffSpec c0>c1", lambda: CutoffSpec(2.0, 1.0), OutOfDomainError),
+    ("CutoffSpec c1=inf", lambda: CutoffSpec(0.5, math.inf), OutOfDomainError),
+    ("slope_ci95 n=2", lambda: slope_ci95(1.0, 2), OutOfDomainError),
 ]
 
 
