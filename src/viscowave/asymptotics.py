@@ -29,6 +29,7 @@ from .exceptions import (
     OutOfDomainError,
     QuadratureAccuracyError,
     UnsupportedNormError,
+    UnsupportedSymbolError,
     WindowError,
 )
 from .kernels import diffusion_hat, kernel_hat
@@ -81,7 +82,7 @@ def _profile_coeff(t, r, lame: LameParams, family: str, which: str):
         return diffusion_hat(t, r, dp, "G0")
     if which == "Gtilde":
         return -b2 * r * r * diffusion_hat(t, r, dp, "G1")
-    raise ValueError(f"unknown profile {which!r}")
+    raise UnsupportedSymbolError(f"unknown profile {which!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ Three families of checks:
 
 The symbol derivatives are evaluated in closed form with every cancellation
 performed analytically (differences of phases go through product formulas,
-``phi - 1`` through its rationalized form), so the scanned ratios reflect
-the mathematics rather than finite-difference noise; a central-difference
-cross-check away from the singular corner guards the formulas themselves.
+``phi - 1`` through its rationalized form), so the scanned ratios reflect the
+mathematics rather than finite-difference noise; a central-difference check of
+every symbol's first and second derivatives, away from r = 0, guards them.
 """
 
 from __future__ import annotations
@@ -265,69 +265,55 @@ def _phi_pack(dp: DampingParams, r: np.ndarray):
     return phi, phi_m1, dphi, d2phi, rp, rpp, rm1p
 
 
-def _scan_values(bound_id: str, dp: DampingParams, t: np.ndarray, r: np.ndarray):
-    """(|scanned quantity|, majorant) arrays on a (t, r) mesh."""
-    t = t[:, None]
-    r = r[None, :]
-    beta = dp.beta
-    phi, phi_m1, dphi, d2phi, rp, rpp, rm1p = _phi_pack(dp, r[0])
-    a = t * beta * (r * phi)
-    b = t * beta * r
-    half_diff = 0.5 * t * beta * r * phi_m1  # (a - b) / 2
-    cos_a, sin_a = np.cos(a), np.sin(a)
-    cos_b, sin_b = np.cos(b), np.sin(b)
-    cosdiff = -2.0 * np.sin(0.5 * (a + b)) * np.sin(half_diff)
-    sindiff = 2.0 * np.cos(0.5 * (a + b)) * np.sin(half_diff)
-    tb = t * beta
+def _derivatives(symbol: str, dp: DampingParams, t: np.ndarray, r: np.ndarray):
+    """``(d1, d2)``, the first two r-derivatives of each function ``symbol`` sums.
 
-    if bound_id == "B331":
-        lhs = np.abs(-sin_a * tb * rp) + np.abs(cos_a * tb * rp)
-        return lhs, t * np.ones_like(lhs)
-    if bound_id == "B332":
-        d2_cos = -cos_a * (tb * rp) ** 2 - sin_a * tb * rpp
-        d2_sin = -sin_a * (tb * rp) ** 2 + cos_a * tb * rpp
-        d1_cos = -sin_a * tb * rp
-        d1_sin = cos_a * tb * rp
-        lhs = np.maximum(np.abs(d2_cos), np.abs(d1_cos) / r) + np.maximum(
-            np.abs(d2_sin), np.abs(d1_sin) / r
-        )
-        return lhs, t * t + t / r
-    if bound_id == "B333":
-        d1 = -tb * (rp * sindiff + rm1p * sin_b)
-        return np.abs(d1), t * t * r**3 + t * r * r
-    if bound_id == "B334":
-        d1 = -tb * (rp * sindiff + rm1p * sin_b)
-        d2 = -tb * rpp * sin_a - tb * tb * (rp * rp * cosdiff + rm1p * (rp + 1.0) * cos_b)
-        lhs = np.maximum(np.abs(d2), np.abs(d1) / r)
-        return lhs, t * t * r * r + t * r
-    if bound_id == "B335":
-        d1 = tb * rp * cosdiff + tb * tb * r * phi_m1 * sin_b
-        return np.abs(d1), t**3 * r**6 + t * t * r**5 + t * r * r
-    if bound_id == "B336":
-        d1 = tb * rp * cosdiff + tb * tb * r * phi_m1 * sin_b
-        d2 = (
-            tb * rpp * cosdiff
-            - tb * tb * rp * (rp * sindiff + rm1p * sin_b)
-            + tb * tb * rm1p * sin_b
-            + tb**3 * r * phi_m1 * cos_b
-        )
-        lhs = np.maximum(np.abs(d2), np.abs(d1) / r)
-        return lhs, t**4 * r**6 + t * t * r * r + t * r
-    if bound_id == "B337":
+    With ``a = t beta r phi`` and ``b = t beta r``: ``phase`` sums ``cos a`` and
+    ``sin a``, ``cos_gap`` is ``cos a - cos b``, ``sin_gap`` is ``sin a - sin b
+    - (a - b) cos b`` and ``envelope`` is ``e^{-nu t r^2 / 2} (phi - 1)``.
+    """
+    phi, phi_m1, dphi, d2phi, rp, rpp, rm1p = _phi_pack(dp, r)
+    if symbol == "envelope":
         env = np.exp(-0.5 * dp.nu * t * r * r)
         denv = -dp.nu * t * r * env
         d2env = (dp.nu * t * r) ** 2 * env - dp.nu * t * env
-        v1 = denv * phi_m1 + env * dphi
-        v2 = d2env * phi_m1 + 2.0 * denv * dphi + env * d2phi
-        c = 0.25 * dp.nu
-        bound_env = np.exp(-c * (1.0 + t) * r * r)
-        lhs1 = np.abs(v1) / (bound_env * r)
-        lhs2 = np.maximum(np.abs(v2), np.abs(v1) / r) / bound_env
-        return np.maximum(lhs1, lhs2), np.ones_like(lhs1)
-    raise UnsupportedSymbolError(f"unknown bound {bound_id!r}")
+        return ((denv * phi_m1 + env * dphi, d2env * phi_m1 + 2.0 * denv * dphi + env * d2phi),)
+    tb = t * dp.beta
+    a, b = tb * (r * phi), tb * r
+    half_diff = 0.5 * tb * r * phi_m1  # (a - b) / 2
+    cos_a, sin_a, cos_b, sin_b = np.cos(a), np.sin(a), np.cos(b), np.sin(b)
+    cosdiff = -2.0 * np.sin(0.5 * (a + b)) * np.sin(half_diff)  # cos a - cos b
+    sindiff = 2.0 * np.cos(0.5 * (a + b)) * np.sin(half_diff)  # sin a - sin b
+    if symbol == "phase":
+        return (
+            (-sin_a * tb * rp, -cos_a * (tb * rp) ** 2 - sin_a * tb * rpp),
+            (cos_a * tb * rp, -sin_a * (tb * rp) ** 2 + cos_a * tb * rpp),
+        )
+    if symbol == "cos_gap":
+        d1 = -tb * (rp * sindiff + rm1p * sin_b)
+        d2 = -tb * rpp * sin_a - tb * tb * (rp * rp * cosdiff + rm1p * (rp + 1.0) * cos_b)
+        return ((d1, d2),)
+    d1 = tb * rp * cosdiff + tb * tb * r * phi_m1 * sin_b  # sin_gap
+    d2 = (
+        tb * rpp * cosdiff - tb * tb * rp * (rp * sindiff + rm1p * sin_b)
+        + tb * tb * rm1p * sin_b + tb**3 * r * phi_m1 * cos_b
+    )
+    return ((d1, d2),)
 
 
-SYMBOL_BOUNDS = ("B331", "B332", "B333", "B334", "B335", "B336", "B337")
+# Each bound as ``(symbol, order, majorant(t, r, nu))``.  An order-1 row scans
+# ``sum |f'|`` over the functions f the symbol sums, an order-2 row
+# ``sum max(|f''|, |f'| / r)``; its ratio is the scanned value over the majorant.
+_BOUNDS = {
+    "B331": ("phase", 1, lambda t, r, nu: t),
+    "B332": ("phase", 2, lambda t, r, nu: t * t + t / r),
+    "B333": ("cos_gap", 1, lambda t, r, nu: t * t * r**3 + t * r * r),
+    "B334": ("cos_gap", 2, lambda t, r, nu: t * t * r * r + t * r),
+    "B335": ("sin_gap", 1, lambda t, r, nu: t**3 * r**6 + t * t * r**5 + t * r * r),
+    "B336": ("sin_gap", 2, lambda t, r, nu: t**4 * r**6 + t * t * r * r + t * r),
+    "B337": ("envelope", 2, lambda t, r, nu: np.exp(-0.25 * nu * (1.0 + t) * r * r)),
+}
+SYMBOL_BOUNDS = tuple(_BOUNDS)
 
 
 def symbol_bound_scan(
@@ -340,29 +326,33 @@ def symbol_bound_scan(
 ) -> float:
     """Sup of |scanned symbol quantity| / majorant over a jittered log mesh of density^2 points.
 
-    The mesh is reproducible from ``seed``; doubling ``density`` must leave
-    the sup stable (checked by the caller, not here).  ``density`` must be
-    at least 2, each range ``0 < lo <= hi < inf``, and ``r_range`` inside
-    the oscillatory region of ``dp``; OutOfDomainError otherwise.
+    The mesh is reproducible from ``seed``; doubling ``density`` must leave the
+    sup stable (checked by the caller, not here).  A ``bound_id`` outside
+    SYMBOL_BOUNDS raises UnsupportedSymbolError; ``density`` must be at least 2,
+    each range ``0 < lo <= hi < inf``, and ``r_range`` inside the oscillatory
+    region of ``dp``; OutOfDomainError otherwise.
     """
+    if bound_id not in _BOUNDS:
+        raise UnsupportedSymbolError(f"unknown bound {bound_id!r}")
     if not density >= 2:
         raise OutOfDomainError(f"density must be at least 2, got {density}")
     for name, (lo, hi) in (("t_range", t_range), ("r_range", r_range)):
         if not 0.0 < lo <= hi < math.inf:  # written so that NaN also fails
             raise OutOfDomainError(f"{name} must satisfy 0 < lo <= hi < inf, got {(lo, hi)}")
     if r_range[1] >= dp.root_threshold:
-        raise OutOfDomainError(
-            f"scan region must satisfy r < 2 beta / nu = {dp.root_threshold:g}"
-        )
+        raise OutOfDomainError(f"scan region must satisfy r < 2 beta / nu = {dp.root_threshold:g}")
     rng = np.random.default_rng(seed)
     jt = np.exp(rng.uniform(-0.02, 0.02, density))
     jr = np.exp(rng.uniform(-0.02, 0.02, density))
     ts = np.geomspace(t_range[0], t_range[1], density) * jt
     rs = np.geomspace(r_range[0], r_range[1], density) * jr
-    ts = np.clip(ts, t_range[0], t_range[1])
-    rs = np.clip(rs, r_range[0], r_range[1])
-    lhs, maj = _scan_values(bound_id, dp, ts, rs)
-    return float(np.max(lhs / maj))
+    t, r = np.clip(ts, t_range[0], t_range[1])[:, None], np.clip(rs, r_range[0], r_range[1])
+    symbol, order, majorant = _BOUNDS[bound_id]
+    lhs = sum(
+        np.abs(d1) if order == 1 else np.maximum(np.abs(d2), np.abs(d1) / r)
+        for d1, d2 in _derivatives(symbol, dp, t, r)
+    )
+    return float(np.max(lhs / majorant(t, r, dp.nu)))
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from .audit import (
     symbol_bound_scan,
 )
 from .elastic import LameParams, Propagator, default_cutoffs, linear_propagate
-from .exceptions import ConfigError, ViscowaveError
+from .exceptions import ConfigError, DegenerateInputError, ViscowaveError
 from .grid import Grid3, forward_scalar, half_seminorm, make_grid
 from .kernels import (
     DampingParams,
@@ -116,16 +116,16 @@ def _parse_config(path: Path) -> dict:
         _solver_config(cfg)
         Grid3.check(cfg["n"], cfg["box_length"])
         if not (math.isfinite(cfg["sigma"]) and cfg["sigma"] > 0.0):
-            raise ValueError(f"[data] sigma must be finite and positive, got {cfg['sigma']}")
+            raise ConfigError(f"[data] sigma must be finite and positive, got {cfg['sigma']}")
         if not 0.0 < cfg["t_start"] < cfg["t_stop"] < math.inf:
-            raise ValueError(
+            raise ConfigError(
                 f"[times] needs finite 0 < start < stop, got start={cfg['t_start']}, "
                 f"stop={cfg['t_stop']}"
             )
         counts = (("t_count", "[times] count"), ("oracle_samples", "[kernels] oracle_samples"))
         for key, name in counts:
             if cfg[key] < 1:
-                raise ValueError(f"{name} must be at least 1, got {cfg[key]}")
+                raise ConfigError(f"{name} must be at least 1, got {cfg[key]}")
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"config validation failure: {exc}") from exc
     if cfg["suite"] not in SUITES:
@@ -595,7 +595,7 @@ def _fmt(x) -> str:
 def emit_report(results: dict, out_dir: Path) -> list[Path]:
     """Write series tables as CSV with bit-stable formatting; returns written paths."""
     if not results:
-        raise ValueError("emit_report requires nonempty results")
+        raise DegenerateInputError("emit_report requires nonempty results")
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for name, rows in sorted(results.items()):

@@ -10,7 +10,7 @@ class InvalidGridError(ViscowaveError, ValueError):
 
 
 class ShapeMismatchError(ViscowaveError, ValueError):
-    """Field arrays are not sized to their grid, or grids differ."""
+    """Field arrays are not sized to their grid, or grids, state times or profile banks differ."""
 
 
 class UnsupportedSymbolError(ViscowaveError, ValueError):
@@ -54,7 +54,7 @@ class UnsupportedNormError(ViscowaveError, ValueError):
 
 
 class DegenerateInputError(ViscowaveError, ValueError):
-    """Inequality check received a field with a vanishing right-hand side."""
+    """Nothing to measure: an inequality's right-hand side vanishes, or a report is empty."""
 
 
 class FitError(ViscowaveError, ArithmeticError):

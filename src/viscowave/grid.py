@@ -362,7 +362,7 @@ def lp_norm(grid: Grid3, f, p: float) -> float:
     parts = []  # the max, or the sum of a**p, of each array
     for a in (f,) if isinstance(f, np.ndarray) else f:
         if np.iscomplexobj(a):
-            raise ValueError("lp_norm expects real physical data, got a complex array")
+            raise OutOfDomainError("lp_norm expects real physical data, got a complex array")
         a = np.abs(a)
         parts.append(float(np.max(a)) if math.isinf(p) else float(np.sum(power(a))))
         del a  # a streamed array and its magnitudes go before the next one is made

@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exceptions import OutOfDomainError, QuadratureAccuracyError
+from .exceptions import OutOfDomainError, QuadratureAccuracyError, ShapeMismatchError
 
 __all__ = [
     "SPHERE_LONG", "SPHERE_TRANS", "radial_l2_norm", "AngularTerm", "AngularFit", "angular_fit",
@@ -231,7 +231,7 @@ def radial_grid(r_max: float, s_max: float) -> np.ndarray:
 def simpson_weights(n: int, h: float) -> np.ndarray:
     """Composite Simpson weights for n (odd) uniformly spaced points."""
     if n < 3 or n % 2 == 0:
-        raise ValueError("Simpson rule needs an odd number of points >= 3")
+        raise OutOfDomainError("Simpson rule needs an odd number of points >= 3")
     w = np.ones(n)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
@@ -296,13 +296,13 @@ def angular_fit(
 ) -> AngularFit:
     """Fit the angular terms of a field with ``n_slots`` slots at polar angles ``thetas``.
 
-    Raises ValueError if an angular factor exceeds degree ``nmax``.  The
+    Raises OutOfDomainError if an angular factor exceeds degree ``nmax``.  The
     field's profiles are ``psi = 0, ..., max(term.psi)``.
     """
     coeff, pole = _angular_coeffs(terms, thetas, nmax)
     scale = max(float(np.max(np.abs(coeff[..., :-1]))), 1e-300)
     if max(float(np.max(np.abs(coeff[..., -1]))), float(np.max(np.abs(pole)))) > 1e-9 * scale:
-        raise ValueError("angular factor exceeds the configured polynomial degree")
+        raise OutOfDomainError("angular factor exceeds the configured polynomial degree")
     coeff = coeff[..., :-1] * (np.max(np.abs(coeff[..., :-1]), axis=(0, 1)) > 1e-14 * scale)
     n_top = int(max(np.flatnonzero(np.any(coeff, axis=(0, 1))), default=0))
 
@@ -359,7 +359,7 @@ def axisym_evaluate(
     bank_ri = np.ascontiguousarray(np.concatenate([bank.real, bank.imag]).T)
     n_psi, n_read = bank.shape[0], sum(fit.n_psi for fit in fits)
     if n_read != n_psi:
-        raise ValueError(f"the fits read {n_read} radial profiles, the bank holds {n_psi}")
+        raise ShapeMismatchError(f"the fits read {n_read} radial profiles, the bank holds {n_psi}")
     n_top = max(fit.n_top for fit in fits)
 
     # moments[n, b] = int [Re | Im] psi(r) r^2 J_n(s_b r) dr, s-block by s-block.

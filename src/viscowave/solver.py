@@ -71,7 +71,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elastic import LameParams, Propagator, _check_state
-from .exceptions import DivergenceError, NoContractionError
+from .exceptions import DivergenceError, NoContractionError, OutOfDomainError, ShapeMismatchError
 from .grid import (
     Grid3,
     _forward_scale,
@@ -107,18 +107,18 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         if not 0 < self.dt < math.inf:
-            raise ValueError(f"dt must be finite and positive, got {self.dt}")
+            raise OutOfDomainError(f"dt must be finite and positive, got {self.dt}")
         if not 0 < self.t_end < math.inf:
-            raise ValueError(f"t_end must be finite and positive, got {self.t_end}")
+            raise OutOfDomainError(f"t_end must be finite and positive, got {self.t_end}")
         steps = self.t_end / self.dt
         if not abs(steps - round(steps)) <= 1e-9 * steps:
-            raise ValueError(
+            raise OutOfDomainError(
                 f"t_end = {self.t_end:g} is not a whole number of steps dt = {self.dt:g}"
             )
         if not 0 < self.picard_tol < math.inf:
-            raise ValueError(f"picard_tol must be finite and positive, got {self.picard_tol}")
+            raise OutOfDomainError(f"picard_tol must be finite and positive, got {self.picard_tol}")
         if not self.picard_max_iter >= 1:
-            raise ValueError("picard_max_iter must be at least 1")
+            raise OutOfDomainError("picard_max_iter must be at least 1")
 
     @property
     def n_steps(self) -> int:
@@ -340,7 +340,7 @@ def x1_norm_and_distance(states: Iterable, ref: Trajectory) -> tuple[float, floa
     norms, dists = [], []
     for (t, u, v), t_ref, u_ref, v_ref in zip(states, ref.times, ref.u, ref.v, strict=True):
         if abs(t - t_ref) > 1e-12:
-            raise ValueError(f"state at t={t:g} meets the reference at t={t_ref:g}")
+            raise ShapeMismatchError(f"state at t={t:g} meets the reference at t={t_ref:g}")
         norms.append(_x1_integrand(ref.grid, t, u, v))
         dists.append(_x1_integrand(ref.grid, t, u - u_ref, v - v_ref))
     return float(np.max(norms)), float(np.max(dists))

@@ -14,7 +14,7 @@ from viscowave.audit import (
     heat_multiplier_l1,
     inequality_check,
     symbol_bound_scan,
-    _scan_values,
+    _derivatives,
 )
 from viscowave.asymptotics import decay_slope
 from viscowave.elastic import LameParams, default_cutoffs
@@ -310,18 +310,35 @@ class TestSymbolScans:
         with pytest.raises(ValueError):
             symbol_bound_scan("B333", (1.0, 10.0), (1e-3, 3.0), dp)
 
-    def test_derivatives_cross_checked_against_finite_differences(self):
-        # validates the closed-form first derivatives away from the corner
-        dp = DampingParams(1.3, 0.9)
-        r0, t0 = 0.31, 2.2
-        h = 1e-5 * r0
-        for bid, builder in (
-            ("B333", lambda t, r: np.cos(t * dp.beta * r * np.sqrt(1 - (dp.nu * r / (2 * dp.beta)) ** 2))
-                - np.cos(t * dp.beta * r)),
-        ):
-            lhs, _ = _scan_values(bid, dp, np.array([t0]), np.array([r0]))
-            fd = (builder(t0, r0 + h) - builder(t0, r0 - h)) / (2.0 * h)
-            assert abs(abs(fd) - lhs[0, 0]) <= 1e-6 * max(abs(fd), 1.0)
+    @staticmethod
+    def functions(symbol, dp, t, r):
+        # The functions each symbol sums, written directly from a = t beta r phi, b = t beta r.
+        phi = np.sqrt(1.0 - (dp.nu * r / (2.0 * dp.beta)) ** 2)
+        a, b = t * dp.beta * r * phi, t * dp.beta * r
+        return {
+            "phase": (np.cos(a), np.sin(a)),
+            "cos_gap": (np.cos(a) - np.cos(b),),
+            "sin_gap": (np.sin(a) - np.sin(b) - (a - b) * np.cos(b),),
+            "envelope": (np.exp(-0.5 * dp.nu * t * r * r) * (phi - 1.0),),
+        }[symbol]
+
+    @pytest.mark.parametrize("symbol", ["phase", "cos_gap", "sin_gap", "envelope"])
+    @pytest.mark.parametrize(
+        "dp", [DampingParams(1.3, 0.9), DampingParams(math.sqrt(2.0), 1.0)], ids=["1.3-0.9", "sqrt2-1"]
+    )
+    def test_derivatives_cross_checked_against_finite_differences(self, symbol, dp):
+        # Each closed-form d1 against a central difference of the function it
+        # differentiates, and each d2 against one of the closed-form d1, away
+        # from the corner r = 0 and inside the oscillatory region.
+        for t, r in ((2.2, 0.31), (0.7, 1.1), (12.0, 0.5), (5.0, 0.2)):
+            h = 1e-5 * r
+            pairs = _derivatives(symbol, dp, t, r)
+            above, below = (self.functions(symbol, dp, t, r + s) for s in (h, -h))
+            d1_above, d1_below = (_derivatives(symbol, dp, t, r + s) for s in (h, -h))
+            assert len(pairs) == len(above)
+            for (d1, d2), fa, fb, (da, _), (db, _) in zip(pairs, above, below, d1_above, d1_below):
+                assert (fa - fb) / (2.0 * h) == pytest.approx(d1, rel=1e-5, abs=0.0), (t, r)
+                assert (da - db) / (2.0 * h) == pytest.approx(d2, rel=1e-6, abs=0.0), (t, r)
 
     def test_fd_step_calibration(self):
         # the 1e-5 r central-difference step resolves d/dr e^{-r^2} to 1e-8

@@ -5,6 +5,7 @@ check runs once per call, at the entry, never per element.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,15 +18,26 @@ from viscowave.asymptotics import (
     slope_ci95,
 )
 from viscowave.audit import decay_fit, heat_multiplier_l1, symbol_bound_scan
+from viscowave.cli import emit_report
 from viscowave.elastic import LameParams, Propagator, linear_propagate
 from viscowave.exceptions import (
+    DegenerateInputError,
     InvalidExponentError,
     OutOfDomainError,
+    ShapeMismatchError,
     UnsupportedOrderError,
     UnsupportedSymbolError,
 )
 from viscowave.grid import CutoffSpec, half_seminorm, lp_norm, make_grid
 from viscowave.kernels import DampingParams, diffusion_hat, kernel_hat, mode_oracle
+from viscowave.radial import (
+    AngularTerm,
+    angular_fit,
+    axisym_evaluate,
+    gauss_theta_rule,
+    simpson_weights,
+)
+from viscowave.solver import SolverConfig, Trajectory, x1_norm_and_distance
 
 GRID = make_grid(8, 8.0)
 CUTOFF = CutoffSpec(0.5, 2.0)
@@ -65,12 +77,27 @@ def propagate(bad):
     return linear_propagate(GRID, STATE, data, 1.0, LAME)
 
 
-def scan(t_range=(1.0, 10.0), r_range=(1e-3, 0.5), density=8):
-    return symbol_bound_scan("B331", t_range, r_range, DampingParams(1.0, 1.0), density)
+def scan(t_range=(1.0, 10.0), r_range=(1e-3, 0.5), density=8, bound_id="B331"):
+    return symbol_bound_scan(bound_id, t_range, r_range, DampingParams(1.0, 1.0), density)
+
+
+THETAS = gauss_theta_rule(4)[0]
+R = np.linspace(0.0, 1.0, 11)
+
+
+def w3_power(k):
+    """The angular factor ``omega_3^k`` of an :class:`AngularTerm`."""
+    return AngularTerm(0, 0, lambda wx, wy, wz, gz: (wx * gz[0] + wy * gz[1] + wz * gz[2]) ** k)
+
+
+def x1_misaligned():
+    ref = Trajectory(GRID, np.array([0.0]), [STATE], [STATE])
+    return x1_norm_and_distance([(0.5, STATE, STATE)], ref)
 
 
 GUARDS = [
     ("lp_norm p=nan", lambda: lp_norm(GRID, FIELD, math.nan), InvalidExponentError),
+    ("lp_norm complex data", lambda: lp_norm(GRID, FIELD + 0j, 2), OutOfDomainError),
     ("half_seminorm order=-1", lambda: half_seminorm(GRID, SPECTRUM, -1), UnsupportedOrderError),
     ("half_seminorm order=1.5", lambda: half_seminorm(GRID, SPECTRUM, 1.5), UnsupportedOrderError),
     ("heat_multiplier_l1 t=nan", lambda: heat(math.nan), OutOfDomainError),
@@ -90,6 +117,12 @@ GUARDS = [
     ("LinearSource.gaussian sigma=-1", lambda: LinearSource.gaussian(-1.0), OutOfDomainError),
     ("LinearSource.gaussian sigma=0", lambda: LinearSource.gaussian(0.0), OutOfDomainError),
     ("symbol_bound_scan density=1", lambda: scan(density=1), OutOfDomainError),
+    # The unknown id is rejected first, before the other guards and the mesh.
+    (
+        "symbol_bound_scan bound_id=B338",
+        lambda: scan(bound_id="B338", density=1),
+        UnsupportedSymbolError,
+    ),
     ("symbol_bound_scan t_range from 0", lambda: scan(t_range=(0.0, 10.0)), OutOfDomainError),
     ("symbol_bound_scan r_range from 0", lambda: scan(r_range=(0.0, 0.5)), OutOfDomainError),
     ("symbol_bound_scan r_range to 2", lambda: scan(r_range=(1e-3, 2.0)), OutOfDomainError),
@@ -139,6 +172,21 @@ GUARDS = [
     ("CutoffSpec c0>c1", lambda: CutoffSpec(2.0, 1.0), OutOfDomainError),
     ("CutoffSpec c1=inf", lambda: CutoffSpec(0.5, math.inf), OutOfDomainError),
     ("slope_ci95 n=2", lambda: slope_ci95(1.0, 2), OutOfDomainError),
+    ("simpson_weights n=4", lambda: simpson_weights(4, 1.0), OutOfDomainError),
+    ("simpson_weights n=1", lambda: simpson_weights(1, 1.0), OutOfDomainError),
+    ("angular_fit degree 7", lambda: angular_fit([w3_power(7)], 1, THETAS), OutOfDomainError),
+    (
+        "axisym_evaluate bank of 2, fit of 1",
+        lambda: axisym_evaluate(R, [R, R], [angular_fit([w3_power(2)], 1, THETAS)], R),
+        ShapeMismatchError,
+    ),
+    ("SolverConfig dt=0", lambda: SolverConfig(0.0, 1.0), OutOfDomainError),
+    ("SolverConfig t_end=nan", lambda: SolverConfig(0.5, math.nan), OutOfDomainError),
+    ("SolverConfig t_end=1.2 dt=0.5", lambda: SolverConfig(0.5, 1.2), OutOfDomainError),
+    ("SolverConfig picard_tol=0", lambda: SolverConfig(0.5, 1.0, 0.0), OutOfDomainError),
+    ("SolverConfig picard_max_iter=0", lambda: SolverConfig(0.5, 1.0, 1e-9, 0), OutOfDomainError),
+    ("x1_norm_and_distance misaligned times", x1_misaligned, ShapeMismatchError),
+    ("emit_report no results", lambda: emit_report({}, Path("unwritten")), DegenerateInputError),
 ]
 
 
