@@ -16,6 +16,7 @@ as ``xi -> 0``.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -29,7 +30,6 @@ from .exceptions import (
     OutOfDomainError,
     QuadratureAccuracyError,
     UnsupportedNormError,
-    UnsupportedSymbolError,
     WindowError,
 )
 from .kernels import diffusion_hat, kernel_hat
@@ -60,30 +60,6 @@ __all__ = [
     "expected_solution_slope",
     "SUPPORTED_NORMS",
 ]
-
-# ---------------------------------------------------------------------------
-# profiles
-
-
-def _profile_coeff(t, r, lame: LameParams, family: str, which: str):
-    """Radial coefficient of profile ``which`` for one wave family, per unit moment.
-
-    ``family`` is ``"long"`` or ``"trans"``.  ``G`` (displacement) is the
-    ``G1`` factor, ``H`` (velocity) the ``G0`` factor and ``Gtilde``
-    (acceleration) ``-beta^2 r^2 G1``.
-    """
-    if family == "long":
-        dp, b2 = lame.long_params, lame.lam + 2.0 * lame.mu
-    else:
-        dp, b2 = lame.trans_params, lame.mu
-    if which == "G":
-        return diffusion_hat(t, r, dp, "G1")
-    if which == "H":
-        return diffusion_hat(t, r, dp, "G0")
-    if which == "Gtilde":
-        return -b2 * r * r * diffusion_hat(t, r, dp, "G1")
-    raise UnsupportedSymbolError(f"unknown profile {which!r}")
-
 
 # ---------------------------------------------------------------------------
 # decay-slope fitting
@@ -251,26 +227,33 @@ SUPPORTED_NORMS: dict[tuple[str, int], dict[float, tuple[int, ...]]] = {
 }
 
 
+# Profile -> (its diffusion-wave factor, whether it carries the weight -beta^2 r^2),
+# per unit moment: displacement ``G``, velocity ``H`` and acceleration ``Gtilde``.
+_PROFILES = {"G": ("G1", False), "H": ("G0", False), "Gtilde": ("G1", True)}
+
+
 def _solution_mults(lame: LameParams, src: LinearSource, ell: int):
     """(long, trans) radial coefficient functions of d_t^ell u at time t."""
 
-    def ml(t, r):
-        return kernel_hat(t, r, lame.long_params, "K1", ell) * src.ghat(r)
+    def mult(dp):
+        return lambda t, r: kernel_hat(t, r, dp, "K1", ell) * src.ghat(r)
 
-    def mt(t, r):
-        return kernel_hat(t, r, lame.trans_params, "K1", ell) * src.ghat(r)
-
-    return ml, mt
+    return mult(lame.long_params), mult(lame.trans_params)
 
 
 def _profile_mults(lame: LameParams, src: LinearSource, which: str):
     """(long, trans) radial coefficient functions of the matching profile."""
     g0 = src.ghat0()
+    factor, weighted = _PROFILES[which]
 
-    def mult(family):
-        return lambda t, r: _profile_coeff(t, r, lame, family, which) * g0
+    def mult(dp, b2):
+        def coeff(t, r):
+            g = diffusion_hat(t, r, dp, factor)
+            return (-b2 * r * r * g if weighted else g) * g0
 
-    return mult("long"), mult("trans")
+        return coeff
+
+    return mult(lame.long_params, lame.lam + 2.0 * lame.mu), mult(lame.trans_params, lame.mu)
 
 
 def _support_r_max(lame: LameParams, src: LinearSource, t: float) -> float:
@@ -303,20 +286,12 @@ def _xspace_grids(lame: LameParams, src: LinearSource, t: float):
 
 def _derivative_slots(alpha: int):
     """Sorted derivative multisets with multinomial weights, crossed with components."""
-    if alpha == 0:
-        dir_groups = [((), 1.0)]
-    elif alpha == 1:
-        dir_groups = [((d,), 1.0) for d in range(3)]
-    elif alpha == 2:
-        dir_groups = [
-            ((c, d), 1.0 if c == d else 2.0) for c in range(3) for d in range(c, 3)
-        ]
-    else:
+    if not 0 <= alpha <= 2:
         raise UnsupportedNormError("sup/p-norm path supports derivative orders 0..2")
     slots = []
-    for dirs, w in dir_groups:
-        for j in range(3):
-            slots.append((dirs, j, w))
+    for dirs in itertools.combinations_with_replacement(range(3), alpha):
+        weight = math.factorial(alpha) / math.prod(math.factorial(dirs.count(d)) for d in range(3))
+        slots += [(dirs, j, weight) for j in range(3)]
     return slots
 
 
@@ -374,13 +349,13 @@ def _xspace_norms(fields, t: float, lame: LameParams, src: LinearSource) -> list
         vl = np.asarray(ml(t, r), dtype=np.complex128)
         vt = np.asarray(mt(t, r), dtype=np.complex128)
         psi_bank.extend([ra * (vl - vt), ra * vt])
-        fits.append(_derivative_fit(spec.alpha))
+        fit = _derivative_fit(spec.alpha)
+        # The L^p quadrature reads only the Gauss angles, so an L^p field skips the rest.
+        fits.append(fit if math.isinf(spec.p) else AngularFit(fit.weights[..., : _THETA_GAUSS.size]))
 
     def norm(k, slots):
         spec = fields[k][0]
         weights = np.array([w for (_, _, w) in _derivative_slots(spec.alpha)])
-        if not math.isinf(spec.p):
-            slots = (slot[:, : _THETA_GAUSS.size] for slot in slots)
         return axisym_lp_norm(axisym_magnitude(slots, weights), s, _THETA_W, spec.p)
 
     return axisym_evaluate(r, psi_bank, fits, s, reduce=norm)

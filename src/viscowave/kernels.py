@@ -140,6 +140,15 @@ def _envelopes(params: DampingParams, t, r):
     return ec, es, m
 
 
+# d^l/dt^l K1 for l = 0, 1, 2 in the envelopes (EC, ES), the root midpoint m
+# and beta^2 r^2; K0 is EC - m ES, and its l-th derivative -beta^2 r^2 times row l - 1.
+_K1 = (
+    lambda ec, es, m, b2r2: es,
+    lambda ec, es, m, b2r2: m * es + ec,
+    lambda ec, es, m, b2r2: (2.0 * m * m - b2r2) * es + 2.0 * m * ec,
+)
+
+
 def kernel_hat(t, r, params: DampingParams, which: str = "K0", dt_order: int = 0):
     """Evaluate ``d^l/dt^l`` of the mode kernel ``K0`` or ``K1`` at ``(t, r)``.
 
@@ -153,25 +162,16 @@ def kernel_hat(t, r, params: DampingParams, which: str = "K0", dt_order: int = 0
     if dt_order not in (0, 1, 2):
         raise UnsupportedOrderError(f"time derivative order {dt_order} not supported (0..2)")
     t, r = _finite_nonnegative(t=t, r=r)
-    ec, es, m = _envelopes(params, t, r)
-    r = np.broadcast_to(r, ec.shape)
-    b2r2 = (params.beta * r) ** 2
-    if which == "K1":
-        if dt_order == 0:
-            out = es
-        elif dt_order == 1:
-            out = m * es + ec
-        else:
-            out = (2.0 * m * m - b2r2) * es + 2.0 * m * ec
-    elif which == "K0":
-        if dt_order == 0:
-            out = ec - m * es
-        elif dt_order == 1:
-            out = -b2r2 * es
-        else:
-            out = -b2r2 * (m * es + ec)
-    else:
+    if which not in ("K0", "K1"):
         raise UnsupportedSymbolError(f"unknown kernel {which!r}")
+    ec, es, m = _envelopes(params, t, r)
+    b2r2 = (params.beta * np.broadcast_to(r, ec.shape)) ** 2
+    if which == "K1":
+        out = _K1[dt_order](ec, es, m, b2r2)
+    elif dt_order:
+        out = -b2r2 * _K1[dt_order - 1](ec, es, m, b2r2)
+    else:
+        out = ec - m * es
     return out if out.ndim else float(out)
 
 
@@ -186,10 +186,11 @@ def diffusion_hat(t, r, params: DampingParams, which: str):
 
     ``G0 = e^{-nu r^2 t/2} cos(beta r t)`` and
     ``G1 = e^{-nu r^2 t/2} sin(beta r t)/(beta r)`` (limit ``t`` at ``r = 0``).
-    ``K00 = e^{-nu r^2 t/2} cos(beta r t phi)`` continues as the hyperbolic
-    envelope past the overdamped threshold.  Every ``t`` and ``r`` must be
-    finite and non-negative; OutOfDomainError otherwise.  UnsupportedSymbolError
-    for a ``which`` other than ``G0``, ``G1`` and ``K00``.
+    ``K00 = e^{-nu r^2 t/2} cos(beta r phi t)`` with ``phi`` of :func:`_phi`, on
+    the oscillatory branch only: OutOfDomainError for ``r >= 2 beta / nu``.
+    Every ``t`` and ``r`` must be finite and non-negative; OutOfDomainError
+    otherwise.  UnsupportedSymbolError for a ``which`` other than ``G0``,
+    ``G1`` and ``K00``.
     """
     t, r = _finite_nonnegative(t=t, r=r)
     env = np.exp(-0.5 * params.nu * r * r * t)
@@ -198,8 +199,9 @@ def diffusion_hat(t, r, params: DampingParams, which: str):
     elif which == "G1":
         out = env * t * np.sinc(params.beta * r * t / np.pi)
     elif which == "K00":
-        ec, _, _ = _envelopes(params, t, r)
-        out = ec
+        if np.any(r >= params.root_threshold):
+            raise OutOfDomainError(f"K00 requires r < 2*beta/nu = {params.root_threshold:g}")
+        out = env * np.cos(params.beta * r * _phi(params, r) * t)
     else:
         raise UnsupportedSymbolError(f"unknown diffusion kernel {which!r}")
     out = np.asarray(out)

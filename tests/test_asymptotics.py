@@ -34,7 +34,6 @@ from viscowave.exceptions import (
     FitError,
     OutOfDomainError,
     UnsupportedNormError,
-    UnsupportedSymbolError,
     WindowError,
 )
 from viscowave.kernels import diffusion_hat
@@ -51,13 +50,6 @@ class TestProfileHat:
         for which in ("G", "H", "Gtilde"):
             pl, pt = _profile_mults(LAME, LinearSource(ghat=np.zeros_like), which)
             assert np.all(pl(3.0, r) == 0.0) and np.all(pt(3.0, r) == 0.0)
-
-    def test_unknown_profile_is_a_typed_error(self):
-        # profile_error_norms rejects it first (UnsupportedNormError); the
-        # coefficient itself names it too.
-        pl, _ = _profile_mults(LAME, LinearSource.gaussian(0.5), "X")
-        with pytest.raises(UnsupportedSymbolError, match="unknown profile 'X'"):
-            pl(1.0, np.array([0.5]))
 
     def test_equal_speed_collapse(self):
         # lambda + mu = 0: both families share one speed, so G is scalar

@@ -140,6 +140,7 @@ GUARDS = [
     ("diffusion_hat r=nan", lambda: diffusion(r=math.nan), OutOfDomainError),
     ("diffusion_hat r=-1", lambda: diffusion(r=-1.0), OutOfDomainError),
     ("diffusion_hat r=inf", lambda: diffusion(r=math.inf), OutOfDomainError),
+    ("diffusion_hat K00 r=3", lambda: diffusion(r=3.0, which="K00"), OutOfDomainError),
     ("linear_propagate data=nan", lambda: propagate(math.nan), OutOfDomainError),
     ("linear_propagate data=inf", lambda: propagate(complex(math.inf, 0.0)), OutOfDomainError),
     (

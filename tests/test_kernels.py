@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import REPO_CONFIGS, forced_kernel_quadrature, forced_mode_oracle
-from viscowave import cli
+from viscowave import cli, kernels
 from viscowave.exceptions import OutOfDomainError, UnsupportedOrderError
 from viscowave.kernels import (
     DampingParams,
@@ -116,16 +116,18 @@ class TestKernelHat:
             k1 = kernel_hat(t, r, dp, "K1")
             assert abs(k1 - w) <= 1e-8 * max(abs(w), 1e-2)
 
-    def test_time_derivatives_match_finite_differences(self):
+    @pytest.mark.parametrize("which", ["K0", "K1"])
+    def test_time_derivatives_match_finite_differences(self, which):
+        # r = 0.2 and 1.5 lie on the oscillatory branch, r = 4 on the overdamped one
         dp = DampingParams(1.3, 0.7)
         for r in (0.2, 1.5, 4.0):
             for order in (1, 2):
                 h = 1e-5
                 fd = (
-                    kernel_hat(2.0 + h, r, dp, "K0", order - 1)
-                    - kernel_hat(2.0 - h, r, dp, "K0", order - 1)
+                    kernel_hat(2.0 + h, r, dp, which, order - 1)
+                    - kernel_hat(2.0 - h, r, dp, which, order - 1)
                 ) / (2 * h)
-                assert kernel_hat(2.0, r, dp, "K0", order) == pytest.approx(fd, abs=1e-9)
+                assert kernel_hat(2.0, r, dp, which, order) == pytest.approx(fd, abs=1e-9)
 
     def test_unsupported_order(self):
         with pytest.raises(UnsupportedOrderError):
@@ -257,3 +259,16 @@ class TestLowFreqResidual:
         dp = DampingParams(1.0, 1.0)
         with pytest.raises(OutOfDomainError):
             lowfreq_residual(1.0, dp.root_threshold + 0.1, dp)
+
+    def test_wrong_cosine_envelope_fails_the_first_identity(self, monkeypatch):
+        # K00 is its own closed form, not the EC envelope K0 is built from, so
+        # an EC that is off by a relative 1e-6 shows in the first residual.
+        envelopes = kernels._envelopes
+
+        def scaled(params, t, r):
+            ec, es, m = envelopes(params, t, r)
+            return ec * (1.0 + 1e-6), es, m
+
+        monkeypatch.setattr(kernels, "_envelopes", scaled)
+        r24, _ = lowfreq_residual(2.0, np.array([0.2, 0.5, 0.9]), DampingParams(1.0, 1.0))
+        assert np.max(r24) > 1e-10
