@@ -74,8 +74,7 @@ class NormSpec:
     p: float
 
     def label(self) -> str:
-        p = "inf" if math.isinf(self.p) else f"{self.p:g}"
-        return f"alpha={self.alpha},ell={self.ell},p={p}"
+        return f"alpha={self.alpha},ell={self.ell},p={self.p:g}"
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,8 @@ outputs are byte-stable across reruns: fixed float formatting, sorted keys,
 no timestamps.
 
 Exit status: 0 every check passed, 1 a check failed, 2 the config is unusable
-(nothing is written), 3 the suite stopped on a toolkit error (summary.json
-records it under ``error``).
+(nothing is written), 3 the suite stopped on a toolkit error or ran out of
+memory (summary.json records it under ``error``).
 """
 
 from __future__ import annotations
@@ -189,7 +189,7 @@ def _suite_kernels(cfg: dict):
         for a0, a1 in ((w0, w1), (1.0, 0.0), (0.0, 1.0)):
             w, _ = mode_oracle(t, r, dp, a0, a1)
             closed = kernel_hat(t, r, dp, "K0") * a0 + kernel_hat(t, r, dp, "K1") * a1
-            errors.append(abs(closed - w) / max(abs(w), 1e-10 / 1e-8))
+            errors.append(abs(closed - w) / max(abs(w), 1e-2))
     # c0 = beta_min / nu lies below both families' root thresholds 2 beta / nu.
     cutoff = default_cutoffs(lame)
     ts = np.linspace(0.0, 20.0, 50)
@@ -275,10 +275,6 @@ def _decay_checks(cfg: dict, criterion: str, specs, tol: float, key):
     return series, assertions, sidecars
 
 
-def _p_tag(spec: NormSpec) -> str:
-    return "inf" if math.isinf(spec.p) else str(int(spec.p))
-
-
 def _suite_linear_decay(cfg: dict):
     specs = [NormSpec(1, 0, 2.0), NormSpec(2, 0, 2.0), NormSpec(3, 0, 2.0)]
     specs += [NormSpec(0, 1, 2.0), NormSpec(1, 1, 2.0)]
@@ -287,7 +283,7 @@ def _suite_linear_decay(cfg: dict):
 
 def _suite_smoothing(cfg: dict):
     specs = [NormSpec(0, 0, math.inf), NormSpec(1, 0, math.inf), NormSpec(0, 2, 2.0)]
-    key = lambda spec: f"smoothing_{spec.alpha}_{spec.ell}_{_p_tag(spec)}"
+    key = lambda spec: f"smoothing_{spec.alpha}_{spec.ell}_{spec.p:g}"
     return _decay_checks(cfg, "4", specs, 0.1, key)
 
 
@@ -305,7 +301,7 @@ def _suite_profile_error(cfg: dict):
     table = [profile_error_norms(src, _PROFILE_SET, float(t), cfg["lame"]) for t in times]
     columns = []
     for which, spec in _PROFILE_SET:
-        tag = f"profile_{which}_{spec.alpha}_{spec.ell}_{_p_tag(spec)}"
+        tag = f"profile_{which}_{spec.alpha}_{spec.ell}_{spec.p:g}"
         expected = expected_solution_slope(spec)
         columns += [
             (tag + "_sol", expected, spec.label()),
@@ -371,7 +367,7 @@ def nonlinear_check(
         deviations = []
         for t, u, v in states:
             # A Propagator per time keeps no time's tables alive.
-            lin = Propagator(grid, lame, (t,)).propagate(t, u0, v0, velocity=False)[0]
+            lin = Propagator(grid, lame).propagate(t, u0, v0, velocity=False)[0]
             dnum = half_seminorm(grid, u - lin, 0)
             dden = max(half_seminorm(grid, lin, 0), 1e-300)
             deviations.append(dnum / dden)
@@ -615,8 +611,8 @@ def run_scenario(config_path, out_dir, seed: int | None = None, suite: str | Non
 
     With ``suite`` given, a config for another suite is a usage error, and so
     is an ``out_dir`` that is, or lies under, an existing non-directory.  A
-    toolkit error raised by the suite writes a failed summary.json that records
-    it, prints one line to stderr and returns 3.
+    toolkit error or MemoryError raised by the suite writes a failed
+    summary.json that records it, prints one line to stderr and returns 3.
     """
     try:
         cfg = _parse_config(Path(config_path))
@@ -635,7 +631,7 @@ def run_scenario(config_path, out_dir, seed: int | None = None, suite: str | Non
 
     try:
         series, assertions, sidecars = _SUITE_FN[cfg["suite"]](cfg)
-    except ViscowaveError as exc:
+    except (ViscowaveError, MemoryError) as exc:
         error = {"type": type(exc).__name__, "message": str(exc)}
         if getattr(exc, "achieved", None) is not None:
             error["achieved"] = float(exc.achieved)
@@ -671,8 +667,8 @@ def main(argv=None) -> int:
         prog="viscowave",
         description="Spectral verification suites for damped elastic waves",
         epilog="exit status: 0 every check passed, 1 a check failed, 2 the config is "
-        "unusable (nothing is written), 3 the suite stopped on a toolkit error "
-        "(summary.json records it under 'error')",
+        "unusable (nothing is written), 3 the suite stopped on a toolkit error or ran "
+        "out of memory (summary.json records it under 'error')",
     )
     sub = parser.add_subparsers(dest="suite", required=True)
     for name in SUITES:

@@ -13,8 +13,8 @@ limit of both branches.
 
 Every spectral array here is a real field's spectrum on the half lattice
 ``k_z = 0 .. n/2`` (see :mod:`viscowave.grid`): the split, the
-:class:`Propagator`, :func:`linear_propagate` and :func:`energy` take and
-return ``(3, n, n, n/2 + 1)`` arrays.
+:class:`Propagator` and :func:`linear_propagate` take and return
+``(3, n, n, n/2 + 1)`` arrays.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import OutOfDomainError, ShapeMismatchError
-from .grid import CutoffSpec, Grid3, half_seminorm
+from .grid import CutoffSpec, Grid3
 from .kernels import DampingParams, kernel_hat
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "linear_propagate",
     "default_cutoffs",
     "split_longitudinal",
-    "energy",
 ]
 
 
@@ -121,7 +120,7 @@ def split_longitudinal(grid: Grid3, data: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 class Propagator:
-    """Exact mode propagator ``S(tau)`` on one grid, for a fixed set of steps.
+    """Exact mode propagator ``S(tau)`` on one grid, for any step ``tau >= 0``.
 
     ``S(tau)`` maps a state ``(u, v)`` to ``(K0 u + K1 v, K0' u + K1' v)``.
     States are half-lattice spectra of real fields, shape ``(3, n, n, n/2 + 1)``.
@@ -130,18 +129,13 @@ class Propagator:
     is (see :func:`split_longitudinal`), from a ``(k_trans, d)`` table pair
     of shape ``(n, n, n/2 + 1)``.  Each table (``K0``/``K1``, time orders 0
     and 1) is built from the unique-radius table on first use, once per
-    step; steps not declared at construction are rejected, and so is a
-    declared step that is negative or not finite (OutOfDomainError).
+    step, by :func:`~viscowave.kernels.kernel_hat`, which rejects a step that
+    is negative or not finite (OutOfDomainError).
     """
 
-    def __init__(self, grid: Grid3, lame: LameParams, steps):
+    def __init__(self, grid: Grid3, lame: LameParams):
         self.grid = grid
         self.lame = lame
-        self.steps = frozenset(float(s) for s in steps)
-        if not all(0.0 <= s < np.inf for s in self.steps):
-            raise OutOfDomainError(
-                f"steps must be finite and non-negative, got {sorted(self.steps)}"
-            )
         self._tables: dict = {}
         self._inv_r2 = _inverse_xi2(grid)
 
@@ -150,8 +144,6 @@ class Propagator:
         key = (float(tau), which, order)
         hit = self._tables.get(key)
         if hit is None:
-            if key[0] not in self.steps:
-                raise OutOfDomainError(f"step {tau!r} is not one of this propagator's steps")
             vals, inv = self.grid.unique_radii()
             k_long, k_trans = (
                 kernel_hat(key[0], vals, params, which, order)[inv]
@@ -224,18 +216,5 @@ def linear_propagate(
     """
     if not (np.isfinite(f0_hat).all() and np.isfinite(f1_hat).all()):
         raise OutOfDomainError("data must be finite")
-    return Propagator(grid, lame, (t,)).propagate(t, f0_hat, f1_hat)
+    return Propagator(grid, lame).propagate(t, f0_hat, f1_hat)
 
-
-def energy(grid: Grid3, u: np.ndarray, v: np.ndarray, lame: LameParams) -> float:
-    """Dissipated energy ``||v||^2 + mu || |xi| u ||^2 + (lam+mu) ||xi.u||^2`` of a state.
-
-    ``u`` and ``v`` are half-lattice spectra; each norm is a mirror-weighted
-    :func:`~viscowave.grid.half_seminorm`, and ``xi`` the grid's Nyquist-safe table.
-    """
-    div = sum(grid.xi[a] * u[a] for a in range(3))
-    return (
-        half_seminorm(grid, v, 0) ** 2
-        + lame.mu * half_seminorm(grid, u, 1) ** 2
-        + (lame.lam + lame.mu) * half_seminorm(grid, div, 0) ** 2
-    )

@@ -40,10 +40,6 @@ class QuadratureAccuracyError(ViscowaveError, ArithmeticError):
 class DivergenceError(ViscowaveError, ArithmeticError):
     """Blow-up guard tripped during time marching."""
 
-    def __init__(self, message: str, time: float):
-        super().__init__(message)
-        self.time = time
-
 
 class NoContractionError(ViscowaveError, ArithmeticError):
     """Successive-substitution iteration failed to contract (data too large)."""

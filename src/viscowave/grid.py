@@ -56,7 +56,6 @@ __all__ = [
     "make_grid",
     "transform",
     "forward_scalar",
-    "inverse_scalar",
     "inverse_slabs",
     "lp_norm",
     "sobolev_seminorm",
@@ -104,9 +103,9 @@ class Grid3:
 
     @staticmethod
     def check(n: int, box_length: float) -> None:
-        """Raise InvalidGridError unless ``n`` is even and >= 8 and ``0 < box_length < inf``."""
-        if n < 8 or n % 2 != 0:
-            raise InvalidGridError(f"n must be even and >= 8, got {n}")
+        """InvalidGridError unless ``n`` is an even integer >= 8 and ``0 < box_length < inf``."""
+        if not isinstance(n, numbers.Integral) or n < 8 or n % 2 != 0:
+            raise InvalidGridError(f"n must be an even integer >= 8, got {n!r}")
         if not 0 < box_length < math.inf:
             raise InvalidGridError(f"box_length must be finite and positive, got {box_length}")
 
@@ -166,7 +165,7 @@ class Grid3:
 
 def make_grid(n: int, box_length: float) -> Grid3:
     """Validated grid constructor."""
-    return Grid3(n=int(n), box_length=float(box_length))
+    return Grid3(n=n, box_length=float(box_length))
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,26 +231,17 @@ def forward_scalar(grid: Grid3, f: np.ndarray) -> np.ndarray:
     return _rfftn(f) * _forward_scale(grid)
 
 
-def inverse_scalar(grid: Grid3, fh: np.ndarray) -> np.ndarray:
-    """Physical values of a half-lattice spectrum: the inverse of ``forward_scalar``.
-
-    Transforms the last three axes, like ``forward_scalar``.
-    """
-    # One expression, so numpy divides the irfftn temporary in place.
-    return _irfftn(grid, fh) / _forward_scale(grid)
-
-
 # Points per slab of inverse_slabs: a slab's output and its transform
 # workspace take 0.5 and 1 MB, so even at 64^3 a field is four slabs.
 _SLAB_POINTS = 1 << 16
 
 
 def inverse_slabs(grid: Grid3, fh: np.ndarray):
-    """``inverse_scalar`` of a scalar half-lattice spectrum, yielded one x-slab at a time.
+    """``forward_scalar``'s inverse of a scalar half-lattice spectrum, one x-slab at a time.
 
     The slabs hold about 2^16 points each and concatenate along the first
-    axis to ``inverse_scalar(grid, fh)``, bit for bit: the x pass runs on the
-    whole spectrum first, written into ``fh`` itself (which is overwritten),
+    axis to ``_irfftn(grid, fh) / _forward_scale(grid)``, bit for bit: the x
+    pass runs on the whole spectrum first, written into ``fh`` (overwritten),
     and then each slab takes the (y, z) passes and the same two scalings,
     ``irfftn``'s 1/n^3 and the division by the forward scale.  So no
     full-size physical array is made.  Each slab is a fresh array.

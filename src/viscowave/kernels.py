@@ -246,17 +246,14 @@ def lowfreq_residual(t, r, params: DampingParams) -> tuple[float, float]:
 
     The coefficient ``nu r^2 / 2`` is forced by the initial conditions:
     ``K0(0) = 1, K0'(0) = 0`` pins the sine amplitude to half the damping
-    rate.  Raises outside the oscillatory region, where ``phi`` is imaginary.
+    rate.  ``K00`` is evaluated first, so its OutOfDomainError for
+    ``r >= 2 beta / nu``, where ``phi`` is imaginary, comes before any kernel work.
     """
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
-    if np.any(r >= params.root_threshold):
-        raise OutOfDomainError(
-            f"trigonometric forms require r < 2*beta/nu = {params.root_threshold:g}"
-        )
+    k00 = diffusion_hat(t, r, params, "K00")
     k0 = kernel_hat(t, r, params, "K0")
     k1 = kernel_hat(t, r, params, "K1")
-    k00 = diffusion_hat(t, r, params, "K00")
     res_24 = np.abs(k0 - 0.5 * params.nu * r * r * k1 - k00)
 
     phi = _phi(params, r)

@@ -203,7 +203,7 @@ def _node_march(grid: Grid3, lame: LameParams, dt: float):
     the dealiased forcing of a half-lattice displacement spectrum.
     """
     h = 0.5 * dt
-    prop = Propagator(grid, lame, (h, 2.0 * h))
+    prop = Propagator(grid, lame)
     mask = dealias_mask(grid)
     return h, prop, lambda u_hat: _nonlinearity_hat(grid, u_hat, mask)
 
@@ -287,7 +287,7 @@ def evolve_stream(
                 norm = state_norm(u, v)
                 if not norm <= guard:
                     message = f"state norm {norm:g} is not finite or exceeded the blow-up guard"
-                    raise DivergenceError(f"{message} at t={t:g}", t)
+                    raise DivergenceError(f"{message} at t={t:g}")
                 yield t, u, v
             del u, v  # hold no node while the march builds the next one
 
@@ -402,9 +402,7 @@ def picard_iterate(
                 t = float(taus[m])
                 inc = _x1_integrand(grid, t, u - states_u[m], v - states_v[m // 2])
                 if not np.isfinite(inc):
-                    raise DivergenceError(
-                        f"Picard sweep {it} increment is not finite at t={t:g}", t
-                    )
+                    raise DivergenceError(f"Picard sweep {it} increment is not finite at t={t:g}")
                 distance = max(distance, inc)
                 states_v[m // 2] = v
             states_u[m] = u

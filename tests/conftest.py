@@ -7,7 +7,8 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from viscowave.grid import Grid3, VectorField, make_grid
+from viscowave.elastic import LameParams
+from viscowave.grid import Grid3, VectorField, _forward_scale, _irfftn, half_seminorm, make_grid
 from viscowave.kernels import DampingParams, kernel_hat
 from viscowave.solver import _x1_integrand
 
@@ -44,6 +45,30 @@ def lattice_radius(grid: Grid3) -> np.ndarray:
     """
     xi1 = grid.xi1
     return np.sqrt(xi1[:, None, None] ** 2 + xi1[None, :, None] ** 2 + xi1[None, None, :] ** 2)
+
+
+def inverse_scalar(grid: Grid3, fh: np.ndarray) -> np.ndarray:
+    """Physical values of a half-lattice spectrum: the inverse of ``forward_scalar``.
+
+    Transforms the last three axes, like ``forward_scalar``; ``inverse_slabs``
+    matches it bit for bit.
+    """
+    # One expression, so numpy divides the irfftn temporary in place.
+    return _irfftn(grid, fh) / _forward_scale(grid)
+
+
+def energy(grid: Grid3, u: np.ndarray, v: np.ndarray, lame: LameParams) -> float:
+    """Dissipated energy ``||v||^2 + mu || |xi| u ||^2 + (lam+mu) ||xi.u||^2`` of a state.
+
+    ``u`` and ``v`` are half-lattice spectra; each norm is a mirror-weighted
+    ``half_seminorm``, and ``xi`` the grid's Nyquist-safe table.
+    """
+    div = sum(grid.xi[a] * u[a] for a in range(3))
+    return (
+        half_seminorm(grid, v, 0) ** 2
+        + lame.mu * half_seminorm(grid, u, 1) ** 2
+        + (lame.lam + lame.mu) * half_seminorm(grid, div, 0) ** 2
+    )
 
 
 def centered_gaussian(grid, sigma=0.8, mass=1.0, components=(1.0, 1.0, 1.0)):

@@ -14,10 +14,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import REPO_CONFIGS, centered_gaussian, checked_in
+from conftest import REPO_CONFIGS, centered_gaussian, checked_in, inverse_scalar
 from viscowave.cli import nonlinear_check, picard_check, riesz_check, run_scenario
 from viscowave.elastic import LameParams, Propagator, linear_propagate
-from viscowave.grid import forward_scalar, inverse_scalar, make_grid
+from viscowave.grid import forward_scalar, make_grid
 from viscowave.kernels import kernel_hat
 from viscowave.solver import SolverConfig
 
@@ -127,7 +127,7 @@ def propagator_diagonalization(grid, lame, t):
     ``v3 = q1 x v2``, and the scalar kernels are taken at the exact ``|xi|``.
     Returns (max-abs gap over K0/K1 at orders 0 and 1, number of modes).
     """
-    prop = Propagator(grid, lame, (t,))
+    prop = Propagator(grid, lame)
     zero = np.zeros((3, *grid.half_shape), dtype=np.complex128)
     cols = {}
     for c in range(3):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import traced_peak
+from conftest import inverse_scalar, traced_peak
 from viscowave import audit
 from viscowave.audit import (
     SYMBOL_BOUNDS,
@@ -27,7 +27,6 @@ from viscowave.grid import (
     CutoffSpec,
     forward_scalar,
     half_seminorm,
-    inverse_scalar,
     lp_norm,
     make_grid,
 )

@@ -312,6 +312,20 @@ class TestRunScenario:
         err = capsys.readouterr().err
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
+    def test_memory_error_is_status_3_with_summary(self, tmp_path, monkeypatch, capsys):
+        # Out of memory is no failed check: status 3 and a summary, not Python's status 1.
+        def oversized_suite(cfg):
+            raise MemoryError("Unable to allocate 3.2 GiB")
+
+        monkeypatch.setitem(cli._SUITE_FN, "kernels", oversized_suite)
+        cfg = write_cfg(tmp_path, FAST_KERNELS)
+        out = tmp_path / "out"
+        assert main(["kernels", "--config", str(cfg), "--out", str(out)]) == 3
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["passed"] is False and summary["assertions"] == []
+        assert summary["error"] == {"type": "MemoryError", "message": "Unable to allocate 3.2 GiB"}
+        assert capsys.readouterr().err == "suite error: MemoryError: Unable to allocate 3.2 GiB\n"
+
     def test_non_finite_norm_is_status_3(self, tmp_path, monkeypatch):
         # one NaN norm must stop the fit, not pass through as a NaN slope
         real = cli.linear_norm

@@ -6,14 +6,16 @@ import pytest
 from conftest import (
     band_limited_random,
     centered_gaussian,
+    energy,
     forced_kernel_quadrature,
+    inverse_scalar,
     lattice_radius,
     zero_field,
 )
+from viscowave import elastic
 from viscowave.elastic import (
     LameParams,
     Propagator,
-    energy,
     linear_propagate,
     split_longitudinal,
 )
@@ -22,7 +24,6 @@ from viscowave.grid import (
     VectorField,
     forward_scalar,
     half_seminorm,
-    inverse_scalar,
     sobolev_seminorm,
     transform,
 )
@@ -95,7 +96,7 @@ class TestLinearPropagate:
         f0 = half_spectrum(centered_gaussian(grid16))
         f1 = half_spectrum(band_limited_random(grid16, seed=3))
         for t in (0.5, 1.25, 3.0):
-            prop = Propagator(grid16, LAME, (t,))
+            prop = Propagator(grid16, LAME)
             u, v = prop.propagate(t, f0, f1, velocity=False)
             assert v is None
             assert np.array_equal(u, linear_propagate(grid16, f0, f1, t, LAME)[0])
@@ -176,7 +177,7 @@ class TestPropagator:
         # Independent reference: w (k_long P x + k_trans (I - P) x), with the
         # scalar kernels at the exact radii and P from split_longitudinal.
         terms = self.terms(grid16)
-        u, v = Propagator(grid16, LAME, (0.5, 1.25)).apply(terms)
+        u, v = Propagator(grid16, LAME).apply(terms)
         r = grid16.half_lattice(lattice_radius(grid16))
         for order, got in ((0, u), (1, v)):
             want = np.zeros_like(got)
@@ -189,7 +190,7 @@ class TestPropagator:
 
     def test_displacement_only(self, grid16):
         terms = self.terms(grid16)
-        prop = Propagator(grid16, LAME, (0.5, 1.25))
+        prop = Propagator(grid16, LAME)
         u, v = prop.apply(terms, velocity=False)
         assert v is None
         assert np.array_equal(u, prop.apply(terms)[0])
@@ -197,7 +198,7 @@ class TestPropagator:
     def test_successive_calls_return_fresh_arrays(self, grid16):
         # Picard stores the returned states, so a later call must not write into them.
         terms = self.terms(grid16)
-        prop = Propagator(grid16, LAME, (0.5, 1.25))
+        prop = Propagator(grid16, LAME)
         first = prop.apply(terms)
         kept = [a.copy() for a in first]
         second = prop.apply(terms[::-1])
@@ -207,21 +208,40 @@ class TestPropagator:
 
     def test_no_terms_rejected(self, grid16):
         with pytest.raises(ValueError, match="at least one term"):
-            Propagator(grid16, LAME, (0.5,)).apply([])
+            Propagator(grid16, LAME).apply([])
 
     def test_wrong_shape_term_rejected(self, grid16):
         ok = np.zeros((3, *grid16.half_shape), dtype=np.complex128)
         bad = np.zeros((3, 16, 16, 8), dtype=np.complex128)
         with pytest.raises(ShapeMismatchError):
-            Propagator(grid16, LAME, (0.5,)).apply([(1.0, 0.5, "K0", ok), (0.5, 0.5, "K1", bad)])
+            Propagator(grid16, LAME).apply([(1.0, 0.5, "K0", ok), (0.5, 0.5, "K1", bad)])
 
     @pytest.mark.parametrize("t", [-5.0, -1e-3, np.nan, np.inf, -np.inf])
     def test_negative_or_non_finite_step_rejected(self, grid16, t):
+        # No step is declared: a bad one is rejected when its table is first built.
         f = np.zeros((3, *grid16.half_shape), dtype=np.complex128)
+        prop = Propagator(grid16, LAME)
+        prop.propagate(0.5, f, f)
         with pytest.raises(OutOfDomainError):
-            Propagator(grid16, LAME, (0.5, t))
+            prop.propagate(t, f, f)
         with pytest.raises(OutOfDomainError):
             linear_propagate(grid16, f, f, t, LAME)
+
+    def test_each_step_is_tabled_once_on_first_use(self, grid16, monkeypatch):
+        calls = []
+
+        def counted(t, r, params, which, order):
+            calls.append((t, which, order))
+            return kernel_hat(t, r, params, which, order)
+
+        monkeypatch.setattr(elastic, "kernel_hat", counted)
+        terms = self.terms(grid16)
+        prop = Propagator(grid16, LAME)
+        first = prop.apply(terms)
+        second = prop.apply(terms)
+        # Two steps, K0 and K1, time orders 0 and 1, both families: 16 tables, built once.
+        assert len(calls) == 16 and len(set(calls)) == 8
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
 
 class TestEnergy:
@@ -288,7 +308,7 @@ def simpson_duhamel(samples, delta):
     w = simpson_weights(n, delta / (n - 1))
     lags = [delta - delta * i / (n - 1) for i in range(n)]
     grid = samples[0].grid
-    prop = Propagator(grid, LAME, lags)
+    prop = Propagator(grid, LAME)
     gs = [grid.half_lattice(fs.data) for fs in samples]
     return prop.apply([(wj, lag, "K1", g) for wj, lag, g in zip(w, lags, gs)])
 

@@ -13,6 +13,7 @@ from conftest import (
     band_limited_random,
     centered_gaussian,
     hermitian_defect,
+    inverse_scalar,
     lattice_radius,
     zero_field,
 )
@@ -24,7 +25,6 @@ from viscowave.grid import (
     dealias_mask,
     forward_scalar,
     half_seminorm,
-    inverse_scalar,
     inverse_slabs,
     lp_norm,
     make_grid,

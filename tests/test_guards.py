@@ -23,13 +23,14 @@ from viscowave.elastic import LameParams, Propagator, linear_propagate
 from viscowave.exceptions import (
     DegenerateInputError,
     InvalidExponentError,
+    InvalidGridError,
     OutOfDomainError,
     ShapeMismatchError,
     UnsupportedOrderError,
     UnsupportedSymbolError,
 )
 from viscowave.grid import CutoffSpec, half_seminorm, lp_norm, make_grid
-from viscowave.kernels import DampingParams, diffusion_hat, kernel_hat, mode_oracle
+from viscowave.kernels import DampingParams, diffusion_hat, kernel_hat, lowfreq_residual, mode_oracle
 from viscowave.radial import (
     AngularTerm,
     angular_fit,
@@ -69,6 +70,11 @@ def kernel(t=1.0, r=0.5, which="K1"):
 
 def diffusion(t=1.0, r=0.5, which="G0"):
     return diffusion_hat(np.array([0.0, t]), r, LAME.long_params, which)
+
+
+def lowfreq_at_threshold():
+    dp = LAME.long_params
+    return lowfreq_residual(1.0, np.array([0.5, dp.root_threshold]), dp)
 
 
 def propagate(bad):
@@ -143,16 +149,10 @@ GUARDS = [
     ("diffusion_hat K00 r=3", lambda: diffusion(r=3.0, which="K00"), OutOfDomainError),
     ("linear_propagate data=nan", lambda: propagate(math.nan), OutOfDomainError),
     ("linear_propagate data=inf", lambda: propagate(complex(math.inf, 0.0)), OutOfDomainError),
-    (
-        "Propagator.kernel undeclared step",
-        lambda: Propagator(GRID, LAME, (0.5,)).kernel(1.0, "K0", 0),
-        OutOfDomainError,
-    ),
-    (
-        "Propagator.apply no terms",
-        lambda: Propagator(GRID, LAME, (1.0,)).apply([]),
-        OutOfDomainError,
-    ),
+    ("Propagator.apply no terms", lambda: Propagator(GRID, LAME).apply([]), OutOfDomainError),
+    ("lowfreq_residual r=2beta/nu", lowfreq_at_threshold, OutOfDomainError),
+    ("make_grid n=32.9", lambda: make_grid(32.9, 16.0), InvalidGridError),
+    ("make_grid n=16.5", lambda: make_grid(16.5, 16.0), InvalidGridError),
     ("kernel_hat which=K2", lambda: kernel(which="K2"), UnsupportedSymbolError),
     ("diffusion_hat which=K2", lambda: diffusion(which="K2"), UnsupportedSymbolError),
     (

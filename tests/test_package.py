@@ -20,6 +20,28 @@ def test_every_exported_name_resolves(name):
     assert [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)] == []
 
 
+# Exported names with no library caller, still bound for perfbench's layer tracer.
+UNCALLED = {"transform", "sobolev_seminorm", "split_longitudinal", "evolve"}
+
+
+def test_every_exported_name_has_a_library_caller():
+    # A test-only entry belongs in tests/conftest.py.  A reference is a name or
+    # attribute read in a library module other than __init__.py; imports (the
+    # re-exports and the tracer's pinned bindings) are not references.  An
+    # entry that gains a caller must leave UNCALLED.
+    files = [p for p in Path(viscowave.__file__).parent.glob("*.py") if p.name != "__init__.py"]
+    used = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    modules = [importlib.import_module(name) for name in MODULES[1:]]
+    exported = {n for mod in modules for n in getattr(mod, "__all__", ())}
+    assert exported - used == UNCALLED
+
+
 BUILTIN_ERRORS = {
     name
     for name, obj in vars(builtins).items()

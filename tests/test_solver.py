@@ -5,7 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import band_limited_random, centered_gaussian, x1_distance, x1_norm, zero_field
+from conftest import (
+    band_limited_random,
+    centered_gaussian,
+    inverse_scalar,
+    x1_distance,
+    x1_norm,
+    zero_field,
+)
 from viscowave import solver
 from viscowave.elastic import LameParams, Propagator, linear_propagate
 from viscowave.exceptions import DivergenceError, NoContractionError, ShapeMismatchError
@@ -14,7 +21,6 @@ from viscowave.grid import (
     dealias_mask,
     forward_scalar,
     half_seminorm,
-    inverse_scalar,
     make_grid,
     sobolev_seminorm,
     transform,
@@ -535,7 +541,7 @@ class TestDuhamelStream:
         # O(M^2) sum of the same composite-Simpson quadrature, at every node
         # of an odd node count; the velocity is built at even nodes only.
         h, m_count = 0.5, 9
-        prop = Propagator(grid16, LAME, (h, 2.0 * h))
+        prop = Propagator(grid16, LAME)
         samples = [
             forward_scalar(grid16, band_limited_random(grid16, seed=j).data)
             for j in range(m_count + 1)
