@@ -9,7 +9,9 @@ no timestamps.
 
 Exit status: 0 every check passed, 1 a check failed, 2 the config is unusable
 (nothing is written), 3 the suite stopped on a toolkit error or ran out of
-memory (summary.json records it under ``error``).
+memory (summary.json records it under ``error``), 4 the suite stopped on any
+other exception, an internal error (summary.json records it under ``error``
+with ``internal: true``, and its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import hashlib
 import json
 import math
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -403,7 +406,8 @@ def picard_check(
 
     Returns ``(series, assertions)``: Picard's contraction and convergence,
     and its fixed point against time marching.  The marched states are
-    compared with Picard's as :func:`evolve_stream` yields them.
+    compared with Picard's band-packed ones as :func:`evolve_stream` yields
+    them; outside the dealias band both are the homogeneous march.
     """
     f0_hat, f1_hat = _small_data(grid, f0, f1)()
     traj_p, history = picard_iterate(grid, f0_hat, f1_hat, lame, sc)
@@ -613,6 +617,9 @@ def run_scenario(config_path, out_dir, seed: int | None = None, suite: str | Non
     is an ``out_dir`` that is, or lies under, an existing non-directory.  A
     toolkit error or MemoryError raised by the suite writes a failed
     summary.json that records it, prints one line to stderr and returns 3.
+    Any other exception is an internal error: it is recorded the same way,
+    marked ``internal``, its traceback is printed to stderr, and the status
+    is 4.
     """
     try:
         cfg = _parse_config(Path(config_path))
@@ -631,13 +638,19 @@ def run_scenario(config_path, out_dir, seed: int | None = None, suite: str | Non
 
     try:
         series, assertions, sidecars = _SUITE_FN[cfg["suite"]](cfg)
-    except (ViscowaveError, MemoryError) as exc:
+    except Exception as exc:  # every exception is recorded; its kind sets the status
         error = {"type": type(exc).__name__, "message": str(exc)}
-        if getattr(exc, "achieved", None) is not None:
+        internal = not isinstance(exc, (ViscowaveError, MemoryError))
+        if internal:
+            error["internal"] = True
+        elif getattr(exc, "achieved", None) is not None:
             error["achieved"] = float(exc.achieved)
         summary.update(passed=False, assertions=[], error=error)
         out.mkdir(parents=True, exist_ok=True)
         (out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=1))
+        if internal:
+            traceback.print_exc()
+            return 4
         print(f"suite error: {error['type']}: {error['message']}", file=sys.stderr)
         return 3
 
@@ -668,7 +681,9 @@ def main(argv=None) -> int:
         description="Spectral verification suites for damped elastic waves",
         epilog="exit status: 0 every check passed, 1 a check failed, 2 the config is "
         "unusable (nothing is written), 3 the suite stopped on a toolkit error or ran "
-        "out of memory (summary.json records it under 'error')",
+        "out of memory (summary.json records it under 'error'), 4 the suite stopped on "
+        "an internal error (recorded the same way, with 'internal': true; its traceback "
+        "goes to stderr)",
     )
     sub = parser.add_subparsers(dest="suite", required=True)
     for name in SUITES:

@@ -60,6 +60,19 @@ rounding.  Both the sweep increments and the comparison
 X1 integrand.  Where there is no forcing (Picard's homogeneous iterate 0,
 and `evolve_stream` with ``nonlinear=False``), the march is the bare
 ``S(h)`` / ``S(2h)`` recursion, with no Duhamel terms.
+
+Picard stores only the dealias band of each state.  The forcing is masked
+to the band, so outside it every sample is an exact zero, and ``S`` and
+the window terms act mode by mode: there each Duhamel term adds an exact
+zero to the bare recursion.  So outside the band every Picard iterate, and
+`evolve_stream`'s nonlinear march, is the homogeneous march bit for bit,
+and the band (28% of the half lattice at n = 32) is all that tells one
+iterate from another.  A sweep rebuilds the previous iterate's full state
+at node m from its own ``u_m``, which already holds the homogeneous modes,
+with the stored band scattered in; the increments and distances scatter
+the band's difference into a zero state, which is what the full
+difference is outside the band.  Every value is the one the full states
+give, bit for bit.
 """
 
 from __future__ import annotations
@@ -127,15 +140,20 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
-    """Solution snapshots: half-lattice spectra of the displacement ``u[k]`` and velocity ``v[k]``.
+    """Solution snapshots: the displacement ``u[k]`` and velocity ``v[k]`` at ``times[k]``.
 
-    Snapshot k is taken at ``times[k]``.
+    A snapshot holds the modes ``band`` of a half-lattice spectrum: flat
+    indices into one component's half lattice, packed as a ``(3, len(band))``
+    array by :func:`_pack`.  `evolve` keeps every mode, in order.
+    `picard_iterate` keeps the dealias band, outside which each of its
+    states is the homogeneous march of its data (module docstring).
     """
 
     grid: Grid3
     times: np.ndarray
     u: list[np.ndarray]
     v: list[np.ndarray]
+    band: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +212,11 @@ def _nonlinearity_hat(grid: Grid3, u_hat: np.ndarray, mask: np.ndarray) -> np.nd
 
 # ---------------------------------------------------------------------------
 # shared helpers
+
+
+def _pack(a: np.ndarray, band: np.ndarray) -> np.ndarray:
+    """The modes ``band`` of each component of the half-lattice spectrum ``a``, as a new array."""
+    return a.reshape(3, -1)[:, band]
 
 
 def _node_march(grid: Grid3, lame: LameParams, dt: float):
@@ -305,7 +328,9 @@ def evolve(
 ) -> Trajectory:
     """Every state of :func:`evolve_stream`, collected into a Trajectory."""
     times, us, vs = zip(*evolve_stream(grid, f0_hat, f1_hat, lame, config, nonlinear=nonlinear))
-    return Trajectory(grid, np.asarray(times), list(us), list(vs))
+    # Every mode in order: the packed snapshot is a view of its state.
+    u, v = ([a.reshape(3, -1) for a in states] for states in (us, vs))
+    return Trajectory(grid, np.asarray(times), u, v, np.arange(f0_hat[0].size))
 
 
 # ---------------------------------------------------------------------------
@@ -330,19 +355,38 @@ def _x1_integrand(grid: Grid3, t: float, u_hat: np.ndarray, v_hat: np.ndarray) -
     )
 
 
+def _x1_band_distance(grid: Grid3, t: float, band: np.ndarray, u, v, u_packed, v_packed) -> float:
+    """The X1 integrand at t of ``(u, v)`` minus the state packed as ``(u_packed, v_packed)``.
+
+    The packed state holds the modes ``band``.  Off the band the two states
+    are taken to agree, so the difference there is zero, as the full one is
+    wherever both are the homogeneous march.
+    """
+    diffs = []
+    for a, packed in ((u, u_packed), (v, v_packed)):
+        d = np.zeros_like(a)
+        d.reshape(3, -1)[:, band] = _pack(a, band) - packed
+        diffs.append(d)
+    return _x1_integrand(grid, t, *diffs)
+
+
 def x1_norm_and_distance(states: Iterable, ref: Trajectory) -> tuple[float, float]:
     """X1 norm of a stream of ``(t, u, v)`` states, and its X1 distance from ``ref``, in one pass.
 
     Both are sups over the stream's times of the X1 integrand, of the state
     and of the state minus ``ref``'s; the stream must have ``ref``'s times.
-    Holds one streamed state at a time.  A NaN at any time makes its sup NaN.
+    Off ``ref.band`` the stream must equal ``ref``'s states, as every march
+    of ``ref``'s data does off the dealias band (module docstring), so the
+    difference is formed on the band.  Holds one streamed state at a time.
+    A NaN at any time makes the norm's sup NaN, and the distance's if it
+    lies in the band.
     """
     norms, dists = [], []
     for (t, u, v), t_ref, u_ref, v_ref in zip(states, ref.times, ref.u, ref.v, strict=True):
         if abs(t - t_ref) > 1e-12:
             raise ShapeMismatchError(f"state at t={t:g} meets the reference at t={t_ref:g}")
         norms.append(_x1_integrand(ref.grid, t, u, v))
-        dists.append(_x1_integrand(ref.grid, t, u - u_ref, v - v_ref))
+        dists.append(_x1_band_distance(ref.grid, t, ref.band, u, v, u_ref, v_ref))
     return float(np.max(norms)), float(np.max(dists))
 
 
@@ -369,29 +413,39 @@ def picard_iterate(
     one :func:`_march` with forcing sampled from the previous iterate, so the
     fixed point solves :func:`evolve`'s node equations.  The forcing reads the
     displacement at every node; the velocity is kept at the full steps only,
-    the ones returned.  Convergence is measured by the increment, the X1
+    the ones returned.  Only the dealias band of each state is kept: outside
+    it every iterate is the homogeneous march bit for bit (module
+    docstring), so the sweep rebuilds the previous iterate at node m from
+    its own ``u_m`` and the stored band, and the returned trajectory is
+    band-packed.  Convergence is measured by the increment, the X1
     distance between successive iterates on the full steps; the returned
     history holds one dict per sweep with the increment, the contraction
     ratio against the previous increment, and whether the increment fell
     below ``picard_tol``.  Raises DivergenceError on a non-finite increment
     and NoContractionError after three consecutive ratios >= 1.
     """
+    _check_state(grid, f0_hat, f1_hat)
     h, prop, forcing = _node_march(grid, lame, config.dt)
     m_count = 2 * config.n_steps
     taus = h * np.arange(m_count + 1)
+    band = np.flatnonzero(dealias_mask(grid))
 
-    states_u = [f0_hat]  # every node
-    states_v = [f1_hat]  # the even nodes: states_v[k] is node 2k
+    states_u = [_pack(f0_hat, band)]  # every node
+    states_v = [_pack(f1_hat, band)]  # the even nodes: states_v[k] is node 2k
 
     # Iterate 0: the homogeneous solution, the march without forcing.
     for m, u, v in _march(prop, h, m_count, f0_hat, f1_hat):
-        states_u.append(u)
+        states_u.append(_pack(u, band))
         if m % 2 == 0:
-            states_v.append(v)
+            states_v.append(_pack(v, band))
     del u, v
 
     def sample(m, u):
-        return forcing(states_u[m])  # the previous iterate, read before the sweep overwrites it
+        # The previous iterate, read before the sweep overwrites it: this
+        # sweep's u_m off the band, where every iterate is the same.
+        previous = u.copy()
+        previous.reshape(3, -1)[:, band] = states_u[m]
+        return forcing(previous)
 
     history: list[dict] = []
     bad_streak = 0
@@ -400,12 +454,12 @@ def picard_iterate(
         for m, u, v in _march(prop, h, m_count, f0_hat, f1_hat, sample):
             if m % 2 == 0:
                 t = float(taus[m])
-                inc = _x1_integrand(grid, t, u - states_u[m], v - states_v[m // 2])
+                inc = _x1_band_distance(grid, t, band, u, v, states_u[m], states_v[m // 2])
                 if not np.isfinite(inc):
                     raise DivergenceError(f"Picard sweep {it} increment is not finite at t={t:g}")
                 distance = max(distance, inc)
-                states_v[m // 2] = v
-            states_u[m] = u
+                states_v[m // 2] = _pack(v, band)
+            states_u[m] = _pack(u, band)
             del u, v
 
         ratio = distance / history[-1]["distance"] if history else None
@@ -424,4 +478,4 @@ def picard_iterate(
         if converged:
             break
 
-    return Trajectory(grid, taus[::2], states_u[::2], states_v), history
+    return Trajectory(grid, taus[::2], states_u[::2], states_v, band), history

@@ -10,7 +10,7 @@ import pytest
 from viscowave.elastic import LameParams
 from viscowave.grid import Grid3, VectorField, _forward_scale, _irfftn, half_seminorm, make_grid
 from viscowave.kernels import DampingParams, kernel_hat
-from viscowave.solver import _x1_integrand
+from viscowave.solver import SolverConfig, Trajectory, _x1_integrand, evolve
 
 REPO_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -110,19 +110,47 @@ def hermitian_defect(fld: VectorField) -> float:
     return float(num / den)
 
 
+def spectrum(grid: Grid3, packed: np.ndarray) -> np.ndarray:
+    """The half-lattice spectrum of a snapshot that keeps every mode, as ``evolve``'s do."""
+    return packed.reshape(3, *grid.half_shape)
+
+
+def picard_states(
+    traj: Trajectory, f0: np.ndarray, f1: np.ndarray, lame: LameParams, config: SolverConfig
+) -> Trajectory:
+    """A band-packed Picard trajectory of data ``(f0, f1)`` with every mode restored.
+
+    Outside its band every Picard iterate is the homogeneous march, so each
+    snapshot is scattered into a copy of the homogeneous ``evolve``'s.
+    """
+    hom = evolve(traj.grid, f0, f1, lame, config, nonlinear=False)
+
+    def scatter(base, packed):
+        full = base.copy()
+        full[:, traj.band] = packed
+        return full
+
+    u = [scatter(b, p) for b, p in zip(hom.u, traj.u, strict=True)]
+    v = [scatter(b, p) for b, p in zip(hom.v, traj.v, strict=True)]
+    return Trajectory(traj.grid, traj.times, u, v, hom.band)
+
+
 def x1_norm(traj) -> float:
-    """Sup over a trajectory's stored times of the X1 integrand."""
+    """Sup over a trajectory's stored times of the X1 integrand; it keeps every mode."""
+    g = traj.grid
     return max(
-        _x1_integrand(traj.grid, float(t), u, v) for t, u, v in zip(traj.times, traj.u, traj.v)
+        _x1_integrand(g, float(t), spectrum(g, u), spectrum(g, v))
+        for t, u, v in zip(traj.times, traj.u, traj.v)
     )
 
 
 def x1_distance(a, b) -> float:
-    """X1 norm of the difference of two trajectories on their common times."""
+    """X1 norm of the difference of two trajectories on their common times, each with every mode."""
     if len(a.times) != len(b.times) or np.max(np.abs(a.times - b.times)) > 1e-12:
         raise ValueError("trajectories must share the same time grid")
+    g = a.grid
     return max(
-        _x1_integrand(a.grid, float(t), ua - ub, va - vb)
+        _x1_integrand(g, float(t), spectrum(g, ua - ub), spectrum(g, va - vb))
         for t, ua, ub, va, vb in zip(a.times, a.u, b.u, a.v, b.v)
     )
 

@@ -18,8 +18,8 @@ from viscowave.asymptotics import LinearSource
 from viscowave.cli import emit_report, main, run_scenario
 from viscowave.elastic import LameParams, default_cutoffs
 from viscowave.exceptions import FitError, QuadratureAccuracyError
-from viscowave.grid import make_grid
-from viscowave.solver import SolverConfig
+from viscowave.grid import forward_scalar, make_grid
+from viscowave.solver import SolverConfig, picard_iterate
 
 REPO_SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -326,6 +326,26 @@ class TestRunScenario:
         assert summary["error"] == {"type": "MemoryError", "message": "Unable to allocate 3.2 GiB"}
         assert capsys.readouterr().err == "suite error: MemoryError: Unable to allocate 3.2 GiB\n"
 
+    def test_internal_error_is_status_4_with_summary(self, tmp_path, monkeypatch, capsys):
+        # A library bug is neither a failed check nor a toolkit error: status 4, summary, traceback.
+        def broken_suite(cfg):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setitem(cli._SUITE_FN, "kernels", broken_suite)
+        cfg = write_cfg(tmp_path, FAST_KERNELS)
+        out = tmp_path / "out"
+        assert main(["kernels", "--config", str(cfg), "--out", str(out)]) == 4
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["passed"] is False and summary["assertions"] == []
+        assert summary["error"] == {
+            "type": "ValueError",
+            "message": "operands could not be broadcast together",
+            "internal": True,
+        }
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback") and "in broken_suite" in err
+        assert err.endswith("ValueError: operands could not be broadcast together\n")
+
     def test_non_finite_norm_is_status_3(self, tmp_path, monkeypatch):
         # one NaN norm must stop the fit, not pass through as a NaN slope
         real = cli.linear_norm
@@ -555,6 +575,7 @@ class TestChecksHoldNoTrajectory:
         grid = make_grid(16, 16.0)
         f0, f1 = centered_gaussian(grid, sigma=0.8).data, centered_gaussian(grid, sigma=0.8).data
         self.data = grid, f0, f1
+        forward_scalar(grid, f0)  # scipy.fft is imported at the first transform: not in a trace
         self.state_bytes = 3 * grid.n * grid.n * (grid.n // 2 + 1) * 16
         self.base = 0
 
@@ -589,3 +610,16 @@ class TestChecksHoldNoTrajectory:
             for t in (2.0, 4.0)
         ]
         assert peaks[1] - peaks[0] < self.state_bytes
+
+    def test_picard_iterate_keeps_the_band(self):
+        def iterate(grid, f0, f1, lame, sc):
+            picard_iterate(grid, forward_scalar(grid, f0), forward_scalar(grid, f1), lame, sc)
+
+        peaks = [
+            self.peak(iterate, SolverConfig(dt=0.5, t_end=t, picard_max_iter=2))
+            for t in (2.0, 4.0)
+        ]
+        # 8 more half-step nodes, each with a displacement and every other one
+        # with a velocity: whole states would add 1.5 states a node, the dealias
+        # band (31.5% of the half lattice at n = 16) adds 0.47.
+        assert peaks[1] - peaks[0] < 8 * 0.6 * self.state_bytes

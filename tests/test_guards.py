@@ -97,7 +97,8 @@ def w3_power(k):
 
 
 def x1_misaligned():
-    ref = Trajectory(GRID, np.array([0.0]), [STATE], [STATE])
+    packed = STATE.reshape(3, -1)
+    ref = Trajectory(GRID, np.array([0.0]), [packed], [packed], np.arange(packed.shape[1]))
     return x1_norm_and_distance([(0.5, STATE, STATE)], ref)
 
 
